@@ -5,9 +5,6 @@ Usage::
     python -m repro.bench fig4 fig13          # specific artifacts
     python -m repro.bench --all --scale smoke # everything, fast
     python -m repro.bench --list
-    python -m repro.bench --perf              # perf trajectory -> BENCH_<date>.json
-    python -m repro.bench --perf --scale smoke --budget 120
-    python -m repro.bench --perf --jobs 4     # farm microbenchmarks across workers
     python -m repro.bench --sweep --jobs 8    # whole grid -> SWEEP_<date>.json
     python -m repro.bench --sweep --list      # point inventory, no execution
     python -m repro.bench --sweep fig14 fingerprints --scale smoke --jobs 2
@@ -17,6 +14,7 @@ the paper's measurement sizes; minutes per artifact).  ``--sweep`` runs
 the figure grid point-parallel across ``--jobs`` worker processes,
 verifies every point that matches a seeded fingerprint pin, and merges
 one trajectory file byte-identical (modulo wall clocks) to a serial run.
+Speed is measured elsewhere: ``benchmarks/ledger/run.py`` (see its README).
 """
 
 from __future__ import annotations
@@ -67,36 +65,26 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale", choices=list(SCALES), default="bench")
     parser.add_argument("--list", action="store_true",
                         help="list artifact ids and exit")
-    parser.add_argument("--perf", action="store_true",
-                        help="run the perf-regression microbenchmarks and "
-                             "write a BENCH_<date>.json trajectory file")
-    parser.add_argument("--perf-out", default=".",
-                        help="directory for the BENCH_*.json file")
     parser.add_argument("--budget", type=float, default=None,
-                        help="with --perf/--sweep: fail if total "
+                        help="with --sweep: fail if the sweep's total "
                              "wall-clock exceeds this many seconds")
     parser.add_argument("--sweep", action="store_true",
                         help="run the figure grid point-parallel and "
                              "write a SWEEP_<date>.json trajectory file")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for --sweep / --perf "
+                        help="with --sweep: worker processes "
                              "(default 1 = serial; 0 = cpu_count - 1). "
                              "Pool workers are daemonic, so points that "
                              "start shard-worker processes themselves "
                              "(parallel=True kernel builds) always run "
                              "in the parent, never nested in a worker")
-    parser.add_argument("--profile", action="store_true",
-                        help="with --perf: run each point under cProfile "
-                             "and write PROF_<point>.txt (top 25 by "
-                             "cumulative time) next to the trajectory; "
-                             "forces --jobs 1 semantics per point")
     parser.add_argument("--no-verify", action="store_true",
                         help="with --sweep: skip seeded-fingerprint "
                              "verification of swept points")
     parser.add_argument("--sweep-out", default=".",
-                        help="directory for the SWEEP_*.json file")
+                        help="with --sweep: directory for the "
+                             "SWEEP_*.json file")
     args = parser.parse_args(argv)
-    jobs = args.jobs if args.jobs > 0 else max(1, (os.cpu_count() or 2) - 1)
 
     if args.sweep:
         from .sweep import SweepMismatch, format_inventory, format_sweep, \
@@ -112,6 +100,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.list:
             print(format_inventory(scale, figures))
             return 0
+        jobs = (args.jobs if args.jobs > 0
+                else max(1, (os.cpu_count() or 2) - 1))
         try:
             report = run_sweep(scale=scale, jobs=jobs, figures=figures,
                                verify=not args.no_verify)
@@ -127,20 +117,13 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         return 0
 
-    if args.perf:
-        from .perf import format_perf, run_perf, write_trajectory
-        report = run_perf(scale=SCALES[args.scale], jobs=jobs,
-                          profile_dir=args.perf_out if args.profile
-                          else None)
-        print(format_perf(report))
-        path = write_trajectory(report, out_dir=args.perf_out)
-        print(f"wrote {path}")
-        if args.budget is not None and report["total_wall_s"] > args.budget:
-            print(f"PERF BUDGET EXCEEDED: {report['total_wall_s']}s "
-                  f"> {args.budget}s", file=sys.stderr)
-            return 1
-        return 0
-
+    ignored = [f"--{dest.replace('_', '-')}"
+               for dest in ("budget", "jobs", "no_verify", "sweep_out")
+               if getattr(args, dest) != parser.get_default(dest)]
+    if ignored:
+        print(f"{', '.join(ignored)}: only valid with --sweep",
+              file=sys.stderr)
+        return 2
     if args.list:
         for name in EXPERIMENTS:
             print(name)

@@ -77,8 +77,8 @@ class _ShardExec:
         self.done._resolve(self.value)
 
 
-class _ShardExecLA:
-    """Lookahead-mode shard exec: same pipeline chain plus the two
+class _ShardExecLA(_ShardExec):
+    """Lookahead-mode shard exec: the same pipeline chain plus the two
     hub<->shard network hops the default model elides.
 
     One ``net_latency`` request hop before the pipeline and one
@@ -92,38 +92,11 @@ class _ShardExecLA:
     byte-for-byte.
     """
 
-    __slots__ = ("system", "shard", "cost", "value", "done", "_req")
+    __slots__ = ()
 
-    def __init__(self, system: "AhlSystem", shard: int, cost: float,
-                 value=None):
-        self.system = system
-        self.shard = shard
-        self.cost = cost
-        self.value = value
-        self.done = Event(system.env)
-        self._req = None
-
-    def start(self, scheduled: bool = False) -> Event:
-        if scheduled:
-            self.system.env._schedule_call(self._request_hop, None)
-        else:
-            self._request_hop(None)
-        return self.done
-
-    def _request_hop(self, _arg) -> None:
+    def _begin(self, _arg) -> None:
         timer = self.system.env.timeout(self.system.costs.net_latency)
-        timer.callbacks.append(self._begin)
-
-    def _begin(self, _ev: Event) -> None:
-        req = self._req = self.system.shard_pipelines[self.shard].request()
-        subscribe(req, self._granted)
-
-    def _granted(self, _ev: Event) -> None:
-        subscribe(self.system._wait_if_paused(), self._unpaused)
-
-    def _unpaused(self, _ev: Event) -> None:
-        timer = self.system.env.timeout(self.cost)
-        timer.callbacks.append(self._served)
+        timer.callbacks.append(super()._begin)
 
     def _served(self, _ev: Event) -> None:
         self.system.shard_pipelines[self.shard].release(self._req)

@@ -172,9 +172,7 @@ class QuorumSystem(TransactionalSystem):
         if "isolation" in self.config.extras:
             from ..analysis.serializability import HistoryChecker
             self.history = HistoryChecker()
-        producer = (self._block_producer_weak if self.scheduler is not None
-                    else self._block_producer)
-        self.spawn(producer(), name="quorum-producer")
+        self.spawn(self._block_producer(), name="quorum-producer")
         for node in self.servers[1:]:
             if self._measured:
                 self._delta_streams[node.name] = Store(env)
@@ -217,8 +215,36 @@ class QuorumSystem(TransactionalSystem):
     # -- block production (order-execute) ----------------------------------------------------
 
     def _block_producer(self):
+        """The leader's order-execute pipeline, one block per iteration.
+
+        Serializable (the default) executes a block serially on the
+        single EVM thread, twice.  Under weakened isolation every
+        transaction in a block executes against the *block-start
+        snapshot*, so intra-block data dependencies vanish and both
+        execution phases (pre-execution at proposal, validation
+        re-execution at commit) fan out across the leader's cores — the
+        throughput the serial double execution gives up.  Semantics
+        after consensus: stage all reads at one committed instant, then
+        serially validate+apply in block order — first-committer-wins
+        under "snapshot" (conflicting writers abort with
+        ``WRITE_WRITE_CONFLICT``), blind last-writer-wins under
+        "read_committed" (lost updates admitted, counted post-hoc by
+        the anomaly detector).  Followers keep the serial re-execution
+        loop — they are off the client's critical path.
+        """
         leader = self.servers[0]
         evm = self.evm_threads[leader.name]
+        scheduler = self.scheduler
+        history = self.history
+        measured = self._measured
+        # Engine-mode clients (plain or authenticated) get their
+        # receipt at the block boundary — both Fig. 12 ablation arms
+        # release at the same point, so the A/B gap is *only* the
+        # measured index-commit charge — and so does a weakened-isolation
+        # block, which installs as a whole.  The legacy fit modes keep
+        # the seed's per-transaction release.
+        late_release = (measured or self._engine_mode
+                        or scheduler is not None)
         while True:
             if not self.mempool:
                 yield self.mempool.wait()
@@ -227,9 +253,15 @@ class QuorumSystem(TransactionalSystem):
             if not batch:
                 continue
             proposal_start = self.env.now
-            # Phase 1: serial pre-execution at the tip (proposal).
-            for txn, _done in batch:
-                yield evm.serve_event(self._exec_cost(txn))
+            # Phase 1: pre-execution at the tip (proposal) — serial, or
+            # parallel across cores against the block snapshot.
+            if scheduler is None:
+                for txn, _done in batch:
+                    yield evm.serve_event(self._exec_cost(txn))
+            else:
+                yield self.env.all_of([
+                    leader.compute(self._exec_cost(txn))
+                    for txn, _done in batch])
             for txn, _done in batch:
                 txn.phases["proposal"] = self.env.now - proposal_start
             # Phase 2: consensus on the assembled block.
@@ -245,34 +277,46 @@ class QuorumSystem(TransactionalSystem):
                 continue
             for txn, _done in batch:
                 txn.phases["consensus"] = self.env.now - consensus_start
-            # Phase 3: serial commit — validation re-execution + index
+            # Phase 3: commit — validation re-execution + index
             # maintenance (the state transition becomes final here).
+            # The per-record-fit path charges EVM + per-write MPT
+            # reconstruction per transaction; the measured paths
+            # (batched-validation ablation / configured engine) charge
+            # EVM only here and the index as one measured batch commit
+            # below (Sec. 6: each touched path hashed once per block,
+            # not once per write).  Writes mirror into the engine via
+            # the state facade as they are applied.
             commit_start = self.env.now
-            measured = self._measured
-            # Engine-mode clients (plain or authenticated) get their
-            # receipt at the block boundary — both Fig. 12 ablation arms
-            # release at the same point, so the A/B gap is *only* the
-            # measured index-commit charge.  The legacy fit modes keep
-            # the seed's per-transaction release.
-            late_release = measured or self._engine_mode
-            for txn, done in batch:
-                # Per-record-fit path charges EVM + per-write MPT
-                # reconstruction; the measured paths (batched-validation
-                # ablation / configured engine) charge EVM only here and
-                # the index as one measured batch commit below (Sec. 6:
-                # each touched path hashed once per block, not once per
-                # write).  Writes mirror into the engine via the state
-                # facade as the executor applies them.
-                index_cost = (self.costs.evm_exec_time(txn.payload_size)
-                              if measured else self._exec_cost(txn))
-                yield evm.serve_event(self.costs.sig_verify + index_cost)
-                self._version += 1
-                self.executor.execute(txn, self._version)
-                if self.history is not None:
-                    self.history.observe(txn)
-                if not late_release:
-                    txn.phases["commit"] = self.env.now - commit_start
-                    self._finish(done, txn)
+            if scheduler is None:
+                for txn, done in batch:
+                    index_cost = (self.costs.evm_exec_time(txn.payload_size)
+                                  if measured else self._exec_cost(txn))
+                    yield evm.serve_event(self.costs.sig_verify + index_cost)
+                    self._version += 1
+                    self.executor.execute(txn, self._version)
+                    if history is not None:
+                        history.observe(txn)
+                    if not late_release:
+                        txn.phases["commit"] = self.env.now - commit_start
+                        self._finish(done, txn)
+            else:
+                # Parallel re-execution, then the zero-cost snapshot
+                # commit: stage every transaction's reads at the block
+                # tip, validate+install serially.
+                yield self.env.all_of([
+                    leader.compute(
+                        self.costs.sig_verify
+                        + (self.costs.evm_exec_time(txn.payload_size)
+                           if measured else self._exec_cost(txn)))
+                    for txn, _done in batch])
+                for txn, _done in batch:
+                    scheduler.stage(txn)
+                for txn, _done in batch:
+                    if txn.status is not TxnStatus.ABORTED:
+                        self._version += 1
+                        scheduler.apply(txn, self._version)
+                    if history is not None:
+                        history.observe(txn)
             # ONE batched engine commit per block (no simulated cost in
             # the fit modes — the per-record fit already charged it).
             result = self.state.commit(self._version)
@@ -298,99 +342,6 @@ class QuorumSystem(TransactionalSystem):
                 for txn, done in batch:
                     txn.phases["commit"] = self.env.now - commit_start
                     self._finish(done, txn)
-            root = result.root if (result is not None
-                                   and self.engine.authenticated) else None
-            if root is not None:
-                self.ledger.append_block(block_txns, timestamp=self.env.now,
-                                         state_root=root)
-            else:
-                self.ledger.append_block(block_txns, timestamp=self.env.now)
-            self.blocks_minted += 1
-
-    def _block_producer_weak(self):
-        """Order-execute pipeline under weakened isolation.
-
-        Every transaction in a block executes against the *block-start
-        snapshot*, so intra-block data dependencies vanish and both
-        execution phases (pre-execution at proposal, validation
-        re-execution at commit) run in parallel across the leader's
-        cores — the throughput the serializable pipeline's serial
-        double execution gives up.  Semantics after consensus: stage
-        all reads at one committed instant, then serially
-        validate+apply in block order — first-committer-wins under
-        "snapshot" (conflicting writers abort with
-        ``WRITE_WRITE_CONFLICT``), blind last-writer-wins under
-        "read_committed" (lost updates admitted, counted post-hoc by
-        the anomaly detector).  Followers keep the serial re-execution
-        loop — they are off the client's critical path.
-        """
-        leader = self.servers[0]
-        evm = self.evm_threads[leader.name]
-        scheduler = self.scheduler
-        history = self.history
-        while True:
-            if not self.mempool:
-                yield self.mempool.wait()
-            yield self.env.timeout(self.costs.quorum_block_interval)
-            batch = self.mempool.take(self.costs.quorum_max_block_txns)
-            if not batch:
-                continue
-            proposal_start = self.env.now
-            # Phase 1: snapshot pre-execution, parallel across cores.
-            yield self.env.all_of([
-                leader.compute(self._exec_cost(txn)) for txn, _done in batch])
-            for txn, _done in batch:
-                txn.phases["proposal"] = self.env.now - proposal_start
-            # Phase 2: consensus on the assembled block (identical to
-            # the serializable pipeline).
-            consensus_start = self.env.now
-            block_txns = [txn for txn, _done in batch]
-            size = 512 + sum(192 + t.payload_size for t in block_txns)
-            try:
-                yield self.group.propose(block_txns, size=size)
-            except Exception:
-                for txn, done in batch:
-                    txn.mark_aborted(AbortReason.COORDINATOR_ABORT)
-                    self._finish(done, txn)
-                continue
-            for txn, _done in batch:
-                txn.phases["consensus"] = self.env.now - consensus_start
-            # Phase 3: parallel validation re-execution, then the
-            # zero-cost snapshot commit — stage every transaction's
-            # reads at the block tip, validate+install serially.
-            commit_start = self.env.now
-            measured = self._measured
-            yield self.env.all_of([
-                leader.compute(self.costs.sig_verify
-                               + (self.costs.evm_exec_time(txn.payload_size)
-                                  if measured else self._exec_cost(txn)))
-                for txn, _done in batch])
-            for txn, _done in batch:
-                scheduler.stage(txn)      # all reads: one block snapshot
-            for txn, _done in batch:
-                if txn.status is not TxnStatus.ABORTED:
-                    self._version += 1
-                    scheduler.apply(txn, self._version)
-                if history is not None:
-                    history.observe(txn)
-            # ONE batched engine commit per block, same as serializable.
-            result = self.state.commit(self._version)
-            if measured:
-                delta = result.hashes_computed
-                self.mpt_hashes_charged += delta
-                for stream in self._delta_streams.values():
-                    stream.put((delta, result.node_ops))
-                if self._engine_mode:
-                    yield evm.serve_event(
-                        self.costs.index_commit_time(delta, result.node_ops)
-                        + self._wal_cost)
-                else:
-                    yield evm.serve_event(self.costs.mpt_commit_time(delta))
-            elif self._engine_mode and self._wal_cost:
-                yield evm.serve_event(self._wal_cost)
-            for txn, done in batch:
-                txn.phases["commit"] = self.env.now - commit_start
-                self._finish(done, txn)
             root = result.root if (result is not None
                                    and self.engine.authenticated) else None
             if root is not None:

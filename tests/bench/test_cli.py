@@ -32,3 +32,24 @@ def test_run_fast_artifact(capsys):
     assert main(["fig12"]) == 0
     out = capsys.readouterr().out
     assert "fig12" in out and "fabric_block" in out
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--budget", "1", "--jobs", "8"], "--budget, --jobs"),
+    (["--no-verify"], "--no-verify"),
+    (["--sweep-out", "elsewhere"], "--sweep-out"),
+])
+def test_sweep_only_flags_rejected_without_sweep(capsys, flags, named):
+    assert main(["fig12", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{named}: only valid with --sweep\n"
+    assert captured.out == ""          # nothing ran
+
+
+@pytest.mark.parametrize("flag", ["perf", "profile"])
+def test_retired_perf_options_are_usage_errors(capsys, flag):
+    """Speed is measured by benchmarks/ledger only."""
+    with pytest.raises(SystemExit) as exc:
+        main([f"--{flag}"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

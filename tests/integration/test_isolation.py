@@ -10,7 +10,7 @@ chaos test closes the certification loop under faults.
 
 import pytest
 
-from repro.bench.harness import SMOKE, run_point
+from repro.bench.harness import SMOKE, run_point, run_smallbank_point
 from repro.chaos import (NoAnomalies, Partition, Scenario,
                          default_invariants, run_chaos_point)
 from repro.core.builder import ISOLATION_SYSTEMS
@@ -47,6 +47,21 @@ def test_explicit_serializable_is_byte_identical_to_default(system):
     assert _fingerprint(explicit) == _fingerprint(default)
     # ...and the observation itself certifies the default path.
     assert explicit.extras["serializable_history"] is True
+
+
+def test_read_committed_trades_lost_updates_for_throughput():
+    """Hot-account SmallBank on quorum: dropping first-committer-wins
+    buys throughput, and the anomaly detector certifies the trade is
+    real — lost updates under read-committed, a clean serializable
+    history with every anomaly count zero."""
+    ser, rc = (run_smallbank_point("quorum", scale=SMOKE, seed=7,
+                                   num_accounts=200, theta=0.9,
+                                   extras={"isolation": level})
+               for level in ("serializable", "read_committed"))
+    assert rc.tps > ser.tps, (rc.tps, ser.tps)
+    assert rc.extras["anomalies"]["lost_update"] > 0
+    assert ser.extras["serializable_history"] is True
+    assert all(v == 0 for v in ser.extras["anomalies"].values())
 
 
 def test_typoed_isolation_key_rejected():

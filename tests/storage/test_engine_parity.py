@@ -187,3 +187,16 @@ def test_wal_journals_and_checkpoints():
     replayed = list(engine.wal.replay())
     assert len(replayed) == 50
     assert replayed[0].key == b"k0"
+
+
+def test_quorum_authenticated_index_charges_measured_hashes():
+    """Fig. 12 direction on a whole run: the authenticated index is
+    slower than the plain one in *simulated* terms, and the gap comes
+    from measured hash work, not calibration constants."""
+    from repro.bench.harness import SMOKE, run_point
+    mpt = run_point("quorum", scale=SMOKE, seed=7,
+                    extras={"index": "lsm+mpt"})
+    lsm = run_point("quorum", scale=SMOKE, seed=7, extras={"index": "lsm"})
+    assert mpt.extras["system"].mpt_hashes_charged > 0
+    assert lsm.extras["system"].mpt_hashes_charged == 0
+    assert mpt.tps < lsm.tps, (mpt.tps, lsm.tps)

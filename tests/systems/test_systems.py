@@ -311,6 +311,14 @@ def test_ahl_cross_shard_uses_bft_2pc():
     assert system.coordinator.consensus_rounds >= 2
 
 
+def test_one_chain_per_behaviour():
+    """The isolation and lookahead variants are branches of the one
+    pipeline, not copies of it."""
+    from repro.systems import ahl
+    assert not hasattr(QuorumSystem, "_block_producer_weak")
+    assert issubclass(ahl._ShardExecLA, ahl._ShardExec)
+
+
 # -- hybrids -----------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["veritas", "chainifydb", "brd",

@@ -66,13 +66,13 @@ PAPER = Scale("paper", record_count=100_000, warmup_txns=1_000,
 def _attach_history(result: RunResult, sys_obj) -> None:
     """Fold the run's anomaly report into picklable extras.
 
-    Systems create a history checker iff the config carries an
-    ``isolation`` key, so default runs skip this entirely and runs on
-    the spectrum report what the chosen level admitted.
+    Systems with a weakened-isolation path create a history checker
+    iff the config carries an ``isolation`` key, so default runs skip
+    this entirely and runs on the spectrum report what the chosen level
+    admitted.
     """
-    history = getattr(sys_obj, "history", None)
-    if history is not None:
-        report = history.check()
+    if sys_obj.history is not None:
+        report = sys_obj.history.check()
         result.extras["anomalies"] = dict(report.anomalies)
         result.extras["serializable_history"] = report.serializable
 

@@ -96,10 +96,7 @@ class ChaosInjector:
 
     @classmethod
     def for_system(cls, system: Any, scenario: Scenario) -> "ChaosInjector":
-        engine = getattr(system, "engine", None)
-        cluster = getattr(system, "cluster", None)
-        if engine is None and cluster is not None:
-            engine = getattr(cluster, "engine", None)
+        engine = system.engine
         nodes = tuple(system.nodes)
         host = None
         if engine is not None and nodes:

@@ -16,17 +16,22 @@ The profile's Table 2 **index** column maps to a runnable storage engine
 (:mod:`repro.storage.engine`): hybrids build theirs from the profile
 directly, dedicated models default to their historical structure and
 honour ``SystemConfig.extras["index"]`` as an override — so the Fig. 12
-authenticated-vs-plain storage ablation is one config line on any system:
+authenticated-vs-plain storage ablation is one config line:
 
 >>> config = SystemConfig(extras={"index": "lsm+mpt"})
 >>> system = build_system(env, "quorum", config)   # quorum over a real MPT
+
+The builder validates nothing itself: what an ``extras`` mapping means
+on a model (and which mappings it rejects) is decided by
+:class:`repro.systems.base.TransactionalSystem` at construction, so this
+entry point and a direct ``XSystem(env, config)`` call agree.
 """
 
 from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING, Union
 
-from .taxonomy import IndexKind, SystemProfile, profile as lookup_profile
+from .taxonomy import SystemProfile, profile as lookup_profile
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only; a module-level
     # import would close the storage.engine -> core.taxonomy ->
@@ -34,19 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only; a module-level
     from ..sim.kernel import Environment
     from ..systems.base import SystemConfig, TransactionalSystem
 
-__all__ = ["build_system", "engine_for_index", "DEDICATED_MODELS",
-           "ISOLATION_SYSTEMS"]
-
-
-def engine_for_index(kind: "IndexKind | str"):
-    """Map a Table 2 index choice to a fresh :class:`StorageEngine`.
-
-    Accepts an :class:`IndexKind` or a config alias string such as
-    ``"lsm+mpt"``.  (Imported lazily — ``storage.engine`` itself imports
-    ``core.taxonomy``.)
-    """
-    from ..storage.engine import engine_for
-    return engine_for(kind)
+__all__ = ["build_system", "DEDICATED_MODELS"]
 
 
 def _dedicated_models() -> dict:
@@ -96,34 +89,6 @@ class _LazyModels(dict):
 
 DEDICATED_MODELS = _LazyModels()
 
-#: Systems with a wired weakened-isolation path (``extras["isolation"]``
-#: in {"snapshot", "read_committed"}); "serializable" — every system's
-#: default semantics — is accepted anywhere.
-ISOLATION_SYSTEMS = frozenset({"etcd", "tikv", "tidb", "quorum"})
-
-
-def _check_isolation_support(target, config) -> None:
-    """Reject unsupported (system, isolation level) combos up front.
-
-    A weakened level on a system without a wired weak path would
-    silently run serializable — the same silent-misconfiguration class
-    the unknown-extras-key check closes.
-    """
-    extras = getattr(config, "extras", None) or {}
-    if "isolation" not in extras:
-        return
-    from ..concurrency.si import isolation_level
-    level = isolation_level(extras)
-    if level == "serializable":
-        return
-    name = target if isinstance(target, str) else target.name
-    if name.lower() not in ISOLATION_SYSTEMS:
-        raise ValueError(
-            f"isolation={level!r} is not supported on {name!r}; weakened "
-            f"isolation is wired into {sorted(ISOLATION_SYSTEMS)} "
-            f"(every system supports 'serializable')")
-
-
 def build_system(env: Environment,
                  target: Union[str, SystemProfile],
                  config: Optional[SystemConfig] = None,
@@ -141,7 +106,6 @@ def build_system(env: Environment,
     disable WAL checkpointing ahead of the genesis commit.
     """
     from ..systems.hybrids import HybridSystem
-    _check_isolation_support(target, config)
     if isinstance(target, SystemProfile):
         sys_obj = HybridSystem(env, target, config, kwargs.get("spec"))
     else:

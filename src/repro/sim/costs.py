@@ -168,26 +168,12 @@ class CostModel:
         """Per-record MPT path-rebuild cost (Fig. 11b fit)."""
         return self.mpt_update_base + self.mpt_update_per_byte * record_size
 
-    def mpt_commit_time(self, hashes_computed: int) -> float:
-        """Simulated cost of a batched MPT commit of ``hashes_computed``
-        node hashes.
-
-        The Sec. 6 batched-validation ablation hook: a block that stages
-        N shared-prefix writes and commits once re-hashes each touched
-        node exactly once, so its crypto cost is proportional to the
-        *measured* hash count (wired from the real trie's
-        ``hashes_computed`` delta) rather than N times the per-record
-        Fig. 11b reconstruction fit.
-        """
-        return hashes_computed * self.hash_time(self.mpt_node_hash_bytes)
-
     def index_commit_time(self, hashes_computed: int,
                           node_ops: int = 0) -> float:
         """Simulated cost of one storage-engine block commit.
 
-        Generalizes the PR 2 :meth:`mpt_commit_time` wiring to every
-        engine: per *measured* digest the commit reported, charge the
-        node hash **plus one store_put** — an authenticated index
+        Per *measured* digest the commit reported, charge the node hash
+        **plus one store_put** — an authenticated index
         re-serializes and re-writes every re-hashed node to its backing
         store (geth writes each dirty trie node to LevelDB), which is
         exactly the extra I/O a plain index never pays.  Zero for plain

@@ -7,8 +7,6 @@ resources and reading its mailbox.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
-
 from .costs import CostModel, DEFAULT_COSTS
 from .kernel import Environment, Event
 from .network import Message
@@ -74,23 +72,13 @@ class Node:
     def compute(self, service_time: float) -> Event:
         """Occupy one CPU core for ``service_time`` (flat fast path).
 
-        Returns a single event — ``yield node.compute(t)``.  The
-        generator form lives on as :meth:`compute_gen` for callers that
-        need the early-release-on-interrupt contract.
+        Returns a single event — ``yield node.compute(t)``.
         """
         return self.cpu.serve_event(service_time)
 
     def disk_write(self, service_time: float) -> Event:
         """Occupy the disk for ``service_time`` (flat fast path)."""
         return self.disk.serve_event(service_time)
-
-    def compute_gen(self, service_time: float) -> Generator[Event, Any, None]:
-        """Generator form of :meth:`compute` (drive with ``yield from``)."""
-        yield from self.cpu.serve(service_time)
-
-    def disk_write_gen(self, service_time: float) -> Generator[Event, Any, None]:
-        """Generator form of :meth:`disk_write`."""
-        yield from self.disk.serve(service_time)
 
     # -- failure injection ------------------------------------------------
 

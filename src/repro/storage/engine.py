@@ -7,7 +7,10 @@ v0.6) and B-tree+Merkle (FalconDB) on the security side.  This module
 lifts that choice out of the individual system models into a swappable
 :class:`StorageEngine`, so the Figure 12 authenticated-vs-plain ablation
 is a one-line config change (``SystemConfig.extras["index"]`` on the
-dedicated models, ``spec["index"]`` on hybrids) on *any* system.
+dedicated models, ``spec["index"]`` on hybrids) on any system that
+builds an engine.  This module only builds what it is asked for; which
+``extras`` keys a given system accepts is validated in one place,
+:class:`repro.systems.base.TransactionalSystem`.
 
 The engine interface mirrors what the systems layer already does:
 
@@ -19,11 +22,11 @@ The engine interface mirrors what the systems layer already does:
   ``node_ops`` performed since the previous commit.
 
 ``hashes_computed`` is a *measured* quantity from the real structure —
-systems charge it through :meth:`repro.sim.costs.CostModel.index_commit_time`
-(extending the PR 2 ``mpt_commit_time`` wiring), replacing the old
-per-payload index-cost calibration constants.  ``node_ops`` is accounting
-(its charge constant defaults to zero: structural write work is already
-folded into the calibrated ``store_put`` / ``commit_serial_cost``).
+systems charge it through :meth:`repro.sim.costs.CostModel.index_commit_time`,
+replacing the old per-payload index-cost calibration constants.
+``node_ops`` is accounting (its charge constant defaults to zero:
+structural write work is already folded into the calibrated
+``store_put`` / ``commit_serial_cost``).
 
 Engines are pure state + bookkeeping — they schedule no simulation
 events, so attaching one to a system changes simulated outcomes only
@@ -47,7 +50,7 @@ from .wal import WalRecord, WriteAheadLog
 __all__ = ["CommitResult", "RecoveryResult", "StorageEngine", "LsmEngine",
            "BTreeEngine", "SkipListEngine", "MptEngine", "MbtEngine",
            "BTreeMerkleEngine", "engine_for", "engine_from_config",
-           "parse_index_kind", "ENGINES", "KNOWN_EXTRAS_KEYS"]
+           "parse_index_kind", "ENGINES"]
 
 
 class CommitResult(NamedTuple):
@@ -100,6 +103,7 @@ class StorageEngine:
         # that before load so the full history survives for crash replay.
         self.wal_checkpoint_bytes: Optional[int] = _WAL_CHECKPOINT_BYTES
         self.recoveries = 0
+        self._fresh_structure()
 
     # -- write path ----------------------------------------------------------
 
@@ -195,7 +199,8 @@ class StorageEngine:
         return NULL_HASH, 0
 
     def _fresh_structure(self) -> None:
-        """Replace the backing structure with an empty one (for recovery)."""
+        """Install an empty backing structure as ``tree`` (construction
+        and crash recovery share this)."""
         raise NotImplementedError
 
     def data_bytes(self) -> int:
@@ -210,11 +215,6 @@ class LsmEngine(StorageEngine):
     """Plain LSM tree (LevelDB/RocksDB/TiKV; Table 2 "LSM")."""
 
     kind = IndexKind.LSM
-
-    def __init__(self, wal: Optional[WriteAheadLog] = None,
-                 tree: Optional[LSMTree] = None):
-        super().__init__(wal)
-        self.tree = tree if tree is not None else LSMTree(memtable_limit=4096)
 
     def _put(self, key: bytes, value: bytes) -> None:
         flushed = self.tree.bytes_flushed
@@ -237,11 +237,6 @@ class BTreeEngine(StorageEngine):
 
     kind = IndexKind.BTREE
 
-    def __init__(self, wal: Optional[WriteAheadLog] = None,
-                 tree: Optional[BPlusTree] = None):
-        super().__init__(wal)
-        self.tree = tree if tree is not None else BPlusTree(order=64)
-
     def _put(self, key: bytes, value: bytes) -> None:
         self.tree.put(key, value)
         self._node_ops += self.tree.depth()   # root-to-leaf page writes
@@ -263,11 +258,6 @@ class SkipListEngine(StorageEngine):
     """Plain skip list (Redis sorted values backing Veritas)."""
 
     kind = IndexKind.SKIP_LIST
-
-    def __init__(self, wal: Optional[WriteAheadLog] = None,
-                 tree: Optional[SkipList] = None):
-        super().__init__(wal)
-        self.tree = tree if tree is not None else SkipList()
 
     def _put(self, key: bytes, value: bytes) -> None:
         self.tree.put(key, value)
@@ -299,14 +289,6 @@ class MptEngine(StorageEngine):
     kind = IndexKind.LSM_MPT
     authenticated = True
 
-    def __init__(self, wal: Optional[WriteAheadLog] = None,
-                 trie: Optional[MerklePatriciaTrie] = None):
-        super().__init__(wal)
-        self.trie = trie if trie is not None else MerklePatriciaTrie()
-        # every engine exposes its structure as ``tree`` (the MPT keeps
-        # ``trie`` as the domain name)
-        self.tree = self.trie
-
     def _put(self, key: bytes, value: bytes) -> None:
         self.trie.stage(key, value)
         self._node_ops += 1
@@ -320,6 +302,7 @@ class MptEngine(StorageEngine):
         return root, self.trie.hashes_computed - before
 
     def _fresh_structure(self) -> None:
+        # ``trie`` is the domain name; every engine exposes ``tree``
         self.trie = MerklePatriciaTrie()
         self.tree = self.trie
 
@@ -332,11 +315,6 @@ class MbtEngine(StorageEngine):
 
     kind = IndexKind.LSM_MBT
     authenticated = True
-
-    def __init__(self, wal: Optional[WriteAheadLog] = None,
-                 tree: Optional[MerkleBucketTree] = None):
-        super().__init__(wal)
-        self.tree = tree if tree is not None else MerkleBucketTree()
 
     def _put(self, key: bytes, value: bytes) -> None:
         self.tree.put(key, value)
@@ -362,11 +340,6 @@ class BTreeMerkleEngine(StorageEngine):
 
     kind = IndexKind.BTREE_MERKLE
     authenticated = True
-
-    def __init__(self, wal: Optional[WriteAheadLog] = None,
-                 tree: Optional[MerkleBTree] = None):
-        super().__init__(wal)
-        self.tree = tree if tree is not None else MerkleBTree(order=64)
 
     def _put(self, key: bytes, value: bytes) -> None:
         self.tree.put(key, value)
@@ -439,16 +412,6 @@ def engine_for(kind: Union[IndexKind, str],
     return cls(wal=WriteAheadLog() if wal else None)
 
 
-#: Every ``SystemConfig.extras`` key the systems layer understands.  A
-#: typo'd key would otherwise silently run the default engine — the same
-#: silent-misconfiguration class the hybrid spec validation closes.
-#: ``scenario`` carries a :class:`repro.chaos.Scenario` the builder arms
-#: after construction (ignored here — it is not an engine concern).
-#: ``isolation`` selects the concurrency level (validated by
-#: ``concurrency.si.isolation_level`` and ``core.builder``).
-KNOWN_EXTRAS_KEYS = frozenset({"index", "wal", "scenario", "isolation"})
-
-
 def engine_from_config(extras: dict,
                        default: Union[IndexKind, str, None] = None
                        ) -> Optional[StorageEngine]:
@@ -457,13 +420,9 @@ def engine_from_config(extras: dict,
     ``extras["index"]`` wins; otherwise ``default`` is the system's
     historical structure (``None`` = no engine, the seed behaviour).
     ``extras["wal"]`` attaches the group-committed journal either way.
-    This is the one engine-selection path every system shares, so it
-    also rejects unknown extras keys.
+    A pure factory: which keys and values a system accepts is decided
+    by :class:`repro.systems.base.TransactionalSystem`.
     """
-    unknown = sorted(set(extras) - KNOWN_EXTRAS_KEYS)
-    if unknown:
-        raise ValueError(f"unknown SystemConfig.extras key(s) {unknown}; "
-                         f"known: {sorted(KNOWN_EXTRAS_KEYS)}")
     index = extras.get("index", default)
     if index is None:
         return None

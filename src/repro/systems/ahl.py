@@ -316,21 +316,6 @@ class AhlSystem(TransactionalSystem):
             return _ShardExecLA(self, shard, cost, value).start(scheduled)
         return _ShardExec(self, shard, cost, value).start(scheduled)
 
-    def shard_domains(self) -> dict:
-        """Decomposition metadata for the conservative parallel kernel.
-
-        Names the event domains that interact only through the network
-        and the lookahead window separating them.  The lookahead is zero
-        unless ``shard_lookahead`` charges the hub<->shard hops — in the
-        default model a shard slot starts the instant it is requested,
-        so there is no window to exploit.
-        """
-        return {
-            "domains": [f"ahl-shard-{i}" for i in range(self.num_shards)],
-            "lookahead": self.network.min_delay if self.shard_lookahead
-            else 0.0,
-        }
-
     def shard_exec_gen(self, shard: int, txn: Optional[Transaction],
                        commit: bool = False):
         """Generator form of :meth:`shard_exec_event` (differential tests)."""

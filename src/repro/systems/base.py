@@ -13,14 +13,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from ..concurrency.rc import ReadCommittedScheduler
+from ..concurrency.si import SnapshotScheduler, isolation_level
 from ..sim.costs import CostModel, DEFAULT_COSTS
 from ..sim.kernel import Environment, Event
 from ..sim.network import Network
 from ..sim.node import Node
 from ..sim.rng import RngRegistry
+from ..storage.engine import engine_from_config, parse_index_kind
+from ..txn.state import VersionedStore
 from ..txn.transaction import Transaction
 
-__all__ = ["SystemConfig", "TransactionalSystem"]
+__all__ = ["EXTRAS_KEYS", "SystemConfig", "TransactionalSystem"]
+
+#: Every ``SystemConfig.extras`` key: ``index`` (Table 2 storage engine),
+#: ``wal`` (group-committed journal on that engine), ``isolation``
+#: (concurrency level), ``scenario`` (a :class:`repro.chaos.Scenario` the
+#: builder arms after construction).
+EXTRAS_KEYS = ("index", "isolation", "scenario", "wal")
 
 
 @dataclass
@@ -41,13 +51,31 @@ class SystemConfig:
 
 
 class TransactionalSystem:
-    """Base class: cluster construction + the submit interface."""
+    """Base class: config validation, cluster construction, submit interface.
+
+    What a ``SystemConfig.extras`` mapping means on a given model is
+    decided here and nowhere else: :meth:`_check_extras` reads the two
+    class attributes below, so the builder and a direct constructor call
+    reject the same configurations with the same message.
+    """
 
     name = "abstract"
+    #: True when ``extras["isolation"]`` has a wired weakened path
+    #: ("snapshot" / "read_committed"); "serializable" runs anywhere.
+    weak_isolation = False
+    #: When the model builds a storage engine: ``"always"`` (a default
+    #: Table 2 index that ``extras["index"]`` overrides), ``"on_request"``
+    #: (only when ``extras["index"]`` names one; a calibrated fit runs
+    #: otherwise) or ``None`` (never: ``index``/``wal`` are rejected).
+    storage_engine: Optional[str] = None
 
     def __init__(self, env: Environment, config: Optional[SystemConfig] = None):
         self.env = env
         self.config = config or SystemConfig()
+        self.isolation = self._check_extras()
+        self.scheduler = None    # weakened-isolation executor
+        self.history = None      # online anomaly checker
+        self.engine = None
         self.costs = self.config.costs
         self.rng = RngRegistry(self.config.seed)
         self.network = Network(env, self.costs, rng=self.rng,
@@ -60,6 +88,74 @@ class TransactionalSystem:
                                 costs=self.costs, nic_capacity=8)
         self.network.attach(self.client_node)
         self._round_robin = 0
+
+    # -- configuration --------------------------------------------------------
+
+    def _check_extras(self) -> str:
+        """Reject every ``extras`` mapping this model would misread.
+
+        Returns the resolved isolation level.  A key or value that would
+        otherwise be dropped silently (typo, index on an engine-less
+        model, weakened level with no weak path) raises instead: the
+        configuration named is the configuration that runs.
+        """
+        extras = self.config.extras
+        unknown = sorted(set(extras) - set(EXTRAS_KEYS))
+        if unknown:
+            raise ValueError(f"unknown SystemConfig.extras key(s) {unknown}; "
+                             f"known: {list(EXTRAS_KEYS)}")
+        level = isolation_level(extras)
+        if level != "serializable" and not self.weak_isolation:
+            from ..core.builder import DEDICATED_MODELS
+            wired = sorted(name for name in DEDICATED_MODELS
+                           if DEDICATED_MODELS[name].weak_isolation)
+            raise ValueError(
+                f"isolation={level!r} is not supported on {self.name!r}; "
+                f"weakened isolation is wired into {wired} "
+                f"(every system supports 'serializable')")
+        if extras.get("index") is not None:
+            parse_index_kind(extras["index"])
+        asked = [key for key in ("index", "wal") if extras.get(key)]
+        if asked and self.storage_engine is None:
+            raise ValueError(
+                f"extras key(s) {asked} would be ignored: "
+                f"{self.name!r} builds no storage engine")
+        if asked == ["wal"] and self.storage_engine == "on_request":
+            raise ValueError(
+                f"`wal` needs an `index` on {self.name!r}: without one "
+                f"there is no storage engine to journal")
+        return level
+
+    def _build_state(self, default_index=None) -> None:
+        """Build ``engine`` + ``state`` and the per-commit WAL share.
+
+        ``extras["index"]`` wins over ``default_index`` (the model's
+        Table 2 structure; ``None`` = no engine, the calibrated fit).
+        ``_wal_cost`` is the group-committed fsync share the model
+        charges once per engine commit when ``extras["wal"]`` is set.
+        """
+        self.engine = engine_from_config(self.config.extras, default_index)
+        self.state = VersionedStore(engine=self.engine)
+        self._wal_cost = (self.costs.wal_sync
+                          if self.engine is not None
+                          and self.engine.wal is not None else 0.0)
+
+    def _wire_isolation(self, store: Optional[VersionedStore] = None) -> None:
+        """Attach the weakened-isolation scheduler and the history checker.
+
+        Models with a weak path call this once their state exists: a
+        weakened level gets its stage/validate/apply executor over
+        ``store`` (models with their own protocol, e.g. percolator,
+        pass none), and any config that names a level gets the online
+        anomaly checker — default runs skip both.
+        """
+        if store is not None and self.isolation != "serializable":
+            scheduler = (SnapshotScheduler if self.isolation == "snapshot"
+                         else ReadCommittedScheduler)
+            self.scheduler = scheduler(store)
+        if "isolation" in self.config.extras:
+            from ..analysis.serializability import HistoryChecker
+            self.history = HistoryChecker()
 
     # -- cluster helpers ------------------------------------------------------
 

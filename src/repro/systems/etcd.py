@@ -20,14 +20,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..concurrency.rc import ReadCommittedScheduler
 from ..concurrency.serial import SerialExecutor
-from ..concurrency.si import SnapshotScheduler, isolation_level
 from ..consensus.raft import RaftConfig, RaftGroup
 from ..sim.kernel import Environment, Event, subscribe
 from ..sim.resources import Resource
-from ..storage.engine import engine_from_config
-from ..txn.state import VersionedStore
 from ..txn.transaction import Transaction
 from .base import SystemConfig, TransactionalSystem
 
@@ -217,6 +213,8 @@ class _Update:
 
 class EtcdSystem(TransactionalSystem):
     name = "etcd"
+    weak_isolation = True
+    storage_engine = "always"
 
     def __init__(self, env: Environment, config: Optional[SystemConfig] = None):
         super().__init__(env, config)
@@ -232,13 +230,10 @@ class EtcdSystem(TransactionalSystem):
         # ``extras["index"]`` override swaps in any other Table 2 choice,
         # and ``extras["wal"]`` journals writes through the group-committed
         # WAL, charging one wal_sync share per applied entry.
-        self.engine = engine_from_config(self.config.extras, default="btree")
-        self.btree = self.engine.tree         # BoltDB state machine
-        wal = self.engine.wal is not None
-        self.state = VersionedStore(engine=self.engine)
+        self._build_state(default_index="btree")
         self.executor = SerialExecutor(self.state)
         self._apply_cost = (self.costs.raft_apply + self.costs.store_put
-                            + (self.costs.wal_sync if wal else 0.0))
+                            + self._wal_cost)
         self._version = 0
         # Serialized apply loop (etcd applies committed entries in order on
         # a single goroutine) and serialized read path per node.
@@ -248,16 +243,7 @@ class EtcdSystem(TransactionalSystem):
         # execution in log order (serializable).  Weakened levels stage
         # reads+logic at the gateway and validate at apply: "snapshot"
         # keeps first-updater-wins, "read_committed" installs blindly.
-        self.isolation = isolation_level(self.config.extras)
-        self.scheduler = None
-        self.history = None
-        if self.isolation == "snapshot":
-            self.scheduler = SnapshotScheduler(self.state)
-        elif self.isolation == "read_committed":
-            self.scheduler = ReadCommittedScheduler(self.state)
-        if "isolation" in self.config.extras:
-            from ..analysis.serializability import HistoryChecker
-            self.history = HistoryChecker()
+        self._wire_isolation(self.state)
         _ApplyLoop(self).start()
 
     # -- data loading -------------------------------------------------------

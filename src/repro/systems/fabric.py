@@ -27,9 +27,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..adt.mbt import MerkleBucketTree
 from ..concurrency.occ import OccSimulator, OccValidator, endorsements_consistent
-from ..storage.engine import MbtEngine, engine_from_config
 from ..consensus.sharedlog import OrderingService, SharedLogConfig
 from ..crypto.hashing import NULL_HASH
 from ..sim.kernel import Environment, Event
@@ -45,20 +43,15 @@ __all__ = ["FabricSystem"]
 class _Peer:
     """One endorsing/committing peer with its own state and ledger."""
 
-    def __init__(self, system: "FabricSystem", node, engine=None):
+    def __init__(self, system: "FabricSystem", node, state: VersionedStore):
         self.system = system
         self.node = node
-        # Writes mirror into the peer's storage engine (Table 2 index
-        # choice) via the versioned facade; the engine folds once per
-        # committed block.
-        self.engine = engine
-        self.state = VersionedStore(engine=engine)
+        # Writes mirror into the state's storage engine (Table 2 index
+        # choice, reference peer only) via the versioned facade; the
+        # engine folds once per committed block.
+        self.state = state
         self.simulator = OccSimulator(self.state)
         self.validator = OccValidator(self.state)
-        # Back-compat alias: the real Merkle Bucket Tree when the peer
-        # runs the Fabric v0.6 state organization (real_state mode).
-        self.state_tree = getattr(engine, "tree", None) \
-            if engine is not None and engine.authenticated else None
         self.ledger = Ledger()
         self.validation_thread = Resource(system.env, 1)
         self.query_pool = Resource(system.env,
@@ -138,33 +131,23 @@ class _Endorsement:
 
 class FabricSystem(TransactionalSystem):
     name = "fabric"
+    storage_engine = "on_request"
 
     NUM_ORDERERS = 3  # fixed while peers scale (Section 4.2)
 
     def __init__(self, env: Environment, config: Optional[SystemConfig] = None,
                  endorsement_policy: Optional[int] = None,
-                 serial_validation: bool = True,
-                 real_state: bool = False):
+                 serial_validation: bool = True):
         super().__init__(env, config)
-        self.real_state = real_state
         peer_nodes = self._new_nodes(self.config.num_nodes, "peer")
         # Storage engine (Table 2: Fabric v2 = plain LSM, v0.6 = LSM+MBT).
-        # An explicit ``extras["index"]`` choice runs the real structure
-        # and charges its measured commit deltas once per block; legacy
-        # ``real_state=True`` maintains the v0.6 MBT silently (roots
-        # only, no charge), preserving the seed behaviour.  Only the
+        # An ``extras["index"]`` choice runs the real structure and
+        # charges its measured commit deltas once per block.  Only the
         # reference peer carries the engine (replicas would compute the
         # identical structure — pure wall-clock waste).
-        ref_engine = engine_from_config(self.config.extras)
-        self._measured_index = ref_engine is not None
-        if ref_engine is None and real_state:
-            ref_engine = MbtEngine(tree=MerkleBucketTree())
-        self._wal_cost = (self.costs.wal_sync
-                          if ref_engine is not None
-                          and ref_engine.wal is not None else 0.0)
-        self.engine = ref_engine
+        self._build_state()
         self.peers = [_Peer(self, node,
-                            engine=(ref_engine if i == 0 else None))
+                            self.state if i == 0 else VersionedStore())
                       for i, node in enumerate(peer_nodes)]
         # Endorsement policy: how many peers must endorse (default: all).
         self.endorsement_policy = (endorsement_policy
@@ -301,14 +284,14 @@ class FabricSystem(TransactionalSystem):
             # index charges its measured digest delta on the serialized
             # validation thread — the Fig. 12 gap on the Fabric path.
             result = peer.state.commit(block_version)
-            if result is not None and self._measured_index:
+            if result is not None:
                 index_cost = (self.costs.index_commit_time(
                     result.hashes_computed, result.node_ops)
                     + self._wal_cost)  # block's group-committed sync
                 if index_cost > 0.0:
                     yield peer.validation_thread.serve_event(index_cost)
             state_root = (result.root
-                          if result is not None and peer.engine.authenticated
+                          if result is not None and self.engine.authenticated
                           else NULL_HASH)
             peer.ledger.append_block(
                 txns, timestamp=self.env.now, state_root=state_root,

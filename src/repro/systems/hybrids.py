@@ -28,9 +28,7 @@ from ..core.taxonomy import (ConcurrencyModel, SystemProfile,
 from ..crypto.hashing import NULL_HASH
 from ..sim.kernel import Environment, Event, subscribe
 from ..sim.resources import Resource, Store
-from ..storage.engine import engine_from_config
 from ..txn.ledger import Ledger
-from ..txn.state import VersionedStore
 from ..txn.transaction import AbortReason, OpType, Transaction, TxnStatus
 from .base import SystemConfig, TransactionalSystem
 
@@ -160,12 +158,14 @@ KNOWN_SPEC_KEYS = frozenset({
 class HybridSystem(TransactionalSystem):
     """A taxonomy-profile-driven simulated transactional system."""
 
+    storage_engine = "always"
+
     def __init__(self, env: Environment, profile: SystemProfile,
                  config: Optional[SystemConfig] = None,
                  spec: Optional[dict] = None):
-        super().__init__(env, config)
         self.profile = profile
-        self.name = profile.name
+        self.name = profile.name      # before the base config check names it
+        super().__init__(env, config)
         self.spec = dict(HYBRID_SPECS.get(profile.name, {}))
         if spec:
             unknown = sorted(set(spec) - KNOWN_SPEC_KEYS)
@@ -182,12 +182,8 @@ class HybridSystem(TransactionalSystem):
         # calibration constants: plain indexes charge nothing (their
         # apply work is inside commit_serial_cost), authenticated ones
         # charge index_commit_time(hashes) once per sealed block.
-        default_index = self.spec.get("index", profile.index)
-        self.engine = engine_from_config(self.config.extras,
-                                         default=default_index)
-        self.state = VersionedStore(engine=self.engine)
-        self._wal_cost = (self.costs.wal_sync
-                          if self.engine.wal is not None else 0.0)
+        self._build_state(
+            default_index=self.spec.get("index", profile.index))
         self.simulator = OccSimulator(self.state)
         self.validator = OccValidator(self.state)
         self.ledger = Ledger()

@@ -12,26 +12,23 @@ record-size sensitivity (Fig. 11: 1547 tps at 10-byte records falling to
 58 tps at 5000 bytes, as EVM and MPT hashing costs grow with the record).
 
 The MPT is charged through the calibrated cost model by default (Fig. 11b:
-56 us at 10 B -> 2.5 ms at 5000 B per reconstruction); tests can supply a
-real :class:`repro.adt.mpt.MerklePatriciaTrie` to check state-root
-behaviour end to end.
+56 us at 10 B -> 2.5 ms at 5000 B per reconstruction);
+``extras={"index": "lsm+mpt"}`` runs a real trie instead and charges its
+measured per-block commit, stamping a verifiable state root into every
+block header.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..adt.mpt import MerklePatriciaTrie
-from ..concurrency.rc import ReadCommittedScheduler
 from ..concurrency.serial import SerialExecutor
-from ..concurrency.si import SnapshotScheduler, isolation_level
 from ..consensus.ibft import IbftConfig, IbftGroup
 from ..consensus.raft import RaftConfig, RaftGroup
+from ..crypto.hashing import NULL_HASH
 from ..sim.kernel import Environment, Event, WakeableQueue
 from ..sim.resources import Resource, Store
-from ..storage.engine import MptEngine, engine_from_config
 from ..txn.ledger import Ledger
-from ..txn.state import VersionedStore
 from ..txn.transaction import AbortReason, Transaction, TxnStatus
 from .base import SystemConfig, TransactionalSystem
 
@@ -81,15 +78,14 @@ class _Submission:
 
 class QuorumSystem(TransactionalSystem):
     name = "quorum"
+    weak_isolation = True
+    storage_engine = "on_request"
 
     def __init__(self, env: Environment, config: Optional[SystemConfig] = None,
-                 consensus: str = "raft", real_state: bool = False,
-                 batched_validation: bool = False):
+                 consensus: str = "raft"):
         super().__init__(env, config)
         if consensus not in ("raft", "ibft"):
             raise ValueError(f"unknown consensus {consensus!r}")
-        if batched_validation and not real_state:
-            raise ValueError("batched_validation requires real_state=True")
         self.consensus = consensus
         self.servers = self._new_nodes(self.config.num_nodes, "quorum")
         if consensus == "raft":
@@ -104,47 +100,20 @@ class QuorumSystem(TransactionalSystem):
                 IbftConfig(block_interval=self.costs.quorum_block_interval,
                            message_kind="ibft:quorum"),
                 rng=self.rng)
-        # Storage engine (Table 2 index column): an explicit
-        # ``extras["index"]`` choice runs the real structure and charges
-        # its *measured* commit deltas (EVM-only per-txn cost, one
-        # index_commit_time charge per block — zero for plain indexes:
-        # the Fig. 12 ablation).  Without it, the legacy modes apply:
-        # the per-record Fig. 11b MPT fit (optionally maintaining a real
-        # trie under real_state), or the Sec. 6 batched_validation
-        # ablation (fit at proposal, measured deltas at validation).
-        self.engine = engine_from_config(self.config.extras)
-        self._engine_mode = self.engine is not None
-        if self._engine_mode:
-            self._fit_index = False    # EVM-only per-txn costs
-            self._measured = self.engine.authenticated
-        else:
-            self.engine = MptEngine() if real_state else None
-            self._fit_index = True     # per-record Fig. 11b reconstruction
-            self._measured = batched_validation
-        self.state = VersionedStore(engine=self.engine)
-        # One group-committed fsync share per sealed block when the
-        # extras["wal"] journal is attached (DB-side systems charge it
-        # per applied entry instead).
-        self._wal_cost = (self.costs.wal_sync
-                          if self.engine is not None
-                          and self.engine.wal is not None else 0.0)
+        # Storage engine (Table 2 index column).  Without
+        # ``extras["index"]`` there is none: every transaction charges
+        # the per-record Fig. 11b MPT reconstruction fit.  With one, the
+        # real structure runs: EVM-only per-txn cost plus one *measured*
+        # index_commit_time charge per block (zero hashes for a plain
+        # index — the Fig. 12 ablation), and the ``extras["wal"]``
+        # group-committed fsync share rides on that block commit.
+        self._build_state()
         self.executor = SerialExecutor(self.state)
-        # real_state=True maintains an actual MPT alongside the calibrated
-        # cost model: writes are staged per transaction and batch-committed
-        # once per sealed block, stamping a verifiable state root into each
-        # block header (timing is still charged via mpt_update_time).
-        self.real_state = real_state
-        # Sec. 6 ablation: charge block validation's MPT crypto per
-        # *measured* hash (batched commit over shared prefixes) instead
-        # of the per-record Fig. 11b reconstruction fit.
-        self.batched_validation = batched_validation
         self.mpt_hashes_charged = 0
-        # Followers re-validate with the same batched crypto model: the
-        # leader publishes each block's measured hash delta and a
-        # follower blocks on its stream until the delta is available.
+        # Followers of an authenticated engine re-validate with the same
+        # measured crypto: the leader publishes each block's commit delta
+        # and a follower blocks on its stream until it is available.
         self._delta_streams: dict[str, Store] = {}
-        self.state_trie = (self.engine.trie
-                           if isinstance(self.engine, MptEngine) else None)
         self.ledger = Ledger()
         # Wake-on-proposal ingress: the block producer parks on this
         # queue while the txpool is empty and is woken by the first
@@ -162,19 +131,10 @@ class QuorumSystem(TransactionalSystem):
         # across the leader's cores instead of the single EVM thread:
         # "snapshot" validates first-committer-wins at apply,
         # "read_committed" installs blindly (lost updates admitted).
-        self.isolation = isolation_level(self.config.extras)
-        self.scheduler = None
-        self.history = None
-        if self.isolation == "snapshot":
-            self.scheduler = SnapshotScheduler(self.state)
-        elif self.isolation == "read_committed":
-            self.scheduler = ReadCommittedScheduler(self.state)
-        if "isolation" in self.config.extras:
-            from ..analysis.serializability import HistoryChecker
-            self.history = HistoryChecker()
+        self._wire_isolation(self.state)
         self.spawn(self._block_producer(), name="quorum-producer")
         for node in self.servers[1:]:
-            if self._measured:
+            if self.engine is not None and self.engine.authenticated:
                 self._delta_streams[node.name] = Store(env)
             self.spawn(self._follower_exec_loop(node),
                        name=f"quorum-exec:{node.name}")
@@ -196,7 +156,7 @@ class QuorumSystem(TransactionalSystem):
         block commit instead, so only the EVM term is charged here.
         """
         cost = self.costs.evm_exec_time(txn.payload_size)
-        if not self._fit_index:
+        if self.engine is not None:
             return cost
         writes = txn.write_keys or [op.key for op in txn.ops]
         per_key_payload = (txn.payload_size // max(1, len(writes))
@@ -236,15 +196,14 @@ class QuorumSystem(TransactionalSystem):
         evm = self.evm_threads[leader.name]
         scheduler = self.scheduler
         history = self.history
-        measured = self._measured
-        # Engine-mode clients (plain or authenticated) get their
+        streams = self._delta_streams.values()
+        # With an engine (plain or authenticated) clients get their
         # receipt at the block boundary — both Fig. 12 ablation arms
         # release at the same point, so the A/B gap is *only* the
         # measured index-commit charge — and so does a weakened-isolation
-        # block, which installs as a whole.  The legacy fit modes keep
+        # block, which installs as a whole.  The fitted default keeps
         # the seed's per-transaction release.
-        late_release = (measured or self._engine_mode
-                        or scheduler is not None)
+        late_release = self.engine is not None or scheduler is not None
         while True:
             if not self.mempool:
                 yield self.mempool.wait()
@@ -253,15 +212,18 @@ class QuorumSystem(TransactionalSystem):
             if not batch:
                 continue
             proposal_start = self.env.now
+            # Both execution phases charge the same per-transaction cost
+            # (the "double execution"): EVM + fitted MPT rebuild, or EVM
+            # only when the engine's commit is measured per block below.
+            exec_costs = [self._exec_cost(txn) for txn, _done in batch]
             # Phase 1: pre-execution at the tip (proposal) — serial, or
             # parallel across cores against the block snapshot.
             if scheduler is None:
-                for txn, _done in batch:
-                    yield evm.serve_event(self._exec_cost(txn))
+                for cost in exec_costs:
+                    yield evm.serve_event(cost)
             else:
-                yield self.env.all_of([
-                    leader.compute(self._exec_cost(txn))
-                    for txn, _done in batch])
+                yield self.env.all_of([leader.compute(cost)
+                                       for cost in exec_costs])
             for txn, _done in batch:
                 txn.phases["proposal"] = self.env.now - proposal_start
             # Phase 2: consensus on the assembled block.
@@ -279,19 +241,12 @@ class QuorumSystem(TransactionalSystem):
                 txn.phases["consensus"] = self.env.now - consensus_start
             # Phase 3: commit — validation re-execution + index
             # maintenance (the state transition becomes final here).
-            # The per-record-fit path charges EVM + per-write MPT
-            # reconstruction per transaction; the measured paths
-            # (batched-validation ablation / configured engine) charge
-            # EVM only here and the index as one measured batch commit
-            # below (Sec. 6: each touched path hashed once per block,
-            # not once per write).  Writes mirror into the engine via
-            # the state facade as they are applied.
+            # Writes mirror into the engine via the state facade as
+            # they are applied.
             commit_start = self.env.now
             if scheduler is None:
-                for txn, done in batch:
-                    index_cost = (self.costs.evm_exec_time(txn.payload_size)
-                                  if measured else self._exec_cost(txn))
-                    yield evm.serve_event(self.costs.sig_verify + index_cost)
+                for (txn, done), cost in zip(batch, exec_costs):
+                    yield evm.serve_event(self.costs.sig_verify + cost)
                     self._version += 1
                     self.executor.execute(txn, self._version)
                     if history is not None:
@@ -304,11 +259,8 @@ class QuorumSystem(TransactionalSystem):
                 # commit: stage every transaction's reads at the block
                 # tip, validate+install serially.
                 yield self.env.all_of([
-                    leader.compute(
-                        self.costs.sig_verify
-                        + (self.costs.evm_exec_time(txn.payload_size)
-                           if measured else self._exec_cost(txn)))
-                    for txn, _done in batch])
+                    leader.compute(self.costs.sig_verify + cost)
+                    for cost in exec_costs])
                 for txn, _done in batch:
                     scheduler.stage(txn)
                 for txn, _done in batch:
@@ -317,60 +269,43 @@ class QuorumSystem(TransactionalSystem):
                         scheduler.apply(txn, self._version)
                     if history is not None:
                         history.observe(txn)
-            # ONE batched engine commit per block (no simulated cost in
-            # the fit modes — the per-record fit already charged it).
+            # ONE batched engine commit per block, charged from its
+            # measured deltas (Sec. 6: each touched path hashed once per
+            # block, not once per write; zero hashes for a plain engine —
+            # the authenticated-vs-plain Fig. 12 gap is exactly this)
+            # plus the block's group-committed WAL sync.
             result = self.state.commit(self._version)
-            if measured:
-                # Simulated cost wired from the engine's measured
-                # hashes_computed delta (zero for a plain engine — the
-                # authenticated-vs-plain Fig. 12 gap is exactly this).
-                delta = result.hashes_computed
-                self.mpt_hashes_charged += delta
-                for stream in self._delta_streams.values():
-                    stream.put((delta, result.node_ops))
-                if self._engine_mode:
-                    yield evm.serve_event(
-                        self.costs.index_commit_time(delta, result.node_ops)
-                        + self._wal_cost)
-                else:
-                    # legacy Sec. 6 ablation: crypto-only charge
-                    yield evm.serve_event(self.costs.mpt_commit_time(delta))
-            elif self._engine_mode and self._wal_cost:
-                # plain engine + WAL flag: the block's group commit
-                yield evm.serve_event(self._wal_cost)
+            root = NULL_HASH
+            if result is not None:
+                self.mpt_hashes_charged += result.hashes_computed
+                for stream in streams:
+                    stream.put((result.hashes_computed, result.node_ops))
+                index_cost = (self.costs.index_commit_time(
+                    result.hashes_computed, result.node_ops)
+                    + self._wal_cost)
+                if index_cost > 0.0:
+                    yield evm.serve_event(index_cost)
+                if self.engine.authenticated:
+                    root = result.root
             if late_release:
                 for txn, done in batch:
                     txn.phases["commit"] = self.env.now - commit_start
                     self._finish(done, txn)
-            root = result.root if (result is not None
-                                   and self.engine.authenticated) else None
-            if root is not None:
-                self.ledger.append_block(block_txns, timestamp=self.env.now,
-                                         state_root=root)
-            else:
-                self.ledger.append_block(block_txns, timestamp=self.env.now)
+            self.ledger.append_block(block_txns, timestamp=self.env.now,
+                                     state_root=root)
             self.blocks_minted += 1
 
     def _follower_exec_loop(self, node):
         """Every other node re-executes committed blocks serially.
 
-        Under ``batched_validation`` the follower charges the same
-        ablation model as the leader: per-txn EVM re-execution plus one
-        batched MPT commit per block at the leader's *measured* hash
-        delta (consumed in block order from the delta stream).
+        Behind an authenticated engine the follower charges what the
+        leader did: per-txn EVM re-execution plus one index commit per
+        block at the leader's *measured* delta (consumed in block order
+        from the delta stream).
         """
         applied = self.group.replicas[node.name].applied
         evm = self.evm_threads[node.name]
         deltas = self._delta_streams.get(node.name)
-        # engine mode charges node I/O per measured hash (plus node_ops
-        # at index_node_op, mirroring the leader); the legacy
-        # batched_validation ablation charges the crypto share only
-        if self._engine_mode:
-            def charge(hashes, node_ops):
-                return self.costs.index_commit_time(hashes, node_ops)
-        else:
-            def charge(hashes, node_ops):
-                return self.costs.mpt_commit_time(hashes)
         while True:
             _index, item = yield applied.get()
             blocks = item if isinstance(item, list) and item \
@@ -387,8 +322,9 @@ class QuorumSystem(TransactionalSystem):
                         yield evm.serve_event(
                             self.costs.sig_verify
                             + self.costs.evm_exec_time(txn.payload_size))
-                    delta, node_ops = yield deltas.get()
-                    yield evm.serve_event(charge(delta, node_ops))
+                    hashes, node_ops = yield deltas.get()
+                    yield evm.serve_event(
+                        self.costs.index_commit_time(hashes, node_ops))
 
     # -- queries ---------------------------------------------------------------------------------
 

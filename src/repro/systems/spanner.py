@@ -267,21 +267,6 @@ class SpannerSystem(TransactionalSystem):
         for key, value in records.items():
             self.state.put(key, value, 0)
 
-    def shard_domains(self) -> dict:
-        """Decomposition metadata for the conservative parallel kernel.
-
-        One domain per Paxos shard.  Lookahead is zero: 2PL holds locks
-        across shards through a shared :class:`LockManager` (grants and
-        releases are same-instant cross-shard effects, not messages), so
-        the domains are not network-isolated and per-shard parallel
-        execution is not licensed for this topology.
-        """
-        return {
-            "domains": [f"spanner-shard-{i}"
-                        for i in range(self.num_shards)],
-            "lookahead": 0.0,
-        }
-
     # -- helpers ----------------------------------------------------------------
 
     def _shard_of(self, key: str) -> int:

@@ -27,7 +27,6 @@ from typing import Optional
 
 from ..concurrency.percolator import (PercolatorStore, PrewriteConflict,
                                       TimestampOracle)
-from ..concurrency.si import isolation_level
 from ..sim.kernel import Countdown, Environment, Event, subscribe
 from ..sim.resources import Resource
 from ..txn.transaction import AbortReason, OpType, Transaction
@@ -373,6 +372,8 @@ class _Txn:
 
 class TiDBSystem(TransactionalSystem):
     name = "tidb"
+    weak_isolation = True
+    storage_engine = "always"
 
     def __init__(self, env: Environment, config: Optional[SystemConfig] = None,
                  tidb_servers: Optional[int] = None,
@@ -405,8 +406,7 @@ class TiDBSystem(TransactionalSystem):
         # read-version revalidation (write skew admitted), and
         # "read_committed" additionally drops first-committer-wins
         # (lost updates admitted, no conflict-resolution stalls).
-        self.isolation = isolation_level(self.config.extras)
-        self.history = None
+        self._wire_isolation()
         # History-only shadow clock: ticks once per committed transaction
         # and stamps per-key versions, because the shared store's raw
         # versions mix raft-apply counters with oracle timestamps (fine
@@ -417,9 +417,6 @@ class TiDBSystem(TransactionalSystem):
         # (value already reader-visible, stamp not yet allocated),
         # keyed by the lock owner; patched when its stamp exists.
         self._hist_pending: dict[int, list] = {}
-        if "isolation" in self.config.extras:
-            from ..analysis.serializability import HistoryChecker
-            self.history = HistoryChecker()
 
     # -- helpers ------------------------------------------------------------------
 

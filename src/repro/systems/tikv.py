@@ -17,14 +17,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..concurrency.rc import ReadCommittedScheduler
-from ..concurrency.si import SnapshotScheduler, isolation_level
 from ..consensus.raft import RaftConfig, RaftGroup
 from ..sharding.partitioner import HashPartitioner
 from ..sim.kernel import Environment, Event, subscribe
 from ..sim.resources import Resource
-from ..storage.engine import engine_from_config
-from ..txn.state import VersionedStore
 from ..txn.transaction import OpType, Transaction
 from .base import SystemConfig, TransactionalSystem
 
@@ -203,14 +199,12 @@ class TikvCluster:
         # ``extras["index"]`` swaps in any other Table 2 choice and
         # ``extras["wal"]`` charges the group-committed fsync share per
         # applied entry.
-        self.engine = engine_from_config(system.config.extras, default="lsm")
-        self.lsm = self.engine.tree           # RocksDB stand-in
-        wal = self.engine.wal is not None
-        self.state = VersionedStore(engine=self.engine)
+        system._build_state(default_index="lsm")
+        self.engine = system.engine
+        self.state = system.state
         self._apply_cost = (self.costs.tikv_apply + self.costs.store_put
-                            + (self.costs.wal_sync if wal else 0.0))
+                            + system._wal_cost)
         self._version = 0
-        names = [n.name for n in self.nodes]
         self.groups: list[RaftGroup] = []
         for i, leader in enumerate(self.nodes):
             ordered = [leader] + [n for n in self.nodes if n is not leader]
@@ -307,10 +301,6 @@ class TikvCluster:
             self.state.put(key, value, self._version)
         # writes mirrored into the engine above; one batched genesis commit
         self.state.commit(self._version)
-
-    def storage_bytes(self) -> int:
-        """Engine bytes on disk (the Fig. 12 state-storage comparison)."""
-        return self.engine.data_bytes()
 
 
 class _Update:
@@ -493,6 +483,8 @@ class TikvSystem(TransactionalSystem):
     """Standalone TiKV benchmarked as in Fig. 4 ("TiKV" bars)."""
 
     name = "tikv"
+    weak_isolation = True
+    storage_engine = "always"
 
     def __init__(self, env: Environment, config: Optional[SystemConfig] = None):
         super().__init__(env, config)
@@ -506,33 +498,10 @@ class TikvSystem(TransactionalSystem):
         # per-leaseholder (not one atomic snapshot), so weak levels are
         # honest only for single-key transactions; the ablation pins
         # ops_per_txn=1.
-        self.isolation = isolation_level(self.config.extras)
-        self.scheduler = None
-        self.history = None
-        if self.isolation == "snapshot":
-            self.scheduler = SnapshotScheduler(self.cluster.state)
-        elif self.isolation == "read_committed":
-            self.scheduler = ReadCommittedScheduler(self.cluster.state)
-        if "isolation" in self.config.extras:
-            from ..analysis.serializability import HistoryChecker
-            self.history = HistoryChecker()
+        self._wire_isolation(self.cluster.state)
 
     def load(self, records: dict[str, bytes]) -> None:
         self.cluster.load(records)
-
-    def shard_domains(self) -> dict:
-        """Decomposition metadata for the conservative parallel kernel.
-
-        One domain per Raft group.  Lookahead is zero: every node hosts
-        a replica of every group (full replication), so the domains
-        share apply threads and are not network-isolated — this topology
-        is *not* eligible for per-shard parallel execution.
-        """
-        return {
-            "domains": [f"tikv-group-{i}"
-                        for i in range(len(self.cluster.nodes))],
-            "lookahead": 0.0,
-        }
 
     def submit(self, txn: Transaction) -> Event:
         done = self.env.event()

@@ -1,6 +1,6 @@
 """Workload generators (YCSB, Smallbank) and the closed-loop driver."""
 
-from .driver import DriverConfig, RunResult, measure_system, run_closed_loop
+from .driver import DriverConfig, RunResult, run_closed_loop
 from .openloop import (OpenLoopConfig, OpenLoopResult, make_schedule,
                        run_open_loop)
 from .smallbank import (SmallbankConfig, SmallbankWorkload, decode_balance,
@@ -21,7 +21,6 @@ __all__ = [
     "decode_balance",
     "encode_balance",
     "make_schedule",
-    "measure_system",
     "run_closed_loop",
     "run_open_loop",
 ]

@@ -24,10 +24,9 @@ from typing import Callable, Optional
 from ..sim.kernel import Environment, Event
 from ..sim.metrics import TxnStats
 from ..txn.transaction import Transaction, TxnStatus
-from .ycsb import YcsbWorkload
 
 __all__ = ["DriverConfig", "RunResult", "run_closed_loop",
-           "run_closed_loop_windowed", "measure_system"]
+           "run_closed_loop_windowed"]
 
 class _ClientCohort:
     """The client-multiplexer context shared by every slot of a run.
@@ -384,31 +383,3 @@ def run_closed_loop_windowed(
         # some fields depend on worker-pool size, i.e. the box.
         result.extras["parallel_kernel"] = dict(stats)
     return result
-
-
-def measure_system(
-    system_factory: Callable[[Environment], object],
-    workload_factory: Callable[[], YcsbWorkload],
-    mode: str = "update",
-    driver: Optional[DriverConfig] = None,
-    load_records: bool = True,
-) -> RunResult:
-    """Build a fresh environment + system + workload, then run one mode.
-
-    ``mode``: "update" (blind writes), "query" (reads), or "rmw"
-    (read-modify-write).
-    """
-    env = Environment()
-    system = system_factory(env)
-    workload = workload_factory()
-    if load_records:
-        system.load(workload.initial_records())
-    maker = {
-        "update": workload.next_update,
-        "query": workload.next_query,
-        "rmw": workload.next_rmw,
-    }[mode]
-    cfg = driver or DriverConfig()
-    if mode == "query":
-        cfg = DriverConfig(**{**cfg.__dict__, "query_mode": True})
-    return run_closed_loop(env, system, maker, cfg)

@@ -159,6 +159,10 @@ def make_schedule(config: "OpenLoopConfig") -> list[float]:
 # Configuration and result
 # ---------------------------------------------------------------------------
 
+#: Timeout-wheel resolution in seconds (the floor for ``txn_timeout``).
+_WHEEL_TICK = 0.001
+
+
 @dataclass
 class OpenLoopConfig:
     rate: float = 1000.0          # mean offered arrivals per second
@@ -174,7 +178,6 @@ class OpenLoopConfig:
     seed: int = 0
     query_mode: bool = False      # route via submit_query
     max_sim_time: float = 600.0   # safety wall
-    wheel_tick: float = 0.001
     # bursty-process knobs
     sources: int = 8
     on_mean: float = 0.4
@@ -286,7 +289,7 @@ class _OpenLoopRun:
         self.submit = system.submit_query if cfg.query_mode \
             else system.submit
         self.next_txn = next_txn
-        self.wheel = TimingWheel(env, tick=cfg.wheel_tick)
+        self.wheel = TimingWheel(env, tick=_WHEEL_TICK)
         self.schedule = schedule
         self.t0 = env.now
         self.win_start = self.t0 + cfg.warmup
@@ -447,7 +450,7 @@ def run_open_loop(
     ``unresolved`` count instead of masquerading as complete.
     """
     cfg = config or OpenLoopConfig()
-    if cfg.txn_timeout < cfg.wheel_tick:
+    if cfg.txn_timeout < _WHEEL_TICK:
         raise ValueError("txn_timeout must be at least one wheel tick")
     if schedule is None:
         schedule = make_schedule(cfg)

@@ -152,30 +152,3 @@ def test_lookahead_mode_defaults_off():
     system = ref.extras["system"]
     assert system.shard_lookahead is False
     assert system.coupler is None
-
-
-def test_shard_domains_metadata():
-    from repro.sim.kernel import Environment
-    from repro.core.builder import build_system
-    from repro.systems.base import SystemConfig
-
-    env = Environment()
-    ahl = build_system(env, "ahl", SystemConfig(num_nodes=6, seed=0),
-                       shard_lookahead=True)
-    domains = ahl.shard_domains()
-    assert domains["domains"] == ["ahl-shard-0", "ahl-shard-1"]
-    assert domains["lookahead"] == ahl.network.min_delay > 0.0
-
-    # Default (hopless) model: no window to exploit.
-    env2 = Environment()
-    plain = build_system(env2, "ahl", SystemConfig(num_nodes=6, seed=0))
-    assert plain.shard_domains()["lookahead"] == 0.0
-
-    # tikv / spanner name their decomposition but are not
-    # network-isolated: lookahead zero, parallel execution not licensed.
-    for name in ("tikv", "spanner"):
-        env3 = Environment()
-        sys_obj = build_system(env3, name, SystemConfig(num_nodes=6, seed=0))
-        meta = sys_obj.shard_domains()
-        assert len(meta["domains"]) > 0
-        assert meta["lookahead"] == 0.0

@@ -33,22 +33,6 @@ def test_disk_is_serialized(env):
     assert finished == [0.5, 1.0]
 
 
-def test_generator_forms_still_serve(env):
-    node = Node(env, "n", cores=1)
-    finished = []
-
-    def worker(env):
-        yield from node.compute_gen(1.0)
-        yield from node.disk_write_gen(0.5)
-        finished.append(env.now)
-
-    env.process(worker(env))
-    env.process(worker(env))
-    env.run()
-    # serial core then serial disk: 1.5 and 2.5 (disk overlaps 2nd compute)
-    assert finished == [1.5, 2.5]
-
-
 def test_subscribe_routes_by_kind(env):
     node = Node(env, "n")
     special = node.subscribe("special")

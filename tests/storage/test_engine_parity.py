@@ -62,10 +62,8 @@ def test_registry_covers_every_index_kind():
     assert set(ENGINES) == set(IndexKind)
     for kind in ALL_KINDS:
         assert engine_for(kind).kind is kind
-    # the core-level alias (lazy import, so repro.core users never touch
-    # repro.storage directly) resolves to the same registry
-    from repro.core.builder import engine_for_index
-    assert engine_for_index("lsm+mpt").kind is IndexKind.LSM_MPT
+    # config alias strings resolve through the same registry
+    assert engine_for("lsm+mpt").kind is IndexKind.LSM_MPT
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name.lower())
@@ -142,12 +140,21 @@ def test_authenticated_flags_match_taxonomy():
 
 
 def test_unknown_extras_key_rejected():
-    """A typo'd extras key must raise, not silently run the default."""
+    """A typo'd extras key must raise, not silently run the default.
+
+    The systems layer owns that check (tests/systems/
+    test_system_edge_cases.py has the full table); ``engine_from_config``
+    itself is a pure factory over the keys it reads.
+    """
+    from repro.sim.kernel import Environment
     from repro.storage.engine import engine_from_config
+    from repro.systems import QuorumSystem, SystemConfig
     with pytest.raises(ValueError, match="indx"):
-        engine_from_config({"indx": "lsm+mpt"})
+        QuorumSystem(Environment(),
+                     SystemConfig(extras={"indx": "lsm+mpt"}))
     assert engine_from_config({"index": "lsm"}).kind is IndexKind.LSM
     assert engine_from_config({}) is None
+    assert engine_from_config({}, default="btree").kind is IndexKind.BTREE
 
 
 def test_parse_index_kind_aliases_and_errors():

@@ -1,39 +1,24 @@
-"""Tests for the Sec. 6 batched-validation ablation: simulated MPT
-crypto cost driven by the real trie's ``hashes_computed`` deltas."""
+"""Tests for quorum over a real MPT (``extras={"index": "lsm+mpt"}``):
+simulated index cost driven by the trie's measured ``hashes_computed``
+deltas (the Sec. 6 batched-validation ablation) instead of the
+per-record Fig. 11b fit."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench.harness import SMOKE, run_point
-from repro.sim.costs import DEFAULT_COSTS
-from repro.sim.kernel import Environment
-from repro.systems.quorum import QuorumSystem
 
-
-def test_batched_validation_requires_real_state():
-    with pytest.raises(ValueError):
-        QuorumSystem(Environment(), batched_validation=True)
-
-
-def test_mpt_commit_time_scales_with_hash_count():
-    one = DEFAULT_COSTS.mpt_commit_time(1)
-    assert one == DEFAULT_COSTS.hash_time(DEFAULT_COSTS.mpt_node_hash_bytes)
-    assert DEFAULT_COSTS.mpt_commit_time(100) == pytest.approx(100 * one)
-    assert DEFAULT_COSTS.mpt_commit_time(0) == 0.0
+_MPT = {"index": "lsm+mpt"}
 
 
 def test_ablation_charges_measured_hashes_and_commits():
-    result = run_point(
-        "quorum", scale=SMOKE, seed=3,
-        system_kwargs={"real_state": True, "batched_validation": True})
+    result = run_point("quorum", scale=SMOKE, seed=3, extras=_MPT)
     system = result.extras["system"]
     assert result.measured == SMOKE.measure_txns
     assert result.stats.aborted == 0
     # the charged hash count is the real trie's delta, and it is far
     # below one full path-rebuild per write (shared prefixes hash once)
     assert system.mpt_hashes_charged > 0
-    assert system.state_trie.hashes_computed >= system.mpt_hashes_charged
+    assert system.engine.trie.hashes_computed >= system.mpt_hashes_charged
     assert system.ledger.verify()
     # every sealed block carries a real state root
     assert all(b.header.state_root != b"\x00" * 32
@@ -47,24 +32,22 @@ def test_ablation_charges_measured_hashes_and_commits():
 
 
 def test_ablation_vs_per_record_fit_is_cheaper_per_block():
-    """Batched validation must charge less simulated crypto time than the
-    per-record Fig. 11b fit for the same workload (the ablation's point:
-    shared-prefix batches hash each touched node once)."""
-    fitted = run_point("quorum", scale=SMOKE, seed=3,
-                       system_kwargs={"real_state": True})
-    batched = run_point("quorum", scale=SMOKE, seed=3,
-                        system_kwargs={"real_state": True,
-                                       "batched_validation": True})
+    """The measured per-block commit must charge less simulated index
+    time than the per-record Fig. 11b fit for the same workload (the
+    ablation's point: shared-prefix batches hash each touched node once)."""
+    fitted = run_point("quorum", scale=SMOKE, seed=3)
+    measured = run_point("quorum", scale=SMOKE, seed=3, extras=_MPT)
     f_sys = fitted.extras["system"]
-    b_sys = batched.extras["system"]
+    m_sys = measured.extras["system"]
+    assert f_sys.engine is None and f_sys.mpt_hashes_charged == 0
     # identical work ordered through consensus
     assert f_sys.ledger.height > 0
-    assert b_sys.ledger.height > 0
-    costs = b_sys.costs
-    committed = sum(len(b.txns) for b in b_sys.ledger.blocks)
-    # simulated MPT crypto actually charged per committed txn
-    charged = costs.mpt_commit_time(b_sys.mpt_hashes_charged) / committed
-    # what the per-record fit would have charged for the same records
+    assert m_sys.ledger.height > 0
+    costs = m_sys.costs
+    committed = sum(len(b.txns) for b in m_sys.ledger.blocks)
+    # simulated index commit actually charged per committed txn
+    charged = costs.index_commit_time(m_sys.mpt_hashes_charged) / committed
+    # what the per-record fit charges for the same records
     per_record = costs.mpt_update_time(1000)
     assert charged < per_record
-    assert batched.tps >= fitted.tps
+    assert measured.tps >= fitted.tps

@@ -1,11 +1,17 @@
 """Edge-case and configuration tests for the system models."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+from repro.core.builder import DEDICATED_MODELS, build_system
+from repro.core.taxonomy import profile
 from repro.sim import Environment
 from repro.sim.costs import DEFAULT_COSTS
-from repro.systems import (EtcdSystem, FabricSystem, QuorumSystem,
-                           SystemConfig, TiDBSystem)
+from repro.systems import (EtcdSystem, FabricSystem, HybridSystem,
+                           QuorumSystem, SystemConfig, TiDBSystem)
+from repro.systems.base import EXTRAS_KEYS
 from repro.txn import AbortReason, Op, OpType, Transaction, TxnStatus
 from repro.workloads import SmallbankConfig, SmallbankWorkload
 
@@ -135,3 +141,122 @@ def test_ibft_quorum_system_uses_3f_plus_1():
     replica = next(iter(system.group.replicas.values()))
     assert replica.f == 2
     assert replica.quorum == 5
+
+
+# -- SystemConfig.extras: one check, two entry points ---------------------------
+#
+# What an ``extras`` mapping means on a model is decided by
+# TransactionalSystem from two class attributes.  The table below derives
+# accept/reject from those same attributes, so it cannot drift from the
+# check, and drives both entry points so neither can be a bypass.
+
+_SYSTEMS = sorted(DEDICATED_MODELS) + ["veritas", "falcondb"]
+
+
+def _model(name):
+    return DEDICATED_MODELS.get(name, HybridSystem)
+
+
+#: case -> (extras, accepted-iff predicate over the model class, message)
+_EXTRAS_CASES = {
+    "typo": ({"indx": "lsm"}, lambda cls: False,
+             r"unknown SystemConfig.extras key\(s\) \['indx'\]; known: "
+             + re.escape(str(list(EXTRAS_KEYS)))),
+    "bogus-level": ({"isolation": "bogus"}, lambda cls: False,
+                    "unknown isolation level 'bogus'"),
+    "weak-level": ({"isolation": "snapshot"},
+                   lambda cls: cls.weak_isolation,
+                   "isolation='snapshot' is not supported on '{name}'; "
+                   "weakened isolation is wired into "
+                   r"\['etcd', 'quorum', 'tidb', 'tikv'\]"),
+    "index": ({"index": "lsm+mpt"},
+              lambda cls: cls.storage_engine is not None,
+              "'{name}' builds no storage engine"),
+    "wal-only": ({"wal": True},
+                 lambda cls: cls.storage_engine == "always",
+                 "'{name}' builds no storage engine|`wal` needs an `index`"),
+}
+
+
+def _via_builder(name, config):
+    return build_system(Environment(), name, config)
+
+
+def _via_constructor(name, config):
+    cls = DEDICATED_MODELS.get(name)
+    if cls is not None:
+        return cls(Environment(), config)
+    return HybridSystem(Environment(), profile(name), config)
+
+
+@pytest.mark.parametrize("entry", [_via_builder, _via_constructor],
+                         ids=["builder", "constructor"])
+@pytest.mark.parametrize("case", sorted(_EXTRAS_CASES))
+@pytest.mark.parametrize("name", _SYSTEMS)
+def test_extras_accepted_or_rejected_per_class_attributes(name, case, entry):
+    extras, accepted, message = _EXTRAS_CASES[case]
+    config = SystemConfig(num_nodes=6, extras=dict(extras))
+    if accepted(_model(name)):
+        system = entry(name, config)
+        # the configuration named is the configuration that runs
+        if "index" in extras:
+            assert system.engine.authenticated
+        if "wal" in extras:
+            assert system.engine.wal is not None
+        if "isolation" in extras:
+            assert system.isolation == "snapshot"
+            assert system.history is not None
+    else:
+        with pytest.raises(ValueError, match=message.format(name=name)):
+            entry(name, config)
+
+
+def test_wal_needs_an_index_where_the_engine_is_on_request():
+    for cls in (QuorumSystem, FabricSystem):
+        assert cls.storage_engine == "on_request"
+        with pytest.raises(ValueError, match="`wal` needs an `index`"):
+            cls(Environment(), SystemConfig(extras={"wal": True}))
+        system = cls(Environment(),
+                     SystemConfig(extras={"wal": True, "index": "lsm"}))
+        assert system.engine.wal is not None
+        assert system._wal_cost == system.costs.wal_sync
+
+
+def test_history_is_a_real_attribute_everywhere():
+    """``history``/``scheduler``/``isolation`` exist on every model;
+    explicit "serializable" is accepted anywhere and attaches the
+    checker only where a weak path feeds it."""
+    for name in _SYSTEMS:
+        plain = _via_builder(name, SystemConfig(num_nodes=6))
+        assert plain.history is None and plain.scheduler is None
+        assert plain.isolation == "serializable"
+        explicit = _via_builder(name, SystemConfig(
+            num_nodes=6, extras={"isolation": "serializable"}))
+        assert (explicit.history is not None) is _model(name).weak_isolation
+
+
+def _readme_extras_table() -> str:
+    """The README "Configuring a system" table, from the class attributes."""
+    everyone = sorted(DEDICATED_MODELS) + ["hybrids"]
+
+    def names(pred):
+        picked = [n for n in everyone if pred(_model(n))]
+        return "every system" if picked == everyone else ", ".join(picked)
+    rows = [
+        ("`index`", names(lambda c: c.storage_engine is not None)),
+        ("`wal`", names(lambda c: c.storage_engine == "always")
+         + "; only together with an `index`: "
+         + names(lambda c: c.storage_engine == "on_request")),
+        ("`isolation`", '`"serializable"`: ' + names(lambda c: True)
+         + '; `"snapshot"` / `"read_committed"`: '
+         + names(lambda c: c.weak_isolation)),
+        ("`scenario`", names(lambda c: True)),
+    ]
+    lines = ["| `extras` key | accepted by |", "|---|---|"]
+    lines += [f"| {key} | {systems} |" for key, systems in rows]
+    return "\n".join(lines)
+
+
+def test_readme_extras_table_matches_class_attributes():
+    readme = (Path(__file__).resolve().parents[2] / "README.md").read_text()
+    assert _readme_extras_table() in readme

@@ -51,7 +51,7 @@ def test_etcd_state_reflects_writes():
     assert done.triggered and txn.status is TxnStatus.COMMITTED
     value, _version = system.state.get("user1")
     assert value == b"hello"
-    assert system.btree.get(b"user1") == b"hello"
+    assert system.engine.tree.get(b"user1") == b"hello"
 
 
 def test_etcd_serves_queries():
@@ -314,9 +314,16 @@ def test_ahl_cross_shard_uses_bft_2pc():
 def test_one_chain_per_behaviour():
     """The isolation and lookahead variants are branches of the one
     pipeline, not copies of it."""
+    import inspect
     from repro.systems import ahl
     assert not hasattr(QuorumSystem, "_block_producer_weak")
     assert issubclass(ahl._ShardExecLA, ahl._ShardExec)
+    # ...and the storage position is SystemConfig.extras["index"], not a
+    # second set of constructor flags.
+    assert list(inspect.signature(QuorumSystem.__init__).parameters) == [
+        "self", "env", "config", "consensus"]
+    assert "real_state" not in inspect.signature(
+        FabricSystem.__init__).parameters
 
 
 # -- hybrids -----------------------------------------------------------------------------

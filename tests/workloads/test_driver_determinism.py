@@ -117,30 +117,21 @@ def test_different_seeds_differ():
     assert _fingerprint(a) != _fingerprint(b)
 
 
-def test_real_state_bookkeeping_does_not_perturb_results():
-    """Maintaining the real MPT must not change simulated outcomes."""
-    plain = run_point("quorum", scale=SMOKE, seed=4)
-    real = run_point("quorum", scale=SMOKE, seed=4,
-                     system_kwargs={"real_state": True})
-    assert _fingerprint(plain) == _fingerprint(real)
-    system = real.extras["system"]
-    tip = system.ledger.blocks[-1]
-    assert tip.header.state_root == system.state_trie.root
-
-
 def test_real_state_root_matches_replayed_final_state():
     """The per-block batched commits must land on the same root as a
     fresh per-write trie over the final committed state."""
     from repro.adt.mpt import MerklePatriciaTrie
 
     real = run_point("quorum", scale=SMOKE, seed=4,
-                     system_kwargs={"real_state": True})
+                     extras={"index": "lsm+mpt"})
     system = real.extras["system"]
+    trie = system.engine.trie
+    assert system.ledger.blocks[-1].header.state_root == trie.root
     # The run may stop mid-block: fold any still-staged writes first so
     # the trie reflects everything the executor applied.
-    system.state_trie.commit()
+    trie.commit()
     replay = MerklePatriciaTrie()
     for key in system.state.keys():
         value, _version = system.state.get(key)
         replay.put(key.encode(), value)
-    assert replay.root == system.state_trie.root
+    assert replay.root == trie.root

@@ -1,7 +1,7 @@
 """Shared helpers for the figure/table benchmark suite.
 
 Each benchmark file regenerates one paper artifact via
-:mod:`repro.bench.experiments`, prints the measured-vs-paper comparison,
+:func:`repro.bench.sweep.run_figure`, prints the measured-vs-paper comparison,
 and asserts the *shape* claims (orderings, trends, crossovers) the paper
 makes.  Absolute numbers are calibration-dependent and are not asserted
 except as loose ratios.

@@ -5,13 +5,13 @@ etcd 16781, TiKV 13507; query — Fabric 23809, Quorum 19166, TiDB 87933,
 etcd 282192, TiKV 94050.
 """
 
-from repro.bench.experiments import fig4_peak_throughput
+from repro.bench.sweep import run_figure
 
 from conftest import BENCH_SCALE, print_dict, run_once
 
 
 def test_fig4_peak_throughput(benchmark):
-    result = run_once(benchmark, fig4_peak_throughput, scale=BENCH_SCALE)
+    result = run_once(benchmark, run_figure, "fig4", scale=BENCH_SCALE)
     update = result["measured"]["update"]
     query = result["measured"]["query"]
     print_dict("Fig 4a update tps", update, result["paper"]["update"])

@@ -5,13 +5,13 @@ sum of Fig. 8a phases), Quorum ~500 ms, databases < 100 ms; query latency
 Fabric ~9 ms, Quorum ~4 ms, databases ~1 ms.
 """
 
-from repro.bench.experiments import fig5_latency
+from repro.bench.sweep import run_figure
 
 from conftest import BENCH_SCALE, print_dict, run_once
 
 
 def test_fig5_latency(benchmark):
-    result = run_once(benchmark, fig5_latency, scale=BENCH_SCALE)
+    result = run_once(benchmark, run_figure, "fig5", scale=BENCH_SCALE)
     update = result["measured_ms"]["update"]
     query = result["measured_ms"]["query"]
     print_dict("Fig 5a update latency (ms)", update,

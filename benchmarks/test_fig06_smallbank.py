@@ -6,13 +6,13 @@ skewed OLTP workload.  Quorum improves ~2.5x over its 1 kB-record YCSB
 number because Smallbank records are small.
 """
 
-from repro.bench.experiments import fig6_smallbank
+from repro.bench.sweep import run_figure
 
 from conftest import BENCH_SCALE, print_dict, run_once
 
 
 def test_fig6_smallbank(benchmark):
-    result = run_once(benchmark, fig6_smallbank, scale=BENCH_SCALE,
+    result = run_once(benchmark, run_figure, "fig6", scale=BENCH_SCALE,
                       num_accounts=100_000)
     measured = result["measured"]
     print_dict("Fig 6 Smallbank tps (theta=1)", measured, result["paper"])

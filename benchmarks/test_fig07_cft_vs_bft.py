@@ -8,14 +8,14 @@ serial execution is; IBFT shows larger variance at high f.
 
 import statistics
 
-from repro.bench.experiments import fig7_cft_vs_bft
+from repro.bench.sweep import run_figure
 
 from conftest import BENCH_SCALE, run_once
 
 
 def test_fig7_cft_vs_bft(benchmark):
     scale = BENCH_SCALE.derive(measure_txns=600)
-    result = run_once(benchmark, fig7_cft_vs_bft, scale=scale,
+    result = run_once(benchmark, run_figure, "fig7", scale=scale,
                       failures=(1, 2, 3), seeds=(0, 1))
     raft = result["measured"]["raft"]
     ibft = result["measured"]["ibft"]

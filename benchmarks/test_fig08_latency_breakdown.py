@@ -10,13 +10,13 @@ authentication (4294 us) vs TiDB's parse 16 us / compile 15 us /
 storage-get 275 us.
 """
 
-from repro.bench.experiments import fig8_latency_breakdown
+from repro.bench.sweep import run_figure
 
 from conftest import BENCH_SCALE, print_dict, run_once
 
 
 def test_fig8_latency_breakdown(benchmark):
-    result = run_once(benchmark, fig8_latency_breakdown, scale=BENCH_SCALE)
+    result = run_once(benchmark, run_figure, "fig8", scale=BENCH_SCALE)
     unsat = result["fabric_unsaturated_ms"]
     sat = result["fabric_saturated_ms"]
     print_dict("Fig 8a Fabric unsaturated (ms)", unsat,

@@ -7,14 +7,14 @@ Fabric loses ~31% throughput with ~44% aborts at theta=1; etcd and
 Quorum are unaffected (serial execution, no concurrency control).
 """
 
-from repro.bench.experiments import fig9_skew
+from repro.bench.sweep import run_figure
 
 from conftest import CONFLICT_SCALE, run_once
 
 
 def test_fig9_skew(benchmark):
     thetas = (0.0, 0.6, 1.0)
-    result = run_once(benchmark, fig9_skew, scale=CONFLICT_SCALE,
+    result = run_once(benchmark, run_figure, "fig9", scale=CONFLICT_SCALE,
                       thetas=thetas)
     measured = result["measured"]
     print("\n=== Fig 9: skew sweep (tps / abort%) ===")

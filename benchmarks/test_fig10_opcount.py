@@ -7,14 +7,14 @@ ops reaches only 32% of its 1-op throughput); abort rates climb to 87%
 ~86% read-write conflicts; Quorum is unaffected (serial, no cross-shard).
 """
 
-from repro.bench.experiments import fig10_opcount
+from repro.bench.sweep import run_figure
 
 from conftest import CONFLICT_SCALE, run_once
 
 
 def test_fig10_opcount(benchmark):
     op_counts = (1, 4, 10)
-    result = run_once(benchmark, fig10_opcount, scale=CONFLICT_SCALE,
+    result = run_once(benchmark, run_figure, "fig10", scale=CONFLICT_SCALE,
                       op_counts=op_counts)
     measured = result["measured"]
     print("\n=== Fig 10: ops/txn sweep (tps / abort%) ===")

@@ -8,14 +8,14 @@ moderately.  Quorum's proposal-phase delay grows at the same rate as its
 commit-phase delay (double execution).
 """
 
-from repro.bench.experiments import fig11_record_size
+from repro.bench.sweep import run_figure
 
 from conftest import BENCH_SCALE, run_once
 
 
 def test_fig11_record_size(benchmark):
     sizes = (10, 1000, 5000)
-    result = run_once(benchmark, fig11_record_size, scale=BENCH_SCALE,
+    result = run_once(benchmark, run_figure, "fig11", scale=BENCH_SCALE,
                       record_sizes=sizes)
     measured = result["measured"]
     print("\n=== Fig 11a: tps vs record size ===")

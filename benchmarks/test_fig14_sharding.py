@@ -7,14 +7,14 @@ between the sharded blockchain and the databases is 1-2 orders of
 magnitude (PBFT + shard-formation security costs).
 """
 
-from repro.bench.experiments import fig14_sharding
+from repro.bench.sweep import run_figure
 
 from conftest import BENCH_SCALE, run_once
 
 
 def test_fig14_sharding(benchmark):
     node_counts = (3, 12, 24)
-    result = run_once(benchmark, fig14_sharding,
+    result = run_once(benchmark, run_figure, "fig14",
                       scale=BENCH_SCALE.derive(measure_txns=800),
                       node_counts=node_counts)
     measured = result["measured"]

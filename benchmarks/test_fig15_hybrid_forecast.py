@@ -8,14 +8,14 @@ our composed models lands each inside its predicted band; (3) the
 measured ordering matches the forecast ordering.
 """
 
-from repro.bench.experiments import fig15_hybrid_forecast
+from repro.bench.sweep import run_figure
 from repro.core import BAND_RANGES, ThroughputBand
 
 from conftest import BENCH_SCALE, run_once
 
 
 def test_fig15_hybrid_forecast(benchmark):
-    result = run_once(benchmark, fig15_hybrid_forecast,
+    result = run_once(benchmark, run_figure, "fig15",
                       scale=BENCH_SCALE, simulate=True)
     forecasts = result["forecast"]
     reported = result["reported"]

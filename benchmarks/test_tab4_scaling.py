@@ -7,14 +7,14 @@ Paper (tps):            3      7     11     15     19
     etcd            19282  16453  11243   7801   6076
 """
 
-from repro.bench.experiments import tab4_scaling
+from repro.bench.sweep import run_figure
 
 from conftest import BENCH_SCALE, run_once
 
 
 def test_tab4_scaling(benchmark):
     node_counts = (3, 7, 11, 19)
-    result = run_once(benchmark, tab4_scaling, scale=BENCH_SCALE,
+    result = run_once(benchmark, run_figure, "tab4", scale=BENCH_SCALE,
                       node_counts=node_counts)
     measured = result["measured"]
     paper = result["paper"]

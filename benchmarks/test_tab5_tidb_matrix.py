@@ -7,7 +7,7 @@ beyond the storage capacity lowers throughput (5697 -> 4198 down the
 first column).
 """
 
-from repro.bench.experiments import tab5_tidb_matrix
+from repro.bench.sweep import run_figure
 
 from conftest import BENCH_SCALE, run_once
 
@@ -15,7 +15,7 @@ from conftest import BENCH_SCALE, run_once
 def test_tab5_tidb_matrix(benchmark):
     tidb_counts = (3, 11, 19)
     tikv_counts = (3, 11, 19)
-    result = run_once(benchmark, tab5_tidb_matrix,
+    result = run_once(benchmark, run_figure, "tab5",
                       scale=BENCH_SCALE.derive(measure_txns=1500),
                       tidb_counts=tidb_counts, tikv_counts=tikv_counts)
     measured = result["measured"]

@@ -13,8 +13,8 @@ Quick tour::
     from repro.workloads import YcsbWorkload, run_closed_loop
     from repro.analysis import analyze_system, HistoryChecker
 
-See README.md for the architecture map and EXPERIMENTS.md for
-paper-vs-measured results.
+See README.md for the architecture map; ``python -m repro.bench``
+prints paper-vs-measured results per artifact.
 """
 
 __version__ = "1.0.0"

@@ -1,37 +1,23 @@
-"""Benchmark harness: per-figure/table experiment functions and reporting."""
+"""Benchmark harness: the figure engine, its measurements, and reporting."""
 
-from .experiments import (fig4_peak_throughput, fig5_latency, fig6_smallbank,
-                          fig7_cft_vs_bft, fig8_latency_breakdown,
-                          fig9_skew, fig10_opcount, fig11_record_size,
-                          fig12_storage, fig13_ads_overhead, fig14_sharding,
-                          fig15_hybrid_forecast, tab4_scaling,
-                          tab5_tidb_matrix)
+from .experiments import POINT_TABLES, fig12_storage, fig13_ads_overhead
 from .harness import BENCH, PAPER, SMOKE, Scale, run_point, run_smallbank_point
 from .report import format_experiment, format_series, format_table, shape_ratio
+from .sweep import run_figure
 
 __all__ = [
     "BENCH",
     "PAPER",
+    "POINT_TABLES",
     "SMOKE",
     "Scale",
-    "fig10_opcount",
-    "fig11_record_size",
     "fig12_storage",
     "fig13_ads_overhead",
-    "fig14_sharding",
-    "fig15_hybrid_forecast",
-    "fig4_peak_throughput",
-    "fig5_latency",
-    "fig6_smallbank",
-    "fig7_cft_vs_bft",
-    "fig8_latency_breakdown",
-    "fig9_skew",
     "format_experiment",
     "format_series",
     "format_table",
+    "run_figure",
     "run_point",
     "run_smallbank_point",
     "shape_ratio",
-    "tab4_scaling",
-    "tab5_tidb_matrix",
 ]

@@ -1,19 +1,15 @@
-"""One function per paper artifact: Figures 4-15 and Tables 4-5.
+"""Point table and assembler per paper artifact: Figures 4-15, Tables 4-5.
 
-Each function runs the sweep behind one figure/table and returns a
-structured dict with the measured series plus ``paper`` — the values the
-paper reports — so callers (benchmarks, EXPERIMENTS.md generation) can
-compare shapes.  Pass ``scale=SMOKE`` for quick runs, ``BENCH`` for the
-default benchmark fidelity.
-
-Every figure is split into a declarative half and a fold: ``*_points``
-enumerates the figure's measurements as picklable
+Every figure is a declarative half and a fold: ``*_points`` enumerates
+the figure's measurements as picklable
 :class:`~repro.bench.harness.PointSpec` records, and ``*_assemble``
 folds the finished :class:`~repro.bench.harness.PointResult` values into
-the artifact dict.  The serial functions below run the points in
-enumeration order in-process; the multiprocess sweep runner
-(:mod:`repro.bench.sweep`) farms the same specs across workers and calls
-the same assemblers, so the two paths merge byte-identical artifacts.
+the artifact dict — the measured series plus ``paper``, the values the
+paper reports, so callers can compare shapes.  :data:`POINT_TABLES` is
+the one registry of figure ids; :func:`repro.bench.sweep.run_figure`
+(one figure) and :func:`repro.bench.sweep.run_sweep` (a grid of them)
+are the one engine that runs it, in-process or across ``jobs`` workers.
+Pass ``scale=SMOKE`` for quick runs, ``BENCH`` for the default fidelity.
 """
 
 from __future__ import annotations
@@ -28,17 +24,10 @@ from ..core.forecast import (REPORTED_THROUGHPUT, forecast, rank)
 from ..core.taxonomy import TABLE2
 from ..txn.ledger import envelope_size
 from ..txn.transaction import Transaction
-from .harness import BENCH, PointSpec, Scale, run_point, run_smallbank_point, \
-    run_spec
+from .harness import BENCH, PointSpec, Scale
 
-__all__ = [
-    "fig4_peak_throughput", "fig5_latency", "fig6_smallbank",
-    "fig7_cft_vs_bft", "fig8_latency_breakdown", "tab4_scaling",
-    "tab5_tidb_matrix", "fig9_skew", "fig10_opcount", "fig11_record_size",
-    "fig12_storage", "fig13_ads_overhead", "fig14_sharding",
-    "fig14_scaling_sweep", "fig15_hybrid_forecast", "isolation_ablation",
-    "openloop_knee", "POINT_TABLES",
-]
+__all__ = ["POINT_TABLES", "fig12_storage", "fig13_ads_overhead",
+           "openloop_point"]
 
 FOUR_SYSTEMS = ("fabric", "quorum", "tidb", "etcd")
 FIVE_SYSTEMS = FOUR_SYSTEMS + ("tikv",)
@@ -59,11 +48,6 @@ def _weight(system: str, scale: Scale, measure_txns: Optional[int] = None,
             * (txns / max(1, scale.measure_txns))
             * (0.5 + 0.5 * ops_per_txn)
             * (num_nodes / 5) ** 0.5)
-
-
-def _run_serial(specs: list[PointSpec]) -> dict:
-    """Run specs in enumeration order in-process (the serial engine)."""
-    return {spec.key: run_spec(spec) for spec in specs}
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +82,6 @@ def fig4_assemble(results: dict) -> dict:
     for (mode, system), res in results.items():
         measured[mode][system] = res.tps
     return {"id": "fig4", "measured": measured, "paper": _FIG4_PAPER}
-
-
-def fig4_peak_throughput(scale: Scale = BENCH,
-                         systems: tuple = FIVE_SYSTEMS) -> dict:
-    return fig4_assemble(_run_serial(fig4_points(scale, systems)))
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +119,6 @@ def fig5_assemble(results: dict) -> dict:
     return {"id": "fig5", "measured_ms": measured, "paper_ms": _FIG5_PAPER_MS}
 
 
-def fig5_latency(scale: Scale = BENCH,
-                 systems: tuple = FIVE_SYSTEMS) -> dict:
-    return fig5_assemble(_run_serial(fig5_points(scale, systems)))
-
-
 # ---------------------------------------------------------------------------
 # Figure 6: Smallbank throughput (skewed, theta=1)
 # ---------------------------------------------------------------------------
@@ -166,11 +140,6 @@ def fig6_points(scale: Scale = BENCH,
 def fig6_assemble(results: dict) -> dict:
     measured = {system: res.tps for (system,), res in results.items()}
     return {"id": "fig6", "measured": measured, "paper": _FIG6_PAPER}
-
-
-def fig6_smallbank(scale: Scale = BENCH,
-                   num_accounts: Optional[int] = None) -> dict:
-    return fig6_assemble(_run_serial(fig6_points(scale, num_accounts)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +178,6 @@ def fig7_assemble(results: dict) -> dict:
     return {"id": "fig7", "measured": measured,
             "paper": {"note": "both protocols flat at ~230-380 tps; "
                               "IBFT variance grows with f"}}
-
-
-def fig7_cft_vs_bft(scale: Scale = BENCH,
-                    failures: tuple = (1, 2, 3, 4, 5, 6),
-                    seeds: tuple = (0, 1, 2)) -> dict:
-    return fig7_assemble(_run_serial(fig7_points(scale, failures, seeds)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +227,6 @@ def fig8_assemble(results: dict) -> dict:
     return out
 
 
-def fig8_latency_breakdown(scale: Scale = BENCH) -> dict:
-    return fig8_assemble(_run_serial(fig8_points(scale)))
-
-
 # ---------------------------------------------------------------------------
 # Table 4: throughput vs number of nodes (full replication)
 # ---------------------------------------------------------------------------
@@ -294,13 +253,6 @@ def tab4_assemble(results: dict) -> dict:
     for (system, n), res in results.items():
         measured.setdefault(system, {})[n] = res.tps
     return {"id": "tab4", "measured": measured, "paper": _TAB4_PAPER}
-
-
-def tab4_scaling(scale: Scale = BENCH,
-                 node_counts: tuple = (3, 7, 11, 15, 19),
-                 systems: tuple = FOUR_SYSTEMS) -> dict:
-    return tab4_assemble(_run_serial(tab4_points(scale, node_counts,
-                                                 systems)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +293,6 @@ def tab5_assemble(results: dict) -> dict:
     return {"id": "tab5", "measured": measured, "paper": _TAB5_PAPER}
 
 
-def tab5_tidb_matrix(scale: Scale = BENCH,
-                     tidb_counts: tuple = (3, 7, 11, 15, 19),
-                     tikv_counts: tuple = (3, 7, 11, 15, 19)) -> dict:
-    return tab5_assemble(_run_serial(tab5_points(scale, tidb_counts,
-                                                 tikv_counts)))
-
-
 # ---------------------------------------------------------------------------
 # Figure 9: throughput + abort rate vs Zipf skew
 # ---------------------------------------------------------------------------
@@ -377,12 +322,6 @@ def fig9_assemble(results: dict) -> dict:
         entry["tps"][theta] = res.tps
         entry["abort_rate"][theta] = res.abort_rate
     return {"id": "fig9", "measured": measured, "paper": _FIG9_PAPER}
-
-
-def fig9_skew(scale: Scale = BENCH,
-              thetas: tuple = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
-              systems: tuple = FOUR_SYSTEMS) -> dict:
-    return fig9_assemble(_run_serial(fig9_points(scale, thetas, systems)))
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +359,6 @@ def fig10_assemble(results: dict) -> dict:
     return {"id": "fig10", "measured": measured, "paper": _FIG10_PAPER}
 
 
-def fig10_opcount(scale: Scale = BENCH,
-                  op_counts: tuple = (1, 2, 4, 6, 8, 10),
-                  systems: tuple = FOUR_SYSTEMS) -> dict:
-    return fig10_assemble(_run_serial(fig10_points(scale, op_counts,
-                                                   systems)))
-
-
 # ---------------------------------------------------------------------------
 # Figure 11: throughput + phase latency vs record size
 # ---------------------------------------------------------------------------
@@ -457,13 +389,6 @@ def fig11_assemble(results: dict) -> dict:
         entry["phases_ms"][size] = {
             k: v * 1000 for k, v in res.phase_means.items()}
     return {"id": "fig11", "measured": measured, "paper": _FIG11_PAPER}
-
-
-def fig11_record_size(scale: Scale = BENCH,
-                      record_sizes: tuple = (10, 100, 1000, 5000),
-                      systems: tuple = FOUR_SYSTEMS) -> dict:
-    return fig11_assemble(_run_serial(fig11_points(scale, record_sizes,
-                                                   systems)))
 
 
 # ---------------------------------------------------------------------------
@@ -599,13 +524,6 @@ def fig14_assemble(results: dict) -> dict:
     return {"id": "fig14", "measured": measured, "paper": _FIG14_PAPER}
 
 
-def fig14_sharding(scale: Scale = BENCH,
-                   node_counts: tuple = (3, 12, 24, 36, 48),
-                   theta: float = 1.0) -> dict:
-    return fig14_assemble(_run_serial(fig14_points(scale, node_counts,
-                                                   theta)))
-
-
 # ---------------------------------------------------------------------------
 # Figure 14 (scaling stretch): AHL to hundreds of shards, serial-vs-parallel
 # ---------------------------------------------------------------------------
@@ -682,14 +600,6 @@ def fig14_scaling_assemble(results: dict) -> dict:
     }
 
 
-def fig14_scaling_sweep(scale: Scale = BENCH,
-                        shard_counts: tuple = _FIG14_SCALING_SHARDS,
-                        seed: int = 11) -> dict:
-    """Serial-engine run of the hundreds-of-shards scaling matrix."""
-    return fig14_scaling_assemble(_run_serial(
-        fig14_scaling_points(scale, shard_counts, seed)))
-
-
 # ---------------------------------------------------------------------------
 # Figure 15: hybrid forecast vs reported and vs simulated
 # ---------------------------------------------------------------------------
@@ -711,7 +621,7 @@ def fig15_points(scale: Scale = BENCH, simulate: bool = True,
     return specs
 
 
-def fig15_assemble(results: dict, simulate: bool = True) -> dict:
+def fig15_assemble(results: dict) -> dict:
     names = list(REPORTED_THROUGHPUT)
     forecasts = {n: forecast(TABLE2[n]) for n in names}
     out = {
@@ -722,18 +632,10 @@ def fig15_assemble(results: dict, simulate: bool = True) -> dict:
         "reported": dict(REPORTED_THROUGHPUT),
         "ranking": [f.system for f in rank([TABLE2[n] for n in names])],
     }
-    if simulate:
+    if results:     # empty when the points were enumerated simulate=False
         out["simulated"] = {name: res.tps
                             for (name,), res in results.items()}
     return out
-
-
-def fig15_hybrid_forecast(scale: Scale = BENCH,
-                          simulate: bool = True,
-                          num_nodes: int = 4) -> dict:
-    return fig15_assemble(_run_serial(fig15_points(scale, simulate,
-                                                   num_nodes)),
-                          simulate=simulate)
 
 
 # ---------------------------------------------------------------------------
@@ -804,11 +706,6 @@ def isolation_assemble(results: dict) -> dict:
             cell["speedup_vs_serializable"] = (
                 round(cell["tps"] / base, 3) if base else None)
     return {"id": "isolation_ablation", "rows": rows}
-
-
-def isolation_ablation(scale: Scale = BENCH) -> dict:
-    """Run the whole isolation-spectrum point table serially."""
-    return isolation_assemble(_run_serial(isolation_points(scale)))
 
 
 # ---------------------------------------------------------------------------
@@ -920,14 +817,8 @@ def openloop_assemble(results: dict) -> dict:
     return out
 
 
-def openloop_knee(scale: Scale = BENCH,
-                  multipliers: Optional[tuple] = None) -> dict:
-    """Throughput-vs-offered-load knee under the open-loop driver."""
-    return openloop_assemble(_run_serial(openloop_points(scale,
-                                                         multipliers)))
-
-
-#: figure id -> (points enumerator, assembler); the sweep runner's menu.
+#: figure id -> (points enumerator, assembler): the only registry of
+#: figure ids (the pin registry rides along as "fingerprints" in sweep.py).
 POINT_TABLES = {
     "fig4": (fig4_points, fig4_assemble),
     "fig5": (fig5_points, fig5_assemble),

@@ -14,8 +14,8 @@ One module owns every pinned expectation:
   the digests pinned here add cross-run byte-identity).
 * :func:`fingerprint_specs` — the registry re-expressed as
   :class:`~repro.bench.harness.PointSpec` records, so
-  ``python -m repro.bench --sweep`` runs the whole gate as one more
-  figure ("fingerprints") of the grid.
+  ``python -m repro.bench fingerprints`` runs the whole gate as one more
+  figure of the grid.
 * :func:`expected_for_spec` — canonical matching from an arbitrary spec
   back to its pinned expectation, if one exists.
 
@@ -25,9 +25,10 @@ boundaries, or timer behaviour — not just wall-clock performance.
 
 from __future__ import annotations
 
+import inspect
 from typing import Optional
 
-from .harness import SMOKE, PointResult, PointSpec
+from .harness import SMOKE, PointResult, PointSpec, run_point
 
 __all__ = ["FINGERPRINTS", "CHAOS_SCENARIOS", "CHAOS_DIGESTS",
            "fingerprint_specs", "expected_for_spec", "run_chaos_spec",
@@ -288,15 +289,6 @@ CHAOS_DIGESTS = {
         "4e265097f0e3b8ac3f9f10cf8d17661086ddeb2c21c026aa0cb2069f105b6bc9",
 }
 
-#: run_point keyword defaults, for canonicalising a spec's overrides.
-_RUN_POINT_DEFAULTS = {
-    "num_nodes": 5, "record_size": 1000, "theta": 0.0, "ops_per_txn": 1,
-    "mode": "update", "fix_total_size": False, "clients": None,
-    "measure_txns": None, "system_kwargs": None, "costs": None,
-    "extras": None,
-}
-
-
 def _freeze(value):
     """Recursively hashable form of a kwargs value."""
     if isinstance(value, dict):
@@ -306,20 +298,29 @@ def _freeze(value):
     return value
 
 
-def _canonical_key(system: str, seed: int, overrides: dict):
-    kwargs = dict(_RUN_POINT_DEFAULTS)
-    kwargs.update(overrides)
-    return (system, seed,
-            tuple(sorted((k, _freeze(v)) for k, v in kwargs.items())))
+#: run_point's keyword defaults, read from its own signature.
+_RUN_POINT_KWARGS = {
+    name: param.default
+    for name, param in inspect.signature(run_point).parameters.items()
+    if param.default is not param.empty}
+
+
+def _canonical_key(system: str, scale, overrides: dict):
+    """Hashable identity of one ``run_point`` call.
+
+    ``overrides`` fold over ``run_point``'s keyword defaults, so a spec
+    that spells a default out and one that omits it land on the same key.
+    """
+    return system, _freeze({**_RUN_POINT_KWARGS, **overrides,
+                            "scale": scale})
 
 
 def _registry_by_key() -> dict:
     table = {}
     for point, (overrides, expected) in FINGERPRINTS.items():
-        overrides = dict(overrides)
-        seed = overrides.pop("seed", 11)
         system = point.split("-")[0]
-        table[_canonical_key(system, seed, overrides)] = (point, expected)
+        key = _canonical_key(system, SMOKE, {"seed": 11, **overrides})
+        table[key] = (point, expected)
     return table
 
 
@@ -329,25 +330,22 @@ _BY_KEY = None
 def expected_for_spec(spec: PointSpec) -> Optional[tuple]:
     """Return ``(name, expectation)`` if a pin covers this spec.
 
-    YCSB specs at SMOKE scale are canonicalised (overrides folded over
-    ``run_point`` defaults) and looked up against the 27 seeded
-    ``RunResult`` projections; chaos specs resolve by scenario name to a
-    pinned digest.  Everything else — other scales, other seeds — has no
-    pin and returns ``None``.
+    YCSB specs are canonicalised (see :func:`_canonical_key`) and looked
+    up against the 27 seeded ``RunResult`` projections, all pinned at
+    SMOKE scale; chaos specs resolve by scenario name to a pinned
+    digest.  Everything else — other scales, other seeds — has no pin
+    and returns ``None``.
     """
     global _BY_KEY
     if spec.runner == "chaos":
         name = dict(spec.params).get("name", "")
         digest = CHAOS_DIGESTS.get(name)
         return (name, {"digest": digest}) if digest else None
-    if spec.runner != "ycsb" or spec.scale is None \
-            or spec.scale != SMOKE:
+    if spec.runner != "ycsb":
         return None
     if _BY_KEY is None:
         _BY_KEY = _registry_by_key()
-    overrides = spec.kwargs()
-    seed = overrides.pop("seed", 0)
-    return _BY_KEY.get(_canonical_key(spec.system, seed, overrides))
+    return _BY_KEY.get(_canonical_key(spec.system, spec.scale, spec.kwargs()))
 
 
 def verify_point(spec: PointSpec, result: PointResult) -> Optional[str]:

@@ -8,10 +8,9 @@ sizes (minutes of wall-clock per point).
 
 The grid is *declarative*: every figure enumerates its measurement
 points as picklable :class:`PointSpec` records and folds the finished
-:class:`PointResult` values back into its artifact dict, so the same
-point tables drive the serial figure functions and the multiprocess
-sweep runner in :mod:`repro.bench.sweep` — one enumeration, two
-execution engines, byte-identical merged output.
+:class:`PointResult` values back into its artifact dict; the engine in
+:mod:`repro.bench.sweep` runs those point tables in-process or across
+worker processes with byte-identical merged output.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ class Scale:
     warmup_txns: int
     measure_txns: int
     max_sim_time: float
-    repeats: int = 1
 
     def derive(self, **kw) -> "Scale":
         return replace(self, **kw)
@@ -60,7 +58,7 @@ SMOKE = Scale("smoke", record_count=2_000, warmup_txns=50,
 BENCH = Scale("bench", record_count=10_000, warmup_txns=300,
               measure_txns=2_000, max_sim_time=180.0)
 PAPER = Scale("paper", record_count=100_000, warmup_txns=1_000,
-              measure_txns=10_000, max_sim_time=600.0, repeats=3)
+              measure_txns=10_000, max_sim_time=600.0)
 
 
 def _attach_history(result: RunResult, sys_obj) -> None:
@@ -75,6 +73,10 @@ def _attach_history(result: RunResult, sys_obj) -> None:
         report = sys_obj.history.check()
         result.extras["anomalies"] = dict(report.anomalies)
         result.extras["serializable_history"] = report.serializable
+
+
+#: run_point mode -> the YcsbWorkload method that makes its transactions.
+_MODES = {"update": "next_update", "query": "next_query", "rmw": "next_rmw"}
 
 
 def run_point(
@@ -99,6 +101,9 @@ def run_point(
     ``extras={"index": "lsm+mpt"}`` swaps the system's storage engine,
     ``extras={"wal": True}`` enables the group-committed WAL.
     """
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}; choose from "
+                         f"{', '.join(_MODES)}")
     env = Environment()
     if costs is not None:
         config = SystemConfig(num_nodes=num_nodes, seed=seed, costs=costs,
@@ -116,9 +121,7 @@ def run_point(
         seed=seed + 1,
     ))
     sys_obj.load(workload.initial_records())
-    maker = {"update": workload.next_update,
-             "query": workload.next_query,
-             "rmw": workload.next_rmw}[mode]
+    maker = getattr(workload, _MODES[mode])
     n_clients = clients if clients is not None \
         else DEFAULT_CLIENTS.get(system, 256)
     driver = DriverConfig(
@@ -192,11 +195,11 @@ def run_smallbank_point(
 class PointSpec:
     """One measurement point of the figure grid, as picklable data.
 
-    A spec is everything a worker process needs to reproduce the exact
-    ``run_point`` / ``run_smallbank_point`` / inline-artifact call the
-    serial figure function makes: the runner kind, the system, the
-    :class:`Scale`, and the keyword arguments (``params``) in canonical
-    ``(name, value)`` pair form.  ``figure``/``key`` locate the result in
+    A spec is everything a worker process needs to make one exact
+    ``run_point`` / ``run_smallbank_point`` / inline-artifact call: the
+    runner kind, the system, the :class:`Scale`, and the keyword
+    arguments (``params``) in canonical ``(name, value)`` pair form.
+    ``figure``/``key`` locate the result in
     the assembled artifact dict; ``weight`` is a relative wall-cost
     estimate used for longest-job-first scheduling.  ``no_fork`` marks a
     point that must run in the sweep's parent process — set for points
@@ -295,9 +298,8 @@ def _portable_result(spec: PointSpec, result: RunResult,
 def run_spec(spec: PointSpec) -> PointResult:
     """Execute one :class:`PointSpec` and return its portable result.
 
-    This is the unit of work a sweep worker runs; the serial figure
-    functions call it too, so both engines execute the identical
-    harness-call sequence per point.
+    This is the unit of work of the figure engine, whether it runs
+    in-process or in a pool worker.
     """
     import time
     _reset_run_counters()

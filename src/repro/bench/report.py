@@ -2,7 +2,7 @@
 
 Turns the dicts returned by :mod:`repro.bench.experiments` into the same
 rows/series the paper prints, side by side with the paper's numbers, for
-terminal output and EXPERIMENTS.md generation.
+terminal output.
 """
 
 from __future__ import annotations

@@ -1,21 +1,22 @@
-"""Multiprocess figure-grid sweep: the whole paper in max-point time.
+"""The figure engine: one figure or the whole grid, in max-point time.
 
-The full grid (Figs 4-15, Tabs 4/5) is embarrassingly parallel across
+The grid (Figs 4-15, Tabs 4/5) is embarrassingly parallel across
 measurement points: every point is a self-contained seeded simulation.
-:func:`run_sweep` enumerates each figure's declarative
-:class:`~repro.bench.harness.PointSpec` table, farms the specs across a
-spawn-safe ``multiprocessing`` pool (longest-job-first, so wall time
-approaches the heaviest single point), verifies every finished point
-against the seeded fingerprint registry where a pin exists, and folds
-the results through the same per-figure assemblers the serial functions
-use — the merged trajectory is byte-identical to a serial run except
-for wall-clock fields.
+:func:`run_figure` runs one figure's declarative
+:class:`~repro.bench.harness.PointSpec` table and returns its artifact;
+:func:`run_sweep` does the same for any set of figures in one pass and
+returns the merged trajectory report.  Both farm the specs through one
+pool (longest-job-first, so wall time approaches the heaviest single
+point; ``jobs <= 1`` runs in-process) and fold the results through the
+per-figure assemblers of :data:`~repro.bench.experiments.POINT_TABLES`.
+``run_sweep`` also verifies every finished point against the seeded
+fingerprint registry where a pin exists.
 
 Usage::
 
-    python -m repro.bench --sweep --jobs 8            # full grid
-    python -m repro.bench --sweep --list              # point inventory
-    python -m repro.bench --sweep fig4 fig14 --scale smoke --jobs 2
+    python -m repro.bench --all --jobs 8              # full grid
+    python -m repro.bench --list                      # point inventory
+    python -m repro.bench fig4 fig14 --scale smoke --jobs 2
 
 Determinism contract: per-point results do not depend on which process
 runs them or in what order (``run_spec`` resets the process-global id
@@ -33,12 +34,14 @@ import time
 from pathlib import Path
 from typing import Callable, Optional
 
+from .experiments import POINT_TABLES
 from .fingerprints import expected_for_spec, fingerprint_specs, \
     fingerprints_assemble, verify_point
 from .harness import BENCH, PointResult, PointSpec, Scale, run_spec
 
-__all__ = ["enumerate_grid", "run_sweep", "write_sweep_trajectory",
-           "deterministic_view", "format_sweep", "SweepMismatch"]
+__all__ = ["GRID", "enumerate_grid", "run_figure", "run_sweep",
+           "write_sweep_trajectory", "deterministic_view", "format_sweep",
+           "format_inventory", "SweepMismatch"]
 
 #: Report fields that legitimately differ between two equivalent runs:
 #: wall clocks, pool shape, and the file stamp.  Everything else must be
@@ -47,38 +50,33 @@ WALL_CLOCK_FIELDS = ("jobs", "total_wall_s", "max_point_wall_s",
                      "points_wall_s", "date")
 
 
+#: Every figure id of the grid.  The seeded fingerprint registry rides
+#: along as one more figure — the grid's self-check that the simulator
+#: in this checkout still reproduces the pinned universe.
+GRID = (*POINT_TABLES, "fingerprints")
+
+
 class SweepMismatch(AssertionError):
     """A swept point disagreed with its seeded fingerprint pin."""
 
 
+def _figure(fig: str) -> tuple:
+    """``(points, assemble)`` for a figure id of :data:`GRID`."""
+    if fig == "fingerprints":
+        return (lambda scale: fingerprint_specs()), fingerprints_assemble
+    return POINT_TABLES[fig]
+
+
 def enumerate_grid(scale: Scale = BENCH,
-                   figures: Optional[list[str]] = None,
-                   with_fingerprints: bool = True) -> list[PointSpec]:
+                   figures: Optional[list[str]] = None) -> list[PointSpec]:
     """Flatten the requested figures into one spec list, grid order.
 
-    ``figures=None`` means the whole grid.  The seeded fingerprint
-    registry rides along as one more figure (``"fingerprints"``) unless
-    disabled — it is the sweep's self-check that the simulator in this
-    checkout still reproduces the pinned universe.
+    ``figures=None`` means the whole :data:`GRID`.  ``"fingerprints"``
+    enumerates last wherever it is named.
     """
-    from .experiments import POINT_TABLES
-    wanted = list(POINT_TABLES) if figures is None else list(figures)
-    specs: list[PointSpec] = []
-    for fig in wanted:
-        if fig == "fingerprints":
-            continue
-        points_fn, _assemble = POINT_TABLES[fig]
-        specs.extend(points_fn(scale))
-    if with_fingerprints and (figures is None or "fingerprints" in figures):
-        specs.extend(fingerprint_specs())
-    return specs
-
-
-def _assemblers() -> dict:
-    from .experiments import POINT_TABLES
-    table = {fig: assemble for fig, (_pts, assemble) in POINT_TABLES.items()}
-    table["fingerprints"] = fingerprints_assemble
-    return table
+    wanted = sorted(GRID if figures is None else figures,
+                    key="fingerprints".__eq__)
+    return [spec for fig in wanted for spec in _figure(fig)[0](scale)]
 
 
 def _worker_init() -> None:
@@ -117,10 +115,22 @@ def _iter_pool(specs: list[PointSpec], jobs: int):
         yield from pending
 
 
+def run_figure(fig: str, scale: Scale = BENCH, jobs: int = 1,
+               **point_kwargs) -> dict:
+    """Run one figure's point table and return its assembled artifact.
+
+    ``point_kwargs`` go to the figure's points enumerator (``systems=``,
+    ``node_counts=``, ...) to run a slice of the figure.
+    """
+    points, assemble = _figure(fig)
+    specs = points(scale, **point_kwargs)
+    results = dict(_iter_pool(specs, jobs))
+    return assemble({spec.key: results[i] for i, spec in enumerate(specs)})
+
+
 def run_sweep(scale: Scale = BENCH, jobs: int = 1,
               figures: Optional[list[str]] = None,
               verify: bool = True,
-              with_fingerprints: bool = True,
               progress: Optional[Callable[[str], None]] = None) -> dict:
     """Run the figure grid and return the merged trajectory report.
 
@@ -134,7 +144,7 @@ def run_sweep(scale: Scale = BENCH, jobs: int = 1,
     """
     tell = progress if progress is not None else (
         lambda line: print(line, file=sys.stderr, flush=True))
-    specs = enumerate_grid(scale, figures, with_fingerprints)
+    specs = enumerate_grid(scale, figures)
     total_weight = sum(s.weight for s in specs) or 1.0
     results: dict[int, PointResult] = {}
     mismatches: list[str] = []
@@ -159,11 +169,10 @@ def run_sweep(scale: Scale = BENCH, jobs: int = 1,
              f"({len(results)}/{len(specs)}, ETA {eta:.0f}s)")
     wall = time.perf_counter() - start
 
-    assemblers = _assemblers()
     by_figure: dict[str, dict] = {}
     for idx, spec in enumerate(specs):      # enumeration order, not finish
         by_figure.setdefault(spec.figure, {})[spec.key] = results[idx]
-    artifacts = {fig: assemblers[fig](res)
+    artifacts = {fig: _figure(fig)[1](res)
                  for fig, res in by_figure.items()}
 
     report = {
@@ -193,7 +202,7 @@ def deterministic_view(report: dict) -> dict:
 
 
 def write_sweep_trajectory(report: dict, out_dir: str = ".") -> Path:
-    """Persist ``SWEEP_<YYYY-MM-DD>.json`` (no-clobber, like perf's)."""
+    """Persist ``SWEEP_<YYYY-MM-DD>.json``; never overwrites a file."""
     stamp = time.strftime("%Y-%m-%d")
     path = Path(out_dir) / f"SWEEP_{stamp}.json"
     run = 0
@@ -223,10 +232,9 @@ def format_sweep(report: dict) -> str:
 
 
 def format_inventory(scale: Scale = BENCH,
-                     figures: Optional[list[str]] = None,
-                     with_fingerprints: bool = True) -> str:
-    """The ``--sweep --list`` view: every point, no execution."""
-    specs = enumerate_grid(scale, figures, with_fingerprints)
+                     figures: Optional[list[str]] = None) -> str:
+    """The ``--list`` view: every point, no execution."""
+    specs = enumerate_grid(scale, figures)
     lines = [f"{len(specs)} points at {scale.name} scale "
              f"(total weight {sum(s.weight for s in specs):.1f})"]
     for spec in specs:

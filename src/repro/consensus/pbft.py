@@ -36,7 +36,6 @@ class PbftConfig:
     max_batch: int = 64
     heartbeat_interval: float = 0.2
     view_change_timeout: float = 2.0
-    checkpoint_interval: int = 128  # sequences between checkpoints
     gap_repair_interval: float = 0.5  # state-transfer probe period
     message_kind: str = "pbft"
 

@@ -17,7 +17,7 @@ these costs and the macro results emerge from protocol structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 __all__ = ["CostModel", "DEFAULT_COSTS"]
 
@@ -38,7 +38,6 @@ class CostModel:
     net_recv_overhead: float = 3 * US      # per-message receiver CPU
 
     # ---- crypto (modelled costs; digests elsewhere use real SHA-256) ----
-    sig_sign: float = 90 * US              # ECDSA-P256 sign on E5-1650
     sig_verify: float = 105 * US           # ECDSA-P256 verify; Fabric spends
     #   42% of saturated block-validation time verifying signatures (S5.2.1)
     hash_base: float = 0.4 * US            # SHA-256 fixed cost
@@ -58,13 +57,9 @@ class CostModel:
     #   apply+put ~55 us serialized reproduces etcd's ~19k tps at 3 nodes.
     raft_batch_window: float = 1 * MS      # leader batch-accumulation window
     raft_max_batch: int = 64               # max entries per AppendEntries
-    raft_entry_overhead: int = 48          # serialized entry header bytes
-    raft_heartbeat: float = 100 * MS
 
     # ---- PBFT / IBFT ----
     bft_message_auth: float = 20 * US      # MAC/signature share per message
-    bft_view_change_timeout: float = 2.0
-    ibft_block_interval: float = 50 * MS
 
     # ---- etcd front end ----
     etcd_request_cpu: float = 32 * US      # gRPC decode + txn mvcc wrap;
@@ -86,8 +81,6 @@ class CostModel:
     #   bookkeeping on the raftstore thread (serialized)
     percolator_commit_cpu: float = 120 * US    # commit-record write ditto;
     #   together these fit TiDB's 5159 tps at 5+5 nodes (Fig. 4a)
-    tidb_latch_hold: float = 1.8 * MS      # primary-lock hold spanning the
-    #   prewrite+commit consensus writes; drives the Fig. 9 skew collapse.
     tidb_retry_backoff: float = 2 * MS
     tidb_conflict_resolution: float = 12 * MS  # lock-resolution of the
     #   blocking transaction, performed while holding the key latches; the
@@ -107,8 +100,6 @@ class CostModel:
     #   fits Fabric ~1300 tps at 5 nodes (Fig. 4a) with the VSCC term
     fabric_block_cut_count: int = 100      # orderer block cut: max txns
     fabric_block_cut_timeout: float = 700 * MS  # Fig. 8a order phase ~700 ms
-    fabric_envelope_overhead: int = 5900   # Fig. 12: block bytes/txn at 10 B
-    #   record is ~6741; envelope = headers + creator cert + endorsements.
 
     # ---- Quorum (order-execute, EVM + MPT) ----
     evm_exec_base: float = 175 * US        # EVM dispatch + storage opcodes
@@ -145,14 +136,8 @@ class CostModel:
     # ---- AHL-like sharded blockchain (Fig. 14) ----
     ahl_shard_tps: float = 120.0           # per-shard Fabric-v0.6 PBFT peak;
     #   AHL paper reports O(100) tps per small PBFT shard.
-    ahl_cross_shard_penalty: float = 0.45  # BFT-2PC coordination efficiency
     ahl_reconfig_period: float = 30.0      # epoch length (seconds)
     ahl_reconfig_pause: float = 9.0        # downtime per epoch: ~30% loss
-
-    # ---- client/driver ----
-    client_think_time: float = 0.0
-
-    extras: dict = field(default_factory=dict)
 
     # -- helpers ----------------------------------------------------------
 

@@ -127,7 +127,7 @@ class _WorkerPool:
         if mp.current_process().daemon:
             raise RuntimeError(
                 "ShardCoupler cannot start shard workers inside a daemonic "
-                "pool worker (a `--jobs` sweep/perf process): nested "
+                "pool worker (a `--jobs` sweep process): nested "
                 "process pools are refused rather than spawn-bombing the "
                 "box.  Run parallel=True points in the parent process "
                 "(sweep specs marked no_fork do this automatically), or "

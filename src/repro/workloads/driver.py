@@ -8,12 +8,13 @@ drivers report.
 
 Clients are *multiplexed*: instead of one generator coroutine per client
 (10k clients = 10k live frames resumed through the process trampoline),
-clients are grouped into cohorts of explicit state-machine slots
-(:class:`_ClientSlot`) driven entirely by event callbacks.  A slot issues
-the identical schedule sequence the old client generator did — same
-bootstrap callback, same stagger timer, same submit/timeout/AnyOf per
-transaction — so seeded runs are byte-identical, but a 10k-client run
-costs 10k tiny objects and zero generators.
+clients are explicit state-machine slots (:class:`_ClientSlot`) driven
+entirely by event callbacks, sharing one :class:`_ClosedLoopRun`.  A
+slot issues the identical schedule sequence the old client generator
+did — same bootstrap callback, same stagger timer, same
+submit/timeout/AnyOf per transaction — so seeded runs are
+byte-identical, but a 10k-client run costs 10k tiny objects and zero
+generators.
 """
 
 from __future__ import annotations
@@ -28,30 +29,6 @@ from ..txn.transaction import Transaction, TxnStatus
 __all__ = ["DriverConfig", "RunResult", "run_closed_loop",
            "run_closed_loop_windowed"]
 
-class _ClientCohort:
-    """The client-multiplexer context shared by every slot of a run.
-
-    Slots are driven by callbacks (no process per client and none per
-    cohort either), so the cohort's job is purely to hold the run-wide
-    driver state each slot transition reads — one object dereference per
-    wake instead of six captured closure cells per client.
-    """
-
-    __slots__ = ("env", "submit", "next_txn", "txn_timeout", "state",
-                 "record", "slots", "think_time")
-
-    def __init__(self, env: Environment, submit: Callable, next_txn: Callable,
-                 txn_timeout: float, state: dict, record: Callable,
-                 think_time: float = 0.0):
-        self.env = env
-        self.submit = submit
-        self.next_txn = next_txn
-        self.txn_timeout = txn_timeout
-        self.state = state
-        self.record = record
-        self.think_time = think_time
-        self.slots: list[_ClientSlot] = []
-
 
 class _ClientSlot:
     """One closed-loop client as an explicit state machine.
@@ -65,10 +42,10 @@ class _ClientSlot:
     transaction.
     """
 
-    __slots__ = ("cohort", "name", "stagger", "txn", "ev", "timer")
+    __slots__ = ("run", "name", "stagger", "txn", "ev", "timer")
 
-    def __init__(self, cohort: _ClientCohort, name: str, stagger: float):
-        self.cohort = cohort
+    def __init__(self, run: "_ClosedLoopRun", name: str, stagger: float):
+        self.run = run
         self.name = name
         self.stagger = stagger
         self.txn: Optional[Transaction] = None
@@ -77,7 +54,7 @@ class _ClientSlot:
 
     def _bootstrap(self, _arg) -> None:
         if self.stagger > 0:
-            timer = self.cohort.env.timeout(self.stagger)
+            timer = self.run.env.timeout(self.stagger)
             timer.callbacks.append(self._staggered)
         else:
             self._next()
@@ -87,15 +64,14 @@ class _ClientSlot:
 
     def _next(self) -> None:
         """Submit transactions until parked on a fate, or the run is done."""
-        cohort = self.cohort
-        env = cohort.env
-        state = cohort.state
-        if state["done"]:
+        run = self.run
+        if run.done:
             self.txn = self.ev = self.timer = None
             return
-        txn = cohort.next_txn(self.name)
-        ev = cohort.submit(txn)
-        timer = env.timeout(cohort.txn_timeout)
+        env = run.env
+        txn = run.next_txn(self.name)
+        ev = run.submit(txn)
+        timer = env.timeout(run.cfg.txn_timeout)
         fate = env.any_of([ev, timer])
         self.txn, self.ev, self.timer = txn, ev, timer
         fate.callbacks.append(self._woke)
@@ -104,7 +80,7 @@ class _ClientSlot:
         # Withdraw the losing timer so completed transactions don't each
         # leave a dead heap entry behind for txn_timeout seconds.
         self.timer.cancel()
-        cohort = self.cohort
+        run = self.run
         ev = self.ev
         if fate._ok:
             if not ev._triggered:
@@ -113,20 +89,19 @@ class _ClientSlot:
                 # Warm-up-phase timeouts are tallied separately — every
                 # other statistic is measured-window-only, and a slow
                 # warm-up must not masquerade as measured-window loss.
-                state = cohort.state
-                if not state["done"]:
-                    if state["warmup_active"]:
-                        state["warmup_timeouts"] += 1
+                if not run.done:
+                    if run.warmup_active:
+                        run.warmup_timeouts += 1
                     else:
-                        state["timeouts"] += 1
+                        run.timeouts += 1
             elif ev._ok:
-                cohort.record(self.txn)
-        if cohort.think_time > 0.0:
+                run.record(self.txn)
+        think_time = run.cfg.think_time
+        if think_time > 0.0:
             # Paced (open-ish) client: think before the next submission.
             # Zero by default — the historical fully-closed loop issues
             # the identical event sequence when no think time is set.
-            cohort.env.timeout(cohort.think_time).callbacks.append(
-                self._staggered)
+            run.env.timeout(think_time).callbacks.append(self._staggered)
         else:
             self._next()
 
@@ -173,146 +148,127 @@ class RunResult:
                 for name, rec in self.stats.phase_latency.items()}
 
 
-class _RunHandle:
-    """Everything a driver loop needs between set-up and the result.
+class _ClosedLoopRun:
+    """One closed-loop run: its clients, counters and result.
 
-    Produced by :func:`prepare_closed_loop`; consumed by
-    :func:`finalize_closed_loop` once the simulation has been advanced —
-    in one ``env.run`` for the serial path, or window by window for the
-    conservative-parallel path.  Every statistic lives in ``state`` /
-    ``stats`` and is guarded by ``state["done"]``, so *how far past* the
-    finish point the simulation runs cannot change the result.
+    Construction schedules the client bootstraps and does not advance
+    the clock; :func:`run_closed_loop` and
+    :func:`run_closed_loop_windowed` are the two ways of advancing it.
+    Every statistic is guarded by ``done``, so *how far past* the finish
+    point the simulation runs cannot change the result.
     """
 
-    __slots__ = ("env", "cfg", "stats", "state", "finished",
-                 "watchdog_proc")
+    __slots__ = ("env", "cfg", "submit", "next_txn", "stats", "finished",
+                 "started_at", "measure_started_at", "finished_at",
+                 "completed", "measure_count", "measure_committed",
+                 "timeouts", "warmup_timeouts", "warmup_active", "done")
 
-    def __init__(self, env, cfg, stats, state, finished, watchdog_proc):
+    def __init__(self, env: Environment, system, next_txn: Callable,
+                 cfg: DriverConfig):
         self.env = env
         self.cfg = cfg
-        self.stats = stats
-        self.state = state
-        self.finished = finished
-        self.watchdog_proc = watchdog_proc
-
-
-def prepare_closed_loop(
-    env: Environment,
-    system,
-    next_txn: Callable[[str], Transaction],
-    config: Optional[DriverConfig] = None,
-) -> _RunHandle:
-    """Set up clients, stats, and the watchdog; do not advance the clock.
-
-    ``next_txn(client_name)`` produces the next transaction for a client.
-    The run finishes when ``measure_txns`` post-warm-up completions are
-    recorded (or the safety wall of ``max_sim_time`` is hit).
-    """
-    cfg = config or DriverConfig()
-    stats = TxnStats()
-    state = {
-        "completed": 0,
-        "run_started_at": env.now,
-        "measure_started_at": None,
-        "measure_count": 0,
-        "measure_committed": 0,
-        "timeouts": 0,
-        "warmup_timeouts": 0,
+        self.submit = system.submit_query if cfg.query_mode \
+            else system.submit
+        self.next_txn = next_txn
+        self.stats = TxnStats()
+        self.finished = env.event()
+        self.started_at = env.now
+        self.measure_started_at: Optional[float] = None
+        self.finished_at: Optional[float] = None
+        self.completed = 0
+        self.measure_count = 0
+        self.measure_committed = 0
+        self.timeouts = 0
+        self.warmup_timeouts = 0
         # True while completions are still warm-up; runs without a
         # warm-up phase (warmup_txns <= 1) have no warm-up timeouts.
-        "warmup_active": cfg.warmup_txns > 1,
-        "done": False,
-        "finished_at": None,
-    }
-    finished = env.event()
+        self.warmup_active = cfg.warmup_txns > 1
+        self.done = False
+        # Clients are state-machine slots, not processes.  Bootstrap
+        # callbacks are scheduled in client order — the identical
+        # position the per-client Process bootstraps occupied — and
+        # start-up is staggered so clients don't convoy in lockstep.
+        for i in range(cfg.clients):
+            slot = _ClientSlot(self, f"client-{i}", i * 0.0003)
+            env._schedule_call(slot._bootstrap, None)
 
-    def record(txn: Transaction) -> None:
-        state["completed"] += 1
-        if state["measure_started_at"] is None:
-            last_warmup = cfg.warmup_txns - 1
-            if state["completed"] <= last_warmup:
-                if state["completed"] == last_warmup:
+    def record(self, txn: Transaction) -> None:
+        self.completed += 1
+        if self.measure_started_at is None:
+            last_warmup = self.cfg.warmup_txns - 1
+            if self.completed <= last_warmup:
+                if self.completed == last_warmup:
                     # The last warm-up completion starts the measurement
                     # clock; the *next* completion is the first measured.
-                    state["measure_started_at"] = env.now
-                    state["warmup_active"] = False
+                    self.measure_started_at = self.env.now
+                    self.warmup_active = False
                 return
             # warmup_txns <= 1: no warm-up phase — the window covers the
             # whole run and this very completion is measured.
-            state["measure_started_at"] = state["run_started_at"]
-        if state["done"]:
+            self.measure_started_at = self.started_at
+        if self.done:
             return
-        state["measure_count"] += 1
-        latency = env.now - txn.submitted_at
+        self.measure_count += 1
+        stats = self.stats
         if txn.status is TxnStatus.COMMITTED:
-            state["measure_committed"] += 1
-            stats.commit(latency)
+            self.measure_committed += 1
+            stats.commit(self.env.now - txn.submitted_at)
         else:
             stats.abort(txn.abort_reason.value if txn.abort_reason
                         else "unknown")
         for phase, duration in txn.phases.items():
             stats.record_phase(phase, duration)
-        if state["measure_count"] >= cfg.measure_txns:
-            state["done"] = True
-            state["finished_at"] = env.now
-            if not finished.triggered:
-                finished.succeed()
+        if self.measure_count >= self.cfg.measure_txns:
+            self.done = True
+            self.finished_at = self.env.now
+            self.finished.succeed()
 
-    # Cohort multiplexer: clients are state-machine slots, not processes.
-    # Bootstrap callbacks are scheduled in client order — the identical
-    # position the per-client Process bootstraps occupied — and start-up
-    # is staggered so closed-loop clients don't convoy in lockstep.
-    submit = system.submit_query if cfg.query_mode else system.submit
-    cohort = _ClientCohort(env, submit, next_txn, cfg.txn_timeout, state,
-                           record, think_time=cfg.think_time)
-    for i in range(cfg.clients):
-        slot = _ClientSlot(cohort, f"client-{i}", i * 0.0003)
-        cohort.slots.append(slot)
-        env._schedule_call(slot._bootstrap, None)
+    def result(self) -> RunResult:
+        """Assemble the :class:`RunResult` once the clock has stopped."""
+        self.done = True      # clients woken by a later env.run() stand down
+        extras: dict = {}
+        if self.warmup_timeouts:
+            extras["warmup_timeouts"] = self.warmup_timeouts
+        ended = self.finished_at
+        if ended is None:
+            # The max_sim_time wall fired before measure_txns completions:
+            # the run is truncated, and an undersized point must not
+            # masquerade as a full one.
+            extras["wall_hit"] = True
+            ended = self.env.now
+        started = self.measure_started_at
+        if started is None or ended <= started:
+            return RunResult(tps=0.0, stats=self.stats, elapsed=0.0,
+                             measured=self.measure_count,
+                             timeouts=self.timeouts, extras=extras)
+        elapsed = ended - started
+        # Throughput is *goodput*: committed transactions per second (what
+        # Caliper/YCSB report as successful-operation throughput).
+        extras["completed_tps"] = self.measure_count / elapsed
+        return RunResult(
+            tps=self.measure_committed / elapsed,
+            stats=self.stats,
+            elapsed=elapsed,
+            measured=self.measure_count,
+            timeouts=self.timeouts,
+            extras=extras,
+        )
 
+
+def start_watchdog(env: Environment, finished: Event, max_sim_time: float):
+    """Start the process a driver hands to ``env.run(stop=...)``.
+
+    It ends when ``finished`` fires or the ``max_sim_time`` safety wall
+    does.  Every statistic is final by then, and draining the remaining
+    event horizon (idle consensus timers, heartbeats, stragglers) is
+    pure wall-clock waste — it used to dominate short runs.
+    """
     def watchdog():
-        wall = env.timeout(cfg.max_sim_time)
+        wall = env.timeout(max_sim_time)
         yield env.any_of([finished, wall])
         wall.cancel()
-        state["done"] = True
-        if state["finished_at"] is None:
-            state["finished_at"] = env.now
 
-    watchdog_proc = env.process(watchdog(), name="driver-watchdog")
-    return _RunHandle(env, cfg, stats, state, finished, watchdog_proc)
-
-
-def finalize_closed_loop(handle: _RunHandle) -> RunResult:
-    """Assemble the :class:`RunResult` from a finished run's state."""
-    env = handle.env
-    state = handle.state
-    stats = handle.stats
-    started = state["measure_started_at"]
-    ended = state["finished_at"] if state["finished_at"] is not None else env.now
-    extras: dict = {}
-    if state["warmup_timeouts"]:
-        extras["warmup_timeouts"] = state["warmup_timeouts"]
-    if not handle.finished.triggered:
-        # The max_sim_time wall fired before measure_txns completions: the
-        # run is truncated, and an undersized point must not masquerade as
-        # a full one.
-        extras["wall_hit"] = True
-    if started is None or ended <= started:
-        return RunResult(tps=0.0, stats=stats, elapsed=0.0,
-                         measured=state["measure_count"],
-                         timeouts=state["timeouts"], extras=extras)
-    elapsed = ended - started
-    # Throughput is *goodput*: committed transactions per second (what
-    # Caliper/YCSB report as successful-operation throughput).
-    extras["completed_tps"] = state["measure_count"] / elapsed
-    return RunResult(
-        tps=state["measure_committed"] / elapsed,
-        stats=stats,
-        elapsed=elapsed,
-        measured=state["measure_count"],
-        timeouts=state["timeouts"],
-        extras=extras,
-    )
+    return env.process(watchdog(), name="driver-watchdog")
 
 
 def run_closed_loop(
@@ -327,15 +283,9 @@ def run_closed_loop(
     The run finishes when ``measure_txns`` post-warm-up completions are
     recorded (or the safety wall of ``max_sim_time`` is hit).
     """
-    handle = prepare_closed_loop(env, system, next_txn, config)
-    cfg = handle.cfg
-    # Stop simulating as soon as the watchdog fires: every statistic in the
-    # RunResult is final by then, and draining the remaining event horizon
-    # (idle consensus timers, heartbeats, stragglers) is pure wall-clock
-    # waste — it used to dominate short runs.
-    env.run(until=cfg.max_sim_time + cfg.txn_timeout + 1.0,
-            stop=handle.watchdog_proc)
-    return finalize_closed_loop(handle)
+    run = _ClosedLoopRun(env, system, next_txn, config or DriverConfig())
+    env.run(stop=start_watchdog(env, run.finished, run.cfg.max_sim_time))
+    return run.result()
 
 
 def run_closed_loop_windowed(
@@ -352,30 +302,27 @@ def run_closed_loop_windowed(
     at a time with a :class:`~repro.sim.parallel.ShardCoupler` barrier
     around each: completions due in the window are injected before it
     runs, requests generated during it are flushed to the shard workers
-    after.  The run ends at the first window boundary past the finish
-    point; the ``state["done"]`` guards make the extra tail a no-op for
-    the result, so the returned :class:`RunResult` is byte-identical to
-    the single-heap lookahead run's.
+    after.  The clock stops at the same event as the single-heap
+    lookahead run's, so the returned :class:`RunResult` is
+    byte-identical to it.
     """
-    handle = prepare_closed_loop(env, system, next_txn, config)
-    cfg = handle.cfg
-    state = handle.state
+    run = _ClosedLoopRun(env, system, next_txn, config or DriverConfig())
+    watchdog = start_watchdog(env, run.finished, run.cfg.max_sim_time)
     # The barrier period: couplers with a staggered protocol expose a
     # stride larger than the one-hop lookahead window.
     window = getattr(coupler, "stride", coupler.window)
-    horizon = cfg.max_sim_time + cfg.txn_timeout + 1.0
     boundary = 0.0
     try:
-        while not state["done"] and boundary < horizon:
+        while True:
             boundary += window
             coupler.begin_window(boundary)
-            env.run(until=boundary)
-            if state["done"]:
+            env.run(until=boundary, stop=watchdog)
+            if watchdog.triggered:
                 break
             coupler.end_window(boundary)
     finally:
         coupler.shutdown()
-    result = finalize_closed_loop(handle)
+    result = run.result()
     stats = getattr(coupler, "stats", None)
     if stats is not None:
         # Kernel telemetry (barrier counts, elision, byte volumes,

@@ -48,6 +48,7 @@ from ..sim.kernel import Environment, subscribe
 from ..sim.metrics import LatencyRecorder
 from ..sim.wheel import TimingWheel
 from ..txn.transaction import TxnStatus
+from .driver import start_watchdog
 
 __all__ = ["OpenLoopConfig", "OpenLoopResult", "run_open_loop",
            "make_schedule", "poisson_arrivals", "bursty_arrivals",
@@ -145,6 +146,12 @@ _ARRIVALS = {
 
 def make_schedule(config: "OpenLoopConfig") -> list[float]:
     """The seeded intended-arrival schedule, relative to run start."""
+    if config.rate <= 0 or config.duration <= 0 or config.warmup < 0:
+        # a non-positive rate walks the Poisson clock backwards forever
+        raise ValueError(
+            f"open-loop schedule needs rate > 0, duration > 0 and "
+            f"warmup >= 0; got rate={config.rate}, "
+            f"duration={config.duration}, warmup={config.warmup}")
     try:
         fn = _ARRIVALS[config.arrival]
     except KeyError:
@@ -273,7 +280,10 @@ class _OpenSlot:
 
 
 class _OpenLoopRun:
-    """Run-wide state shared by every callback of one open-loop run."""
+    """Run-wide state shared by every callback of one open-loop run.
+
+    Construction files the first arrival; it does not advance the clock.
+    """
 
     __slots__ = ("env", "cfg", "submit", "next_txn", "wheel", "schedule",
                  "t0", "win_start", "win_end", "slots", "free", "queue",
@@ -311,11 +321,8 @@ class _OpenLoopRun:
         self.dropped = 0
         self.late_admitted = 0
         self.slo_ok = 0
-
-    def start(self) -> None:
-        if self.schedule:
-            self.wheel.schedule(self.t0 + self.schedule[0],
-                                self._arrival, 0)
+        if schedule:
+            self.wheel.schedule(self.t0 + schedule[0], self._arrival, 0)
         else:
             self.finished.succeed()
 
@@ -455,13 +462,5 @@ def run_open_loop(
     if schedule is None:
         schedule = make_schedule(cfg)
     run = _OpenLoopRun(env, system, next_txn, cfg, schedule)
-    run.start()
-
-    def watchdog():
-        wall = env.timeout(cfg.max_sim_time)
-        yield env.any_of([run.finished, wall])
-        wall.cancel()
-
-    wd = env.process(watchdog(), name="openloop-watchdog")
-    env.run(until=cfg.max_sim_time + cfg.txn_timeout + 1.0, stop=wd)
+    env.run(stop=start_watchdog(env, run.finished, cfg.max_sim_time))
     return run.result()

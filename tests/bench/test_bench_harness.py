@@ -8,9 +8,9 @@ simulation (fig12, fig13) plus one tiny end-to-end sweep.
 import pytest
 
 from repro.bench import (SMOKE, fig12_storage, fig13_ads_overhead,
-                         fig15_hybrid_forecast, format_experiment,
-                         format_series, format_table, run_point,
-                         run_smallbank_point, shape_ratio)
+                         format_experiment, format_series, format_table,
+                         run_figure, run_point, run_smallbank_point,
+                         shape_ratio)
 
 
 def test_run_point_returns_result():
@@ -27,8 +27,10 @@ def test_run_point_modes():
     assert rmw.tps > 0
 
 
-def test_run_point_rejects_unknown_mode():
-    with pytest.raises(KeyError):
+def test_run_point_rejects_unknown_mode(monkeypatch):
+    # rejected before a cluster is built or a record loaded
+    monkeypatch.setattr("repro.bench.harness.build_system", None)
+    with pytest.raises(ValueError, match="update, query, rmw"):
         run_point("etcd", scale=SMOKE, mode="delete-everything")
 
 
@@ -59,7 +61,8 @@ def test_fig13_shapes_small():
 
 
 def test_fig15_forecast_only():
-    result = fig15_hybrid_forecast(simulate=False)
+    result = run_figure("fig15", simulate=False)
+    assert "simulated" not in result
     assert result["ranking"][0] == "veritas"
     assert set(result["forecast"]) == set(result["reported"])
 

@@ -2,14 +2,25 @@
 
 import pytest
 
-from repro.bench.__main__ import EXPERIMENTS, main
+import repro.bench
+from repro.bench import experiments
+from repro.bench.__main__ import main
+from repro.bench.experiments import POINT_TABLES
 
 
 def test_list_exits_cleanly(capsys):
-    assert main(["--list"]) == 0
+    """``--list`` prints the inventory of the one registry."""
+    assert main(["--list", "--scale", "smoke"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]      # drop the header
+    listed = {line.split()[0].split(":")[0] for line in lines}
+    assert listed == set(POINT_TABLES) | {"fingerprints"}
+
+
+def test_list_of_named_artifacts(capsys):
+    assert main(["--list", "fig12", "fingerprints"]) == 0
     out = capsys.readouterr().out
-    for artifact in ("fig4", "tab5", "fig15"):
-        assert artifact in out
+    assert out.startswith("31 points")
+    assert "fig12" in out and "fingerprints:etcd" in out
 
 
 def test_unknown_artifact_rejected(capsys):
@@ -23,32 +34,45 @@ def test_no_args_prints_help(capsys):
 
 
 def test_registry_covers_every_paper_artifact():
-    expected = {f"fig{i}" for i in range(4, 16)} | {"tab4", "tab5"} \
-        | {"isolation_ablation", "openloop_knee", "fig14_scaling"}
-    assert set(EXPERIMENTS) == expected
+    paper = {f"fig{i}" for i in range(4, 16)} | {"tab4", "tab5"}
+    assert paper <= set(POINT_TABLES)
+    assert set(POINT_TABLES) - paper \
+        == {"isolation_ablation", "openloop_knee", "fig14_scaling"}
 
 
-def test_run_fast_artifact(capsys):
-    assert main(["fig12"]) == 0
+def test_serial_figure_wrappers_are_gone():
+    """A figure runs one way: ``run_figure`` / ``run_sweep`` over
+    ``POINT_TABLES``."""
+    for name in ("fig4_peak_throughput", "fig5_latency", "fig6_smallbank",
+                 "fig7_cft_vs_bft", "fig8_latency_breakdown", "tab4_scaling",
+                 "tab5_tidb_matrix", "fig9_skew", "fig10_opcount",
+                 "fig11_record_size", "fig14_sharding",
+                 "fig14_scaling_sweep", "fig15_hybrid_forecast",
+                 "isolation_ablation", "openloop_knee"):
+        assert not hasattr(experiments, name), name
+        assert not hasattr(repro.bench, name), name
+
+
+def test_run_fast_artifact(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["fig12", "--jobs", "1"]) == 0
     out = capsys.readouterr().out
-    assert "fig12" in out and "fabric_block" in out
+    assert "=== fig12 ===" in out and "fabric_block" in out
+    assert "sweep trajectory" in out
+    # no trajectory file unless --sweep-out asks for one
+    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flags, named", [
-    (["--budget", "1", "--jobs", "8"], "--budget, --jobs"),
-    (["--no-verify"], "--no-verify"),
-    (["--sweep-out", "elsewhere"], "--sweep-out"),
-])
-def test_sweep_only_flags_rejected_without_sweep(capsys, flags, named):
-    assert main(["fig12", *flags]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"{named}: only valid with --sweep\n"
-    assert captured.out == ""          # nothing ran
+def test_sweep_out_writes_the_trajectory(capsys, tmp_path):
+    assert main(["fig12", "--sweep-out", str(tmp_path)]) == 0
+    assert [p.name.split("_")[0] for p in tmp_path.iterdir()] == ["SWEEP"]
+    assert "wrote " in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flag", ["perf", "profile"])
+@pytest.mark.parametrize("flag", ["perf", "profile", "sweep"])
 def test_retired_perf_options_are_usage_errors(capsys, flag):
-    """Speed is measured by benchmarks/ledger only."""
+    """Speed is measured by benchmarks/ledger only; there is one figure
+    engine, so no flag selects it."""
     with pytest.raises(SystemExit) as exc:
         main([f"--{flag}"])
     assert exc.value.code == 2

@@ -5,7 +5,7 @@ A spawn-context pool pickles each :class:`PointSpec` to a worker and a
 :class:`SystemConfig` (including ``extras`` payloads like chaos
 ``Scenario`` objects).  Each round-trip here pins equality after
 ``pickle.loads(pickle.dumps(...))`` so a new unpicklable field can't
-silently break ``--sweep --jobs N``.
+silently break ``--jobs N``.
 """
 
 import pickle

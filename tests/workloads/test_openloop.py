@@ -189,6 +189,16 @@ def test_unknown_arrival_process_raises(env):
                       _cfg(arrival="lognormal"))
 
 
+@pytest.mark.parametrize("bad", [dict(rate=-5.0), dict(rate=0.0),
+                                 dict(duration=0.0), dict(duration=-1.0),
+                                 dict(warmup=-0.1)])
+def test_unschedulable_config_raises(bad):
+    """rate=-5 used to walk the Poisson clock backwards forever, rate=0
+    was a bare ZeroDivisionError out of ``random.expovariate``."""
+    with pytest.raises(ValueError, match="rate > 0, duration > 0"):
+        make_schedule(OpenLoopConfig(**bad))
+
+
 # -- arrival-process statistics (no simulation) ---------------------------
 
 def test_poisson_mean_rate():

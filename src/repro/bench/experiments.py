@@ -692,14 +692,17 @@ def isolation_assemble(results: dict) -> dict:
     rows: dict = {}
     for (workload, system, level), res in results.items():
         row = rows.setdefault(f"{workload}/{system}", {})
-        anomalies = (res.payload or {}).get("anomalies") or {}
-        row[level] = {
+        payload = res.payload or {}
+        anomalies = payload.get("anomalies") or {}
+        row[level] = cell = {
             "tps": res.tps,
             "aborted": res.aborted,
-            "serializable": (res.payload or {}).get(
-                "serializable_history"),
+            "serializable": payload.get("serializable_history"),
             "anomalies": {k: v for k, v in anomalies.items() if v},
         }
+        if payload.get("anomalies_capped"):
+            # The enumerator stopped at its cap: counts are a lower bound.
+            cell["anomalies_capped"] = True
     for row in rows.values():
         base = row["serializable"]["tps"] if "serializable" in row else 0.0
         for cell in row.values():

@@ -10,7 +10,10 @@ chaos test closes the certification loop under faults.
 
 import pytest
 
-from repro.bench.harness import SMOKE, run_point, run_smallbank_point
+from repro.analysis.serializability import zero_anomalies
+from repro.bench.fingerprints import fingerprint_specs
+from repro.bench.harness import (SMOKE, run_point, run_smallbank_point,
+                                 run_spec)
 from repro.chaos import (NoAnomalies, Partition, Scenario,
                          default_invariants, run_chaos_point)
 from repro.core.builder import DEDICATED_MODELS
@@ -67,6 +70,31 @@ def test_read_committed_trades_lost_updates_for_throughput():
     assert rc.extras["anomalies"]["lost_update"] > 0
     assert ser.extras["serializable_history"] is True
     assert all(v == 0 for v in ser.extras["anomalies"].values())
+
+
+#: Non-zero anomaly counts of the isolation pins, as measured before the
+#: checker split its decision from its witness.  All four read-committed
+#: points stop at the enumerator's 10,000-cycle cap, so their counts are
+#: whichever cycles the full graph yields first: they move if its node or
+#: edge insertion order does, which no ``RunResult`` fingerprint sees.
+_PIN_ANOMALIES = {
+    "etcd-rc": {"lost_update": 21, "write_skew": 9979},
+    "tikv-rc": {"lost_update": 17, "write_skew": 9983},
+    "tidb-rc": {"lost_update": 8, "write_skew": 9992},
+    "quorum-rc": {"lost_update": 71, "write_skew": 9929},
+    "etcd-si": {},
+}
+
+
+@pytest.mark.parametrize("point", sorted(_PIN_ANOMALIES))
+def test_isolation_pin_anomaly_counts(point):
+    spec = next(s for s in fingerprint_specs() if s.key == (point,))
+    payload = run_spec(spec).payload
+    nonzero = _PIN_ANOMALIES[point]
+    assert payload["anomalies"] == {**zero_anomalies(), **nonzero}
+    assert payload["serializable_history"] is (not nonzero)
+    # Flagged exactly where the counts are a lower bound.
+    assert payload.get("anomalies_capped") is (True if nonzero else None)
 
 
 def test_typoed_isolation_key_rejected():

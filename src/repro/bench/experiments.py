@@ -15,7 +15,7 @@ Pass ``scale=SMOKE`` for quick runs, ``BENCH`` for the default fidelity.
 from __future__ import annotations
 
 import hashlib
-import os
+import random
 from typing import Optional
 
 from ..adt.mbt import MerkleBucketTree
@@ -404,7 +404,7 @@ def fig12_storage(record_sizes: tuple = (10, 100, 1000, 5000),
     }
     measured = {"fabric_state": {}, "fabric_block": {}, "tidb": {}}
     for size in record_sizes:
-        value = os.urandom(size)
+        value = random.Random(size).randbytes(size)
         # Fabric block storage: one envelope per record insert.
         txn = Transaction.write("user000000000001", value)
         per_txn = envelope_size(txn, endorsements)
@@ -443,9 +443,10 @@ def fig13_ads_overhead(record_sizes: tuple = (10, 100, 1000, 5000),
     for size in record_sizes:
         mbt = MerkleBucketTree(num_buckets=1000, fanout=4)
         mpt = MerklePatriciaTrie()
+        rng = random.Random(size)   # seeded bodies: the tries reproduce
         for i in range(records):
             key = hashlib.md5(f"rec{i}".encode()).digest()  # 16-byte keys
-            value = os.urandom(size)
+            value = rng.randbytes(size)
             mbt.put(key, value)
             mpt.put(key, value)
         mbt.commit()

@@ -1,6 +1,8 @@
-"""Batched MPT commits: root equivalence with the per-write path."""
+"""Batched MPT commits: root equivalence with the per-write path, and
+literal anchors for both write paths."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,91 @@ from repro.adt.mpt import EMPTY_ROOT, MerklePatriciaTrie, verify_proof
 
 def key_of(i: int) -> bytes:
     return hashlib.md5(f"key{i}".encode()).digest()
+
+
+# -- literal anchors -----------------------------------------------------------
+#
+# (hex root, len(store), store.total_bytes(), hashes_computed) per seeded
+# key set and write path.  Recorded from the per-write insert routine
+# ``put()`` used before it was folded into the ``stage``/``commit`` one
+# (the two agreed on every value): the tests below that compare ``put()``
+# with ``commit()`` check that batching commutes, these pin the trie.
+
+
+def _fig13_items():
+    """fig13's MPT inputs at ``records=1000, size=100``."""
+    rng = random.Random(100)
+    return [(hashlib.md5(f"rec{i}".encode()).digest(), rng.randbytes(100))
+            for i in range(1000)]
+
+
+def _colliding_items():
+    """Short keys over five bytes: prefixes, overwrites, empty values."""
+    rng = random.Random(21)
+    return [(bytes(rng.choice(b"\x00\x01\x10\x11\xab")
+                   for _ in range(rng.randint(1, 4))),
+             rng.randbytes(rng.choice((0, 1, 5, 40))))
+            for _ in range(600)]
+
+
+def _ledger_stream_items():
+    """The write stream ``benchmarks/ledger/micro.py::mpt`` stages."""
+    rng = random.Random(7)
+    keys = [b"user%012d" % rng.randrange(10_000) for _ in range(4_000)]
+    return [(key, b"value-%d" % i) for i, key in enumerate(keys, 1)]
+
+
+ANCHORS = {
+    "fig13": (_fig13_items, {
+        "per_write": ("f9d22b3f4a157fdfdc717166cdef326f"
+                      "43f5abfa38b8e16f58aa99c5ccf6988d", 4182, 1393791, 4182),
+        "blocks": ("f9d22b3f4a157fdfdc717166cdef326f"
+                   "43f5abfa38b8e16f58aa99c5ccf6988d", 2168, 413934, 2168)}),
+    "colliding": (_colliding_items, {
+        "per_write": ("43c98a31eae5bdaac316a0cf95e1aaa5"
+                      "de09450efb7033754b9df738509c52ca", 3217, 437154, 3416),
+        "blocks": ("43c98a31eae5bdaac316a0cf95e1aaa5"
+                   "de09450efb7033754b9df738509c52ca", 799, 88116, 868)}),
+    "ledger-stream": (_ledger_stream_items, {
+        "per_write": ("a71d46cda8a094e3c0886ac6b5d1505a"
+                      "51c63523ac1aa39f9d25d7bb86b15493", 34608, 6208102, 34608),
+        "blocks": ("a71d46cda8a094e3c0886ac6b5d1505a"
+                   "51c63523ac1aa39f9d25d7bb86b15493", 16313, 2093163, 16313)}),
+}
+
+
+def _anchor(trie):
+    return (trie.root.hex(), len(trie.store), trie.store.total_bytes(),
+            trie.hashes_computed)
+
+
+@pytest.mark.parametrize("name", sorted(ANCHORS))
+def test_literal_anchors(name):
+    make_items, expected = ANCHORS[name]
+    items = make_items()
+    per_write = MerklePatriciaTrie()
+    for k, v in items:
+        per_write.put(k, v)
+    assert _anchor(per_write) == expected["per_write"]
+    batched = MerklePatriciaTrie()
+    for i, (k, v) in enumerate(items, 1):
+        batched.stage(k, v)
+        if i % 100 == 0:
+            batched.commit()
+    batched.commit()
+    assert _anchor(batched) == expected["blocks"]
+
+
+def test_fig13_measures_the_anchored_trie():
+    """fig13's seeded run builds exactly the ``fig13`` anchor's per-write
+    trie: same node count, same bytes."""
+    from repro.bench.experiments import fig13_ads_overhead
+
+    _root, nodes, total_bytes, _hashes = ANCHORS["fig13"][1]["per_write"]
+    measured = fig13_ads_overhead(record_sizes=(100,),
+                                  records=1000)["measured"]
+    assert measured["mpt_nodes"][100] == nodes
+    assert measured["mpt"][100] == (total_bytes - 1000 * 100) / 1000
 
 
 def test_stage_commit_single_key():

@@ -33,27 +33,22 @@ def test_serve_event_uncontended_holds_and_releases(env):
     assert res.busy_time == pytest.approx(2.0)
 
 
-def test_serve_event_matches_generator_serve_timing(env):
-    """Flat and generator forms must finish at identical times."""
-    res_a = Resource(env, capacity=2)
-    res_b = Resource(env, capacity=2)
-    flat, gen = [], []
+def test_serve_event_staggered_completion_times(env):
+    """4 staggered jobs on 2 slots: two fold grant+service into one
+    timer, two queue.  The times are literals (the retired generator
+    ``serve`` finished the same jobs at the same instants)."""
+    res = Resource(env, capacity=2)
+    finished = []
 
-    def flat_worker(env, delay):
+    def worker(env, delay):
         yield env.timeout(delay)
-        yield res_a.serve_event(1.5)
-        flat.append(env.now)
+        yield res.serve_event(1.5)
+        finished.append(env.now)
 
-    def gen_worker(env, delay):
-        yield env.timeout(delay)
-        yield from res_b.serve(1.5)
-        gen.append(env.now)
-
-    for d in (0.0, 0.1, 0.2, 0.3):   # 4 jobs on 2 slots: contention
-        env.process(flat_worker(env, d))
-        env.process(gen_worker(env, d))
+    for d in (0.0, 0.1, 0.2, 0.3):
+        env.process(worker(env, d))
     env.run()
-    assert flat == gen
+    assert finished == [1.5, 1.6, 3.0, 3.1]
 
 
 # -- serve_event: contended ----------------------------------------------------

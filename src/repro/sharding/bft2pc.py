@@ -26,8 +26,9 @@ class _Bft2PcChain:
     BEGIN consensus round -> prepare fan-out -> countdown of votes ->
     DECIDE consensus round (after which the decision can never be lost)
     -> finalize fan-out -> countdown of acks -> decision.  A failed
-    consensus round resolves to ``Decision.BLOCKED``, exactly as the
-    retained generator protocol did.
+    consensus round resolves to ``Decision.BLOCKED``.  ``start`` takes
+    one scheduled slot and ``done`` is succeeded through the scheduler
+    from the ack countdown's callback.
     """
 
     __slots__ = ("coordinator", "txn_id", "participants", "payload", "done",
@@ -122,43 +123,3 @@ class BftCoordinator:
         done = self.env.event()
         _Bft2PcChain(self, txn_id, participants, payload or {}, done).start()
         return done
-
-    def run_gen(self, txn_id: int, participants: list[Participant],
-                payload: Optional[dict] = None) -> Event:
-        """Generator-form protocol, kept for differential testing."""
-        done = self.env.event()
-        self.env.process(self._protocol(txn_id, participants,
-                                        payload or {}, done),
-                         name=f"bft2pc:{txn_id}")
-        return done
-
-    def _protocol(self, txn_id: int, participants: list[Participant],
-                  payload: dict, done: Event):
-        self.stats.started += 1
-        # Step 1: replicate the BEGIN record so any replica can take over.
-        try:
-            yield self._replicate({"txn": txn_id, "phase": "begin"})
-        except Exception:
-            self.stats.blocked += 1
-            done.succeed(Decision.BLOCKED)
-            return
-        # Phase 1: prepare votes from the participant shards.
-        vote_events = [p.prepare(txn_id, payload) for p in participants]
-        votes = yield self.env.all_of(vote_events)
-        decision = decision_from_votes(votes)
-        # Step 2: the decision itself is a consensus decision — after this
-        # point it can never be lost, so participants never block.
-        try:
-            yield self._replicate({"txn": txn_id, "phase": "decide",
-                                   "decision": decision.value})
-        except Exception:
-            self.stats.blocked += 1
-            done.succeed(Decision.BLOCKED)
-            return
-        acks = [p.finalize(txn_id, decision) for p in participants]
-        yield self.env.all_of(acks)
-        if decision is Decision.COMMIT:
-            self.stats.committed += 1
-        else:
-            self.stats.aborted += 1
-        done.succeed(decision)

@@ -162,40 +162,3 @@ class TwoPhaseCoordinator:
         done = self.env.event()
         _TwoPcChain(self, txn_id, participants, payload or {}, done).start()
         return done
-
-    def run_gen(self, txn_id: int, participants: list[Participant],
-                payload: Optional[dict] = None) -> Event:
-        """Generator-form protocol, kept for differential testing."""
-        done = self.env.event()
-        self.env.process(self._protocol(txn_id, participants,
-                                        payload or {}, done),
-                         name=f"2pc:{txn_id}")
-        return done
-
-    def _protocol(self, txn_id: int, participants: list[Participant],
-                  payload: dict, done: Event):
-        self.stats.started += 1
-        if self.crashed:
-            self.stats.blocked += 1
-            done.succeed(Decision.BLOCKED)
-            return
-        # Phase 1: prepare
-        vote_events = [p.prepare(txn_id, payload) for p in participants]
-        votes = yield self.env.all_of(vote_events)
-        if self.extra_phase_delay:
-            yield self.env.timeout(self.extra_phase_delay)
-        if self.crashed:
-            # Participants voted and hold locks; nobody can decide.
-            self.stats.blocked += 1
-            self.stats.prepared_blocked_participants.extend(participants)
-            done.succeed(Decision.BLOCKED)
-            return
-        decision = decision_from_votes(votes)
-        # Phase 2: commit/abort
-        acks = [p.finalize(txn_id, decision) for p in participants]
-        yield self.env.all_of(acks)
-        if decision is Decision.COMMIT:
-            self.stats.committed += 1
-        else:
-            self.stats.aborted += 1
-        done.succeed(decision)

@@ -188,9 +188,9 @@ class Event:
         Runs waiter callbacks synchronously at the current simulated
         time instead of scheduling the event through the heap, which is
         exactly where a ``yield from`` sub-generator would have resumed
-        its caller: the flat fast paths use this so their completion
-        lands at the identical position in the dispatch cascade as the
-        generator form's resume did.  Past :data:`_MAX_INLINE_DEPTH`
+        its caller: the flat fast paths use this so a completion costs
+        no heap trip and the caller continues inside the cascade that
+        produced it.  Past :data:`_MAX_INLINE_DEPTH`
         nested resolutions the event falls back to a scheduled
         :meth:`succeed` (same time, later in the cascade) to bound
         Python stack depth.

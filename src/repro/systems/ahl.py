@@ -39,8 +39,9 @@ class _ShardExec:
     Pipeline grant -> reconfiguration-pause gate (checked while the slot
     is held, so an epoch boundary really does stop the shard) -> the
     calibrated execute/commit cost -> release.  ``done`` resolves inline
-    (:meth:`Event._resolve`) at the release position — the identical
-    cascade slot the retained ``shard_exec_gen`` resumed its caller at.
+    (:meth:`Event._resolve`) at the release position: the caller
+    continues inside the service timer's callback, right after the next
+    waiter was granted, with no further trip through the heap.
     """
 
     __slots__ = ("system", "shard", "cost", "value", "done", "_req")
@@ -288,9 +289,9 @@ class AhlSystem(TransactionalSystem):
     def _wait_if_paused(self) -> Event:
         """Awaitable call: resolved now unless a reconfig pause is active.
 
-        Flat-event protocol — the caller always ``yield``s the result;
-        when the shard is not paused that costs nothing (the process
-        trampoline short-circuits the resolved event).
+        Flat-event protocol — the caller always subscribes to the
+        result; when the shard is not paused that costs nothing (the
+        continuation runs inline on the resolved event).
         """
         if not self._paused:
             return self.env.resolved()
@@ -316,58 +317,12 @@ class AhlSystem(TransactionalSystem):
             return _ShardExecLA(self, shard, cost, value).start(scheduled)
         return _ShardExec(self, shard, cost, value).start(scheduled)
 
-    def shard_exec_gen(self, shard: int, txn: Optional[Transaction],
-                       commit: bool = False):
-        """Generator form of :meth:`shard_exec_event` (differential tests)."""
-        cost = self._txn_cost * (0.3 if commit else 1.0)
-        pipeline = self.shard_pipelines[shard]
-        req = pipeline.request()
-        yield req
-        try:
-            yield self._wait_if_paused()
-            yield self.env.timeout(cost)
-        finally:
-            pipeline.release(req)
-
     # -- transactions --------------------------------------------------------------------
 
     def submit(self, txn: Transaction) -> Event:
         done = self.env.event()
         _AhlTxn(self, txn, done).start()
         return done
-
-    def submit_gen(self, txn: Transaction) -> Event:
-        """Generator-form transaction path, kept for differential testing."""
-        done = self.env.event()
-        self.spawn(self._do_txn_gen(txn, done), name="ahl-txn")
-        return done
-
-    def _do_txn_gen(self, txn: Transaction, done: Event):
-        txn.submitted_at = self.env.now
-        yield self.client_node.nic_out.serve_event(
-            self.costs.net_send_overhead
-            + self.costs.transfer_time(256 + txn.payload_size))
-        yield self.env.timeout(self.costs.net_latency)
-        shards = sorted({self.partitioner.shard_of(op.key)
-                         for op in txn.ops})
-        if len(shards) == 1:
-            yield from self.shard_exec_gen(shards[0], txn)
-            self._apply(txn)
-        else:
-            # Cross-shard: BFT-2PC through the reference committee (the
-            # generator-form coordinator, so the differential test really
-            # compares the chain 2PC against the coroutine 2PC; the
-            # participant legs are _ShardExec chains on both paths).
-            self.cross_shard_txns += 1
-            participants = [_ShardParticipant(self, s) for s in shards]
-            decision = yield self.coordinator.run_gen(txn.txn_id, participants,
-                                                      {"txn": txn})
-            if decision.value != "commit":
-                txn.mark_aborted(AbortReason.COORDINATOR_ABORT)
-                done.succeed(txn)
-                return
-            self._apply(txn)
-        done.succeed(txn)
 
     def _apply(self, txn: Transaction) -> None:
         self._version += 1

@@ -105,14 +105,14 @@ class _ApplyLoop:
 class _Update:
     """One client update through the Raft pipeline, as a flat chain.
 
-    Stage-for-stage mirror of the retained ``_do_update_gen`` coroutine
-    — client NIC egress, propagation, leader request CPU, Raft commit,
-    state-machine apply, response NIC egress, propagation — with one
-    parked callback per wait instead of a generator frame resumed
-    through the trampoline.  Every completion lands at the identical
-    dispatch position the coroutine's resume occupied (``done`` is
-    succeeded through the scheduler exactly where the generator called
-    it), so seeded runs are byte-identical across the two forms.
+    Client NIC egress -> propagation -> leader request CPU (gRPC decode
+    + mvcc txn wrap, parallel across cores) -> Raft commit ->
+    state-machine apply -> response NIC egress -> propagation, with one
+    parked callback per wait.  Cascade contract: ``start`` takes one
+    scheduled slot, each stage continues from the callback of the event
+    it waited on, and ``done`` is succeeded through the scheduler from
+    the last propagation timer's callback.  The seeded ``etcd`` /
+    ``etcd-seed23`` pins hold every stage to its position.
     """
 
     __slots__ = ("system", "txn", "done", "leader", "size")
@@ -261,57 +261,6 @@ class EtcdSystem(TransactionalSystem):
         done = self.env.event()
         _Update(self, txn, done).start()
         return done
-
-    def submit_gen(self, txn: Transaction) -> Event:
-        """Generator-form update path, kept for differential testing."""
-        done = self.env.event()
-        self.spawn(self._do_update_gen(txn, done), name="etcd-update")
-        return done
-
-    def _do_update_gen(self, txn: Transaction, done: Event):
-        txn.submitted_at = self.env.now
-        leader = self.raft.leader
-        if leader is None:
-            txn.mark_aborted(txn.abort_reason)
-            done.succeed(txn)
-            return
-        size = 64 + txn.payload_size
-        # client -> leader request over the wire
-        yield self.client_node.nic_out.serve_event(
-            self.costs.net_send_overhead + self.costs.transfer_time(size))
-        yield self.env.timeout(self.costs.net_latency)
-        # gRPC decode + mvcc txn wrap on the leader (parallel across cores)
-        yield leader.node.compute(self.costs.etcd_request_cpu)
-        if self.scheduler is not None:
-            # Weakened isolation: gateway-stage reads + logic (mirrors
-            # the flat chain's _decoded branch).
-            nreads = len(txn.read_keys)
-            if nreads:
-                yield self._read_paths[leader.node.name].serve_event(
-                    self.costs.etcd_read_cpu * nreads)
-            if not self.scheduler.stage(txn):
-                yield leader.node.nic_out.serve_event(
-                    self.costs.net_send_overhead
-                    + self.costs.transfer_time(128))
-                yield self.env.timeout(self.costs.net_latency)
-                done.succeed(txn)
-                return
-        commit_ev = leader.propose(txn, size=size)
-        try:
-            yield commit_ev
-        except Exception:
-            txn.mark_aborted(txn.abort_reason)
-            done.succeed(txn)
-            return
-        apply_ev = self.env.event()
-        self._waiters[txn.txn_id] = apply_ev
-        yield apply_ev
-        # response back to the client
-        yield leader.node.nic_out.serve_event(
-            self.costs.net_send_overhead + self.costs.transfer_time(128))
-        yield self.env.timeout(self.costs.net_latency)
-        # status (committed / logic-aborted) was set by the apply loop
-        done.succeed(txn)
 
     # -- reads ---------------------------------------------------------------------
 

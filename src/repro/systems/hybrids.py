@@ -40,10 +40,11 @@ class _Submission:
 
     Client NIC egress -> propagation -> entry-node CPU -> (optional
     speculative OCC simulation) -> backend ordering -> hand-off to the
-    serial commit loop.  Stage-for-stage mirror of the retained
-    ``_do_submit_gen`` coroutine; ``done`` travels into the commit
-    stream exactly as before, so the commit loop's succeed position is
-    untouched.
+    serial commit loop.  Cascade contract: ``start`` takes one scheduled
+    slot; ``done`` is not fired here but travels into the commit stream
+    with the transaction, and the commit loop succeeds it after the
+    serial apply (a LOGIC abort at simulation, or a failed ordering,
+    succeeds it on the spot instead).
     """
 
     __slots__ = ("system", "txn", "done", "size")
@@ -254,36 +255,6 @@ class HybridSystem(TransactionalSystem):
         done = self.env.event()
         _Submission(self, txn, done).start()
         return done
-
-    def submit_gen(self, txn: Transaction) -> Event:
-        """Generator-form submission path, kept for differential testing."""
-        done = self.env.event()
-        self.spawn(self._do_submit_gen(txn, done), name=f"{self.name}-submit")
-        return done
-
-    def _do_submit_gen(self, txn: Transaction, done: Event):
-        txn.submitted_at = self.env.now
-        size = 256 + txn.payload_size
-        yield self.client_node.nic_out.serve_event(
-            self.costs.net_send_overhead + self.costs.transfer_time(size))
-        yield self.env.timeout(self.costs.net_latency)
-        entry = self._pick_round_robin(self.servers)
-        yield entry.compute(self.costs.store_get)
-        if self.profile.concurrency is \
-                ConcurrencyModel.CONCURRENT_EXECUTION_SERIAL_COMMIT:
-            # speculative execution before ordering (Fabric/Veritas style)
-            self.simulator.simulate(txn)
-            if txn.abort_reason is AbortReason.LOGIC:
-                done.succeed(txn)
-                return
-        try:
-            ordered = self._proposer(txn, size)
-            yield ordered
-        except Exception:
-            txn.mark_aborted(AbortReason.COORDINATOR_ABORT)
-            done.succeed(txn)
-            return
-        self._commit_stream.put((txn, done))
 
     # -- commit pipeline -----------------------------------------------------------------
 

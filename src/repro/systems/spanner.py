@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..concurrency.twopl import LockDenied, LockManager, LockMode
+from ..concurrency.twopl import LockManager, LockMode
 from ..sharding.partitioner import HashPartitioner
 from ..sim.kernel import Countdown, Environment, Event, subscribe
 from ..sim.resources import Resource
@@ -83,13 +83,17 @@ class _PaxosWrite:
 class _Txn:
     """One strict-2PL read-write transaction as a flat chain.
 
-    Mirror of the retained ``_do_txn_gen``/``_locked_attempt``
-    coroutines: lock acquisition in key order (reads S, writes X),
-    reads + logic, then the commit protocol — a single Paxos round for
-    one-shard transactions, or the parallel 2PC countdown chain
-    (prepare fan-out -> vote countdown -> decision round -> commit
-    fan-out) across shards — followed by the commit wait with locks
-    still held.  Locks are released at every exit exactly once.
+    Client NIC egress -> propagation -> coordinator CPU -> lock
+    acquisition in key order (reads S, writes X), reads + logic, then
+    the commit protocol — a single Paxos round for one-shard
+    transactions, or the parallel 2PC countdown chain (prepare fan-out
+    -> vote countdown -> decision round -> commit fan-out) across
+    shards — followed by the commit wait with locks still held.  Locks
+    are released at every exit exactly once.  Cascade contract:
+    ``start`` takes one scheduled slot, each stage continues from the
+    callback of the event it waited on, and ``done`` is succeeded
+    through the scheduler in the same callback that releases the locks
+    (so queued lock waiters are granted before the client hears back).
     """
 
     __slots__ = ("system", "txn", "done", "held", "sorted_ops", "reads",
@@ -303,82 +307,6 @@ class SpannerSystem(TransactionalSystem):
         done = self.env.event()
         _Txn(self, txn, done).start()
         return done
-
-    def submit_gen(self, txn: Transaction) -> Event:
-        """Generator-form transaction path, kept for differential testing."""
-        done = self.env.event()
-        self.spawn(self._do_txn_gen(txn, done), name="spanner-txn")
-        return done
-
-    def _do_txn_gen(self, txn: Transaction, done: Event):
-        txn.submitted_at = self.env.now
-        yield self.client_node.nic_out.serve_event(
-            self.costs.net_send_overhead
-            + self.costs.transfer_time(128 + txn.payload_size))
-        yield self.env.timeout(self.costs.net_latency)
-        coordinator_shard = self._shard_of(txn.ops[0].key)
-        coordinator = self.shard_leaders[coordinator_shard]
-        yield coordinator.compute(self.costs.spanner_request_cpu)
-        held: list[str] = []
-        try:
-            committed = yield from self._locked_attempt(txn, held)
-        finally:
-            for key in held:
-                self.locks.release(txn.txn_id, key)
-        if not committed and txn.abort_reason is None:
-            txn.mark_aborted(AbortReason.LOCK_TIMEOUT)
-        done.succeed(txn)
-
-    def _locked_attempt(self, txn: Transaction, held: list[str]):
-        # Acquire strict 2PL locks in key order (reads S, writes X).
-        reads: dict[str, bytes] = {}
-        for op in sorted(txn.ops, key=lambda o: o.key):
-            mode = (LockMode.EXCLUSIVE if op.is_write else LockMode.SHARED)
-            req = self.locks.acquire(txn.txn_id, op.key, mode)
-            try:
-                yield req
-            except LockDenied:
-                self.lock_aborts += 1
-                txn.mark_aborted(AbortReason.LOCK_TIMEOUT)
-                return False
-            held.append(op.key)
-        for op in txn.ops:
-            if op.op_type in (OpType.READ, OpType.UPDATE):
-                value, version = self.state.get(op.key)
-                txn.read_set[op.key] = version
-                reads[op.key] = value if value is not None else b""
-        write_set: dict[str, bytes] = {}
-        if txn.logic is not None:
-            derived = txn.logic(reads)
-            if derived is None:
-                txn.mark_aborted(AbortReason.LOGIC)
-                return False
-            write_set.update(derived)
-        for op in txn.ops:
-            if op.is_write:
-                write_set.setdefault(op.key, op.value)
-        txn.write_set = write_set
-        if not write_set:
-            txn.mark_committed()
-            return True
-        shards = sorted({self._shard_of(k) for k in write_set})
-        if len(shards) == 1:
-            yield self._paxos_write_event(shards[0], 128 + txn.payload_size)
-        else:
-            # 2PC: parallel prepare rounds, the decision round at the
-            # coordinator shard, then the parallel commit fan-out.
-            yield self._paxos_fanout(shards, 96)
-            yield self._paxos_write_event(shards[0], 128 + txn.payload_size)
-            yield self._paxos_fanout(shards[1:], 96)
-        # Commit wait (TrueTime uncertainty) plus the lock span through
-        # result delivery and cleanup — all with locks still held, which
-        # is what queues conflicting transactions behind a hot key.
-        yield self.env.timeout(self._commit_wait_time(shards[0]))
-        self._version += 1
-        self.state.apply_write_set(write_set, self._version)
-        txn.commit_version = self._version
-        txn.mark_committed()
-        return True
 
     # -- queries -----------------------------------------------------------------------
 

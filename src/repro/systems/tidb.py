@@ -39,28 +39,30 @@ __all__ = ["TiDBSystem"]
 class _Txn:
     """One snapshot-isolation transaction as a flat chain.
 
-    Stage-for-stage mirror of the retained ``_do_txn_gen``/``_attempt``
-    coroutines: SQL-layer CPU, the per-op read loop, scheduler-latch
-    acquisition in key order, percolator prewrite (conflict check under
-    the held latches), the prewrite consensus fan-out joined by a
-    :class:`Countdown` (byte-identical dispatch to the old ``AllOf``),
-    the primary commit write, asynchronous secondaries, and the
-    auto-retry backoff loop — all as parked callbacks, no Process and
-    no generator frame per transaction or per 2PC participant.
+    SQL-layer CPU (protocol + parse + compile, parallel across cores),
+    the per-op read loop, scheduler-latch acquisition in key order,
+    percolator prewrite (conflict check under the held latches), the
+    prewrite consensus fan-out joined by a :class:`Countdown`, the
+    primary commit write, asynchronous secondaries, and the auto-retry
+    backoff loop — all as parked callbacks, no Process and no generator
+    frame per transaction or per 2PC participant.  Cascade contract:
+    ``start`` takes one scheduled slot, each stage continues from the
+    callback of the event it waited on (latch grants and ``kv_write``
+    completions arrive through the scheduler), and ``done`` is succeeded
+    through the scheduler from the response timer's callback.
 
-    Fault contract (beyond the generator form, which crashed the run):
-    a prewrite or primary-commit participant that fails — e.g. its
-    region leader crashed mid-2PC — aborts the transaction cleanly:
-    latches released, percolator locks rolled back, ``done`` fired
-    exactly once (late stragglers from the same fan-out are absorbed by
-    the countdown's double-completion guard).  Known modelling limit: a
-    *surviving* participant's prewrite that already replicated keeps
-    its value in the single-version cluster state (real Percolator
-    leaves the orphaned data-column write invisible without a commit
-    record and lazily garbage-collects it; this store has no second
-    version to hide it in).  The window only exists under injected
-    crashes, and conflict checks stay sound because the store version
-    advanced with the phantom write.
+    Fault contract: a prewrite or primary-commit participant that
+    fails — e.g. its region leader crashed mid-2PC — aborts the
+    transaction cleanly: latches released, percolator locks rolled
+    back, ``done`` fired exactly once (late stragglers from the same
+    fan-out are absorbed by the countdown's double-completion guard).
+    Known modelling limit: a *surviving* participant's prewrite that
+    already replicated keeps its value in the single-version cluster
+    state (real Percolator leaves the orphaned data-column write
+    invisible without a commit record and lazily garbage-collects it;
+    this store has no second version to hide it in).  The window only
+    exists under injected crashes, and conflict checks stay sound
+    because the store version advanced with the phantom write.
     """
 
     __slots__ = ("system", "txn", "done", "server", "attempts", "start_ts",
@@ -228,6 +230,10 @@ class _Txn:
                 commit_clock=iso == "snapshot",
                 first_committer_wins=iso != "read_committed")
         except PrewriteConflict:
+            # Contention resolution: the coordinator resolves the
+            # blocking lock *while holding the scheduler latches*, so a
+            # hot key serializes the transactions waiting on it
+            # (Section 5.3.1).
             system.prewrite_conflicts += 1
             if not system.instant_abort:
                 timer = system.env.timeout(
@@ -437,155 +443,6 @@ class TiDBSystem(TransactionalSystem):
         done = self.env.event()
         _Txn(self, txn, done).start()
         return done
-
-    def submit_gen(self, txn: Transaction) -> Event:
-        """Generator-form transaction path, kept for differential testing."""
-        done = self.env.event()
-        self.spawn(self._do_txn_gen(txn, done), name="tidb-txn")
-        return done
-
-    def _do_txn_gen(self, txn: Transaction, done: Event):
-        txn.submitted_at = self.env.now
-        server = self._pick_round_robin(self.servers)
-        size = 128 + txn.payload_size
-        yield self.client_node.nic_out.serve_event(
-            self.costs.net_send_overhead + self.costs.transfer_time(size))
-        yield self.env.timeout(self.costs.net_latency)
-        # SQL layer: protocol + parse + compile (parallel across cores)
-        yield server.compute(self.costs.tidb_session_cpu
-                             + self.costs.sql_parse
-                             + self.costs.sql_compile)
-        attempts = 0
-        while True:
-            committed = yield from self._attempt(txn, server)
-            if committed or txn.abort_reason is AbortReason.LOGIC:
-                break
-            attempts += 1
-            if self.instant_abort or attempts > self.retry_limit:
-                break
-            # TiDB auto-retry with backoff (burns coordinator time)
-            self.retries += 1
-            txn.read_set.clear()
-            txn.write_set.clear()
-            yield self.env.timeout(self.costs.tidb_retry_backoff)
-        yield server.nic_out.serve_event(
-            self.costs.net_send_overhead + self.costs.transfer_time(128))
-        yield self.env.timeout(self.costs.net_latency)
-        if self.history is not None:
-            self.history.observe(txn)
-        done.succeed(txn)
-
-    def _attempt(self, txn: Transaction, server):
-        """One snapshot-isolation attempt; returns True when committed."""
-        start_ts = self.oracle.next()
-        # Read phase: point gets at region leaseholders.
-        reads: dict[str, bytes] = {}
-        hist_reads: dict[str, int] = {}
-        for op in txn.ops:
-            if op.op_type in (OpType.READ, OpType.UPDATE):
-                yield server.compute(self.costs.store_get)
-                value, version = yield self.cluster.kv_read_gen(op.key)
-                txn.read_set[op.key] = version
-                if self.history is not None:
-                    hist_reads[op.key] = self._hist_versions.get(op.key, 0)
-                    owner = self.pstore.lock_owner(op.key)
-                    if owner is not None and owner != txn.txn_id:
-                        self._hist_pending.setdefault(owner, []).append(
-                            (hist_reads, op.key, value))
-                reads[op.key] = value if value is not None else b""
-        # Execute logic -> write set.
-        write_set: dict[str, bytes] = {}
-        if txn.logic is not None:
-            derived = txn.logic(reads)
-            if derived is None:
-                txn.mark_aborted(AbortReason.LOGIC)
-                return False
-            write_set.update(derived)
-        for op in txn.ops:
-            if op.is_write:
-                write_set.setdefault(op.key, op.value)
-        txn.write_set = write_set
-        if not write_set:
-            if (self.isolation != "read_committed"
-                    and any(self.pstore.store.version(key) != seen
-                            for key, seen in txn.read_set.items())):
-                txn.mark_aborted(AbortReason.WRITE_WRITE_CONFLICT)
-                return False
-            if self.history is not None:
-                txn.read_set = hist_reads
-            txn.mark_committed()
-            return True
-        keys = sorted(write_set)
-        primary = keys[0]
-        # Acquire scheduler latches in order (held across 2PC).
-        grants = []
-        for key in keys:
-            latch = self._latch(key)
-            req = latch.request()
-            yield req
-            grants.append((latch, req))
-        try:
-            # Prewrite: conflict check + lock + one consensus write per
-            # involved region group (the 2PC prepare).
-            try:
-                self.pstore.prewrite(
-                    txn.txn_id, keys, primary, start_ts,
-                    read_versions=txn.read_set
-                    if self.isolation == "serializable" else None,
-                    first_committer_wins=self.isolation != "read_committed",
-                    commit_clock=self.isolation == "snapshot")
-            except PrewriteConflict:
-                # Contention resolution: the coordinator resolves the
-                # blocking lock / consults txn status *while holding the
-                # scheduler latches* — hot keys therefore serialize
-                # waiting transactions (Section 5.3.1).
-                self.prewrite_conflicts += 1
-                if not self.instant_abort:
-                    yield self.env.timeout(
-                        self.costs.tidb_conflict_resolution)
-                txn.mark_aborted(AbortReason.WRITE_WRITE_CONFLICT)
-                return False
-            prewrites = []
-            for key in keys:
-                node = self.cluster.leader_node(key)
-                yield self.cluster.store_threads[node.name].serve_event(
-                    self.costs.percolator_prewrite_cpu)
-                prewrites.append(self.cluster.kv_write_gen(
-                    key, write_set[key],
-                    meta={"lock": txn.txn_id, "primary": primary}))
-            yield self.env.all_of(prewrites)
-            # Commit: consensus write on the primary's group decides.
-            commit_ts = self.oracle.next()
-            if self.history is not None:
-                self._hist_clock += 1
-                stamp = self._hist_clock
-                txn.write_versions = dict.fromkeys(keys, stamp)
-                for key in keys:
-                    self._hist_versions[key] = stamp
-                for hreads, key, seen in self._hist_pending.pop(
-                        txn.txn_id, ()):
-                    if write_set.get(key) == seen:
-                        hreads[key] = stamp
-            primary_node = self.cluster.leader_node(primary)
-            yield self.cluster.store_threads[primary_node.name].serve_event(
-                self.costs.percolator_commit_cpu)
-            yield self.cluster.kv_write_gen(
-                primary, write_set[primary],
-                meta={"commit_ts": commit_ts, "primary": True})
-            self.pstore.commit(txn.txn_id, write_set, commit_ts)
-            txn.commit_version = commit_ts
-            if self.history is not None:
-                txn.read_set = hist_reads
-            # Secondary commit records are written asynchronously.
-            for key in keys[1:]:
-                self.cluster.kv_write_gen(key, write_set[key],
-                                          meta={"commit_ts": commit_ts})
-            txn.mark_committed()
-            return True
-        finally:
-            for latch, req in grants:
-                latch.release(req)
-            self.pstore.rollback(txn.txn_id, keys)
 
     # -- reads -------------------------------------------------------------------------
 

@@ -32,11 +32,11 @@ class _ApplyLoop:
     perpetual flat chain.
 
     Full replication runs ``groups x nodes`` of these (every node pays
-    apply work for every group), so the two ``Process._resume`` walks
-    per applied entry the coroutine loop cost were the dominant resume
-    source on DB-side BENCH points.  Only the leader's instance
-    publishes state and resolves write waiters; followers just pay the
-    serve cost — exactly the retained coroutine's behaviour.
+    apply work for every group), which is why the loop is parked
+    callbacks and not a Process: a generator would cost two
+    ``Process._resume`` walks per applied entry per instance.  Only the
+    leader's instance publishes state and resolves write waiters;
+    followers just pay the serve cost.
     """
 
     __slots__ = ("cluster", "group_id", "is_leader", "applied", "thread",
@@ -103,11 +103,13 @@ class _ApplyLoop:
 class _KvWrite:
     """One replicated write through a region group, as a flat chain.
 
-    Mirrors the retained ``_do_write`` coroutine stage for stage:
-    scheduler CPU on the leader -> Raft commit -> leader apply waiter ->
-    done.  This is the participant leg of TiDB's percolator 2PC (one per
-    prewrite key, one per commit), so killing the Process-per-write here
-    is what removes the coroutine tax from the DB-side fan-outs.
+    gRPC + scheduler CPU on the leader (parallel across cores) -> Raft
+    commit -> leader apply waiter -> done.  This is the participant leg
+    of TiDB's percolator 2PC (one per prewrite key, one per commit), so
+    no Process is spawned per write.  Cascade contract: ``start`` takes
+    one scheduled slot; ``done`` is succeeded through the scheduler from
+    the apply waiter's callback (``(group, index)``), or failed with the
+    proposal's exception when the group cannot commit.
     """
 
     __slots__ = ("cluster", "key", "value", "meta", "done",
@@ -248,33 +250,6 @@ class TikvCluster:
         _KvWrite(self, key, value, meta, done).start()
         return done
 
-    def kv_write_gen(self, key: str, value: bytes,
-                     meta: Optional[dict] = None) -> Event:
-        """Generator-form write path, kept for differential testing."""
-        done = self.env.event()
-        self.env.process(self._do_write(key, value, meta, done),
-                         name="tikv-write")
-        return done
-
-    def _do_write(self, key: str, value: bytes, meta: Optional[dict],
-                  done: Event):
-        group_id = self.leader_of(key)
-        group = self.groups[group_id]
-        node = self.nodes[group_id]
-        # gRPC + scheduler work (parallel across cores)
-        yield node.compute(self.costs.tikv_request_cpu)
-        record = {"key": key, "value": value, "meta": meta or {}}
-        ev = group.propose(record, size=96 + len(key) + len(value))
-        try:
-            index, _item = yield ev
-        except Exception as exc:
-            done.fail(exc)
-            return
-        waiter = self.env.event()
-        self._waiters[(group_id, index)] = waiter
-        yield waiter
-        done.succeed((group_id, index))
-
     # -- reads ------------------------------------------------------------------------
 
     def kv_read(self, key: str) -> Event:
@@ -282,18 +257,6 @@ class TikvCluster:
         done = self.env.event()
         _KvRead(self, key, done).start()
         return done
-
-    def kv_read_gen(self, key: str) -> Event:
-        """Generator-form read path, kept for differential testing."""
-        done = self.env.event()
-        self.env.process(self._do_read(key, done), name="tikv-read")
-        return done
-
-    def _do_read(self, key: str, done: Event):
-        node = self.leader_node(key)
-        yield self.read_paths[node.name].serve_event(self.costs.tikv_read_cpu)
-        value, version = self.state.get(key)
-        done.succeed((value, version))
 
     def load(self, records: dict[str, bytes]) -> None:
         for key, value in records.items():
@@ -307,7 +270,7 @@ class _Update:
     """One client update transaction against the cluster, as a flat chain.
 
     Client NIC egress -> propagation -> one replicated ``kv_write`` per
-    write op (sequential, as the retained coroutine issued them) ->
+    write op (sequential: the next is proposed when the last applied) ->
     response NIC egress -> propagation -> done.
 
     Under weakened isolation (``extras["isolation"]``) the chain grows a
@@ -507,33 +470,6 @@ class TikvSystem(TransactionalSystem):
         done = self.env.event()
         _Update(self, txn, done).start()
         return done
-
-    def submit_gen(self, txn: Transaction) -> Event:
-        """Generator-form update path, kept for differential testing."""
-        done = self.env.event()
-        self.spawn(self._do_update_gen(txn, done), name="tikv-update")
-        return done
-
-    def _do_update_gen(self, txn: Transaction, done: Event):
-        txn.submitted_at = self.env.now
-        size = 64 + txn.payload_size
-        yield self.client_node.nic_out.serve_event(
-            self.costs.net_send_overhead + self.costs.transfer_time(size))
-        yield self.env.timeout(self.costs.net_latency)
-        for op in txn.ops:
-            if op.is_write:
-                try:
-                    yield self.cluster.kv_write_gen(op.key, op.value)
-                except Exception:
-                    txn.mark_aborted(txn.abort_reason)
-                    done.succeed(txn)
-                    return
-        node = self.cluster.leader_node(txn.ops[0].key)
-        yield node.nic_out.serve_event(
-            self.costs.net_send_overhead + self.costs.transfer_time(128))
-        yield self.env.timeout(self.costs.net_latency)
-        txn.mark_committed()
-        done.succeed(txn)
 
     def submit_query(self, txn: Transaction) -> Event:
         done = self.env.event()

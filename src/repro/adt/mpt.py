@@ -12,17 +12,20 @@ few dozen bytes.
 The root digest authenticates the full state; ``prove``/``verify_proof``
 produce and check the access-path integrity proofs of Section 3.3.2.
 
-Two write paths are exposed:
+Writes go through one insert routine (``_insert_mem``: rebuild the
+touched path as in-memory dirty nodes) and one flush (``_flush``: encode
+and hash each dirty node once, bottom-up).  What differs is how many keys
+share a flush:
 
-* :meth:`MerklePatriciaTrie.put` — per-write: re-encodes and re-hashes the
-  leaf-to-root path immediately (the behaviour the paper's Figure 13
-  storage-blowup measurements rely on);
+* :meth:`MerklePatriciaTrie.put` — per-write: inserts and flushes that one
+  key immediately, so every write re-encodes and re-hashes its
+  leaf-to-root path (the behaviour the paper's Figure 13 storage-blowup
+  measurements rely on).  Other staged keys stay staged;
 * :meth:`MerklePatriciaTrie.stage` + :meth:`MerklePatriciaTrie.commit` —
-  batched, geth-style: writes accumulate against an in-memory dirty
-  overlay and ``commit()`` hashes each touched node **once**, so a block
-  of N writes sharing path prefixes costs far fewer hash computations
-  than N sequential ``put`` calls while producing the byte-identical
-  root digest.
+  batched, geth-style: writes accumulate and ``commit()`` inserts them all
+  before one flush, so a block of N writes sharing path prefixes costs far
+  fewer hash computations than N sequential ``put`` calls while producing
+  the byte-identical root digest.
 
 A decoded-node cache fronts the store so hot paths skip re-decoding:
 one LRU :class:`DecodedNodeCache` per :class:`NodeStore`, shared by every
@@ -252,15 +255,19 @@ class MerklePatriciaTrie:
     # -- public API ----------------------------------------------------------
 
     def put(self, key: bytes, value: bytes) -> bytes:
-        """Insert/overwrite ``key`` and return the new root digest."""
+        """Insert/overwrite ``key`` and return the new root digest.
+
+        One key's insert flushed at once; other staged writes stay
+        staged until :meth:`commit`.
+        """
         if not key:
             raise ValueError("empty key")
         if self._pending:
             # This write supersedes any older staged write for the key —
             # otherwise the stale staged value would clobber it at commit.
             self._pending.pop(key, None)
-        nibbles = _to_nibbles(key)
-        self.root = self._insert(self.root, nibbles, value)
+        self.root = self._flush(
+            self._insert_mem(self.root, _to_nibbles(key), value))
         return self.root
 
     def get(self, key: bytes) -> Optional[bytes]:
@@ -424,83 +431,6 @@ class MerklePatriciaTrie:
                     (b"" if not child else self._flush(child))
                     for child in ref[1]]
         return self._store((_BRANCH, children, ref[2]))
-
-    def _insert(self, digest: bytes, nibbles: tuple[int, ...],
-                value: bytes) -> bytes:
-        node = self._load(digest)
-        if node is None:
-            return self._store((_LEAF, nibbles, value))
-        kind = node[0]
-        if kind == _LEAF:
-            return self._merge_leaf(node, nibbles, value)
-        if kind == _EXTENSION:
-            return self._descend_extension(node, nibbles, value)
-        return self._descend_branch(node, nibbles, value)
-
-    def _merge_leaf(self, leaf: tuple, nibbles: tuple[int, ...],
-                    value: bytes) -> bytes:
-        existing_path, existing_value = leaf[1], leaf[2]
-        if existing_path == nibbles:
-            return self._store((_LEAF, nibbles, value))
-        common = 0
-        while (common < len(existing_path) and common < len(nibbles)
-               and existing_path[common] == nibbles[common]):
-            common += 1
-        children: list[bytes] = [b""] * 16
-        branch_value = None
-        for path, val in ((existing_path[common:], existing_value),
-                          (nibbles[common:], value)):
-            if not path:
-                branch_value = val
-            else:
-                child = self._store((_LEAF, path[1:], val))
-                children[path[0]] = child
-        branch = self._store((_BRANCH, children, branch_value))
-        if common:
-            return self._store((_EXTENSION, nibbles[:common], branch))
-        return branch
-
-    def _descend_extension(self, ext: tuple, nibbles: tuple[int, ...],
-                           value: bytes) -> bytes:
-        path, child_digest = ext[1], bytes(ext[2])
-        common = 0
-        while (common < len(path) and common < len(nibbles)
-               and path[common] == nibbles[common]):
-            common += 1
-        if common == len(path):
-            new_child = self._insert(child_digest, nibbles[common:], value)
-            return self._store((_EXTENSION, path, new_child))
-        # Split the extension at the divergence point.
-        children: list[bytes] = [b""] * 16
-        branch_value = None
-        remainder = path[common:]
-        if len(remainder) == 1:
-            children[remainder[0]] = child_digest
-        else:
-            children[remainder[0]] = self._store(
-                (_EXTENSION, remainder[1:], child_digest))
-        new_path = nibbles[common:]
-        if not new_path:
-            branch_value = value
-        else:
-            children[new_path[0]] = self._store((_LEAF, new_path[1:], value))
-        branch = self._store((_BRANCH, children, branch_value))
-        if common:
-            return self._store((_EXTENSION, path[:common], branch))
-        return branch
-
-    def _descend_branch(self, branch: tuple, nibbles: tuple[int, ...],
-                        value: bytes) -> bytes:
-        children = list(branch[1])
-        branch_value = branch[2]
-        if not nibbles:
-            branch_value = value
-        else:
-            slot = nibbles[0]
-            child = bytes(children[slot])
-            children[slot] = self._insert(child if child else EMPTY_ROOT,
-                                          nibbles[1:], value)
-        return self._store((_BRANCH, children, branch_value))
 
     # -- proofs ---------------------------------------------------------------
 

@@ -8,7 +8,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Deque, Optional
 
 from .kernel import Environment, Event
 
@@ -21,8 +21,8 @@ class _ServeRequest(Event):
     The event itself is the slot request sitting in ``Resource._waiting``;
     when the grant dispatches it schedules the service timer, and the
     timer's completion releases the slot and resolves ``done`` *inline* —
-    the caller resumes at the identical position in the dispatch cascade
-    as the generator form's ``finally: release()`` resume did.
+    the caller continues inside the timer's callback, right after the
+    release granted the next waiter.
     """
 
     __slots__ = ("resource", "service_time", "done")
@@ -55,7 +55,8 @@ class Resource:
         finally:
             resource.release(req)
 
-    or, equivalently, ``yield from resource.serve(service_time)``.
+    or, when nothing happens between grant and release,
+    ``yield resource.serve_event(service_time)``.
     """
 
     def __init__(self, env: Environment, capacity: int = 1):
@@ -108,22 +109,20 @@ class Resource:
             self._grant(nxt)
 
     def serve_event(self, service_time: float) -> Event:
-        """Flat fast path: acquire, hold for ``service_time``, release.
+        """Acquire a slot, hold it for ``service_time``, release it.
 
-        Returns a single :class:`Event` for the caller to ``yield`` —
-        the flat-event calling convention — instead of the sub-generator
-        :meth:`serve` hands back for ``yield from``.  Uncontended, the
-        grant, service timeout, and release fold into one scheduled
-        timer whose completion callback releases the slot immediately
-        before the waiter resumes; contended, a :class:`_ServeRequest`
-        queues, its grant schedules the timer, and the timer resolves
-        the caller inline.  Both paths issue the identical schedule
-        sequence as :meth:`serve`, so event ordering is byte-identical.
+        Returns a single :class:`Event` for the caller to ``yield`` or
+        park a callback on — the flat-event calling convention.
+        Uncontended, the grant, service timeout, and release fold into
+        one scheduled timer whose completion callback releases the slot
+        immediately before the waiter resumes; contended, a
+        :class:`_ServeRequest` queues, its grant schedules the timer,
+        and the timer resolves the caller inline.
 
-        Contract difference vs the generator form: interrupting a waiter
-        mid-service no longer releases the slot early — the slot is held
-        until the scheduled service end regardless (the service itself
-        is not cancelled by the waiter's demise).
+        Contract: the slot is held until the scheduled service end
+        regardless of what happens to the waiter — interrupting a
+        process parked on the event delivers the Interrupt at once but
+        does not cancel the service or release the slot early.
         """
         self.total_requests += 1
         if self.in_use < self.capacity and not self._waiting:
@@ -137,32 +136,6 @@ class Resource:
 
     def _finish_serve(self, _ev: Event) -> None:
         self.release(None)
-
-    def serve(self, service_time: float) -> Generator[Event, Any, None]:
-        """Acquire a slot, hold it for ``service_time``, release it.
-
-        When a slot is free and nobody queues ahead, the grant is folded
-        into the service timeout (no request event, no extra scheduler
-        round-trip) — the common case on an uncontended resource.
-
-        Prefer :meth:`serve_event` on hot paths: it returns a single
-        event (``yield`` it) and skips the sub-generator frame this form
-        costs on every resume.
-        """
-        if self.in_use < self.capacity and not self._waiting:
-            self.total_requests += 1
-            self._take_slot()
-            try:
-                yield self.env.timeout(service_time)
-            finally:
-                self.release(None)
-            return
-        req = self.request()
-        yield req
-        try:
-            yield self.env.timeout(service_time)
-        finally:
-            self.release(req)
 
     @property
     def queue_length(self) -> int:

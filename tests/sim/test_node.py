@@ -61,7 +61,7 @@ def test_nic_capacity_parallelism(env):
     finished = []
 
     def sender(env):
-        yield from node.nic_out.serve(1.0)
+        yield node.nic_out.serve_event(1.0)
         finished.append(env.now)
 
     for _ in range(4):

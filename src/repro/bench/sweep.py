@@ -107,6 +107,16 @@ def _iter_pool(specs: list[PointSpec], jobs: int):
     # overlapped with the pool draining the rest.
     pool_items = [item for item in items if not item[1].no_fork]
     parent_items = [item for item in items if item[1].no_fork]
+    # A spawn worker re-imports ``__main__`` from its file.  With the
+    # script fed on stdin that path is '<stdin>': every worker dies in
+    # start-up, the pool re-spawns it without end, and the sweep hangs.
+    main_file = getattr(sys.modules.get("__main__"), "__file__", None)
+    if main_file is not None and not Path(main_file).is_file():
+        raise RuntimeError(
+            f"jobs={jobs} needs worker processes that re-import __main__, "
+            f"but __main__.__file__ is {main_file!r}, which is not a file "
+            "(script fed on stdin?).  Run it from a file with an "
+            "`if __name__ == \"__main__\":` guard, or pass jobs=1.")
     ctx = mp.get_context("spawn")
     with ctx.Pool(processes=jobs, initializer=_worker_init) as pool:
         pending = pool.imap_unordered(_run_indexed, pool_items, chunksize=1)

@@ -1,5 +1,10 @@
 """Tests for the ``python -m repro.bench`` command-line entry point."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro.bench
@@ -77,3 +82,19 @@ def test_retired_perf_options_are_usage_errors(capsys, flag):
         main([f"--{flag}"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_pool_from_stdin_script_fails_loudly():
+    """``python - <<EOF`` with ``jobs=2``: spawn workers cannot re-import
+    a ``__main__`` whose file is '<stdin>', and the pool would re-spawn
+    the dead workers forever.  The engine must refuse up front."""
+    script = ("from repro.bench import run_figure\n"
+              "from repro.bench.harness import SMOKE\n"
+              "run_figure('fig12', scale=SMOKE, jobs=2)\n")
+    src = str(Path(repro.bench.__file__).resolve().parents[2])
+    proc = subprocess.run(
+        [sys.executable, "-"], input=script, text=True, capture_output=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode != 0
+    assert "RuntimeError" in proc.stderr
+    assert "'<stdin>'" in proc.stderr and "jobs=1" in proc.stderr

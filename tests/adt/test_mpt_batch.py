@@ -17,11 +17,13 @@ def key_of(i: int) -> bytes:
 
 # -- literal anchors -----------------------------------------------------------
 #
-# (hex root, len(store), store.total_bytes(), hashes_computed) per seeded
-# key set and write path.  Recorded from the per-write insert routine
-# ``put()`` used before it was folded into the ``stage``/``commit`` one
-# (the two agreed on every value): the tests below that compare ``put()``
-# with ``commit()`` check that batching commutes, these pin the trie.
+# Per seeded key set: the hex root both write paths must reach, then
+# (len(store), store.total_bytes(), hashes_computed) for per-write
+# ``put()`` and for ``stage``/``commit`` in blocks of 100.  Recorded from
+# the separate per-write insert routine ``put()`` had before it was folded
+# into the staged one (the two agreed on every value).  The tests further
+# down that compare ``put()`` with ``commit()`` check that batching
+# commutes; these pin the trie itself.
 
 
 def _fig13_items():
@@ -48,21 +50,18 @@ def _ledger_stream_items():
 
 
 ANCHORS = {
-    "fig13": (_fig13_items, {
-        "per_write": ("f9d22b3f4a157fdfdc717166cdef326f"
-                      "43f5abfa38b8e16f58aa99c5ccf6988d", 4182, 1393791, 4182),
-        "blocks": ("f9d22b3f4a157fdfdc717166cdef326f"
-                   "43f5abfa38b8e16f58aa99c5ccf6988d", 2168, 413934, 2168)}),
-    "colliding": (_colliding_items, {
-        "per_write": ("43c98a31eae5bdaac316a0cf95e1aaa5"
-                      "de09450efb7033754b9df738509c52ca", 3217, 437154, 3416),
-        "blocks": ("43c98a31eae5bdaac316a0cf95e1aaa5"
-                   "de09450efb7033754b9df738509c52ca", 799, 88116, 868)}),
-    "ledger-stream": (_ledger_stream_items, {
-        "per_write": ("a71d46cda8a094e3c0886ac6b5d1505a"
-                      "51c63523ac1aa39f9d25d7bb86b15493", 34608, 6208102, 34608),
-        "blocks": ("a71d46cda8a094e3c0886ac6b5d1505a"
-                   "51c63523ac1aa39f9d25d7bb86b15493", 16313, 2093163, 16313)}),
+    "fig13": (_fig13_items,
+              "f9d22b3f4a157fdfdc717166cdef326f"
+              "43f5abfa38b8e16f58aa99c5ccf6988d",
+              (4182, 1393791, 4182), (2168, 413934, 2168)),
+    "colliding": (_colliding_items,
+                  "43c98a31eae5bdaac316a0cf95e1aaa5"
+                  "de09450efb7033754b9df738509c52ca",
+                  (3217, 437154, 3416), (799, 88116, 868)),
+    "ledger-stream": (_ledger_stream_items,
+                      "a71d46cda8a094e3c0886ac6b5d1505a"
+                      "51c63523ac1aa39f9d25d7bb86b15493",
+                      (34608, 6208102, 34608), (16313, 2093163, 16313)),
 }
 
 
@@ -73,19 +72,19 @@ def _anchor(trie):
 
 @pytest.mark.parametrize("name", sorted(ANCHORS))
 def test_literal_anchors(name):
-    make_items, expected = ANCHORS[name]
+    make_items, root, per_write_counts, block_counts = ANCHORS[name]
     items = make_items()
     per_write = MerklePatriciaTrie()
     for k, v in items:
         per_write.put(k, v)
-    assert _anchor(per_write) == expected["per_write"]
+    assert _anchor(per_write) == (root, *per_write_counts)
     batched = MerklePatriciaTrie()
     for i, (k, v) in enumerate(items, 1):
         batched.stage(k, v)
         if i % 100 == 0:
             batched.commit()
     batched.commit()
-    assert _anchor(batched) == expected["blocks"]
+    assert _anchor(batched) == (root, *block_counts)
 
 
 def test_fig13_measures_the_anchored_trie():
@@ -93,7 +92,7 @@ def test_fig13_measures_the_anchored_trie():
     trie: same node count, same bytes."""
     from repro.bench.experiments import fig13_ads_overhead
 
-    _root, nodes, total_bytes, _hashes = ANCHORS["fig13"][1]["per_write"]
+    nodes, total_bytes, _hashes = ANCHORS["fig13"][2]
     measured = fig13_ads_overhead(record_sizes=(100,),
                                   records=1000)["measured"]
     assert measured["mpt_nodes"][100] == nodes

@@ -4,10 +4,7 @@ Each flow has exactly one implementation (a flat callback chain); what
 keeps its simulated schedule fixed across PRs is the literal below, not a
 second implementation.  The values were recorded from the chains and,
 independently, from the generator coroutines they replaced, at the last
-commit where both existed — the two agreed on every field.  (The
-coroutines are gone for good: tikv's ignored ``extras["isolation"]``
-altogether and still "agreed" on the six default-isolation cases its
-differential test ran, so a twin is not an oracle.)
+commit where both existed — the two agreed on every field.
 
 A divergence means a chain stage parks its callback, or fires its
 completion, at a different position in the dispatch cascade than before:

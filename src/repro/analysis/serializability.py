@@ -13,67 +13,53 @@ Nodes are committed transactions; edges:
 * **rw** (anti-dependency): Tj read version v of x, Ti wrote v' > v
   -> Tj -> Ti
 
-Acyclicity of this graph is equivalent to (view) serializability for
-histories with a total version order per key — which the versioned
-stores in this library guarantee.
+Acyclicity is equivalent to (view) serializability given a total version
+order per key, which the versioned stores in this library guarantee.
 
-The verdict is decided on the **reduced MVSG**: the same nodes, ww
-between adjacent versions and wr exactly as above, but rw only from a
-reader to the *first* later writer of the key that is not the reader
-itself.  Every rw edge dropped (reader to a still later writer) is that
-first edge followed by ww steps along the key's version chain, so
+Only the **reduced MVSG** is built: ww between adjacent versions, wr as
+above, rw from a reader only to the *first* later writer of the key that
+is not the reader.  A dropped rw edge is that edge plus ww steps, so
+reduced ⊆ full ⊆ closure(reduced): the graphs are acyclic together,
+share the reduced graph's topological orders and have the same strongly
+connected components (SCCs).  Kahn's algorithm decides a history in
+O((R + W) log W) for R reads and W writes; ``edge_count`` counts reduced
+edges, ``equivalent_order`` is one equivalent serial order.  An acyclic
+history stops there.  Otherwise Tarjan's SCCs give one shortest witness
+cycle per non-trivial SCC (BFS inside it; ``cycles``, ``cycle`` the
+first) and exact, uncapped counts read off the version chains ("later"
+is later in a key's chain; rw edges are full-MVSG edges):
 
-    reduced  is a subgraph of  full  is a subgraph of  closure(reduced).
+* **lost_update** — per ``(Ti, Tj, key)``: Tj read and wrote ``key``,
+  read a version older than Ti's write and installed its own after it.
+  O(log W) per read, a difference of two chain positions.
+* **write_skew** — per *pivot*: a txn with an incoming rw edge on key
+  ``a`` and an outgoing one on ``b != a``, both from/to its own SCC
+  (Fekete's dangerous structure, read-only anomaly included).  The later
+  writers in a reader's SCC are a prefix of the chain (each reaches the
+  next by ww), so an outgoing edge is one bisect per read and an
+  incoming one a lookup of the lowest version its SCC read of the key.
+* **fractured_read** — per ``(reader, writer)``: the reader saw one of
+  the writer's keys and missed a later write of another.  O(r^2) for a
+  reader of r keys.
+* **other** — per non-trivial SCC with none of the three above.
 
-Hence the two graphs are acyclic together, and any topological order of
-the reduced graph is one of the full graph.  The reduced graph has at
-most one edge per write and two per read and is sorted by Kahn's
-algorithm over plain adjacency sets, so a serializable history is
-checked in O((reads + writes) log writes) without a networkx object;
-the full graph — quadratic in the versions of a hot key — is built only
-for a history that has a cycle, as the classifier's input.  In the
-report, ``edge_count`` is the edge count of the reduced graph (the one
-the verdict was decided on) in both outcomes, and ``equivalent_order``
-is a serial order the history is equivalent to, not the only one.
-
-For a history that is not serializable, :meth:`HistoryChecker.check`
-enumerates the minimal (simple) cycles of the full graph — every one of
-length <= 6, up to 10,000, after which the report is marked ``capped`` —
-and classifies each into the classic weak-isolation anomalies, so runs
-under ``extras["isolation"]`` report *which* hazards a level admitted,
-not just that one exists:
-
-* **lost update** — a 2-cycle carrying both an rw and a ww edge: two
-  transactions read the same version of an item and both overwrote it.
-* **write skew** — two consecutive rw (anti-dependency) edges somewhere
-  in the cycle: the SI-only hazard (disjoint writes from a shared
-  snapshot).
-* **fractured read** — a cycle mixing rw with wr: a reader observed one
-  transaction's write but missed another (non-repeatable / fractured
-  visibility).
+Each of the first three closes a cycle on its own (rw one way, a ww or
+wr path back), so it lies inside one SCC and counts mean the same thing
+at every history size.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterable, NamedTuple, Optional
-
-import networkx as nx
 
 from ..txn.transaction import Transaction, TxnStatus
 
 __all__ = ["ANOMALY_KINDS", "HistoryChecker", "SerializabilityReport"]
 
-#: Anomaly classes reported per-cycle (plus a catch-all).
+#: Anomaly classes counted for a non-serializable history.
 ANOMALY_KINDS = ("lost_update", "write_skew", "fractured_read", "other")
-
-# Cycle enumeration bounds: anomalies manifest as short cycles (2-3 for
-# the canonical hazards); the bound keeps simple_cycles polynomial on the
-# dense graphs a contended run produces.
-_CYCLE_LENGTH_BOUND = 6
-_CYCLE_LIMIT = 10_000
 
 # Sorts after every txn id: ``bisect_right(chain, (v, _ANY_TXN))`` is the
 # position of the first ``(stamp, txn_id)`` of a version chain with
@@ -95,21 +81,15 @@ class SerializabilityReport:
     cycle: Optional[list[int]] = None
     equivalent_order: Optional[list[int]] = None
     notes: list[str] = field(default_factory=list)
-    #: Every minimal cycle found (``cycle`` is the first, kept for
-    #: callers that only want a witness).
+    #: One shortest witness cycle per non-trivial SCC (``cycle`` is the
+    #: first, kept for callers that only want one).
     cycles: list[list[int]] = field(default_factory=list)
-    #: Cycle count per anomaly class; all-zero when serializable.
+    #: Exact count per anomaly class; all-zero when serializable.
     anomalies: dict[str, int] = field(default_factory=zero_anomalies)
-    #: The enumeration stopped at its cap: ``anomalies`` is a lower bound.
-    capped: bool = False
-
-    @property
-    def anomaly_count(self) -> int:
-        return sum(self.anomalies.values())
 
 
 class _WriteIndex(NamedTuple):
-    """What one pass over a history yields; both graphs are built from it."""
+    """What one pass over a history yields; the graph is built from it."""
 
     #: Transactions that can be placed.  A writer with neither a commit
     #: version nor per-key stamps has no position in any version chain
@@ -148,7 +128,7 @@ class HistoryChecker:
         return txn.commit_version
 
     def _index_writes(self) -> _WriteIndex:
-        """The one pass over the history that both graphs start from."""
+        """The one pass over the history that everything starts from."""
         live: list[Transaction] = []
         writes: dict[str, list[tuple[int, int]]] = {}
         writer_of: dict[tuple[str, int], int] = {}
@@ -170,12 +150,10 @@ class HistoryChecker:
         return _WriteIndex(live, writes, writer_of, notes)
 
     @staticmethod
-    def _decide(index: _WriteIndex) -> tuple[int, Optional[list[int]]]:
-        """Kahn's algorithm over the reduced MVSG (module docstring).
-
-        Returns the reduced graph's edge count and a topological order of
-        it, or ``None`` for the order when nodes are left over — a cycle.
-        """
+    def _decide(index: _WriteIndex) \
+            -> tuple[dict[int, set[int]], int, Optional[list[int]]]:
+        """Kahn's algorithm over the reduced MVSG: its adjacency sets,
+        edge count and a topological order (``None`` if it has a cycle)."""
         live, writes, writer_of, _notes = index
         succ: dict[int, set[int]] = {txn.txn_id: set() for txn in live}
         for versions in writes.values():
@@ -206,78 +184,121 @@ class HistoryChecker:
                 indegree[nxt] -= 1
                 if not indegree[nxt]:
                     order.append(nxt)
-        return edges, order if len(order) == len(succ) else None
-
-    def _build_graph(self, index: Optional[_WriteIndex] = None) \
-            -> tuple[nx.DiGraph, list[str]]:
-        """The full MVSG as a networkx graph: the cycle classifier's input.
-
-        Node and edge insertion order decide which cycles a capped
-        enumeration reports, so they are part of this function's contract.
-        """
-        if index is None:
-            index = self._index_writes()
-        live, writes, writer_of, notes = index
-        graph = nx.DiGraph()
-        for txn in live:
-            graph.add_node(txn.txn_id)
-
-        def add_edge(t1, t2, kind, key):
-            data = graph.get_edge_data(t1, t2)
-            if data is None:
-                # ``kind`` keeps the first-discovered dependency for
-                # existing callers; ``kinds`` accumulates every parallel
-                # dependency between the pair for anomaly classification.
-                graph.add_edge(t1, t2, kind=kind, kinds={kind}, key=key)
-            else:
-                data["kinds"].add(kind)
-
-        # ww edges along each key's version chain
-        for key, versions in writes.items():
-            for (v1, t1), (v2, t2) in zip(versions, versions[1:]):
-                if t1 != t2:
-                    add_edge(t1, t2, "ww", key)
-        # wr and rw edges from read sets
-        for txn in live:
-            for key, seen_version in txn.read_set.items():
-                writer = writer_of.get((key, seen_version))
-                if writer is not None and writer != txn.txn_id:
-                    add_edge(writer, txn.txn_id, "wr", key)
-                versions = writes.get(key, ())
-                first_later = bisect_right(versions, (seen_version, _ANY_TXN))
-                for _version, later_writer in versions[first_later:]:
-                    if later_writer != txn.txn_id:
-                        add_edge(txn.txn_id, later_writer, "rw", key)
-        return graph, notes
+        return succ, edges, order if len(order) == len(succ) else None
 
     @staticmethod
-    def _classify_cycle(graph: nx.DiGraph, cycle: list[int]) -> str:
-        """Label one minimal MVSG cycle with its anomaly class."""
-        kindsets = [graph.edges[u, v]["kinds"]
-                    for u, v in zip(cycle, cycle[1:] + cycle[:1])]
-        has_rw = ["rw" in ks for ks in kindsets]
-        if len(cycle) == 2 and any(has_rw) \
-                and any("ww" in ks for ks in kindsets):
-            return "lost_update"
-        n = len(kindsets)
-        if any(has_rw[i] and has_rw[(i + 1) % n] for i in range(n)):
-            return "write_skew"
-        if any(has_rw) and any("wr" in ks for ks in kindsets):
-            return "fractured_read"
-        return "other"
+    def _components(succ: dict[int, set[int]]) -> list[list[int]]:
+        """Non-trivial SCCs by Tarjan's algorithm, iteratively; members
+        and components sorted by txn id so witnesses are reproducible."""
+        rank: dict[int, float] = {}
+        low: dict[int, float] = {}
+        stack: list[int] = []
+        found = []
+        for root in succ:
+            if root in rank:
+                continue
+            rank[root] = low[root] = len(rank)
+            stack.append(root)
+            work = [(root, iter(succ[root]))]
+            while work:
+                node, children = work[-1]
+                for child in children:
+                    if child not in rank:
+                        rank[child] = low[child] = len(rank)
+                        stack.append(child)
+                        work.append((child, iter(succ[child])))
+                        break
+                    # A finished component's members rank _ANY_TXN (inf).
+                    low[node] = min(low[node], rank[child])
+                else:
+                    work.pop()
+                    if work:
+                        low[work[-1][0]] = min(low[work[-1][0]], low[node])
+                    if low[node] == rank[node]:
+                        members = [stack.pop()]
+                        while members[-1] != node:
+                            members.append(stack.pop())
+                        rank.update(dict.fromkeys(members, _ANY_TXN))
+                        if len(members) > 1:
+                            found.append(sorted(members))
+        return sorted(found)
+
+    @staticmethod
+    def _witness(succ: dict[int, set[int]], members: list[int]) \
+            -> list[int]:
+        """A shortest cycle through ``members[0]``, by BFS inside its SCC."""
+        start, inside = members[0], set(members)
+        parent = {start: start}
+        queue = [start]
+        for node in queue:  # appended to while iterated: the BFS queue
+            if start in succ[node]:
+                cycle = [node]
+                while cycle[-1] != start:
+                    cycle.append(parent[cycle[-1]])
+                return cycle[::-1]
+            for nxt in succ[node]:
+                if nxt in inside and nxt not in parent:
+                    parent[nxt] = node
+                    queue.append(nxt)
+        raise AssertionError(f"SCC {members} has no cycle through {start}")
+
+    def _count_anomalies(self, index: _WriteIndex,
+                         components: list[list[int]]) -> dict[str, int]:
+        """Exact per-class counts over the non-trivial SCCs (docstring)."""
+        live, writes, writer_of, _notes = index
+        comp_of = {t: c for c, members in enumerate(components)
+                   for t in members}
+        txns = [t for t in live if t.txn_id in comp_of]
+        stamps = {t.txn_id: {k: self._write_stamp(t, k) for k in t.write_set}
+                  for t in txns}
+        # (key, SCC) -> its two lowest (read version, reader) pairs.
+        lowest: dict[tuple[str, int], list[tuple[int, int]]] = {}
+        for txn in txns:
+            for key, seen in txn.read_set.items():
+                pair = lowest.setdefault((key, comp_of[txn.txn_id]), [])
+                pair.append((seen, txn.txn_id))
+                pair.sort()
+                del pair[2:]
+        counts = zero_anomalies()
+        hit: set[int] = set()
+        for txn in txns:
+            tid, reads = txn.txn_id, txn.read_set
+            c, mine = comp_of[tid], stamps[tid]
+            lost, rw_out = 0, set()
+            for key, seen in reads.items():
+                chain = writes.get(key, ())
+                i = bisect_right(chain, (seen, _ANY_TXN))
+                if key in mine:     # writers between its read and write
+                    lost += max(0, bisect_left(chain, (mine[key], tid)) - i)
+                # The later writers of ``key`` in this SCC are a prefix of
+                # the chain (each reaches the next by ww), so the first
+                # one that is not this txn decides.
+                while i < len(chain) and chain[i][1] == tid:
+                    i += 1
+                if i < len(chain) and comp_of.get(chain[i][1]) == c:
+                    rw_out.add(key)
+            rw_in = {key for key, stamp in mine.items()
+                     if any(seen < stamp for seen, reader
+                            in lowest.get((key, c), ()) if reader != tid)}
+            pivot = bool(rw_in and rw_out) and len(rw_in | rw_out) > 1
+            saw = {writer_of.get((key, seen)) for key, seen in reads.items()}
+            fractured = sum(
+                any(key in stamps[w] and seen < stamps[w][key]
+                    for key, seen in reads.items())
+                for w in saw - {None, tid} if w in stamps)
+            counts["lost_update"] += lost
+            counts["write_skew"] += pivot
+            counts["fractured_read"] += fractured
+            if lost or pivot or fractured:
+                hit.add(c)
+        counts["other"] = len(components) - len(hit)
+        return counts
 
     def check(self) -> SerializabilityReport:
-        """Verify the observed history; includes a witness order or cycle.
-
-        The verdict comes from the reduced graph in time linear in reads
-        + writes.  Only a history that has a cycle pays for the full
-        graph: it reports *every* minimal cycle (up to a length bound —
-        the canonical anomalies are 2-3 cycles — and an enumeration cap,
-        flagged when hit) with per-anomaly counts, so a run under weakened
-        isolation quantifies what it admitted.
-        """
+        """Verify the observed history: a witness order, or witness cycles
+        and per-class anomaly counts (module docstring)."""
         index = self._index_writes()
-        edge_count, order = self._decide(index)
+        succ, edge_count, order = self._decide(index)
         report = SerializabilityReport(
             serializable=order is not None,
             txn_count=len(self._txns),
@@ -287,24 +308,9 @@ class HistoryChecker:
         )
         if order is not None:
             return report
-        graph, _notes = self._build_graph(index)
-        cycles = [list(c) for c in islice(
-            nx.simple_cycles(graph, length_bound=_CYCLE_LENGTH_BOUND),
-            _CYCLE_LIMIT)]
-        if len(cycles) == _CYCLE_LIMIT:
-            report.capped = True
-            report.notes.append(
-                f"cycle enumeration capped at {_CYCLE_LIMIT}; "
-                "anomaly counts are a lower bound")
-        if not cycles:
-            # Every cycle is longer than the bound; fall back to one
-            # witness so the report still carries a concrete cycle.
-            cycles = [[u for u, _v in nx.find_cycle(graph)]]
-            report.notes.append(
-                f"no cycle within length {_CYCLE_LENGTH_BOUND}; "
-                "reporting one unbounded witness")
-        for cyc in cycles:
-            report.anomalies[self._classify_cycle(graph, cyc)] += 1
-        report.cycle = cycles[0]
-        report.cycles = cycles
+        components = self._components(succ)
+        report.cycles = [self._witness(succ, members)
+                         for members in components]
+        report.cycle = report.cycles[0]
+        report.anomalies = self._count_anomalies(index, components)
         return report

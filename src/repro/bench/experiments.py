@@ -695,15 +695,12 @@ def isolation_assemble(results: dict) -> dict:
         row = rows.setdefault(f"{workload}/{system}", {})
         payload = res.payload or {}
         anomalies = payload.get("anomalies") or {}
-        row[level] = cell = {
+        row[level] = {
             "tps": res.tps,
             "aborted": res.aborted,
             "serializable": payload.get("serializable_history"),
             "anomalies": {k: v for k, v in anomalies.items() if v},
         }
-        if payload.get("anomalies_capped"):
-            # The enumerator stopped at its cap: counts are a lower bound.
-            cell["anomalies_capped"] = True
     for row in rows.values():
         base = row["serializable"]["tps"] if "serializable" in row else 0.0
         for cell in row.values():

@@ -391,12 +391,11 @@ def fingerprint_specs() -> list[PointSpec]:
 
 
 def fingerprints_assemble(results: dict) -> dict:
-    """Fold the registry runs into a pass/fail artifact."""
-    observed = {}
-    for (point,), res in results.items():
-        observed[point] = (res.payload.get("digest")
-                           if res.payload else res.fingerprint)
-    return {"id": "fingerprints", "observed": observed}
+    """Fold the registry runs into a pass/fail artifact: each chaos
+    point's digest, every other point's fingerprint."""
+    return {"id": "fingerprints", "observed": {
+        point: (res.payload or {}).get("digest", res.fingerprint)
+        for (point,), res in results.items()}}
 
 
 def run_chaos_spec(spec: PointSpec, start: float) -> PointResult:

@@ -73,8 +73,6 @@ def _attach_history(result: RunResult, sys_obj) -> None:
         report = sys_obj.history.check()
         result.extras["anomalies"] = dict(report.anomalies)
         result.extras["serializable_history"] = report.serializable
-        if report.capped:
-            result.extras["anomalies_capped"] = True
 
 
 #: run_point mode -> the YcsbWorkload method that makes its transactions.
@@ -282,8 +280,6 @@ def _portable_result(spec: PointSpec, result: RunResult,
         payload["anomalies"] = result.extras["anomalies"]
         payload["serializable_history"] = \
             result.extras["serializable_history"]
-    if result.extras.get("anomalies_capped"):
-        payload["anomalies_capped"] = True
     if result.extras.get("wall_hit"):
         # Truncated by the max_sim_time wall: surfaced so an undersized
         # point can't masquerade as a full measurement downstream.

@@ -1,9 +1,9 @@
 """Anomaly-classifier unit suite: hand-crafted histories per class.
 
 Each test builds the smallest history that admits exactly one textbook
-anomaly (or none) and asserts the MVSG cycle classifier labels it — and
-only it.  These are the ground-truth cases the online detector's verdicts
-on real runs are calibrated against.
+anomaly (or none) and asserts the per-SCC counter labels it — and only
+it.  These are the ground-truth cases the online detector's verdicts on
+real runs are calibrated against.
 """
 
 from repro.analysis import HistoryChecker
@@ -41,7 +41,6 @@ def test_serial_history_reports_all_zero():
                     _committed(2, {"x": 1}, ["x"], 2))
     assert report.serializable
     assert report.anomalies == zero_anomalies()
-    assert report.anomaly_count == 0
     assert report.cycles == []
 
 
@@ -57,11 +56,13 @@ def test_lost_update_classified():
 
 def test_write_skew_classified():
     """Disjoint writes, crossed reads from one snapshot: consecutive rw
-    edges and no ww edge anywhere in the cycle."""
+    edges and no ww edge anywhere in the cycle.  Counted per pivot, and
+    each transaction is one (rw in on the key it writes, rw out on the
+    key it reads)."""
     report = _check(_committed(1, {"y": 0}, ["x"], 1),
                     _committed(2, {"x": 0}, ["y"], 1))
     assert not report.serializable
-    assert _nonzero(report) == {"write_skew": 1}
+    assert _nonzero(report) == {"write_skew": 2}
 
 
 def test_read_only_write_skew_classified():
@@ -97,16 +98,38 @@ def test_all_minimal_cycles_enumerated():
     assert len(report.cycles) == 2
     assert report.cycle == report.cycles[0]
     assert _nonzero(report) == {"lost_update": 2}
-    assert report.anomaly_count == 2
     covered = {frozenset(c) for c in report.cycles}
     assert covered == {frozenset({1, 2}), frozenset({3, 4})}
 
 
 def test_mixed_classes_counted_separately():
     """A lost-update pair and a write-skew pair on disjoint keys land in
-    their own buckets."""
+    their own buckets; the write-skew pair is two pivots."""
     report = _check(_committed(1, {"x": 0}, ["x"], 1),
                     _committed(2, {"x": 0}, ["x"], 2),
                     _committed(3, {"q": 0}, ["p"], 3),
                     _committed(4, {"p": 0}, ["q"], 3))
-    assert _nonzero(report) == {"lost_update": 1, "write_skew": 1}
+    assert _nonzero(report) == {"lost_update": 1, "write_skew": 2}
+    assert len(report.cycles) == 2
+
+
+def test_lost_update_and_fractured_read_in_one_component():
+    """T2 sees T1's y but not T1's x, then overwrites x: one SCC carrying
+    both structures, each counted once, and not a pivot (every rw edge
+    is on x)."""
+    report = _check(_committed(1, {"x": 0}, ["x", "y"], 1),
+                    _committed(2, {"x": 0, "y": 1}, ["x"], 2))
+    assert _nonzero(report) == {"lost_update": 1, "fractured_read": 1}
+    assert report.cycles == [[1, 2]]
+
+
+def test_cycle_without_rw_edges_is_other():
+    """Per-key stamps that disagree on the order of two writers: a ww
+    cycle with no read in it, so none of the named classes applies."""
+    t1 = _committed(1, {}, ["x", "y"], 1)
+    t2 = _committed(2, {}, ["x", "y"], 2)
+    t1.write_versions = {"x": 1, "y": 4}
+    t2.write_versions = {"x": 2, "y": 3}
+    report = _check(t1, t2)
+    assert not report.serializable
+    assert _nonzero(report) == {"other": 1}

@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.fingerprints import FINGERPRINTS, expected_for_spec, \
-    fingerprint_specs, verify_point
+from repro.bench.fingerprints import CHAOS_DIGESTS, FINGERPRINTS, \
+    expected_for_spec, fingerprint_specs, verify_point
 from repro.bench.harness import BENCH, SMOKE, run_spec
 from repro.bench.sweep import enumerate_grid
 
@@ -64,15 +64,19 @@ def test_run_point_fingerprint(point, fingerprints_report):
     _overrides, expected = FINGERPRINTS[point]
     observed = \
         fingerprints_report["artifacts"]["fingerprints"]["observed"][point]
-    if observed is None:
-        # fingerprints_assemble reports a payload-carrying point by its
-        # (absent) chaos digest, and the eight isolation rows carry their
-        # anomaly report: the artifact says None for them, so run those
-        # directly.  (Reporting their projection instead would move the
-        # perf ledger's pins_grid sim_digest, which hashes this map.)
-        spec = next(s for s in fingerprint_specs() if s.key == (point,))
-        observed = run_spec(spec).fingerprint
     assert observed == expected, f"seeded RunResult drifted for {point}"
+
+
+def test_artifact_observes_every_pin(fingerprints_report):
+    """Every fingerprint point — the eight isolation rows, whose payload
+    carries an anomaly report, included — and every chaos point has an
+    entry in the artifact: a fingerprint or a digest, never ``None``."""
+    observed = fingerprints_report["artifacts"]["fingerprints"]["observed"]
+    assert set(observed) == set(FINGERPRINTS) | set(CHAOS_DIGESTS)
+    assert len(observed) == 27 + 3
+    assert all(value is not None for value in observed.values())
+    assert all(observed[name] == CHAOS_DIGESTS[name]
+               for name in CHAOS_DIGESTS)
 
 
 def test_every_fingerprint_spec_matches_its_pin():

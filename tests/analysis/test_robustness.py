@@ -8,6 +8,8 @@ under the weakened level gains throughput and admits exactly the
 anomaly class the certificate predicted.
 """
 
+from itertools import combinations
+
 import pytest
 
 from repro.analysis.robustness import (certify, smallbank_templates,
@@ -61,6 +63,119 @@ def test_smallbank_with_balance_breaks_si():
     assert report.predicted_anomaly == "write_skew"
     assert set(report.counterexample) == {"balance", "write_check",
                                           "transact_savings"}
+
+
+# -- every shipped template set, pinned -----------------------------------
+
+TS, DC, SP = "transact_savings", "deposit_checking", "send_payment"
+WC, AM, BAL, RMW = "write_check", "amalgamate", "balance", "ycsb_rmw"
+_PROCEDURES = {"ts": TS, "dc": DC, "sp": SP, "wc": WC, "am": AM}
+_ROBUST = (True, None, None)
+
+#: ``(robust, counterexample, predicted_anomaly)`` per level, (read
+#: committed, snapshot), for every non-empty SmallBank procedure subset
+#: (``bal``: with the Balance query) and every YCSB mode.
+_CERTIFIED = {
+    "ts": ((False, [TS, TS], "lost_update"), _ROBUST),
+    "ts bal": ((False, [BAL, TS, BAL], "lost_update"), _ROBUST),
+    "dc": ((False, [DC, DC], "lost_update"), _ROBUST),
+    "dc bal": ((False, [BAL, DC, BAL], "lost_update"), _ROBUST),
+    "sp": ((False, [SP, SP], "lost_update"), _ROBUST),
+    "sp bal": ((False, [BAL, SP, BAL], "lost_update"), _ROBUST),
+    "wc": ((False, [WC, WC], "lost_update"), _ROBUST),
+    "wc bal": ((False, [BAL, WC, BAL], "lost_update"), _ROBUST),
+    "am": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "am bal": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "ts dc": ((False, [DC, DC], "lost_update"), _ROBUST),
+    "ts dc bal": ((False, [BAL, DC, BAL], "lost_update"), _ROBUST),
+    "ts sp": ((False, [SP, SP], "lost_update"), _ROBUST),
+    "ts sp bal": ((False, [BAL, SP, BAL], "lost_update"), _ROBUST),
+    "ts wc": ((False, [TS, TS], "lost_update"), _ROBUST),
+    "ts wc bal": ((False, [BAL, TS, BAL], "lost_update"),
+                  (False, [BAL, WC, TS, BAL], "write_skew")),
+    "ts am": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "ts am bal": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "dc sp": ((False, [DC, DC], "lost_update"), _ROBUST),
+    "dc sp bal": ((False, [BAL, DC, BAL], "lost_update"), _ROBUST),
+    "dc wc": ((False, [DC, DC], "lost_update"), _ROBUST),
+    "dc wc bal": ((False, [BAL, DC, BAL], "lost_update"), _ROBUST),
+    "dc am": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "dc am bal": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "sp wc": ((False, [SP, SP], "lost_update"), _ROBUST),
+    "sp wc bal": ((False, [BAL, SP, BAL], "lost_update"), _ROBUST),
+    "sp am": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "sp am bal": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "wc am": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "wc am bal": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "ts dc sp": ((False, [DC, DC], "lost_update"), _ROBUST),
+    "ts dc sp bal": ((False, [BAL, DC, BAL], "lost_update"), _ROBUST),
+    "ts dc wc": ((False, [DC, DC], "lost_update"), _ROBUST),
+    "ts dc wc bal": ((False, [BAL, DC, BAL], "lost_update"),
+                     (False, [BAL, WC, TS, BAL], "write_skew")),
+    "ts dc am": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "ts dc am bal": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "ts sp wc": ((False, [SP, SP], "lost_update"), _ROBUST),
+    "ts sp wc bal": ((False, [BAL, SP, BAL], "lost_update"),
+                     (False, [BAL, WC, TS, BAL], "write_skew")),
+    "ts sp am": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "ts sp am bal": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "ts wc am": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "ts wc am bal": ((False, [AM, AM], "lost_update"),
+                     (False, [BAL, WC, TS, BAL], "write_skew")),
+    "dc sp wc": ((False, [DC, DC], "lost_update"), _ROBUST),
+    "dc sp wc bal": ((False, [BAL, DC, BAL], "lost_update"), _ROBUST),
+    "dc sp am": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "dc sp am bal": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "dc wc am": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "dc wc am bal": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "sp wc am": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "sp wc am bal": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "ts dc sp wc": ((False, [DC, DC], "lost_update"), _ROBUST),
+    "ts dc sp wc bal": ((False, [BAL, DC, BAL], "lost_update"),
+                        (False, [BAL, WC, TS, BAL], "write_skew")),
+    "ts dc sp am": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "ts dc sp am bal": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "ts dc wc am": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "ts dc wc am bal": ((False, [AM, AM], "lost_update"),
+                        (False, [BAL, WC, TS, BAL], "write_skew")),
+    "ts sp wc am": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "ts sp wc am bal": ((False, [AM, AM], "lost_update"),
+                        (False, [BAL, WC, TS, BAL], "write_skew")),
+    "dc sp wc am": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "dc sp wc am bal": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "ts dc sp wc am": ((False, [AM, AM], "lost_update"), _ROBUST),
+    "ts dc sp wc am bal": ((False, [AM, AM], "lost_update"),
+                           (False, [BAL, WC, TS, BAL], "write_skew")),
+    "ycsb_update": (_ROBUST, _ROBUST),
+    "ycsb_rmw": ((False, [RMW, RMW], "lost_update"), _ROBUST),
+    "ycsb_query": (_ROBUST, _ROBUST),
+}
+
+
+def _template_set(label):
+    if label.startswith("ycsb_"):
+        return ycsb_templates(label.removeprefix("ycsb_"))
+    names = label.split()
+    query = 0.3 if names[-1] == "bal" else 0.0
+    return smallbank_templates(query, [_PROCEDURES[n] for n in names
+                                       if n != "bal"])
+
+
+def test_pinned_table_covers_every_shipped_set():
+    subsets = [" ".join(c) for size in range(1, 6)
+               for c in combinations(_PROCEDURES, size)]
+    expected = {f"{s}{q}" for s in subsets for q in ("", " bal")} \
+        | {"ycsb_update", "ycsb_rmw", "ycsb_query"}
+    assert set(_CERTIFIED) == expected and len(expected) == 65
+
+
+@pytest.mark.parametrize("level", ["read_committed", "snapshot"])
+@pytest.mark.parametrize("label", list(_CERTIFIED))
+def test_certify_matches_pinned_table(label, level):
+    report = certify(_template_set(label), level)
+    cell = _CERTIFIED[label][level == "snapshot"]
+    assert (report.robust, report.counterexample,
+            report.predicted_anomaly) == cell
 
 
 # -- run cross-checks ---------------------------------------------------------

@@ -38,16 +38,19 @@ Following Fekete's characterization:
   counterexample is a lost-update loop.
 
 Both tests run on the template graph itself (nodes are templates, not
-instances); reachability over conflict edges subsumes cycles through
-any number of instances of the same template.
+instances), so reachability subsumes cycles through any number of
+instances of one template.  A walk ``a -> ... -> z`` of vulnerable rw
+edges closes iff ``z == a`` or both lie in one non-trivial SCC: one
+Tarjan pass (``graph.py``, O(V + E)) decides each walk in O(1), and one
+BFS closes the first walk, in sorted order, into the witness cycle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import networkx as nx
+from .graph import components, shortest_path
 
 __all__ = ["TxnTemplate", "RobustnessReport", "certify",
            "smallbank_templates", "ycsb_templates"]
@@ -63,10 +66,6 @@ class TxnTemplate:
     reads: tuple[Atom, ...] = ()
     writes: tuple[Atom, ...] = ()
 
-    def all_reads(self) -> tuple[Atom, ...]:
-        """Read atoms including the read half of read-modify-writes."""
-        return self.reads
-
 
 @dataclass
 class RobustnessReport:
@@ -75,9 +74,6 @@ class RobustnessReport:
     level: str                       # "read_committed" | "snapshot"
     robust: bool
     templates: tuple[str, ...]
-    #: (T1, T2, keyspace) rw edges that can occur between concurrent
-    #: instances — the raw material of every counterexample.
-    vulnerable_edges: list[tuple[str, str, str]] = field(default_factory=list)
     #: Template names along a witness cycle when not robust.
     counterexample: Optional[list[str]] = None
     #: Anomaly class the witness cycle predicts a run would admit.
@@ -104,7 +100,7 @@ def _conflict_edges(templates: list[TxnTemplate]):
     for t1 in templates:
         for t2 in templates:
             # rw: a read of t1 unified with a write of t2
-            for (ks_r, p_r) in t1.all_reads():
+            for (ks_r, p_r) in t1.reads:
                 for (ks_w, p_w) in t2.writes:
                     if ks_r != ks_w:
                         continue
@@ -121,7 +117,7 @@ def _conflict_edges(templates: list[TxnTemplate]):
             for (ks1, _p1) in t1.writes:
                 if any(ks1 == ks2 for ks2, _p2 in t2.writes):
                     yield (t1.name, t2.name, "ww", ks1, False)
-                if any(ks1 == ks2 for ks2, _p2 in t2.all_reads()):
+                if any(ks1 == ks2 for ks2, _p2 in t2.reads):
                     yield (t1.name, t2.name, "wr", ks1, False)
 
 
@@ -145,49 +141,32 @@ def certify(templates: Iterable[TxnTemplate], level: str) -> RobustnessReport:
     if level not in ("read_committed", "snapshot"):
         raise ValueError(f"unknown isolation level {level!r}")
 
-    graph = nx.DiGraph()
-    graph.add_nodes_from(names)
-    vulnerable: set[tuple[str, str, str]] = set()
-    for t1, t2, kind, keyspace, si_vuln in _conflict_edges(templates):
-        graph.add_edge(t1, t2)
+    # Dicts, not sets: a str set's order (and so the witness) varies by run.
+    succ: dict[str, dict[str, None]] = {name: {} for name in names}
+    vuln_pairs: set[tuple[str, str]] = set()
+    for t1, t2, kind, _keyspace, si_vuln in _conflict_edges(templates):
+        succ[t1][t2] = None
         if kind == "rw" and (level == "read_committed" or si_vuln):
-            vulnerable.add((t1, t2, keyspace))
-    vuln_pairs = {(a, b) for a, b, _ks in vulnerable}
-
-    def witness(path_from: str, path_to: str, prefix: list[str]) \
-            -> Optional[list[str]]:
-        """Close ``prefix`` into a cycle via a path back to its head."""
-        if path_from == path_to:
-            return prefix
-        if nx.has_path(graph, path_from, path_to):
-            middle = nx.shortest_path(graph, path_from, path_to)
-            return prefix + middle[1:]
-        return None
-
-    counterexample = None
+            vuln_pairs.add((t1, t2))
+    # SCC index per template; a template outside them is its own key.
+    scc = {t: i for i, members in enumerate(components(succ)) for t in members}
+    pairs = sorted(vuln_pairs)
     if level == "read_committed":
         # Not robust iff some cycle contains a vulnerable rw edge.
-        for (a, b) in sorted(vuln_pairs):
-            counterexample = witness(b, a, [a, b])
-            if counterexample:
-                break
+        walks = ([a, b] for a, b in pairs)
     else:  # snapshot
         # Fekete dangerous structure: consecutive vulnerable rw edges
         # a -> b -> c on some cycle (c may equal a).
-        for (a, b) in sorted(vuln_pairs):
-            for (b2, c) in sorted(vuln_pairs):
-                if b2 != b:
-                    continue
-                counterexample = witness(c, a, [a, b, c])
-                if counterexample:
-                    break
-            if counterexample:
-                break
+        walks = ([a, b, c] for a, b in pairs for b2, c in pairs if b2 == b)
+    counterexample = next((w for w in walks if scc.get(w[-1], w[-1])
+                           == scc.get(w[0], w[0])), None)
+    if counterexample and counterexample[-1] != counterexample[0]:
+        counterexample += shortest_path(
+            succ, counterexample[-1], counterexample[0])[1:]
 
     robust = counterexample is None
     return RobustnessReport(
         level=level, robust=robust, templates=names,
-        vulnerable_edges=sorted(vulnerable),
         counterexample=counterexample,
         predicted_anomaly=None if robust
         else _predict_anomaly(level, counterexample))
@@ -224,6 +203,10 @@ def smallbank_templates(query_proportion: float = 0.0,
             writes=(("s", "a"), ("c", "a"), ("c", "b"))),
     }
     names = list(procedures) if procedures is not None else list(catalog)
+    unknown = [name for name in names if name not in catalog]
+    if unknown:
+        raise ValueError(f"unknown smallbank procedure(s) {unknown}; "
+                         f"known: {sorted(catalog)}")
     templates = [catalog[name] for name in names]
     if query_proportion > 0:
         templates.append(TxnTemplate(

@@ -25,9 +25,10 @@ connected components (SCCs).  Kahn's algorithm decides a history in
 O((R + W) log W) for R reads and W writes; ``edge_count`` counts reduced
 edges, ``equivalent_order`` is one equivalent serial order.  An acyclic
 history stops there.  Otherwise Tarjan's SCCs give one shortest witness
-cycle per non-trivial SCC (BFS inside it; ``cycles``, ``cycle`` the
-first) and exact, uncapped counts read off the version chains ("later"
-is later in a key's chain; rw edges are full-MVSG edges):
+cycle per non-trivial SCC (BFS from its smallest txn id, ``graph.py``;
+``cycles``, ``cycle`` the first) and exact, uncapped counts read off
+the version chains ("later" is later in a key's chain; rw edges are
+full-MVSG edges):
 
 * **lost_update** — per ``(Ti, Tj, key)``: Tj read and wrote ``key``,
   read a version older than Ti's write and installed its own after it.
@@ -55,6 +56,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 from ..txn.transaction import Transaction, TxnStatus
+from . import graph
 
 __all__ = ["ANOMALY_KINDS", "HistoryChecker", "SerializabilityReport"]
 
@@ -186,62 +188,6 @@ class HistoryChecker:
                     order.append(nxt)
         return succ, edges, order if len(order) == len(succ) else None
 
-    @staticmethod
-    def _components(succ: dict[int, set[int]]) -> list[list[int]]:
-        """Non-trivial SCCs by Tarjan's algorithm, iteratively; members
-        and components sorted by txn id so witnesses are reproducible."""
-        rank: dict[int, float] = {}
-        low: dict[int, float] = {}
-        stack: list[int] = []
-        found = []
-        for root in succ:
-            if root in rank:
-                continue
-            rank[root] = low[root] = len(rank)
-            stack.append(root)
-            work = [(root, iter(succ[root]))]
-            while work:
-                node, children = work[-1]
-                for child in children:
-                    if child not in rank:
-                        rank[child] = low[child] = len(rank)
-                        stack.append(child)
-                        work.append((child, iter(succ[child])))
-                        break
-                    # A finished component's members rank _ANY_TXN (inf).
-                    low[node] = min(low[node], rank[child])
-                else:
-                    work.pop()
-                    if work:
-                        low[work[-1][0]] = min(low[work[-1][0]], low[node])
-                    if low[node] == rank[node]:
-                        members = [stack.pop()]
-                        while members[-1] != node:
-                            members.append(stack.pop())
-                        rank.update(dict.fromkeys(members, _ANY_TXN))
-                        if len(members) > 1:
-                            found.append(sorted(members))
-        return sorted(found)
-
-    @staticmethod
-    def _witness(succ: dict[int, set[int]], members: list[int]) \
-            -> list[int]:
-        """A shortest cycle through ``members[0]``, by BFS inside its SCC."""
-        start, inside = members[0], set(members)
-        parent = {start: start}
-        queue = [start]
-        for node in queue:  # appended to while iterated: the BFS queue
-            if start in succ[node]:
-                cycle = [node]
-                while cycle[-1] != start:
-                    cycle.append(parent[cycle[-1]])
-                return cycle[::-1]
-            for nxt in succ[node]:
-                if nxt in inside and nxt not in parent:
-                    parent[nxt] = node
-                    queue.append(nxt)
-        raise AssertionError(f"SCC {members} has no cycle through {start}")
-
     def _count_anomalies(self, index: _WriteIndex,
                          components: list[list[int]]) -> dict[str, int]:
         """Exact per-class counts over the non-trivial SCCs (docstring)."""
@@ -308,8 +254,8 @@ class HistoryChecker:
         )
         if order is not None:
             return report
-        components = self._components(succ)
-        report.cycles = [self._witness(succ, members)
+        components = graph.components(succ)
+        report.cycles = [graph.shortest_path(succ, members[0], members[0])[:-1]
                          for members in components]
         report.cycle = report.cycles[0]
         report.anomalies = self._count_anomalies(index, components)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import HistoryChecker
+from repro.analysis.graph import components as scc_components
 from repro.analysis.serializability import zero_anomalies
 
 from .test_anomalies import _committed
@@ -165,7 +166,7 @@ def test_check_agrees_with_the_full_graph(history):
         assert report.cycles == [] and report.cycle is None
         return
     succ, _edges, _order = checker._decide(checker._index_writes())
-    components = checker._components(succ)
+    components = scc_components(succ)
     assert {frozenset(c) for c in components} == {
         frozenset(c) for c in nx.strongly_connected_components(reference)
         if len(c) > 1}

@@ -29,6 +29,13 @@ def test_unknown_level_rejected():
         certify(ycsb_templates("rmw"), "repeatable_read")
 
 
+def test_unknown_template_names_rejected():
+    with pytest.raises(ValueError, match=r"\['typo'\].*amalgamate"):
+        smallbank_templates(procedures=["deposit_checking", "typo"])
+    with pytest.raises(ValueError, match="unknown ycsb mode"):
+        ycsb_templates("scan")
+
+
 def test_ycsb_rmw_verdicts():
     """Read-modify-writes: SI's first-committer-wins closes the race;
     RC admits the textbook lost-update loop."""

@@ -27,11 +27,10 @@ share a flush:
   fewer hash computations than N sequential ``put`` calls while producing
   the byte-identical root digest.
 
-A decoded-node cache fronts the store so hot paths skip re-decoding:
-one LRU :class:`DecodedNodeCache` per :class:`NodeStore`, shared by every
-trie over that store — content addressing makes entries valid for any
-root, so historical tries (each block's root over the same backing store)
-warm each other's caches instead of each clearing its own.
+The store keeps each node once, decoded, under the digest of its encoding,
+so every trie over one store (each block's historical root included) reads
+the same map; only :func:`verify_proof`, which checks untrusted bytes,
+decodes.
 """
 
 from __future__ import annotations
@@ -40,8 +39,7 @@ from typing import Optional
 
 from ..crypto.hashing import sha256
 
-__all__ = ["NodeStore", "DecodedNodeCache", "MerklePatriciaTrie",
-           "verify_proof"]
+__all__ = ["NodeStore", "MerklePatriciaTrie", "verify_proof"]
 
 _BRANCH = 0
 _EXTENSION = 1
@@ -114,88 +112,39 @@ def _decode(blob: bytes) -> tuple:
     return (kind, path, payload)
 
 
-#: Decoded-node cache entries kept per store before LRU eviction.
-_NODE_CACHE_MAX = 200_000
-
-
-class DecodedNodeCache:
-    """An LRU cache of decoded trie nodes, keyed by content digest.
-
-    Content addressing makes a decoded node valid for every trie over the
-    same store, so one cache is shared across historical tries.  Eviction
-    is least-recently-used (insertion-ordered dict, refresh-on-hit)
-    instead of the old clear-on-overflow wipe, which dropped the entire
-    working set each time the cap was reached.
-
-    The recency refresh only engages once the cache is within an eighth
-    of capacity (``lru_floor``): below that, eviction is at least
-    ``capacity/8`` insertions away, so insertion order is recency enough
-    and a cache hit stays as cheap as a plain dict get on the trie hot
-    path.  The trie inlines these operations; the methods here are the
-    reference implementation (and what tests exercise).
-    """
-
-    __slots__ = ("entries", "capacity", "lru_floor", "evictions")
-
-    def __init__(self, capacity: int = _NODE_CACHE_MAX):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.entries: dict[bytes, tuple] = {}
-        self.capacity = capacity
-        self.lru_floor = capacity - capacity // 8
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def get(self, digest: bytes) -> Optional[tuple]:
-        entries = self.entries
-        node = entries.get(digest)
-        if node is not None and len(entries) >= self.lru_floor:
-            # refresh recency: move to the insertion-order tail
-            del entries[digest]
-            entries[digest] = node
-        return node
-
-    def put(self, digest: bytes, node: tuple) -> None:
-        entries = self.entries
-        if digest in entries:
-            del entries[digest]
-        elif len(entries) >= self.capacity:
-            del entries[next(iter(entries))]  # least recently used
-            self.evictions += 1
-        entries[digest] = node
-
-
 class NodeStore:
     """Content-addressed node storage (models geth's LevelDB backend).
 
+    Each node is kept once, decoded, under the SHA-256 digest of its
+    encoding; ``total_bytes`` counts what the encoded nodes occupy on disk.
     Nodes are never deleted: stale versions of rewritten paths remain, just
-    like an unpruned Ethereum state database.  The store owns the shared
-    :class:`DecodedNodeCache` for every trie built over it.
+    like an unpruned Ethereum state database.
     """
 
-    def __init__(self, cache_capacity: int = _NODE_CACHE_MAX):
-        self._nodes: dict[bytes, bytes] = {}
-        self.cache = DecodedNodeCache(cache_capacity)
+    def __init__(self):
+        self._nodes: dict[bytes, tuple] = {}
+        self._bytes = 0
         self.puts = 0
 
-    def put(self, blob: bytes) -> bytes:
+    def put(self, node: tuple) -> bytes:
+        blob = _encode(node)
         digest = sha256(blob)
         self.puts += 1
-        # Content-addressing dedups identical blobs automatically.
-        self._nodes[digest] = blob
+        # Content-addressing dedups equal nodes automatically.
+        if digest not in self._nodes:
+            self._nodes[digest] = node
+            self._bytes += 32 + len(blob)
         return digest
 
-    def get(self, digest: bytes) -> bytes:
+    def get(self, digest: bytes) -> tuple:
         return self._nodes[digest]
 
     def __len__(self) -> int:
         return len(self._nodes)
 
     def total_bytes(self) -> int:
-        """Bytes on disk: 32-byte key plus blob per stored node."""
-        return sum(32 + len(blob) for blob in self._nodes.values())
+        """Bytes on disk: 32-byte key plus encoding per stored node."""
+        return self._bytes
 
 
 class MerklePatriciaTrie:
@@ -207,50 +156,23 @@ class MerklePatriciaTrie:
         self.root = root
         # hash-computation counter: systems charge crypto cost per node hash
         self.hashes_computed = 0
-        # decoded nodes are cached on the *store* (shared across every
-        # trie/root over it); entries are immutable by convention (every
-        # mutation path copies before changing children).
-        self._cache: DecodedNodeCache = self.store.cache
         # staged writes applied by commit(); last write per key wins
         self._pending: dict[bytes, bytes] = {}
 
     # -- helpers ------------------------------------------------------------
 
-    # _store/_load inline DecodedNodeCache.put/get: they run once per
-    # touched node on every trie operation and a method call apiece is
-    # measurable in the Figure 11/13 sweeps.
+    # Stored nodes are shared by every trie over the store: they are
+    # immutable by convention (every mutation path copies before changing
+    # children).
 
     def _store(self, node: tuple) -> bytes:
         self.hashes_computed += 1
-        blob = _encode(node)
-        digest = self.store.put(blob)
-        cache = self._cache
-        entries = cache.entries
-        if digest in entries:
-            del entries[digest]
-        elif len(entries) >= cache.capacity:
-            del entries[next(iter(entries))]
-            cache.evictions += 1
-        entries[digest] = node
-        return digest
+        return self.store.put(node)
 
     def _load(self, digest: bytes) -> Optional[tuple]:
         if digest == EMPTY_ROOT or not digest:
             return None
-        cache = self._cache
-        entries = cache.entries
-        node = entries.get(digest)
-        if node is not None:
-            if len(entries) >= cache.lru_floor:
-                del entries[digest]
-                entries[digest] = node
-            return node
-        node = _decode(self.store.get(digest))
-        if len(entries) >= cache.capacity:
-            del entries[next(iter(entries))]
-            cache.evictions += 1
-        entries[digest] = node
-        return node
+        return self.store._nodes[digest]   # one lookup on the hot path
 
     # -- public API ----------------------------------------------------------
 

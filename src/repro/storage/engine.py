@@ -187,16 +187,23 @@ class StorageEngine:
         return RecoveryResult(records, self.wal.size_bytes(), root, hashes)
 
     # -- engine-specific hooks --------------------------------------------------
+    # The defaults drive ``tree``: one node op per write, and a commit that
+    # reports the measured hash delta when the engine is authenticated.
 
     def _put(self, key: bytes, value: bytes) -> None:
-        raise NotImplementedError
+        self.tree.put(key, value)
+        self._node_ops += 1
 
     def _get(self, key: bytes) -> Optional[bytes]:
-        raise NotImplementedError
+        return self.tree.get(key)
 
     def _commit(self) -> tuple[bytes, int]:
         """Fold writes; return (root, hashes computed by this commit)."""
-        return NULL_HASH, 0
+        if not self.authenticated:
+            return NULL_HASH, 0
+        before = self.tree.hashes_computed
+        root = self.tree.commit()
+        return root, self.tree.hashes_computed - before
 
     def _fresh_structure(self) -> None:
         """Install an empty backing structure as ``tree`` (construction
@@ -222,9 +229,6 @@ class LsmEngine(StorageEngine):
         # memtable insert, plus the SSTable writes when a flush cascades
         self._node_ops += 1 + (self.tree.bytes_flushed != flushed)
 
-    def _get(self, key: bytes) -> Optional[bytes]:
-        return self.tree.get(key)
-
     def _fresh_structure(self) -> None:
         self.tree = LSMTree(memtable_limit=4096)
 
@@ -241,9 +245,6 @@ class BTreeEngine(StorageEngine):
         self.tree.put(key, value)
         self._node_ops += self.tree.depth()   # root-to-leaf page writes
 
-    def _get(self, key: bytes) -> Optional[bytes]:
-        return self.tree.get(key)
-
     def _fresh_structure(self) -> None:
         self.tree = BPlusTree(order=64)
 
@@ -258,13 +259,6 @@ class SkipListEngine(StorageEngine):
     """Plain skip list (Redis sorted values backing Veritas)."""
 
     kind = IndexKind.SKIP_LIST
-
-    def _put(self, key: bytes, value: bytes) -> None:
-        self.tree.put(key, value)
-        self._node_ops += 1
-
-    def _get(self, key: bytes) -> Optional[bytes]:
-        return self.tree.get(key)
 
     def _fresh_structure(self) -> None:
         self.tree = SkipList()
@@ -290,24 +284,14 @@ class MptEngine(StorageEngine):
     authenticated = True
 
     def _put(self, key: bytes, value: bytes) -> None:
-        self.trie.stage(key, value)
+        self.tree.stage(key, value)
         self._node_ops += 1
 
-    def _get(self, key: bytes) -> Optional[bytes]:
-        return self.trie.get(key)
-
-    def _commit(self) -> tuple[bytes, int]:
-        before = self.trie.hashes_computed
-        root = self.trie.commit()
-        return root, self.trie.hashes_computed - before
-
     def _fresh_structure(self) -> None:
-        # ``trie`` is the domain name; every engine exposes ``tree``
-        self.trie = MerklePatriciaTrie()
-        self.tree = self.trie
+        self.tree = MerklePatriciaTrie()
 
     def data_bytes(self) -> int:
-        return self.trie.store.total_bytes()
+        return self.tree.store.total_bytes()
 
 
 class MbtEngine(StorageEngine):
@@ -315,18 +299,6 @@ class MbtEngine(StorageEngine):
 
     kind = IndexKind.LSM_MBT
     authenticated = True
-
-    def _put(self, key: bytes, value: bytes) -> None:
-        self.tree.put(key, value)
-        self._node_ops += 1
-
-    def _get(self, key: bytes) -> Optional[bytes]:
-        return self.tree.get(key)
-
-    def _commit(self) -> tuple[bytes, int]:
-        before = self.tree.hashes_computed
-        root = self.tree.commit()
-        return root, self.tree.hashes_computed - before
 
     def _fresh_structure(self) -> None:
         self.tree = MerkleBucketTree()
@@ -340,18 +312,6 @@ class BTreeMerkleEngine(StorageEngine):
 
     kind = IndexKind.BTREE_MERKLE
     authenticated = True
-
-    def _put(self, key: bytes, value: bytes) -> None:
-        self.tree.put(key, value)
-        self._node_ops += 1
-
-    def _get(self, key: bytes) -> Optional[bytes]:
-        return self.tree.get(key)
-
-    def _commit(self) -> tuple[bytes, int]:
-        before = self.tree.hashes_computed
-        root = self.tree.commit()
-        return root, self.tree.hashes_computed - before
 
     def _fresh_structure(self) -> None:
         self.tree = MerkleBTree(order=64)

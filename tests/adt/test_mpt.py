@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adt.mpt import EMPTY_ROOT, MerklePatriciaTrie, NodeStore, verify_proof
+import repro.adt.mpt as mpt
+from repro.adt.mpt import (_LEAF, EMPTY_ROOT, MerklePatriciaTrie, NodeStore,
+                           verify_proof)
 
 
 def key_of(i: int) -> bytes:
@@ -109,9 +111,15 @@ def test_stale_versions_accumulate_in_store():
 
 def test_store_bytes_include_hash_keys():
     store = NodeStore()
-    digest = store.put(b"blob")
-    assert store.get(digest) == b"blob"
-    assert store.total_bytes() == 32 + 4
+    leaf = (_LEAF, (1, 2), b"value")
+    digest = store.put(leaf)
+    assert store.get(digest) == leaf
+    # an equal node is another put but not another stored node
+    assert store.put((_LEAF, (1, 2), b"value")) == digest
+    assert store.puts == 2
+    assert len(store) == 1
+    # 32-byte key + kind 1 + path length 2 + path 2 + value length 4 + value 5
+    assert store.total_bytes() == 32 + 14
 
 
 def test_historical_root_remains_readable():
@@ -123,6 +131,52 @@ def test_historical_root_remains_readable():
     historical = MerklePatriciaTrie(store=trie.store, root=old_root)
     assert historical.get(b"\x01") == b"old"
     assert trie.get(b"\x01") == b"new"
+
+
+def test_historical_trie_shares_the_store():
+    """A trie at an old root over the same store reads every value and
+    adds no nodes: content addressing makes stored nodes valid for any
+    root."""
+    store = NodeStore()
+    writer = MerklePatriciaTrie(store)
+    for i in range(50):
+        writer.put(b"user%04d" % i, b"v%d" % i)
+    nodes = len(store)
+    reader = MerklePatriciaTrie(store, root=writer.root)
+    for i in range(50):
+        assert reader.get(b"user%04d" % i) == b"v%d" % i
+    assert len(store) == nodes
+
+
+def test_tries_never_decode_stored_nodes(monkeypatch):
+    """The store hands out decoded nodes; only ``verify_proof`` decodes,
+    because it checks untrusted bytes."""
+    def refuse(blob):
+        raise AssertionError("a trie decoded a stored node")
+
+    monkeypatch.setattr(mpt, "_decode", refuse)
+    fresh = MerklePatriciaTrie()
+    for i in range(40):
+        fresh.put(key_of(i), b"v%d" % i)
+    old_root = fresh.root
+    historical = MerklePatriciaTrie(store=fresh.store, root=old_root)
+    for trie in (fresh, historical):
+        trie.put(key_of(0), b"put")
+        for i in range(40, 60):
+            trie.stage(key_of(i), b"staged")
+        trie.commit()
+        assert trie.get(key_of(0)) == b"put"
+        assert trie.get(key_of(41)) == b"staged"
+        assert trie.get(key_of(7)) == b"v7"
+        assert trie.prove(key_of(7))
+    assert MerklePatriciaTrie(store=fresh.store, root=old_root).get(
+        key_of(0)) == b"v0"
+
+    monkeypatch.undo()
+    proof = fresh.prove(key_of(7))
+    assert verify_proof(fresh.root, key_of(7), b"v7", proof)
+    tampered = proof[:-1] + [proof[-1][:-1] + b"X"]
+    assert not verify_proof(fresh.root, key_of(7), b"v7", tampered)
 
 
 def test_depth_grows_with_population():

@@ -267,8 +267,9 @@ def test_batched_equivalence_randomized(items, block_size):
 @given(st.dictionaries(st.binary(min_size=1, max_size=8),
                        st.binary(min_size=0, max_size=16),
                        min_size=1, max_size=30))
-def test_node_cache_transparent(model):
-    """Reads through the decoded-node cache equal cold-store reads."""
+def test_shared_store_reads_match_writer(model):
+    """A second trie over the writer's store, at the writer's root, reads
+    every value the writer reads."""
     trie = MerklePatriciaTrie()
     for k, v in model.items():
         trie.put(k, v)

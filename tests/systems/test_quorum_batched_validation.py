@@ -18,7 +18,7 @@ def test_ablation_charges_measured_hashes_and_commits():
     # the charged hash count is the real trie's delta, and it is far
     # below one full path-rebuild per write (shared prefixes hash once)
     assert system.mpt_hashes_charged > 0
-    assert system.engine.trie.hashes_computed >= system.mpt_hashes_charged
+    assert system.engine.tree.hashes_computed >= system.mpt_hashes_charged
     assert system.ledger.verify()
     # every sealed block carries a real state root
     assert all(b.header.state_root != b"\x00" * 32

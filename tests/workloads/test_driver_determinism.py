@@ -125,7 +125,7 @@ def test_real_state_root_matches_replayed_final_state():
     real = run_point("quorum", scale=SMOKE, seed=4,
                      extras={"index": "lsm+mpt"})
     system = real.extras["system"]
-    trie = system.engine.trie
+    trie = system.engine.tree
     assert system.ledger.blocks[-1].header.state_root == trie.root
     # The run may stop mid-block: fold any still-staged writes first so
     # the trie reflects everything the executor applied.

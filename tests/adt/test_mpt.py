@@ -179,6 +179,76 @@ def test_tries_never_decode_stored_nodes(monkeypatch):
     assert not verify_proof(fresh.root, key_of(7), b"v7", tampered)
 
 
+def test_store_byte_total_matches_stored_encodings():
+    """The running byte total equals a recount over the stored nodes after
+    per-write inserts, overwrites and a batched commit."""
+    trie = MerklePatriciaTrie()
+    for i in range(60):
+        trie.put(key_of(i), b"a%d" % i)
+    for i in range(0, 60, 3):
+        trie.put(key_of(i), b"b%d" % i)
+    for i in range(40, 90):
+        trie.stage(key_of(i), b"c%d" % i)
+    trie.commit()
+    store = trie.store
+    assert store.total_bytes() == sum(
+        32 + len(mpt._encode(node)) for node in store._nodes.values())
+    # every node hash the trie counts is one put into the store
+    assert store.puts == trie.hashes_computed
+
+
+def test_equal_content_adds_nothing_to_a_shared_store():
+    """A second trie writing the same keys and values into the store
+    reaches the same root and adds no nodes and no bytes."""
+    store = NodeStore()
+    first = MerklePatriciaTrie(store)
+    for i in range(40):
+        first.put(key_of(i), b"v%d" % i)
+    nodes, size = len(store), store.total_bytes()
+    second = MerklePatriciaTrie(store)
+    for i in range(40):
+        second.put(key_of(i), b"v%d" % i)
+    assert second.root == first.root
+    assert second.hashes_computed == first.hashes_computed
+    assert (len(store), store.total_bytes()) == (nodes, size)
+
+
+def test_roots_do_not_depend_on_store_contents():
+    """What the store already holds never leaks into digests or hash
+    counts: a trie on a store full of another trie's nodes matches a
+    trie on a fresh store, per write and batched."""
+    crowded = NodeStore()
+    other = MerklePatriciaTrie(crowded)
+    for i in range(100):
+        other.put(b"other%04d" % i, b"x")
+    keys = [b"user%06d" % i for i in range(120)]
+    fresh = MerklePatriciaTrie()
+    shared = MerklePatriciaTrie(crowded)
+    for i, key in enumerate(keys):
+        assert fresh.put(key, b"v%d" % i) == shared.put(key, b"v%d" % i)
+    assert fresh.hashes_computed == shared.hashes_computed
+    batched = MerklePatriciaTrie(crowded)
+    for i, key in enumerate(keys):
+        batched.stage(key, b"v%d" % i)
+    assert batched.commit() == fresh.root
+
+
+def test_batched_commit_shares_store_with_per_write():
+    """Nodes a batched commit stores serve a per-write trie at its root,
+    and both paths agree on the next root."""
+    store = NodeStore()
+    batched = MerklePatriciaTrie(store)
+    for i in range(20):
+        batched.stage(b"user%04d" % i, b"v%d" % i)
+    root = batched.commit()
+    reader = MerklePatriciaTrie(store, root=root)
+    for i in range(20):
+        assert reader.get(b"user%04d" % i) == b"v%d" % i
+    reader.put(b"user0007", b"w7")
+    batched.stage(b"user0007", b"w7")
+    assert batched.commit() == reader.root
+
+
 def test_depth_grows_with_population():
     trie = MerklePatriciaTrie()
     trie.put(key_of(0), b"v")

@@ -130,6 +130,32 @@ def test_roots_deterministic_across_runs(kind):
         assert hashes_a == 0
 
 
+def test_commit_reports_the_tree_hash_delta():
+    """The shared commit hook reports exactly the hashes the structure
+    computed during the commit on authenticated engines, and a null root
+    with no hashes on plain ones."""
+    for kind in ALL_KINDS:
+        engine = engine_for(kind)
+        roots = []
+        hashes = 0
+        for block in range(3):
+            for i in range(30):
+                engine.put(f"user{block:02d}{i:04d}", b"v%d" % i)
+            before = engine.tree.hashes_computed if engine.authenticated else 0
+            result = engine.commit(block)
+            assert result.node_ops > 0, kind
+            if engine.authenticated:
+                assert (result.hashes_computed
+                        == engine.tree.hashes_computed - before), kind
+                hashes += result.hashes_computed
+            else:
+                assert (result.root, result.hashes_computed) == (NULL_HASH, 0)
+            roots.append(result.root)
+        if engine.authenticated:
+            assert hashes > 0, kind
+            assert len(set(roots)) == 3, kind
+
+
 def test_authenticated_flags_match_taxonomy():
     """The engine's authenticated bit mirrors Table 2's red/blue marking."""
     for kind in ALL_KINDS:

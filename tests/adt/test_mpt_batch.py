@@ -87,6 +87,98 @@ def test_literal_anchors(name):
     assert _anchor(batched) == (root, *block_counts)
 
 
+def _quorum_blocks():
+    """A quorum-shaped commit stream: a genesis of SmallBank accounts onto
+    an empty trie, then 21 skewed blocks onto the populated one.  Blocks
+    carry same-value overwrites, a key that is a strict prefix of stored
+    keys (one with an empty value) and a key a stored key is a prefix of."""
+    accounts = 300
+    genesis = {}
+    for i in range(accounts):
+        genesis[b"checking%09d" % i] = b"%016d" % 10_000
+        genesis[b"savings%09d" % i] = b"%016d" % 10_000
+    rng = random.Random(32)
+    blocks = []
+    for b in range(21):
+        block = {}
+        for _ in range(rng.randint(5, 40)):
+            kind = rng.choice((b"checking", b"savings"))
+            customer = min(int(rng.paretovariate(1.2)) - 1, accounts - 1)
+            block[kind + b"%09d" % customer] = b"%016d" % rng.randrange(20_000)
+        if b % 4 == 1:
+            for i in rng.sample(range(accounts), 5):
+                block[b"savings%09d" % i] = b"%016d" % 10_000
+        blocks.append(block)
+    blocks[5][b"checking00000001"] = b"prefix"
+    blocks[11][b"savings0000000"] = b""
+    blocks[17][b"checking000000001x"] = b"longer"
+    return [genesis] + blocks
+
+
+# (root, len(store), total_bytes(), hashes_computed) after each commit of
+# ``_quorum_blocks``; the genesis values are equal, so its leaves dedup.
+QUORUM_ANCHORS = [
+    ("c3bcd64f8aac0a6a8ef33273042f6f6253c4b9fd0fd32deffcef39364a55dd2d",
+     9, 1459, 737),
+    ("ad2e2b62c59bf9c6d529292bf2373c402dff5b577d17e4e1fee0744c47c47485",
+     29, 4674, 757),
+    ("13a93b1ed7ad85f6c20fdc19796768fe6933f7cd1c1d6eb6e89e5632a24159e1",
+     48, 7834, 795),
+    ("61cd279664321e52ddc818487f6a5ce211d853682da3c8a48373de682286c243",
+     72, 11269, 819),
+    ("c514e88cfcee7d29794bcb6d0848bcff662d0ff26b55a4c3681528b3da942efa",
+     96, 14704, 843),
+    ("4803d39927c85aa67df28d65f6a9750ce3d850a4865b41a278e2ae05f7560ba7",
+     123, 18652, 870),
+    ("8351ae23db53080ca0b922b782dbbb3a933d8a47a77f4b83648f70e911ec0554",
+     149, 22581, 909),
+    ("47103b982a1398087c58ee9790785a6d94dfc7aeb6ac48d92319e7274ac8fa0d",
+     172, 25613, 932),
+    ("42dd0a8274d1cbbbd443616c889d84f6292b056832faa91047e59d8b4c56788f",
+     195, 29377, 955),
+    ("35e3b1a887430327a0dd42a4047260232b3274aeb592745d1bf4e15c95490c86",
+     216, 32299, 976),
+    ("e1ed1e4571792a4389ec445b14cd45a299962ea13e065ef6a5c5a187cb3e8f33",
+     238, 35660, 1011),
+    ("183e519fdbd9f3a4fc5913fb32a60dc44bcc0a8ade452b91dddee5e3cb24242b",
+     258, 38527, 1031),
+    ("ad7c20ff7b120e6d61013cbd680e8a2bd6dffe5398dfb93a55aab5f6827d47bd",
+     280, 41534, 1053),
+    ("33fb37a310a8ebe0ed5bd436f66d2ad185008e6845f5d1e9fa8b820d63b9c6c2",
+     301, 44486, 1074),
+    ("b74bc98c43427ec423f12acdf23822973322a183b1947dfa73deb15806e44483",
+     320, 47712, 1112),
+    ("d4c66840ec7a5a2e4ce9c7bd32df2ed2ae57b70c37124c32767f08545abfba19",
+     337, 50444, 1129),
+    ("a671de202c62aa249d7096d83c5e2a013be694ee04a77ebc4afaf34f9337106c",
+     358, 53396, 1150),
+    ("3b08fb66a784cbc70917070cf993ed4cde123d2206803326908a15d662d57ac0",
+     391, 58052, 1183),
+    ("978e41bd4b6b434cffb2e4d53efd91e4356b54eb27a249136f258d1d5989e61e",
+     411, 61003, 1220),
+    ("1463c95f0a84300a0c3158ebeb89f18e8cac10057eaa76e51740859e8ec1859a",
+     435, 64531, 1244),
+    ("b7f2345ecbf974ce0269e32966eec4666f2cf3dc4afc87986315e03669b17d52",
+     468, 69250, 1277),
+    ("fdaae7ff8007dc8191dda47ad754e2763f06fb889efc3e0807eaea9b58421b3e",
+     495, 72979, 1304),
+]
+
+
+def test_quorum_commit_stream_anchors():
+    trie = MerklePatriciaTrie()
+    seen = []
+    for block in _quorum_blocks():
+        for k, v in block.items():
+            trie.stage(k, v)
+        trie.commit()
+        seen.append(_anchor(trie))
+    assert seen == QUORUM_ANCHORS
+    assert trie.get(b"checking00000001") == b"prefix"
+    assert trie.get(b"savings0000000") == b""
+    assert trie.get(b"checking000000001x") == b"longer"
+
+
 def test_fig13_measures_the_anchored_trie():
     """fig13's seeded run builds exactly the ``fig13`` anchor's per-write
     trie: same node count, same bytes."""

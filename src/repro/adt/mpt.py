@@ -12,29 +12,31 @@ few dozen bytes.
 The root digest authenticates the full state; ``prove``/``verify_proof``
 produce and check the access-path integrity proofs of Section 3.3.2.
 
-Writes go through one insert routine (``_insert_mem``: rebuild the
-touched path as in-memory dirty nodes) and one flush (``_flush``: encode
-and hash each dirty node once, bottom-up).  What differs is how many keys
-share a flush:
+Writes go through one routine, ``_merge``: a recursive merge of sorted
+``(nibbles, value)`` pairs into the stored trie.  It loads each node on a
+touched path once, builds the new nodes a split or a fresh key needs, and
+encodes and hashes each node once, as the recursion returns.  What differs
+is how many keys share a merge:
 
-* :meth:`MerklePatriciaTrie.put` — per-write: inserts and flushes that one
-  key immediately, so every write re-encodes and re-hashes its
-  leaf-to-root path (the behaviour the paper's Figure 13 storage-blowup
-  measurements rely on).  Other staged keys stay staged;
+* :meth:`MerklePatriciaTrie.put` — per-write: merges that one key at once,
+  so every write re-encodes and re-hashes its leaf-to-root path (the
+  behaviour the paper's Figure 13 storage-blowup measurements rely on).
+  Other staged keys stay staged;
 * :meth:`MerklePatriciaTrie.stage` + :meth:`MerklePatriciaTrie.commit` —
-  batched, geth-style: writes accumulate and ``commit()`` inserts them all
-  before one flush, so a block of N writes sharing path prefixes costs far
+  batched, geth-style: writes accumulate and ``commit()`` merges them all
+  in one pass, so a block of N writes sharing path prefixes costs far
   fewer hash computations than N sequential ``put`` calls while producing
   the byte-identical root digest.
 
-The store keeps each node once, decoded, under the digest of its encoding,
-so every trie over one store (each block's historical root included) reads
-the same map; only :func:`verify_proof`, which checks untrusted bytes,
-decodes.
+Nibble paths are ``bytes`` with one nibble (0–15) per byte.  The store
+keeps each node once, decoded, under the digest of its encoding, so every
+trie over one store (each block's historical root included) reads the same
+map; only :func:`verify_proof`, which checks untrusted bytes, decodes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
 from ..crypto.hashing import sha256
@@ -47,39 +49,44 @@ _LEAF = 2
 
 EMPTY_ROOT = sha256(b"mpt:empty")
 
+_KIND = (b"\x00", b"\x01", b"\x02")
+_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+# the 2-byte length prefix of a branch child: a digest or empty
+_CHILD_LEN = tuple(n.to_bytes(2, "big") for n in range(33))
+# one past each nibble: bounds a branch slot's run of sorted keys
+_NEXT = tuple(bytes([n + 1]) for n in range(16))
 
-def _to_nibbles(key: bytes) -> tuple[int, ...]:
-    out = []
-    for byte in key:
-        out.append(byte >> 4)
-        out.append(byte & 0x0F)
-    return tuple(out)
+
+def _to_nibbles(key: bytes) -> bytes:
+    return key.hex().encode().translate(_NIBBLE)
+
+
+def _lcp(a: bytes, b: bytes) -> int:
+    """Length of the common prefix of two nibble paths."""
+    n = min(len(a), len(b))
+    a, b = a[:n], b[:n]
+    if a == b:
+        return n
+    diff = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return n - 1 - (diff.bit_length() - 1) // 8
 
 
 def _encode(node: tuple) -> bytes:
     """Unambiguous length-prefixed serialization of a trie node."""
-    kind = node[0]
-    parts = [bytes([kind])]
-    if kind == _BRANCH:
-        _tag, children, value = node
-        for child in children:
-            parts.append(len(child).to_bytes(2, "big"))
-            parts.append(child)
-        # presence flag keeps an *empty* stored value distinct from
-        # "no value at this branch"
-        if value is None:
-            parts.append(b"\x00")
-        else:
-            parts.append(b"\x01")
-            parts.append(len(value).to_bytes(4, "big"))
-            parts.append(value)
+    kind, body, tail = node
+    if kind != _BRANCH:   # body is the nibble path, tail the payload
+        return b"".join((_KIND[kind], len(body).to_bytes(2, "big"), body,
+                         len(tail).to_bytes(4, "big"), tail))
+    parts = [_KIND[_BRANCH]]
+    for child in body:
+        parts.append(_CHILD_LEN[len(child)])
+        parts.append(child)
+    # presence flag keeps an *empty* stored value distinct from
+    # "no value at this branch"
+    if tail is None:
+        parts.append(b"\x00")
     else:
-        _tag, path, payload = node
-        packed = bytes(path)
-        parts.append(len(packed).to_bytes(2, "big"))
-        parts.append(packed)
-        parts.append(len(payload).to_bytes(4, "big"))
-        parts.append(payload)
+        parts += (b"\x01", len(tail).to_bytes(4, "big"), tail)
     return b"".join(parts)
 
 
@@ -104,7 +111,7 @@ def _decode(blob: bytes) -> tuple:
         return (_BRANCH, children, value)
     n = int.from_bytes(blob[pos:pos + 2], "big")
     pos += 2
-    path = tuple(blob[pos:pos + n])
+    path = blob[pos:pos + n]
     pos += n
     vlen = int.from_bytes(blob[pos:pos + 4], "big")
     pos += 4
@@ -162,8 +169,7 @@ class MerklePatriciaTrie:
     # -- helpers ------------------------------------------------------------
 
     # Stored nodes are shared by every trie over the store: they are
-    # immutable by convention (every mutation path copies before changing
-    # children).
+    # immutable by convention (a merge builds new nodes, never edits one).
 
     def _store(self, node: tuple) -> bytes:
         self.hashes_computed += 1
@@ -179,8 +185,8 @@ class MerklePatriciaTrie:
     def put(self, key: bytes, value: bytes) -> bytes:
         """Insert/overwrite ``key`` and return the new root digest.
 
-        One key's insert flushed at once; other staged writes stay
-        staged until :meth:`commit`.
+        One key merged at once; other staged writes stay staged until
+        :meth:`commit`.
         """
         if not key:
             raise ValueError("empty key")
@@ -188,8 +194,8 @@ class MerklePatriciaTrie:
             # This write supersedes any older staged write for the key —
             # otherwise the stale staged value would clobber it at commit.
             self._pending.pop(key, None)
-        self.root = self._flush(
-            self._insert_mem(self.root, _to_nibbles(key), value))
+        self.root = self._merge(self._load(self.root),
+                                [(_to_nibbles(key), value)], 0)
         return self.root
 
     def get(self, key: bytes) -> Optional[bytes]:
@@ -205,10 +211,10 @@ class MerklePatriciaTrie:
                 return node[2] if node[1] == nibbles else None
             if kind == _EXTENSION:
                 path = node[1]
-                if nibbles[:len(path)] != path:
+                if not nibbles.startswith(path):
                     return None
                 nibbles = nibbles[len(path):]
-                node = self._load(bytes(node[2]))
+                node = self._load(node[2])
                 continue
             # branch
             if not nibbles:
@@ -217,7 +223,7 @@ class MerklePatriciaTrie:
             if not child:
                 return None
             nibbles = nibbles[1:]
-            node = self._load(bytes(child))
+            node = self._load(child)
         return None
 
     # -- batched commits ------------------------------------------------------
@@ -237,122 +243,94 @@ class MerklePatriciaTrie:
         """Apply all staged writes, hashing each touched node exactly once.
 
         Equivalent to calling :meth:`put` per staged key — the root digest
-        is byte-identical — but the dirty sub-trie is kept as plain
-        in-memory nodes while the batch is applied and only serialized +
-        hashed in a single bottom-up pass, geth-style.  Intermediate
-        versions of rewritten paths are therefore *not* written to the
-        store (a block commits one state transition, not N).
+        is byte-identical — but the sorted keys are merged in one pass, so
+        a node on several keys' paths is loaded, encoded and hashed once.
+        Intermediate versions of rewritten paths are therefore *not*
+        written to the store (a block commits one state transition, not N).
         """
         if not self._pending:
             return self.root
-        ref: object = self.root
-        for key, value in self._pending.items():
-            ref = self._insert_mem(ref, _to_nibbles(key), value)
+        items = [(_to_nibbles(key), value)
+                 for key, value in sorted(self._pending.items())]
         self._pending.clear()
-        self.root = self._flush(ref)
+        self.root = self._merge(self._load(self.root), items, 0)
         return self.root
 
-    # Dirty nodes are lists ([kind, ...], children may mix digests and
-    # dirty lists); clean nodes are referenced by digest (bytes).
+    # ``items`` below are sorted (nibbles, value) pairs with distinct keys
+    # that share their first ``d`` nibbles; ``d`` is the depth of the node
+    # they are merged into.  Each routine returns the digest of the new
+    # subtree, storing every node it creates as the recursion returns.
 
-    def _load_mut(self, ref) -> Optional[list]:
-        """Resolve a node reference into a mutable (dirty) node, or None."""
-        if isinstance(ref, list):
-            return ref
-        node = self._load(bytes(ref))
+    def _merge(self, node: Optional[tuple], items: list, d: int) -> bytes:
         if node is None:
-            return None
-        if node[0] == _BRANCH:
-            return [_BRANCH, list(node[1]), node[2]]
-        return [node[0], node[1], node[2]]
-
-    def _insert_mem(self, ref, nibbles: tuple[int, ...], value: bytes) -> list:
-        node = self._load_mut(ref)
-        if node is None:
-            return [_LEAF, nibbles, value]
+            return self._build(items, d)
         kind = node[0]
         if kind == _LEAF:
-            return self._merge_leaf_mem(node, nibbles, value)
+            # fold the leaf's own key in; a staged value for it wins
+            own = items[0][0][:d] + node[1]
+            i = bisect_left(items, (own,))
+            if i == len(items) or items[i][0] != own:
+                items = items[:i] + [(own, node[2])] + items[i:]
+            return self._build(items, d)
         if kind == _EXTENSION:
-            return self._descend_extension_mem(node, nibbles, value)
-        return self._descend_branch_mem(node, nibbles, value)
+            path, child = node[1], node[2]
+            first, last = items[0][0], items[-1][0]
+            if first.startswith(path, d) and last.startswith(path, d):
+                return self._store((_EXTENSION, path, self._merge(
+                    self._load(child), items, d + len(path))))
+            # sorted keys: the first and last bound every item's overlap
+            common = min(_lcp(path, first[d:]), _lcp(path, last[d:]))
+            slot, rest = path[common], path[common + 1:]
+            children = [b""] * 16
+            children[slot] = (_EXTENSION, rest, child) if rest else child
+            value = self._fill(children, None, items, d + common)
+            if children[slot].__class__ is tuple:   # no item reached it
+                children[slot] = self._store(children[slot])
+            digest = self._store((_BRANCH, children, value))
+            if common:
+                digest = self._store((_EXTENSION, path[:common], digest))
+            return digest
+        children = list(node[1])
+        value = self._fill(children, node[2], items, d)
+        return self._store((_BRANCH, children, value))
 
-    def _merge_leaf_mem(self, leaf: list, nibbles: tuple[int, ...],
-                        value: bytes) -> list:
-        existing_path, existing_value = leaf[1], leaf[2]
-        if existing_path == nibbles:
-            return [_LEAF, nibbles, value]
-        common = 0
-        while (common < len(existing_path) and common < len(nibbles)
-               and existing_path[common] == nibbles[common]):
-            common += 1
-        children: list = [b""] * 16
-        branch_value = None
-        for path, val in ((existing_path[common:], existing_value),
-                          (nibbles[common:], value)):
-            if not path:
-                branch_value = val
+    def _build(self, items: list, d: int) -> bytes:
+        """New nodes for ``items`` below an empty slot."""
+        if len(items) == 1:
+            key, value = items[0]
+            return self._store((_LEAF, key[d:], value))
+        first = items[0][0]
+        common = d + _lcp(first[d:], items[-1][0][d:])
+        children = [b""] * 16
+        value = self._fill(children, None, items, common)
+        digest = self._store((_BRANCH, children, value))
+        if common > d:
+            digest = self._store((_EXTENSION, first[d:common], digest))
+        return digest
+
+    def _fill(self, children: list, value: Optional[bytes], items: list,
+              d: int) -> Optional[bytes]:
+        """Merge ``items`` into the branch ``children`` at depth ``d`` in
+        place, one run of items per touched slot; return the branch value.
+
+        A slot holds a digest, ``b""``, or a node not yet stored.
+        """
+        i, n = 0, len(items)
+        if len(items[0][0]) == d:   # a key ending here sorts first
+            value = items[0][1]
+            i = 1
+        while i < n:
+            key = items[i][0]
+            nib = key[d]
+            j = bisect_left(items, (key[:d] + _NEXT[nib],), i + 1, n)
+            ref = children[nib]
+            if not ref:
+                children[nib] = self._build(items[i:j], d + 1)
             else:
-                children[path[0]] = [_LEAF, path[1:], val]
-        branch = [_BRANCH, children, branch_value]
-        if common:
-            return [_EXTENSION, nibbles[:common], branch]
-        return branch
-
-    def _descend_extension_mem(self, ext: list, nibbles: tuple[int, ...],
-                               value: bytes) -> list:
-        path, child_ref = ext[1], ext[2]
-        if isinstance(child_ref, (bytes, bytearray)):
-            child_ref = bytes(child_ref)
-        common = 0
-        while (common < len(path) and common < len(nibbles)
-               and path[common] == nibbles[common]):
-            common += 1
-        if common == len(path):
-            new_child = self._insert_mem(child_ref, nibbles[common:], value)
-            return [_EXTENSION, path, new_child]
-        children: list = [b""] * 16
-        branch_value = None
-        remainder = path[common:]
-        if len(remainder) == 1:
-            children[remainder[0]] = child_ref
-        else:
-            children[remainder[0]] = [_EXTENSION, remainder[1:], child_ref]
-        new_path = nibbles[common:]
-        if not new_path:
-            branch_value = value
-        else:
-            children[new_path[0]] = [_LEAF, new_path[1:], value]
-        branch = [_BRANCH, children, branch_value]
-        if common:
-            return [_EXTENSION, path[:common], branch]
-        return branch
-
-    def _descend_branch_mem(self, branch: list, nibbles: tuple[int, ...],
-                            value: bytes) -> list:
-        children = branch[1]
-        if not nibbles:
-            return [_BRANCH, children, value]
-        slot = nibbles[0]
-        child = children[slot]
-        if isinstance(child, (bytes, bytearray)):
-            child = bytes(child) if child else EMPTY_ROOT
-        children[slot] = self._insert_mem(child, nibbles[1:], value)
-        return [_BRANCH, children, branch[2]]
-
-    def _flush(self, ref) -> bytes:
-        """Serialize + hash a dirty sub-trie bottom-up, one hash per node."""
-        if not isinstance(ref, list):
-            return bytes(ref)
-        kind = ref[0]
-        if kind == _LEAF:
-            return self._store((_LEAF, ref[1], ref[2]))
-        if kind == _EXTENSION:
-            return self._store((_EXTENSION, ref[1], self._flush(ref[2])))
-        children = [child if isinstance(child, bytes) else
-                    (b"" if not child else self._flush(child))
-                    for child in ref[1]]
-        return self._store((_BRANCH, children, ref[2]))
+                node = ref if ref.__class__ is tuple else self._load(ref)
+                children[nib] = self._merge(node, items[i:j], d + 1)
+            i = j
+        return value
 
     # -- proofs ---------------------------------------------------------------
 
@@ -371,10 +349,10 @@ class MerklePatriciaTrie:
                 return proof
             if kind == _EXTENSION:
                 path = node[1]
-                if nibbles[:len(path)] != path:
+                if not nibbles.startswith(path):
                     return proof
                 nibbles = nibbles[len(path):]
-                digest = bytes(node[2])
+                digest = node[2]
                 continue
             if not nibbles:
                 return proof
@@ -382,7 +360,7 @@ class MerklePatriciaTrie:
             if not child:
                 return proof
             nibbles = nibbles[1:]
-            digest = bytes(child)
+            digest = child
 
     def depth(self, key: bytes) -> int:
         """Number of nodes on the access path for ``key``."""
@@ -402,20 +380,20 @@ def verify_proof(root: bytes, key: bytes, value: bytes,
         kind = node[0]
         if kind == _LEAF:
             return node[1] == nibbles and node[2] == value
+        if kind == _BRANCH and not nibbles:   # the key ends at this branch
+            return node[2] == value
         if i + 1 >= len(proof):
             return False
         expected_child = sha256(proof[i + 1])
         if kind == _EXTENSION:
             path = node[1]
-            if nibbles[:len(path)] != path:
+            if not nibbles.startswith(path):
                 return False
             nibbles = nibbles[len(path):]
-            if bytes(node[2]) != expected_child:
+            if node[2] != expected_child:
                 return False
         else:  # branch
-            if not nibbles:
-                return node[2] == value
-            if bytes(node[1][nibbles[0]]) != expected_child:
+            if node[1][nibbles[0]] != expected_child:
                 return False
             nibbles = nibbles[1:]
     return False

@@ -111,11 +111,11 @@ def test_stale_versions_accumulate_in_store():
 
 def test_store_bytes_include_hash_keys():
     store = NodeStore()
-    leaf = (_LEAF, (1, 2), b"value")
+    leaf = (_LEAF, b"\x01\x02", b"value")
     digest = store.put(leaf)
     assert store.get(digest) == leaf
     # an equal node is another put but not another stored node
-    assert store.put((_LEAF, (1, 2), b"value")) == digest
+    assert store.put((_LEAF, b"\x01\x02", b"value")) == digest
     assert store.puts == 2
     assert len(store) == 1
     # 32-byte key + kind 1 + path length 2 + path 2 + value length 4 + value 5
@@ -286,3 +286,28 @@ def test_mpt_root_reflects_final_state_only(items):
     for k, v in sorted(final.items()):
         trie2.put(k, v)
     assert trie1.root == trie2.root
+
+
+@pytest.mark.parametrize("node", [
+    (mpt._LEAF, b"\x01\x0f\x00", b"value"),
+    (mpt._EXTENSION, b"\x03\x04", hashlib.sha256(b"child").digest()),
+    (mpt._LEAF, b"", b"value"),
+    (mpt._BRANCH, [hashlib.sha256(b"%d" % i).digest() if i % 3 else b""
+                   for i in range(16)], b""),
+])
+def test_node_encoding_round_trips(node):
+    assert mpt._decode(mpt._encode(node)) == node
+
+
+def test_proofs_for_prefix_keys_and_empty_values():
+    """A key that is a strict prefix of another ends at a branch value; an
+    empty value is a value.  Both prove, and both reject a wrong value."""
+    trie = MerklePatriciaTrie()
+    trie.put(b"\x12", b"short")
+    trie.put(b"\x12\x34", b"long")
+    trie.put(b"\x12\x35", b"")
+    for key, value in ((b"\x12", b"short"), (b"\x12\x35", b"")):
+        proof = trie.prove(key)
+        assert verify_proof(trie.root, key, value, proof)
+        assert not verify_proof(trie.root, key, b"wrong", proof)
+    assert not verify_proof(trie.root, b"\x12", b"", trie.prove(b"\x12"))

@@ -369,3 +369,54 @@ def test_shared_store_reads_match_writer(model):
     for k, v in model.items():
         assert trie.get(k) == v
         assert cold.get(k) == v
+
+
+def test_commit_loads_each_node_once(monkeypatch):
+    """One commit of many prefix-sharing keys onto a populated trie loads
+    every node it touches once, and an empty slot not at all: the sorted
+    keys share each loaded path."""
+    trie = MerklePatriciaTrie()
+    for i in range(400):
+        trie.stage(b"checking%09d" % i, b"v%d" % i)
+    trie.commit()
+    for i in range(0, 400, 3):
+        trie.stage(b"checking%09d" % i, b"w")
+    trie.stage(b"checking00000012", b"prefix")
+    for i in range(1000, 1040):
+        trie.stage(b"checking%09d" % i, b"new%d" % i)
+    loaded = []
+    load = MerklePatriciaTrie._load
+
+    def spy(self, digest):
+        loaded.append(digest)
+        return load(self, digest)
+
+    monkeypatch.setattr(MerklePatriciaTrie, "_load", spy)
+    trie.commit()
+    assert len(loaded) > 1
+    assert len(loaded) == len(set(loaded))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.binary(min_size=1, max_size=5),
+                       st.binary(min_size=0, max_size=8),
+                       min_size=1, max_size=30),
+       st.randoms(use_true_random=False))
+def test_commit_ignores_staging_order(model, rng):
+    """Staging one dict in any order commits the same root, store and hash
+    count, onto an empty trie and onto a populated one."""
+    base = [(bytes([b]) * 2, b"base") for b in (0, 1, 0x10, 0xab)]
+
+    def committed(items):
+        trie = MerklePatriciaTrie()
+        for block in (base, items):
+            for k, v in block:
+                trie.stage(k, v)
+            trie.commit()
+        return _anchor(trie)
+
+    items = list(model.items())
+    shuffled = items[:]
+    rng.shuffle(shuffled)
+    assert committed(items) == committed(shuffled)
+    assert committed(items[::-1]) == committed(items)

@@ -8,7 +8,7 @@ resource counts restored, done fired exactly once)."""
 import pytest
 
 from repro.sim import Countdown, Environment, Interrupt, Node
-from repro.sim.kernel import _MAX_INLINE_DEPTH, Event
+from repro.sim.kernel import _MAX_INLINE_DEPTH, Event, subscribe
 from repro.sim.resources import Resource
 
 
@@ -328,25 +328,86 @@ def test_countdown_zero_branches_fires_immediately(env):
     assert cd.value == []
 
 
-def test_countdown_watch_matches_allof_timing(env):
-    """Countdown over N timers must fire at the same simulated time as
-    AllOf over the identical timers (the dispatch-equivalence contract
-    that lets 2PC chains swap one for the other)."""
-    times = {}
+#: The flat joins list their components in completion order, so a join
+#: that reports completion order and one that reports given order pin
+#: the same values here.
+FAN_IN_TRACE = [
+    (0.0, "F3", []),
+    (0.0, "G3", []),
+    (0.5, "t05", "t05"),
+    (1.0, "t1a", "t1a"),
+    (1.0, "t1b", "t1b"),
+    (1.0, "bad", "failed: participant died"),
+    (1.0, "F1", ["early", "t05", "t1a", "t1b"]),
+    (1.0, "F2", "failed: participant died"),
+    (1.0, "G2", "failed: participant died"),
+    (1.5, "F4", "failed: participant died"),
+    (1.5, "G4", ["t05", "early"]),
+    (2.0, "t2", "t2"),
+    (2.0, "G1", ["t2", "early", "t1b", "t1a"]),
+]
 
-    def with_allof(env):
-        yield env.all_of([env.timeout(d) for d in (0.3, 0.1, 0.2)])
-        times["allof"] = env.now
 
-    env.process(with_allof(env))
+def _flat_join(env, events, on_done):
+    """Park ``on_done`` on a fan-in join over ``events`` without a process."""
+    join = Countdown(env, len(events))
+    for ev in events:
+        join.watch(ev)
+    subscribe(join, on_done)
+
+
+def test_fan_in_trace_pinned():
+    """One fan-in trace, pinned as a literal: generator waiters
+    (``yield env.all_of(...)``) and flat waiters parked on a join, over
+    timers with tied instants, already-processed events and a failing
+    event.  Each ``(now, label, value)`` entry is a dispatch; the order
+    of entries at one instant is the cascade order the join must keep
+    (the last completion succeeds the join through the scheduler, so
+    the components' own dispatches at that instant come first)."""
+    env = Environment()
+    log = []
+
+    def record(label):
+        def on_done(ev):
+            log.append((env.now, label,
+                        ev._value if ev._ok else f"failed: {ev._value}"))
+        return on_done
+
+    early = env.resolved("early")
+    t05 = env.timeout(0.5, "t05")
+    t1a = env.timeout(1.0, "t1a")
+    t1b = env.timeout(1.0, "t1b")        # tied with t1a
+    t2 = env.timeout(2.0, "t2")
+    bad = env.event()
+    for ev in (t05, t1a, t1b, t2, bad):
+        subscribe(ev, record(ev._value or "bad"))
+
+    def waiter(label, events):
+        try:
+            values = yield env.all_of(events)
+        except RuntimeError as exc:
+            values = f"failed: {exc}"
+        log.append((env.now, label, values))
+
+    def failer():
+        yield t1a
+        bad.fail(RuntimeError("participant died"))
+
+    def late():
+        yield env.timeout(1.5)
+        _flat_join(env, [t05, bad], record("F4"))     # processed, failed
+        yield from waiter("G4", [t05, early])          # all processed
+
+    _flat_join(env, [early, t05, t1a, t1b], record("F1"))
+    _flat_join(env, [t1b, bad], record("F2"))
+    _flat_join(env, [], record("F3"))
+    env.process(waiter("G1", [t2, early, t1b, t1a]))
+    env.process(failer())
+    env.process(waiter("G2", [t1a, bad, t2]))
+    env.process(waiter("G3", []))
+    env.process(late())
     env.run()
-    env2 = Environment()
-    cd = Countdown(env2, 3)
-    for d in (0.3, 0.1, 0.2):
-        cd.watch(env2.timeout(d, value=d))
-    env2.run()
-    assert times["allof"] == env2.now == 0.3
-    assert cd.value == [0.1, 0.2, 0.3]   # completion order
+    assert log == FAN_IN_TRACE
 
 
 def test_countdown_watch_already_processed_event(env):

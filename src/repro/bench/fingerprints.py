@@ -82,7 +82,7 @@ FINGERPRINTS = {
         {"tps": "182.64467607020674", "measured": 300,
          "latency": "0.0942598491757825", "aborted": 39},
     ),
-    # Spanner: 2 ops/txn so the cross-shard 2PC countdown chain (parallel
+    # Spanner: 2 ops/txn so the cross-shard 2PC chain (parallel
     # prepare fan-out -> decision round -> commit fan-out) is exercised,
     # not just the single-shard Paxos write.
     "spanner": (

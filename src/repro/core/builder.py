@@ -7,10 +7,17 @@ paper benchmarks map to their dedicated high-fidelity models; everything
 else is composed by :class:`repro.systems.hybrids.HybridSystem` from the
 same substrates.
 
+>>> from dataclasses import replace
+>>> from repro.core import build_system, profile
+>>> from repro.sim import Environment
+>>> from repro.systems import SystemConfig
 >>> env = Environment()
 >>> system = build_system(env, "etcd")          # dedicated model
 >>> system = build_system(env, "veritas")       # composed hybrid
+>>> custom_profile = replace(profile("veritas"), name="my-hybrid")
 >>> system = build_system(env, custom_profile)  # your own design point
+>>> system.name
+'my-hybrid'
 
 The profile's Table 2 **index** column maps to a runnable storage engine
 (:mod:`repro.storage.engine`): hybrids build theirs from the profile

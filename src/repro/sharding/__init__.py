@@ -1,12 +1,12 @@
 """Sharding: partitioning, 2PC, BFT 2PC, shard formation."""
 
-from .bft2pc import BftCoordinator
 from .formation import (FormationMethod, ReconfigurationSchedule,
                         ShardFormation, min_shard_size,
                         shard_failure_probability)
 from .partitioner import (HashPartitioner, HotSplitPartitioner,
                           RangePartitioner, WorkloadAwarePartitioner)
-from .twopc import Decision, Participant, TwoPhaseCoordinator, Vote
+from .twopc import (BftCoordinator, Decision, Participant,
+                    TwoPhaseCoordinator, Vote)
 
 __all__ = [
     "BftCoordinator",

@@ -1,13 +1,18 @@
-"""Two-phase commit with a trusted coordinator (the database answer).
+"""Two-phase commit: one protocol, two ways to make a coordinator step durable.
 
-Section 3.4.2: cross-shard atomicity in databases uses 2PC driven by a
-dedicated, *trusted* coordinator — which may fail and block the
-transaction, the weakness BFT 2PC addresses on the blockchain side.
+Section 3.4.2: cross-shard atomicity uses 2PC on both sides of the
+dichotomy, and the sides differ in one choice inside it.  A database
+trusts a dedicated coordinator, which may crash between the phases and
+leave its prepared participants blocked.  A blockchain cannot trust it
+under the Byzantine model, so (the AHL / Eth2 beacon-chain pattern) the
+coordinator is a state machine replicated by a BFT committee: every
+coordinator step is one consensus round — the "considerable overhead"
+Figure 14 measures — and consensus liveness keeps it available.
 
-Participants implement ``prepare``/``commit``/``abort`` as simulated
-calls returning kernel events; the coordinator sequences the two phases
-and reports the decision.  A coordinator crash between phases leaves
-participants prepared-and-blocked, which the tests assert explicitly.
+Both coordinators run the one chain :class:`_TwoPcChain`; they differ
+only in ``_record``, the event that makes a step durable.  Participants
+implement ``prepare``/``finalize`` as simulated calls returning kernel
+events.
 """
 
 from __future__ import annotations
@@ -16,9 +21,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Protocol
 
-from ..sim.kernel import Countdown, Environment, Event, subscribe
+from ..consensus.pbft import PbftGroup
+from ..sim.kernel import Environment, Event, subscribe
 
-__all__ = ["Vote", "Decision", "Participant", "TwoPhaseCoordinator"]
+__all__ = ["Vote", "Decision", "Participant", "TwoPhaseCoordinator",
+           "BftCoordinator"]
 
 
 class Vote(Enum):
@@ -42,12 +49,6 @@ class Participant(Protocol):
         """Apply the coordinator's decision; fires when durable."""
 
 
-def decision_from_votes(votes) -> "Decision":
-    """Unanimous-consent fold shared by every 2PC coordinator form."""
-    return (Decision.COMMIT if all(v is Vote.YES for v in votes)
-            else Decision.ABORT)
-
-
 @dataclass
 class TwoPcStats:
     started: int = 0
@@ -58,20 +59,23 @@ class TwoPcStats:
 
 
 class _TwoPcChain:
-    """One 2PC instance as a participant-countdown callback chain.
+    """One 2PC instance as a callback chain, for either coordinator.
 
-    Prepare fan-out -> countdown of votes -> (optional inter-phase
-    delay) -> crash check -> commit/abort fan-out -> countdown of acks
-    -> decision.  No Process per instance and none per participant;
-    participant events are joined by :class:`Countdown`, whose
-    triggered-guard absorbs late or duplicate branch completions (the
-    double-completion race a crash mid-protocol can produce).
+    Record BEGIN -> prepare fan-in of votes -> fold the votes -> record
+    the decision -> finalize fan-in of acks -> ``done``.  A record that
+    fails, or a coordinator that has crashed by the time it lands,
+    resolves the instance to ``Decision.BLOCKED``; after the decision
+    step the prepared participants are listed as blocked too.  No
+    Process per instance and none per participant: participant events
+    are joined by ``env.all_of``, whose settled-guard absorbs late or
+    duplicate completions (the double-completion race a crash
+    mid-protocol can produce).
     """
 
     __slots__ = ("coordinator", "txn_id", "participants", "payload", "done",
                  "decision")
 
-    def __init__(self, coordinator: "TwoPhaseCoordinator", txn_id: int,
+    def __init__(self, coordinator: "_Coordinator", txn_id: int,
                  participants: list[Participant], payload: dict, done: Event):
         self.coordinator = coordinator
         self.txn_id = txn_id
@@ -91,41 +95,40 @@ class _TwoPcChain:
     def _begin(self, _arg) -> None:
         coordinator = self.coordinator
         coordinator.stats.started += 1
-        if coordinator.crashed:
+        subscribe(coordinator._record({"txn": self.txn_id, "phase": "begin"}),
+                  self._began)
+
+    def _began(self, ev: Event) -> None:
+        coordinator = self.coordinator
+        if not ev._ok or coordinator.crashed:
             self._block()
             return
-        # Phase 1: prepare fan-out, votes joined by the countdown.
-        join = Countdown(coordinator.env, len(self.participants))
-        for p in self.participants:
-            join.watch(p.prepare(self.txn_id, self.payload))
+        join = coordinator.env.all_of(
+            [p.prepare(self.txn_id, self.payload) for p in self.participants])
         subscribe(join, self._voted)
 
     def _voted(self, ev: Event) -> None:
         if not ev._ok:
             raise ev._value          # a participant died: surface it
-        coordinator = self.coordinator
-        self.decision = decision_from_votes(ev._value)
-        if coordinator.extra_phase_delay:
-            timer = coordinator.env.timeout(coordinator.extra_phase_delay)
-            timer.callbacks.append(self._delayed)
-        else:
-            self._decide()
+        self.decision = (Decision.COMMIT
+                         if all(v is Vote.YES for v in ev._value)
+                         else Decision.ABORT)
+        subscribe(self.coordinator._record({"txn": self.txn_id,
+                                            "phase": "decide",
+                                            "decision": self.decision.value}),
+                  self._decided)
 
-    def _delayed(self, _ev: Event) -> None:
-        self._decide()
-
-    def _decide(self) -> None:
+    def _decided(self, ev: Event) -> None:
         coordinator = self.coordinator
-        if coordinator.crashed:
+        if not ev._ok or coordinator.crashed:
             # Participants voted and hold locks; nobody can decide.
             coordinator.stats.prepared_blocked_participants.extend(
                 self.participants)
             self._block()
             return
-        # Phase 2: commit/abort fan-out, acks joined by the countdown.
-        join = Countdown(coordinator.env, len(self.participants))
-        for p in self.participants:
-            join.watch(p.finalize(self.txn_id, self.decision))
+        join = coordinator.env.all_of(
+            [p.finalize(self.txn_id, self.decision)
+             for p in self.participants])
         subscribe(join, self._acked)
 
     def _acked(self, ev: Event) -> None:
@@ -140,14 +143,33 @@ class _TwoPcChain:
             self.done.succeed(self.decision)
 
 
-class TwoPhaseCoordinator:
+class _Coordinator:
+    """What both coordinators share; each defines ``_record``."""
+
+    crashed = False
+
+    def __init__(self, env: Environment):
+        self.env = env
+        self.stats = TwoPcStats()
+
+    def _record(self, record: dict) -> Event:
+        """Make one coordinator-state transition durable."""
+        raise NotImplementedError
+
+    def run(self, txn_id: int, participants: list[Participant],
+            payload: Optional[dict] = None) -> Event:
+        """Drive 2PC; the returned event fires with a :class:`Decision`."""
+        done = self.env.event()
+        _TwoPcChain(self, txn_id, participants, payload or {}, done).start()
+        return done
+
+
+class TwoPhaseCoordinator(_Coordinator):
     """A trusted (crash-prone) 2PC coordinator."""
 
     def __init__(self, env: Environment, extra_phase_delay: float = 0.0):
-        self.env = env
+        super().__init__(env)
         self.extra_phase_delay = extra_phase_delay
-        self.crashed = False
-        self.stats = TwoPcStats()
 
     def crash(self) -> None:
         """Crash the coordinator; in-flight transactions block."""
@@ -156,9 +178,22 @@ class TwoPhaseCoordinator:
     def recover(self) -> None:
         self.crashed = False
 
-    def run(self, txn_id: int, participants: list[Participant],
-            payload: Optional[dict] = None) -> Event:
-        """Drive 2PC; the returned event fires with a :class:`Decision`."""
-        done = self.env.event()
-        _TwoPcChain(self, txn_id, participants, payload or {}, done).start()
-        return done
+    def _record(self, record: dict) -> Event:
+        """Durable at once; the decision waits out ``extra_phase_delay``."""
+        if self.extra_phase_delay and record["phase"] == "decide":
+            return self.env.timeout(self.extra_phase_delay)
+        return self.env.resolved()
+
+
+class BftCoordinator(_Coordinator):
+    """2PC where every coordinator step is a BFT consensus decision."""
+
+    def __init__(self, env: Environment, pbft: PbftGroup):
+        super().__init__(env)
+        self.pbft = pbft
+        self.consensus_rounds = 0
+
+    def _record(self, record: dict) -> Event:
+        """Persist a coordinator-state transition via one PBFT round."""
+        self.consensus_rounds += 1
+        return self.pbft.propose(record, size=256)

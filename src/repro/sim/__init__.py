@@ -1,8 +1,7 @@
 """Discrete-event simulation substrate (kernel, network, nodes, costs)."""
 
 from .costs import DEFAULT_COSTS, CostModel
-from .kernel import (AllOf, AnyOf, Countdown, Environment, Event, Interrupt,
-                     Process, Timeout)
+from .kernel import AllOf, AnyOf, Environment, Event, Process, Timeout
 from .metrics import LatencyRecorder, ThroughputMeter, TxnStats, percentile
 from .network import Message, Network
 from .node import Node
@@ -14,11 +13,9 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "CostModel",
-    "Countdown",
     "DEFAULT_COSTS",
     "Environment",
     "Event",
-    "Interrupt",
     "LatencyRecorder",
     "Message",
     "Network",

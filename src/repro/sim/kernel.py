@@ -39,6 +39,11 @@ little generality for speed:
   :meth:`Event._resolve` — a direct continuation with no scheduler
   re-entry, falling back to the heap past ``_MAX_INLINE_DEPTH`` nested
   resolutions;
+* one **fan-in join**, :class:`AllOf` (``env.all_of``): a process
+  yields it and a flat callback chain parks on it with
+  :func:`subscribe`, so a 2PC fan-out and a generator barrier share
+  one counter, one dispatch position and one fail-fast contract;
+  :class:`AnyOf` is the race (first completion wins);
 * :class:`WakeableQueue` is the producer/consumer primitive behind
   wake-on-proposal consensus loops: ``put()`` fires a parked consumer's
   waiter at the *same* simulated time, and threshold waiters reproduce
@@ -53,9 +58,11 @@ Example
 ...     log.append((env.now, name))
 >>> _ = env.process(worker(env, "a"))
 >>> _ = env.process(worker(env, "b"))
+>>> join = env.all_of([env.timeout(0.5, "x"), env.resolved("y")])
+>>> subscribe(join, lambda ev: log.append((env.now, ev.value)))
 >>> env.run()
 >>> log
-[(1.0, 'a'), (1.0, 'b')]
+[(0.5, ['x', 'y']), (1.0, 'a'), (1.0, 'b')]
 """
 
 from __future__ import annotations
@@ -72,8 +79,6 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
-    "Countdown",
-    "Interrupt",
     "SimulationError",
     "WakeableQueue",
     "subscribe",
@@ -108,17 +113,6 @@ class SimulationError(Exception):
 #: to bound Python stack growth on pathological synthetic chains, where
 #: the fallback trades the inline ordering guarantee for safety.
 _MAX_INLINE_DEPTH = 64
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it.
-
-    The interrupt ``cause`` is available as ``exc.cause``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -218,7 +212,7 @@ class Timeout(Event):
     """An event that fires ``delay`` simulated seconds after creation.
 
     It only becomes *triggered* when the clock reaches its due time — a
-    pending timeout inside ``AnyOf``/``AllOf`` does not count as occurred.
+    pending timeout joined by ``all_of``/``any_of`` has not completed.
 
     A pending timeout can be :meth:`cancel`-led; a cancelled timeout never
     triggers, its slab entry is dropped lazily, and the object may be
@@ -310,13 +304,12 @@ class Process(Event):
     (with the generator's return value) or raises (with the exception).
     """
 
-    __slots__ = ("generator", "_target", "name")
+    __slots__ = ("generator", "name")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         super().__init__(env)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
         # Bootstrap: resume once at the current time.
         init = Event(env)
         init._triggered = True
@@ -327,24 +320,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._triggered:
-            return
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
-        fake = Event(self.env)
-        fake._triggered = True
-        fake._ok = False
-        fake._value = Interrupt(cause)
-        fake.callbacks = None
-        self.env._schedule_call(self._resume, fake)
-
     def _resume(self, event: Event) -> None:
         # Iterative trampoline: a chain of already-processed events (the
         # `callbacks is None` short-circuit below) re-enters neither the
@@ -354,7 +329,6 @@ class Process(Event):
             return
         generator = self.generator
         while True:
-            self._target = None
             try:
                 if event._ok:
                     nxt = generator.send(event._value)
@@ -387,51 +361,37 @@ class Process(Event):
                 # skipping the heap round-trip.
                 event = nxt
                 continue
-            self._target = nxt
             callbacks.append(self._resume)
             return
 
 
-class _Condition(Event):
-    """Base for AllOf / AnyOf composite events."""
+class AllOf(Event):
+    """The fan-in join: triggers when every component event has triggered.
 
-    __slots__ = ("events", "_pending")
+    Its value is the list of component values, in the order given.  It
+    subscribes once per component (an already-processed one counts at
+    once) and counts down; the last completion succeeds the join
+    through the scheduler, so its waiters run later in the cascade that
+    completed the last component.  A component that fails fails the
+    join at once with that exception, and every completion after the
+    join has settled is ignored — two components dying at the same
+    instant, or a straggler finishing after the join aborted, must not
+    re-trigger a settled event.  Flat callback chains park on it with
+    :func:`subscribe` the same way a process yields it.
+    """
+
+    __slots__ = ("events", "_remaining")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
         self.events = list(events)
-        self._pending = 0
+        self._remaining = len(self.events)
+        if not self._remaining:
+            self.succeed([])
+            return
         check = self._check
         for ev in self.events:
-            if ev.callbacks is None:
-                check(ev)
-            else:
-                self._pending += 1
-                ev.callbacks.append(check)
-        self._post_init()
-
-    def _post_init(self) -> None:
-        raise NotImplementedError
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Triggers when every component event has triggered.
-
-    Its value is the list of component values, in the order given.
-    """
-
-    __slots__ = ()
-
-    def _post_init(self) -> None:
-        # _pending can be negative here (already-processed components
-        # decremented it via _check before pending ones incremented it),
-        # so the authoritative barrier is all-triggered, not the counter.
-        if not self._triggered and self._pending <= 0 \
-                and all(ev._triggered for ev in self.events):
-            self.succeed([ev._value for ev in self.events])
+            subscribe(ev, check)
 
     def _check(self, event: Event) -> None:
         if self._triggered:
@@ -439,27 +399,30 @@ class AllOf(_Condition):
         if not event._ok:
             self.fail(event._value)
             return
-        self._pending -= 1
-        if self._pending <= 0 and all(ev._triggered for ev in self.events):
+        self._remaining -= 1
+        if not self._remaining:
             self.succeed([ev._value for ev in self.events])
 
 
-class AnyOf(_Condition):
+class AnyOf(Event):
     """Triggers when the first component event triggers.
 
     Its value is that first event's value.
     """
 
-    __slots__ = ()
+    __slots__ = ("events",)
 
-    def _post_init(self) -> None:
+    def __init__(self, env: "Environment", events: Iterable[Event]):
+        super().__init__(env)
+        self.events = list(events)
+        check = self._check
         for ev in self.events:
-            if ev._triggered and not self._triggered:
-                if ev._ok:
-                    self.succeed(ev._value)
-                else:
-                    self.fail(ev._value)
-                return
+            subscribe(ev, check)
+        # A component triggered but not yet dispatched also counts.
+        for ev in self.events:
+            if ev._triggered:
+                check(ev)
+                break
 
     def _check(self, event: Event) -> None:
         if self._triggered:
@@ -468,70 +431,6 @@ class AnyOf(_Condition):
             self.succeed(event._value)
         else:
             self.fail(event._value)
-
-
-class Countdown(Event):
-    """A join event that fires after ``n`` branch completions.
-
-    The fan-out/quorum primitive behind flat 2PC chains (prepare fan-out
-    -> countdown of votes -> commit/abort fan-out) and any other
-    known-size fan-out a chain object must join without parking a
-    process on :class:`AllOf`.  Branches report in either by calling
-    :meth:`hit` directly from their completion callback, or by
-    subscribing the countdown to the branch's event with :meth:`watch`.
-
-    Dispatch equivalence with ``AllOf``: ``watch`` parks exactly one
-    callback per branch event, and the n-th completion triggers the
-    countdown through the scheduler (:meth:`Event.succeed`) — the
-    identical cascade position ``AllOf``'s last-component succeed
-    occupied — so swapping one for the other cannot reorder a seeded
-    run.  The value is the list of branch values in *completion* order
-    (AllOf reports construction order; every current caller folds the
-    list with an order-insensitive reduction).
-
-    Fault contract: a watched event that fails fails the countdown at
-    once (fail-fast, like AllOf), and every hit/miss after the
-    countdown has triggered is ignored.  That last clause is the guard
-    against the double-completion race this repo's chains must survive:
-    two branches dying at the same simulated instant — or a straggler
-    completing after the join already aborted — must not re-trigger a
-    settled event.
-    """
-
-    __slots__ = ("remaining", "values")
-
-    def __init__(self, env: "Environment", n: int):
-        super().__init__(env)
-        self.remaining = n
-        self.values: list[Any] = []
-        if n <= 0:
-            self.succeed(self.values)
-
-    def hit(self, value: Any = None) -> None:
-        """Record one branch completion; fires the join on the n-th."""
-        if self._triggered:
-            return
-        self.values.append(value)
-        self.remaining -= 1
-        if self.remaining <= 0:
-            self.succeed(self.values)
-
-    def miss(self, exception: BaseException) -> None:
-        """Fail the join (a branch died); ignored once triggered."""
-        if self._triggered:
-            return
-        self.fail(exception)
-
-    def _branch_done(self, ev: Event) -> None:
-        if ev._ok:
-            self.hit(ev._value)
-        else:
-            self.miss(ev._value)
-
-    def watch(self, ev: Event) -> "Countdown":
-        """Subscribe this countdown to a branch completion event."""
-        subscribe(ev, self._branch_done)
-        return self
 
 
 class WakeableQueue:

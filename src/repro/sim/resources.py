@@ -120,9 +120,7 @@ class Resource:
         and the timer resolves the caller inline.
 
         Contract: the slot is held until the scheduled service end
-        regardless of what happens to the waiter — interrupting a
-        process parked on the event delivers the Interrupt at once but
-        does not cancel the service or release the slot early.
+        regardless of what happens to the waiter.
         """
         self.total_requests += 1
         if self.in_use < self.capacity and not self._waiting:

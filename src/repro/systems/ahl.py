@@ -11,8 +11,9 @@ adaptive adversaries, pausing transaction processing (the paper measures
 
 Each shard's serial PBFT execute pipeline is modelled as a calibrated
 serialized resource (AHL reports O(100) tps per small PBFT shard);
-cross-shard coordination runs the real BFT-2PC machinery from
-:mod:`repro.sharding.bft2pc` against a PBFT reference committee.
+cross-shard coordination runs the real 2PC chain of
+:mod:`repro.sharding.twopc` through its BFT coordinator, whose every
+step is a round of a PBFT reference committee.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from __future__ import annotations
 from typing import Optional
 
 from ..consensus.pbft import PbftConfig, PbftGroup
-from ..sharding.bft2pc import BftCoordinator
 from ..sharding.formation import ReconfigurationSchedule, ShardFormation
 from ..sharding.partitioner import HashPartitioner, HotSplitPartitioner
-from ..sharding.twopc import Vote
+from ..sharding.twopc import BftCoordinator, Vote
 from ..sim.kernel import Environment, Event, subscribe
 from ..sim.resources import Resource
 from ..txn.state import VersionedStore

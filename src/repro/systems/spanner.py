@@ -7,11 +7,11 @@ transactions coordinated by trusted 2PC plus a commit-wait.
 
 The cross-shard commit is the real 2PC shape: the coordinator fans the
 prepare out to every participant shard **in parallel** (each a Paxos
-round at that shard), joins the votes with a countdown, replicates the
+round at that shard), joins the votes with ``env.all_of``, replicates the
 commit decision at the coordinator shard, then fans the commit record
 out to the other participants — again in parallel.  All of it runs as
 flat callback chains (:class:`_PaxosWrite` per consensus round, a
-:class:`repro.sim.kernel.Countdown` per fan-out), no Process per
+``env.all_of`` join per fan-out), no Process per
 transaction or per participant.
 
 The performance-relevant contrast with TiDB (Section 5.5): conflicting
@@ -27,7 +27,7 @@ from typing import Optional
 
 from ..concurrency.twopl import LockManager, LockMode
 from ..sharding.partitioner import HashPartitioner
-from ..sim.kernel import Countdown, Environment, Event, subscribe
+from ..sim.kernel import AllOf, Environment, Event, subscribe
 from ..sim.resources import Resource
 from ..txn.state import VersionedStore
 from ..txn.transaction import AbortReason, OpType, Transaction
@@ -86,8 +86,8 @@ class _Txn:
     Client NIC egress -> propagation -> coordinator CPU -> lock
     acquisition in key order (reads S, writes X), reads + logic, then
     the commit protocol — a single Paxos round for one-shard
-    transactions, or the parallel 2PC countdown chain (prepare fan-out
-    -> vote countdown -> decision round -> commit fan-out) across
+    transactions, or the parallel 2PC chain (prepare fan-out -> vote
+    join -> decision round -> commit fan-out) across
     shards — followed by the commit wait with locks still held.  Locks
     are released at every exit exactly once.  Cascade contract:
     ``start`` takes one scheduled slot, each stage continues from the
@@ -193,7 +193,7 @@ class _Txn:
             ev.callbacks.append(self._commit_replicated)
         else:
             # 2PC phase 1: prepare Paxos rounds at every participant
-            # shard in parallel; the countdown joins the votes.
+            # shard in parallel; the join collects the votes.
             join = system._paxos_fanout(self.shards, 96)
             join.callbacks.append(self._prepared)
 
@@ -294,12 +294,10 @@ class SpannerSystem(TransactionalSystem):
         """One Paxos consensus round at a shard (flat chain)."""
         return _PaxosWrite(self, shard, size).start()
 
-    def _paxos_fanout(self, shards: list[int], size: int) -> Countdown:
-        """Parallel Paxos rounds at ``shards``, joined by a countdown."""
-        join = Countdown(self.env, len(shards))
-        for shard in shards:
-            join.watch(_PaxosWrite(self, shard, size).start())
-        return join
+    def _paxos_fanout(self, shards: list[int], size: int) -> AllOf:
+        """Parallel Paxos rounds at ``shards``, joined by ``env.all_of``."""
+        return self.env.all_of([_PaxosWrite(self, shard, size).start()
+                                for shard in shards])
 
     # -- transactions -------------------------------------------------------------
 

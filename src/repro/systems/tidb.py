@@ -27,7 +27,7 @@ from typing import Optional
 
 from ..concurrency.percolator import (PercolatorStore, PrewriteConflict,
                                       TimestampOracle)
-from ..sim.kernel import Countdown, Environment, Event, subscribe
+from ..sim.kernel import Environment, Event, subscribe
 from ..sim.resources import Resource
 from ..txn.transaction import AbortReason, OpType, Transaction
 from .base import SystemConfig, TransactionalSystem
@@ -42,7 +42,7 @@ class _Txn:
     SQL-layer CPU (protocol + parse + compile, parallel across cores),
     the per-op read loop, scheduler-latch acquisition in key order,
     percolator prewrite (conflict check under the held latches), the
-    prewrite consensus fan-out joined by a :class:`Countdown`, the
+    prewrite consensus fan-out joined by ``env.all_of``, the
     primary commit write, asynchronous secondaries, and the auto-retry
     backoff loop — all as parked callbacks, no Process and no generator
     frame per transaction or per 2PC participant.  Cascade contract:
@@ -55,7 +55,7 @@ class _Txn:
     fails — e.g. its region leader crashed mid-2PC — aborts the
     transaction cleanly: latches released, percolator locks rolled
     back, ``done`` fired exactly once (late stragglers from the same
-    fan-out are absorbed by the countdown's double-completion guard).
+    fan-out are absorbed by the join's double-completion guard).
     Known modelling limit: a *surviving* participant's prewrite that
     already replicated keeps its value in the single-version cluster
     state (real Percolator leaves the orphaned data-column write
@@ -256,10 +256,7 @@ class _Txn:
     def _next_prewrite(self) -> None:
         system = self.system
         if self._idx >= len(self.keys):
-            join = Countdown(system.env, len(self.prewrites))
-            for ev in self.prewrites:
-                join.watch(ev)
-            subscribe(join, self._prewritten)
+            subscribe(system.env.all_of(self.prewrites), self._prewritten)
             return
         node = system.cluster.leader_node(self.keys[self._idx])
         ev = system.cluster.store_threads[node.name].serve_event(

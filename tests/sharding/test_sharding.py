@@ -174,6 +174,53 @@ def test_bft_2pc_single_replica_crash_does_not_block(env):
     assert done.value is Decision.COMMIT
 
 
+def test_2pc_crashed_coordinator_blocks_before_prepare(env):
+    """A trusted coordinator that is already down blocks the instance
+    at BEGIN: no participant is asked to prepare."""
+    coordinator = TwoPhaseCoordinator(env)
+    coordinator.crash()
+    parts = [FakeParticipant(env, Vote.YES) for _ in range(2)]
+    done = coordinator.run(1, parts)
+    env.run()
+    assert done.value is Decision.BLOCKED
+    assert (coordinator.stats.started, coordinator.stats.blocked) == (1, 1)
+    assert not any(p.prepared for p in parts)
+    assert coordinator.stats.prepared_blocked_participants == []
+
+
+class PrimaryKillingParticipant(FakeParticipant):
+    """Votes YES, but crashes the committee's primary when asked to
+    prepare — that is, just after the BEGIN round committed."""
+
+    def __init__(self, env, committee):
+        super().__init__(env, Vote.YES)
+        self.committee = committee
+
+    def prepare(self, txn_id, payload):
+        self.committee.primary.node.crash()
+        return super().prepare(txn_id, payload)
+
+
+def test_bft_2pc_blocks_when_decide_round_finds_no_primary(env):
+    """The BFT coordinator's BLOCKED path: BEGIN commits, the primary
+    dies, and the DECIDE round fails with no live primary."""
+    network, nodes = make_cluster(env, 4, prefix="r")
+    committee = PbftGroup(env, nodes, network, rng=RngRegistry(2))
+    coordinator = BftCoordinator(env, committee)
+    parts = [PrimaryKillingParticipant(env, committee),
+             FakeParticipant(env, Vote.YES)]
+    done = coordinator.run(1, parts)
+    settled = []
+    done.callbacks.append(lambda ev: settled.append(ev.value))
+    env.run(until=20)
+    assert settled == [Decision.BLOCKED]
+    assert coordinator.stats.blocked == 1
+    assert coordinator.consensus_rounds == 2       # begin + failed decide
+    assert all(p.prepared for p in parts)
+    assert all(p.decision is None for p in parts)  # nobody finalized
+    assert coordinator.stats.prepared_blocked_participants == parts
+
+
 # -- shard formation ----------------------------------------------------------------
 
 def test_failure_probability_monotone_in_byzantine_count():

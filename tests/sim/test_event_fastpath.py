@@ -1,13 +1,13 @@
 """Tests for the flat-event fast paths: serve_event, the process
-trampoline, inline resolution, interrupt/cancel delivery through
-short-circuited chains, the Countdown join primitive, and the fault
+trampoline, inline resolution, waiters racing timers past
+short-circuited chains, the fan-in join's pinned trace, and the fault
 contract of the DB-side chain objects (crash a participant mid-2PC /
 mid-update and the chain must abort cleanly: no leaked _ServeRequest,
 resource counts restored, done fired exactly once)."""
 
 import pytest
 
-from repro.sim import Countdown, Environment, Interrupt, Node
+from repro.sim import Environment, Node
 from repro.sim.kernel import _MAX_INLINE_DEPTH, Event, subscribe
 from repro.sim.resources import Resource
 
@@ -232,59 +232,50 @@ def test_resolve_on_triggered_event_raises(env):
         ev._resolve()
 
 
-# -- interrupt/cancel through short-circuited chains ---------------------------
+# -- waiters that stop waiting, and chains that park --------------------------
 
 
-def test_interrupt_while_parked_on_serve_event(env):
-    """Interrupting a waiter parked on a flat serve delivers the
-    Interrupt at interrupt time; the slot itself is held to the
+def test_serve_event_holds_slot_after_waiter_moves_on(env):
+    """A waiter that stops waiting on a flat serve (its timer won the
+    race) resumes at the timer; the slot itself is held to the
     scheduled service end (the service is not cancelled)."""
     node = Node(env, "n", cores=1)
     log = []
 
     def worker(env):
-        try:
-            yield node.compute(5.0)
-            log.append("done")
-        except Interrupt as exc:
-            log.append(("interrupted", env.now, exc.cause))
+        value = yield env.any_of([node.compute(5.0),
+                                  env.timeout(1.0, "gave up")])
+        log.append((env.now, value))
 
-    proc = env.process(worker(env))
-
-    def interrupter(env):
-        yield env.timeout(1.0)
-        proc.interrupt("stop")
-
-    env.process(interrupter(env))
+    env.process(worker(env))
     env.run(until=3.0)
-    assert log == [("interrupted", 1.0, "stop")]
+    assert log == [(1.0, "gave up")]
     assert node.cpu.in_use == 1          # service still holds the core
     env.run()
     assert node.cpu.in_use == 0          # released at the scheduled end
 
 
-def test_interrupt_after_trampolined_chain(env):
-    """An interrupt lands correctly in a process that just trampolined
-    through a chain of resolved events and parked on a live one."""
+def test_trampolined_chain_parks_on_live_event(env):
+    """A process that trampolined through a chain of resolved events
+    parks on the live event that follows and resumes when it fires."""
     log = []
+    live = env.event()
 
     def worker(env):
         for i in range(100):
             yield env.resolved(i)
-        try:
-            yield env.event()            # park forever
-        except Interrupt:
-            log.append(env.now)
+        value = yield live
+        log.append((env.now, value))
 
-    proc = env.process(worker(env))
+    env.process(worker(env))
 
-    def interrupter(env):
+    def firer(env):
         yield env.timeout(2.0)
-        proc.interrupt()
+        live.succeed("woken")
 
-    env.process(interrupter(env))
+    env.process(firer(env))
     env.run()
-    assert log == [2.0]
+    assert log == [(2.0, "woken")]
 
 
 def test_timer_cancel_alongside_serve_event(env):
@@ -307,30 +298,9 @@ def test_timer_cancel_alongside_serve_event(env):
     assert env.now == 1.0                # nothing waited for the dead timer
 
 
-# -- Countdown: the 2PC fan-out join -------------------------------------------
+# -- the fan-in join: one pinned trace -----------------------------------------
 
 
-def test_countdown_fires_on_nth_hit(env):
-    cd = Countdown(env, 3)
-    cd.hit("a")
-    cd.hit("b")
-    assert not cd.triggered
-    cd.hit("c")
-    assert cd.triggered
-    env.run()
-    assert cd.value == ["a", "b", "c"]   # completion order
-
-
-def test_countdown_zero_branches_fires_immediately(env):
-    cd = Countdown(env, 0)
-    assert cd.triggered                  # like AllOf([]): succeeds at once
-    env.run()
-    assert cd.value == []
-
-
-#: The flat joins list their components in completion order, so a join
-#: that reports completion order and one that reports given order pin
-#: the same values here.
 FAN_IN_TRACE = [
     (0.0, "F3", []),
     (0.0, "G3", []),
@@ -346,14 +316,6 @@ FAN_IN_TRACE = [
     (2.0, "t2", "t2"),
     (2.0, "G1", ["t2", "early", "t1b", "t1a"]),
 ]
-
-
-def _flat_join(env, events, on_done):
-    """Park ``on_done`` on a fan-in join over ``events`` without a process."""
-    join = Countdown(env, len(events))
-    for ev in events:
-        join.watch(ev)
-    subscribe(join, on_done)
 
 
 def test_fan_in_trace_pinned():
@@ -395,12 +357,12 @@ def test_fan_in_trace_pinned():
 
     def late():
         yield env.timeout(1.5)
-        _flat_join(env, [t05, bad], record("F4"))     # processed, failed
-        yield from waiter("G4", [t05, early])          # all processed
+        subscribe(env.all_of([t05, bad]), record("F4"))  # processed, failed
+        yield from waiter("G4", [t05, early])            # all processed
 
-    _flat_join(env, [early, t05, t1a, t1b], record("F1"))
-    _flat_join(env, [t1b, bad], record("F2"))
-    _flat_join(env, [], record("F3"))
+    subscribe(env.all_of([early, t05, t1a, t1b]), record("F1"))
+    subscribe(env.all_of([t1b, bad]), record("F2"))
+    subscribe(env.all_of([]), record("F3"))
     env.process(waiter("G1", [t2, early, t1b, t1a]))
     env.process(failer())
     env.process(waiter("G2", [t1a, bad, t2]))
@@ -408,52 +370,6 @@ def test_fan_in_trace_pinned():
     env.process(late())
     env.run()
     assert log == FAN_IN_TRACE
-
-
-def test_countdown_watch_already_processed_event(env):
-    cd = Countdown(env, 1)
-    cd.watch(env.resolved("early"))
-    assert cd.triggered
-    env.run()
-    assert cd.value == ["early"]
-
-
-def test_countdown_fail_fast_on_branch_failure(env):
-    cd = Countdown(env, 2)
-    ok, bad = env.event(), env.event()
-    cd.watch(ok)
-    cd.watch(bad)
-    bad.fail(RuntimeError("participant died"))
-    env.run()
-    assert cd.triggered and not cd.ok
-    assert isinstance(cd.value, RuntimeError)
-
-
-def test_countdown_double_completion_guard(env):
-    """The hazard class the chains must survive: two branches failing at
-    the same instant, and a straggler completing after the join already
-    settled — neither may re-trigger (SimulationError) the countdown."""
-    cd = Countdown(env, 3)
-    a, b, c = env.event(), env.event(), env.event()
-    for ev in (a, b, c):
-        cd.watch(ev)
-    a.fail(RuntimeError("first death"))
-    b.fail(RuntimeError("same-instant second death"))
-    c.succeed("late straggler")
-    env.run()                            # would raise on a double trigger
-    assert cd.triggered and not cd.ok
-    assert str(cd.value) == "first death"
-    # direct late hit/miss after settling: absorbed, not raised
-    cd.hit("post")
-    cd.miss(RuntimeError("post"))
-
-
-def test_countdown_late_hit_after_success_ignored(env):
-    cd = Countdown(env, 1)
-    cd.hit("winner")
-    cd.hit("straggler")
-    env.run()
-    assert cd.value == ["winner"]
 
 
 # -- chain fault paths: crash a participant mid-flight -------------------------
@@ -546,7 +462,7 @@ def _assert_tidb_clean_abort(system, txn, done):
 
 
 def test_tidb_2pc_chain_aborts_cleanly_on_participant_crash():
-    """One prewrite participant dies mid-2PC: countdown fails fast, the
+    """One prewrite participant dies mid-2PC: the join fails fast, the
     chain rolls back and aborts once, the healthy participant's later
     completion is absorbed (the straggler leg of the race)."""
     env = Environment()
@@ -565,7 +481,7 @@ def test_tidb_2pc_chain_aborts_cleanly_on_participant_crash():
 
 def test_tidb_2pc_chain_survives_two_same_instant_failures():
     """Both prewrite participants die: two failure callbacks race into
-    the countdown at the same instant — exactly one abort, no
+    the join at the same instant — exactly one abort, no
     SimulationError from a double trigger."""
     env = Environment()
     system, txn = _tidb_cross_group_txn(env, crash_groups=(0, 1))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.kernel import (AllOf, AnyOf, Environment, Event, Interrupt,
+from repro.sim.kernel import (AllOf, AnyOf, Environment, Event,
                               SimulationError)
 
 
@@ -181,54 +181,28 @@ def test_all_of_with_already_triggered_events(env):
 
 
 def test_all_of_propagates_failure(env):
+    """Fail-fast with the first failure's exception; a second failure at
+    the same instant and a later success reach a settled join and are
+    absorbed (no SimulationError from a double trigger)."""
     caught = []
 
     def proc(env):
-        bad = env.event()
+        bad, worse = env.event(), env.event()
 
         def failer(env):
             yield env.timeout(1.0)
             bad.fail(ValueError("nope"))
+            worse.fail(ValueError("same instant"))
 
         env.process(failer(env))
         try:
-            yield env.all_of([bad, env.timeout(10.0)])
-        except ValueError:
-            caught.append(env.now)
+            yield env.all_of([bad, worse, env.timeout(10.0)])
+        except ValueError as exc:
+            caught.append((env.now, str(exc)))
 
     env.process(proc(env))
     env.run(until=20)
-    assert caught == [1.0]
-
-
-def test_interrupt_raises_inside_process(env):
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as exc:
-            log.append((env.now, exc.cause))
-
-    proc = env.process(sleeper(env))
-
-    def interrupter(env):
-        yield env.timeout(2.0)
-        proc.interrupt("wakeup")
-
-    env.process(interrupter(env))
-    env.run()
-    assert log == [(2.0, "wakeup")]
-
-
-def test_interrupt_on_finished_process_is_noop(env):
-    def quick(env):
-        yield env.timeout(0.1)
-
-    proc = env.process(quick(env))
-    env.run()
-    proc.interrupt("late")  # must not raise
-    env.run()
+    assert caught == [(1.0, "nope")]
 
 
 def test_run_until_stops_clock_exactly(env):

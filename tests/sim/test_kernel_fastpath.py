@@ -224,16 +224,27 @@ def test_allof_waits_for_pending_despite_processed_component(env):
     assert cond.value == ["early", "late"]
 
 
-def test_allof_over_only_processed_components(env):
+@pytest.mark.parametrize("n, failed", [(0, None), (3, None), (3, 1)])
+def test_allof_over_only_processed_components(env, n, failed):
+    """Every component already processed, or none at all: the join
+    settles at construction — on the failed component's exception if
+    one failed."""
     events = []
-    for i in range(3):
+    for i in range(n):
         ev = env.event()
-        ev.succeed(i)
+        if i == failed:
+            ev.fail(RuntimeError(f"dead {i}"))
+        else:
+            ev.succeed(i)
         events.append(ev)
     env.run()
     cond = env.all_of(events)
     assert cond.triggered
-    assert cond.value == [0, 1, 2]
+    if failed is None:
+        assert cond.ok and cond.value == list(range(n))
+    else:
+        assert not cond.ok and str(cond.value) == f"dead {failed}"
+    env.run()
 
 
 # -- step() with cancelled entries ------------------------------------------

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.kernel import (Event, Interrupt, SimulationError,
-                              WakeableQueue)
+from repro.sim.kernel import Event, SimulationError, WakeableQueue
 
 
 # -- slab ordering ----------------------------------------------------------
@@ -231,35 +230,26 @@ def test_take_and_drain_are_fifo(env):
     assert queue.take(3) == []
 
 
-def test_interrupt_during_parked_wait(env):
-    """Interrupting a consumer parked on queue.wait() raises Interrupt
-    inside it at the current time and disarms cleanly."""
+def test_cancel_wait_after_parked_waiter_loses_race(env):
+    """A consumer parked on queue.wait() that loses its race to a timer
+    disarms the waiter with cancel_wait: a later put neither fires the
+    waiter nor resumes the consumer."""
     queue = WakeableQueue(env)
     log = []
+    waiter = queue.wait()
 
     def consumer():
-        waiter = queue.wait()
-        try:
-            yield waiter
-        except Interrupt as exc:
-            queue.cancel_wait(waiter)
-            log.append((env.now, "interrupted", exc.cause))
-            return
-        log.append((env.now, "woken"))
+        value = yield env.any_of([waiter, env.timeout(2.0, "round-over")])
+        queue.cancel_wait(waiter)
+        log.append((env.now, value))
 
-    proc = env.process(consumer())
-
-    def interrupter():
-        yield env.timeout(2.0)
-        proc.interrupt("round-over")
-
-    env.process(interrupter())
+    env.process(consumer())
     env.run()
-    assert log == [(2.0, "interrupted", "round-over")]
-    # a later put must not resurrect the interrupted consumer
+    assert log == [(2.0, "round-over")]
     queue.put("x")
     env.run()
-    assert log == [(2.0, "interrupted", "round-over")]
+    assert log == [(2.0, "round-over")]
+    assert not waiter.triggered
     assert len(queue) == 1
 
 

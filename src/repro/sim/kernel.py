@@ -389,9 +389,15 @@ class AllOf(Event):
         if not self._remaining:
             self.succeed([])
             return
+        # subscribe() inlined: this loop runs once per component of
+        # every join on the hot path.
         check = self._check
         for ev in self.events:
-            subscribe(ev, check)
+            callbacks = ev.callbacks
+            if callbacks is None:
+                check(ev)
+            else:
+                callbacks.append(check)
 
     def _check(self, event: Event) -> None:
         if self._triggered:
@@ -417,7 +423,11 @@ class AnyOf(Event):
         self.events = list(events)
         check = self._check
         for ev in self.events:
-            subscribe(ev, check)
+            callbacks = ev.callbacks
+            if callbacks is None:
+                check(ev)
+            else:
+                callbacks.append(check)
         # A component triggered but not yet dispatched also counts.
         for ev in self.events:
             if ev._triggered:

@@ -372,6 +372,93 @@ def test_fan_in_trace_pinned():
     assert log == FAN_IN_TRACE
 
 
+# -- the fan-in join's contract, one clause per test ---------------------------
+
+
+def test_allof_fires_on_last_completion_in_given_order(env):
+    """Components completing in reverse order: the join stays pending
+    until the last one is dispatched, and its value follows the order
+    the components were given, not the order they completed."""
+    a, b, c = env.event(), env.event(), env.event()
+    join = env.all_of([a, b, c])
+    c.succeed("c")
+    b.succeed("b")
+    env.step()
+    env.step()
+    assert not join.triggered
+    a.succeed("a")
+    env.step()
+    assert join.triggered
+    env.run()
+    assert join.value == ["a", "b", "c"]
+
+
+def test_allof_succeeds_through_scheduler(env):
+    """The last completion succeeds the join through the scheduler: a
+    callback parked on the last component after the join was built
+    still runs before the join's own waiters."""
+    log = []
+    ev = env.event()
+    join = env.all_of([ev])
+    subscribe(ev, lambda e: log.append("component"))
+    subscribe(join, lambda e: log.append("join"))
+    ev.succeed()
+    env.step()
+    assert join.triggered and log == ["component"]
+    env.run()
+    assert log == ["component", "join"]
+
+
+def test_allof_fails_fast_for_flat_waiter(env):
+    """A flat waiter parked on the join sees the first failure at the
+    failure's instant, not when the slow component finishes."""
+    log = []
+    bad = env.event()
+    join = env.all_of([env.timeout(10.0), bad])
+    subscribe(join, lambda e: log.append((env.now, e.ok, str(e.value))))
+
+    def failer(env):
+        yield env.timeout(1.0)
+        bad.fail(RuntimeError("participant died"))
+
+    env.process(failer(env))
+    env.run()
+    assert log == [(1.0, False, "participant died")]
+    assert env.now == 10.0
+
+
+def test_allof_double_completion_guard(env):
+    """The hazard class the 2PC chains must survive: two components
+    failing at the same instant and a straggler completing after the
+    join settled.  Neither re-triggers the join (which would raise
+    SimulationError); its waiter runs once, on the first failure."""
+    log = []
+    a, b, c = env.event(), env.event(), env.event()
+    join = env.all_of([a, b, c])
+    subscribe(join, lambda e: log.append(str(e.value)))
+    a.fail(RuntimeError("first death"))
+    b.fail(RuntimeError("same-instant second death"))
+    c.succeed("late straggler")
+    env.run()
+    assert join.triggered and not join.ok
+    assert log == ["first death"]
+
+
+def test_allof_shared_component_settles_each_join(env):
+    """One component in two joins: each join counts it on its own, so
+    one join can succeed while the other fails on a different
+    component."""
+    shared, good, bad = env.event(), env.event(), env.event()
+    ok_join = env.all_of([shared, good])
+    bad_join = env.all_of([bad, shared])
+    shared.succeed("s")
+    good.succeed("g")
+    bad.fail(RuntimeError("dead"))
+    env.run()
+    assert ok_join.ok and ok_join.value == ["s", "g"]
+    assert not bad_join.ok and str(bad_join.value) == "dead"
+
+
 # -- chain fault paths: crash a participant mid-flight -------------------------
 #
 # Each migrated chain gets a regression test for the "callback fires

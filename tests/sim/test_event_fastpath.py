@@ -372,6 +372,75 @@ def test_fan_in_trace_pinned():
     assert log == FAN_IN_TRACE
 
 
+# -- one-waiter timer continuations: one pinned trace ----------------------
+
+
+TIMER_TRACE = [
+    (1.0, "serve-free"),
+    (1.0, "timer-a"),
+    (1.0, "proc"),
+    (1.0, "signal"),
+    (1.0, "timer-zero"),
+    (1.0, "call"),
+    (1.0, "call-now"),
+    (1.5, "timer-1.5"),
+    (1.5, "timer-late"),
+    (1.5, "proc-late"),
+    (1.5, "serve-queued"),
+    (1.5, "zero-late"),
+    (1.75, "serve-late"),
+]
+
+
+def test_timer_continuation_trace_pinned():
+    """One tied-instant trace, pinned as a literal: one-waiter timer and
+    serve continuations (uncontended and queued) dispatching beside a
+    ``succeed()``, priority-1 calls and a process resumed by a yielded
+    timer.  Each ``(now, label)`` entry is a dispatch; the order at one
+    instant is the heap order every continuation must keep.  The queued
+    serve's grant is not labelled: its heap position at 1.0 shows as
+    ``serve-queued``'s place among the timers tied at 1.5 (after
+    ``proc-late``, before ``zero-late``)."""
+    env = Environment()
+    res = Resource(env, capacity=1)
+    log = []
+
+    def mark(label):
+        def cont(_arg):
+            log.append((env.now, label))
+        return cont
+
+    signal = env.event()
+    subscribe(signal, mark("signal"))
+
+    def at_zero(_arg):
+        log.append((env.now, "timer-zero"))
+        env.timeout(0.5).callbacks.append(mark("zero-late"))
+
+    def at_one(_arg):
+        log.append((env.now, "timer-a"))
+        signal.succeed()
+        env._schedule_call(mark("call-now"), None)
+        env.timeout(0.0).callbacks.append(at_zero)
+        env.timeout(0.5).callbacks.append(mark("timer-late"))
+        res.serve_event(0.25).callbacks.append(mark("serve-late"))
+
+    def proc(env):
+        yield env.timeout(1.0)
+        log.append((env.now, "proc"))
+        yield env.timeout(0.5)
+        log.append((env.now, "proc-late"))
+
+    res.serve_event(1.0).callbacks.append(mark("serve-free"))
+    res.serve_event(0.5).callbacks.append(mark("serve-queued"))
+    env.timeout(1.0).callbacks.append(at_one)
+    env._schedule_call(mark("call"), None, 1.0)
+    env.timeout(1.5).callbacks.append(mark("timer-1.5"))
+    env.process(proc(env))
+    env.run()
+    assert log == TIMER_TRACE
+
+
 # -- the fan-in join's contract, one clause per test ---------------------------
 
 

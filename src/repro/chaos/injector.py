@@ -159,8 +159,7 @@ class ChaosInjector:
 
     def _at(self, t: float, fn: Callable[[], None]) -> None:
         delay = t - self.env.now
-        self.env.timeout(delay if delay > 0 else 0.0).callbacks.append(
-            lambda _ev: fn())
+        self.env.after(delay if delay > 0 else 0.0, lambda _arg: fn())
 
     def _note(self, text: str) -> None:
         self.log.append(f"{self.env.now:.6f} {text}")
@@ -287,7 +286,7 @@ class ChaosInjector:
             rec = self.engine.recover()
             replay = self.costs.wal_replay_time(rec.records,
                                                 rec.bytes_replayed)
-            node.disk.serve_event(replay)
+            node.disk.serve_then(replay, lambda _arg: None)
             self._note(f"restart {node.name}: replayed {rec.records} WAL "
                        f"records ({rec.bytes_replayed} B) in {replay:.6f}s")
         else:

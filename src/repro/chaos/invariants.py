@@ -189,11 +189,10 @@ class LivenessAfterHeal(Invariant):
         self._baseline: Optional[int] = None
         env = system.env
 
-        def snapshot(_ev: Any) -> None:
+        def snapshot(_arg: Any) -> None:
             self._baseline = self._metric(system)
 
-        env.timeout(max(0.0, scenario.end_time - env.now)).callbacks.append(
-            snapshot)
+        env.after(max(0.0, scenario.end_time - env.now), snapshot)
 
     @staticmethod
     def _metric(system: Any) -> int:

@@ -80,10 +80,10 @@ class _Receiver:
             self._next(None)
             return
         self.msg = ev._value
-        serve = replica.node.compute(replica.costs.net_recv_overhead)
-        serve.callbacks.append(self._handle)
+        replica.node.cpu.serve_then(
+            replica.costs.net_recv_overhead, self._handle)
 
-    def _handle(self, _ev: Event) -> None:
+    def _handle(self, _arg) -> None:
         self.replica._on_message(self.msg)
         self._next(None)
 

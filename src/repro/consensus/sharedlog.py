@@ -104,6 +104,7 @@ class OrderingService:
             self._pending.append(item)
             self.items_ordered += 1
             if len(self._pending) == 1:
+                # A Timeout, not env.after(): a count cut cancels it.
                 timer = self.env.timeout(self.config.block_timeout)
                 timer.callbacks.append(self._timeout_cut)
                 self._cut_token = timer.token()

@@ -39,6 +39,12 @@ little generality for speed:
   :meth:`Event._resolve` — a direct continuation with no scheduler
   re-entry, falling back to the heap past ``_MAX_INLINE_DEPTH`` nested
   resolutions;
+* **timer-free continuations**: a chain stage with exactly one waiter
+  goes into the timer's heap slot as a plain ``func(arg)`` entry —
+  :meth:`Environment.after` for a delay, ``Resource.serve_then`` for a
+  serve — with no :class:`Timeout` or callback list built.  ``timeout``
+  and ``serve_event`` stay for events that are yielded, raced, joined,
+  cancelled or read;
 * one **fan-in join**, :class:`AllOf` (``env.all_of``): a process
   yields it and a flat callback chain parks on it with
   :func:`subscribe`, so a 2PC fan-out and a generator barrier share
@@ -60,9 +66,10 @@ Example
 >>> _ = env.process(worker(env, "b"))
 >>> join = env.all_of([env.timeout(0.5, "x"), env.resolved("y")])
 >>> subscribe(join, lambda ev: log.append((env.now, ev.value)))
+>>> env.after(0.25, lambda _arg: log.append((env.now, "after")))
 >>> env.run()
 >>> log
-[(0.5, ['x', 'y']), (1.0, 'a'), (1.0, 'b')]
+[(0.25, 'after'), (0.5, ['x', 'y']), (1.0, 'a'), (1.0, 'b')]
 """
 
 from __future__ import annotations
@@ -572,9 +579,9 @@ class Environment:
         self._inline_depth = 0
 
     # -- scheduling -------------------------------------------------------
-    # _schedule and _schedule_call inline the same slab-push sequence:
-    # they are the two hottest functions in the simulator and a shared
-    # helper costs a Python call frame per event.
+    # _schedule, _schedule_call and after() inline the same slab-push
+    # sequence: they are the hottest functions in the simulator and a
+    # shared helper costs a Python call frame per event.
 
     def _schedule(self, event: Event, delay: float = 0.0,
                   when: Optional[float] = None) -> None:
@@ -747,6 +754,37 @@ class Environment:
                 raise ValueError(f"negative delay: {delay!r}")
             return self._revive(delay, self.now + delay, value)
         return Timeout(self, delay, value)
+
+    def after(self, delay: float, func: Callable[[Any], None],
+              arg: Any = None) -> None:
+        """Call ``func(arg)`` ``delay`` simulated seconds from now.
+
+        The one-waiter timer: ``func(arg)`` dispatches exactly where a
+        ``timeout(delay)`` carrying ``func`` as its only callback would
+        have (priority 0, through the same slab memo as
+        :meth:`_schedule`), but no :class:`Timeout`, callback list or
+        scheduling frame is built.  Keep :meth:`timeout` for a timer
+        that is yielded, raced, joined, cancelled or read.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay!r}")
+        when = self.now + delay
+        if self._last_when == when and self._last_prio == 0:
+            entries = self._last
+            if type(entries) is list:
+                entries.append(func)
+                entries.append(arg)
+                return
+            seq = self._seq = self._seq + 1
+            entries = [1, func, arg]
+            self._last = entries
+            heapq.heappush(self._queue, (when, 0, seq, entries))
+            return
+        seq = self._seq = self._seq + 1
+        self._last_when = when
+        self._last_prio = 0
+        self._last = None
+        heapq.heappush(self._queue, (when, 0, seq, func, arg))
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
         """A timeout pinned to the absolute simulated time ``when``.

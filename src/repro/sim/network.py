@@ -76,7 +76,7 @@ class _Delivery:
     """One in-flight message, driven as a flat callback chain.
 
     Stages mirror the old ``_deliver`` coroutine hop for hop — NIC
-    egress (``serve_event``), drop checks, propagation timer, enqueue —
+    egress (``serve_then``), drop checks, propagation timer, enqueue —
     issuing the identical schedule sequence, so event ordering is
     byte-identical to the process-per-message form (the retired
     delivery process's completion event carried no callbacks, so losing
@@ -103,9 +103,9 @@ class _Delivery:
         # Egress: sender CPU overhead + wire serialization, serialized
         # through the source NIC.
         cost = net.costs.net_send_overhead + net.costs.transfer_time(msg.size)
-        src.nic_out.serve_event(cost).callbacks.append(self._egress_done)
+        src.nic_out.serve_then(cost, self._egress_done)
 
-    def _egress_done(self, _ev: Any) -> None:
+    def _egress_done(self, _arg) -> None:
         net, msg = self.net, self.msg
         if self.src.crashed or net._severed(msg.src, msg.dst):
             net.messages_dropped += 1
@@ -119,9 +119,9 @@ class _Delivery:
             delay += net.rng.expovariate(1.0 / net.jitter)
         if net._link_delay:  # gray/slow link (chaos); empty on clean runs
             delay += net._link_delay.get((msg.src, msg.dst), 0.0)
-        net.env.timeout(delay).callbacks.append(self._arrive)
+        net.env.after(delay, self._arrive)
 
-    def _arrive(self, _ev: Any) -> None:
+    def _arrive(self, _arg) -> None:
         if self.dst.crashed:
             self.net.messages_dropped += 1
             return
@@ -227,8 +227,9 @@ class Network:
         coroutine: the bootstrap callback below lands at the same
         scheduler position a per-message delivery *process* used to
         bootstrap at, then NIC egress, propagation, and enqueue are
-        plain timer callbacks — one small object per message instead of
-        a generator resumed through the process trampoline at each hop.
+        plain heap continuations (``serve_then``, ``after``) — one
+        small object per message instead of a generator resumed
+        through the process trampoline at each hop.
         """
         self.env._schedule_call(_Delivery(self, msg).begin, None)
 

@@ -367,6 +367,8 @@ class ShardCoupler:
                 done, value, shard = pending.pop(entry[-1])
                 last_rank[shard] = self._rank
                 self._rank += 1
+                # timeout_at, not env.after(): the absolute instant
+                # must not pick up a now + (when - now) rounding ulp.
                 timer = env.timeout_at(when)
                 timer.callbacks.append(_Resolver(done, value))
             i = j
@@ -610,6 +612,7 @@ class _WorkerExec:
         self.cost_start = 0.0
         self._req = None
         env = lp.env
+        # timeout_at, not env.after(): deliver_at is an absolute instant.
         timer = env.timeout_at(deliver_at if deliver_at > env.now
                                else env.now)
         timer.callbacks.append(self._arrived)
@@ -630,10 +633,9 @@ class _WorkerExec:
     def _unpaused(self, _ev: Event) -> None:
         env = self.lp.env
         self.cost_start = env.now
-        timer = env.timeout(self.cost)
-        timer.callbacks.append(self._served)
+        env.after(self.cost, self._served)
 
-    def _served(self, _ev: Event) -> None:
+    def _served(self, _arg) -> None:
         lp = self.lp
         lp.pipeline.release(self._req)
         lp.completions.append((self.idx, self.cost_start, self.grant_time,

@@ -8,39 +8,33 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Callable, Deque, Optional, Union
 
 from .kernel import Environment, Event
 
 __all__ = ["Resource", "Store"]
 
 
-class _ServeRequest(Event):
-    """A queued flat-path serve: grant -> service timer -> release -> done.
+class _ServeRequest:
+    """A queued flat-path serve: grant -> service timer -> release -> then.
 
-    The event itself is the slot request sitting in ``Resource._waiting``;
-    when the grant dispatches it schedules the service timer, and the
-    timer's completion releases the slot and resolves ``done`` *inline* —
-    the caller continues inside the timer's callback, right after the
-    release granted the next waiter.
+    Sits in ``Resource._waiting`` beside plain ``request()`` events;
+    the grant schedules :meth:`_granted` where a granted request event
+    would have dispatched, and that starts the service timer.
     """
 
-    __slots__ = ("resource", "service_time", "done")
+    __slots__ = ("resource", "service_time", "then")
 
-    def __init__(self, resource: "Resource", service_time: float):
-        super().__init__(resource.env)
+    def __init__(self, resource: "Resource", service_time: float,
+                 then: Callable[[Any], None]):
         self.resource = resource
         self.service_time = service_time
-        self.done = Event(resource.env)
-        self.callbacks.append(self._granted)
+        self.then = then
 
-    def _granted(self, _ev: Event) -> None:
-        timer = self.env.timeout(self.service_time)
-        timer.callbacks.append(self._served)
-
-    def _served(self, _ev: Event) -> None:
-        self.resource.release(self)
-        self.done._resolve()
+    def _granted(self, _arg: Any) -> None:
+        resource = self.resource
+        resource.env.after(self.service_time, resource._finish_then,
+                           self.then)
 
 
 class Resource:
@@ -56,7 +50,9 @@ class Resource:
             resource.release(req)
 
     or, when nothing happens between grant and release,
-    ``yield resource.serve_event(service_time)``.
+    ``yield resource.serve_event(service_time)`` — or, from a flat
+    callback chain with one continuation,
+    ``resource.serve_then(service_time, then)``.
     """
 
     def __init__(self, env: Environment, capacity: int = 1):
@@ -65,7 +61,7 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self.in_use = 0
-        self._waiting: Deque[Event] = deque()
+        self._waiting: Deque[Union[Event, _ServeRequest]] = deque()
         # instrumentation
         self.total_requests = 0
         self.busy_time = 0.0
@@ -87,9 +83,12 @@ class Resource:
             self._busy_since = self.env.now
         self.in_use += 1
 
-    def _grant(self, req: Event) -> None:
+    def _grant(self, req: Union[Event, _ServeRequest]) -> None:
         self._take_slot()
-        req.succeed(req)
+        if type(req) is _ServeRequest:
+            self.env.after(0.0, req._granted)
+        else:
+            req.succeed(req)
 
     def release(self, req: Optional[Event]) -> None:
         """Release a previously granted slot.
@@ -108,32 +107,40 @@ class Resource:
             nxt = self._waiting.popleft()
             self._grant(nxt)
 
-    def serve_event(self, service_time: float) -> Event:
-        """Acquire a slot, hold it for ``service_time``, release it.
+    def serve_then(self, service_time: float,
+                   then: Callable[[Any], None]) -> None:
+        """Acquire a slot, hold it for ``service_time``, release it, then
+        call ``then(None)``.
 
-        Returns a single :class:`Event` for the caller to ``yield`` or
-        park a callback on — the flat-event calling convention.
-        Uncontended, the grant, service timeout, and release fold into
-        one scheduled timer whose completion callback releases the slot
-        immediately before the waiter resumes; contended, a
-        :class:`_ServeRequest` queues, its grant schedules the timer,
-        and the timer resolves the caller inline.
-
-        Contract: the slot is held until the scheduled service end
-        regardless of what happens to the waiter.
+        The one grant -> service -> release core.  Uncontended, it is one
+        :meth:`Environment.after` timer; contended, a
+        :class:`_ServeRequest` queues, its grant dispatches where a
+        granted ``request()`` event would, and the grant starts the
+        timer.  Either way the timer releases the slot (granting the
+        next waiter) immediately before ``then`` runs.
         """
         self.total_requests += 1
         if self.in_use < self.capacity and not self._waiting:
             self._take_slot()
-            done = self.env.timeout(service_time)
-            done.callbacks.append(self._finish_serve)
-            return done
-        req = _ServeRequest(self, service_time)
-        self._waiting.append(req)
-        return req.done
+            self.env.after(service_time, self._finish_then, then)
+            return
+        self._waiting.append(_ServeRequest(self, service_time, then))
 
-    def _finish_serve(self, _ev: Event) -> None:
+    def _finish_then(self, then: Callable[[Any], None]) -> None:
         self.release(None)
+        then(None)
+
+    def serve_event(self, service_time: float) -> Event:
+        """:meth:`serve_then` with an event to ``yield``, race or join.
+
+        The returned event resolves inline at the service end, right
+        after the release, and the slot is held to that end even if the
+        waiter stopped waiting (it lost a race).  A continuation with
+        one waiter calls :meth:`serve_then` and builds no event.
+        """
+        done = Event(self.env)
+        self.serve_then(service_time, done._resolve)
+        return done
 
     @property
     def queue_length(self) -> int:

@@ -40,8 +40,8 @@ class _ShardExec:
     is held, so an epoch boundary really does stop the shard) -> the
     calibrated execute/commit cost -> release.  ``done`` resolves inline
     (:meth:`Event._resolve`) at the release position: the caller
-    continues inside the service timer's callback, right after the next
-    waiter was granted, with no further trip through the heap.
+    continues inside the service timer's continuation, right after the
+    next waiter was granted, with no further trip through the heap.
     """
 
     __slots__ = ("system", "shard", "cost", "value", "done", "_req")
@@ -70,10 +70,9 @@ class _ShardExec:
         subscribe(self.system._wait_if_paused(), self._unpaused)
 
     def _unpaused(self, _ev: Event) -> None:
-        timer = self.system.env.timeout(self.cost)
-        timer.callbacks.append(self._served)
+        self.system.env.after(self.cost, self._served)
 
-    def _served(self, _ev: Event) -> None:
+    def _served(self, _arg) -> None:
         self.system.shard_pipelines[self.shard].release(self._req)
         self.done._resolve(self.value)
 
@@ -96,15 +95,13 @@ class _ShardExecLA(_ShardExec):
     __slots__ = ()
 
     def _begin(self, _arg) -> None:
-        timer = self.system.env.timeout(self.system.costs.net_latency)
-        timer.callbacks.append(super()._begin)
+        self.system.env.after(self.system.costs.net_latency, super()._begin)
 
     def _served(self, _ev: Event) -> None:
         self.system.shard_pipelines[self.shard].release(self._req)
-        timer = self.system.env.timeout(self.system.costs.net_latency)
-        timer.callbacks.append(self._completed)
+        self.system.env.after(self.system.costs.net_latency, self._completed)
 
-    def _completed(self, _ev: Event) -> None:
+    def _completed(self, _arg) -> None:
         # Resolve in the priority-2 rendezvous slot, not inline: this hop
         # timer's seq dates from one lookahead ago, so its position among
         # other events at this instant is an accident of creation time —
@@ -140,16 +137,15 @@ class _AhlTxn:
         system = self.system
         txn = self.txn
         txn.submitted_at = system.env.now
-        ev = system.client_node.nic_out.serve_event(
+        system.client_node.nic_out.serve_then(
             system.costs.net_send_overhead
-            + system.costs.transfer_time(256 + txn.payload_size))
-        ev.callbacks.append(self._sent)
+            + system.costs.transfer_time(256 + txn.payload_size),
+            self._sent)
 
-    def _sent(self, _ev: Event) -> None:
-        timer = self.system.env.timeout(self.system.costs.net_latency)
-        timer.callbacks.append(self._arrived)
+    def _sent(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._arrived)
 
-    def _arrived(self, _ev: Event) -> None:
+    def _arrived(self, _arg) -> None:
         system = self.system
         txn = self.txn
         shards = sorted({system.partitioner.shard_of(op.key)

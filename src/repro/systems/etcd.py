@@ -56,10 +56,9 @@ class _ApplyLoop:
     def _got(self, ev: Event) -> None:
         _index, self.txn = ev._value
         system = self.system
-        serve = self.node.disk.serve_event(system._apply_cost)
-        serve.callbacks.append(self._applied)
+        self.node.disk.serve_then(system._apply_cost, self._applied)
 
-    def _applied(self, _ev: Event) -> None:
+    def _applied(self, _arg) -> None:
         system = self.system
         txn = self.txn
         system._version += 1
@@ -86,12 +85,11 @@ class _ApplyLoop:
             # Authenticated index: the measured digest work extends the
             # serialized apply (plain engines charge nothing — the
             # default fast path resolves the waiter directly).
-            serve = self.node.disk.serve_event(index_cost)
-            serve.callbacks.append(self._index_folded)
+            self.node.disk.serve_then(index_cost, self._index_folded)
             return
         self._resolve()
 
-    def _index_folded(self, _ev: Event) -> None:
+    def _index_folded(self, _arg) -> None:
         self._resolve()
 
     def _resolve(self) -> None:
@@ -108,10 +106,11 @@ class _Update:
     Client NIC egress -> propagation -> leader request CPU (gRPC decode
     + mvcc txn wrap, parallel across cores) -> Raft commit ->
     state-machine apply -> response NIC egress -> propagation, with one
-    parked callback per wait.  Cascade contract: ``start`` takes one
-    scheduled slot, each stage continues from the callback of the event
-    it waited on, and ``done`` is succeeded through the scheduler from
-    the last propagation timer's callback.  The seeded ``etcd`` /
+    parked continuation per wait.  Cascade contract: ``start`` takes
+    one scheduled slot, each stage continues from the continuation of
+    the timer, serve or event it waited on, and ``done`` is succeeded
+    through the scheduler from the last propagation timer's
+    continuation.  The seeded ``etcd`` /
     ``etcd-seed23`` pins hold every stage to its position.
     """
 
@@ -143,20 +142,19 @@ class _Update:
             return
         self.leader = leader
         self.size = 64 + txn.payload_size
-        ev = system.client_node.nic_out.serve_event(
+        system.client_node.nic_out.serve_then(
             system.costs.net_send_overhead
-            + system.costs.transfer_time(self.size))
-        ev.callbacks.append(self._sent)
+            + system.costs.transfer_time(self.size),
+            self._sent)
 
-    def _sent(self, _ev: Event) -> None:
-        timer = self.system.env.timeout(self.system.costs.net_latency)
-        timer.callbacks.append(self._arrived)
+    def _sent(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._arrived)
 
-    def _arrived(self, _ev: Event) -> None:
-        ev = self.leader.node.compute(self.system.costs.etcd_request_cpu)
-        ev.callbacks.append(self._decoded)
+    def _arrived(self, _arg) -> None:
+        self.leader.node.cpu.serve_then(
+            self.system.costs.etcd_request_cpu, self._decoded)
 
-    def _decoded(self, _ev: Event) -> None:
+    def _decoded(self, _arg) -> None:
         system = self.system
         if system.scheduler is not None:
             # Weakened isolation: read the inputs at the gateway (one
@@ -166,16 +164,15 @@ class _Update:
             # serial apply/disk pipeline stays the bottleneck.
             nreads = len(self.txn.read_keys)
             if nreads:
-                ev = system._read_paths[self.leader.node.name].serve_event(
-                    system.costs.etcd_read_cpu * nreads)
-                ev.callbacks.append(self._staged)
+                system._read_paths[self.leader.node.name].serve_then(
+                    system.costs.etcd_read_cpu * nreads, self._staged)
                 return
             self._stage_and_propose()
             return
         commit_ev = self.leader.propose(self.txn, size=self.size)
         subscribe(commit_ev, self._committed)
 
-    def _staged(self, _ev: Event) -> None:
+    def _staged(self, _arg) -> None:
         self._stage_and_propose()
 
     def _stage_and_propose(self) -> None:
@@ -198,15 +195,14 @@ class _Update:
 
     def _applied(self, _ev: Event) -> None:
         system = self.system
-        ev = self.leader.node.nic_out.serve_event(
-            system.costs.net_send_overhead + system.costs.transfer_time(128))
-        ev.callbacks.append(self._responded)
+        self.leader.node.nic_out.serve_then(
+            system.costs.net_send_overhead + system.costs.transfer_time(128),
+            self._responded)
 
-    def _responded(self, _ev: Event) -> None:
-        timer = self.system.env.timeout(self.system.costs.net_latency)
-        timer.callbacks.append(self._finish)
+    def _responded(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._finish)
 
-    def _finish(self, _ev: Event) -> None:
+    def _finish(self, _arg) -> None:
         # status (committed / logic-aborted) was set by the apply loop
         self.done.succeed(self.txn)
 

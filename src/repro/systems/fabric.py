@@ -89,40 +89,38 @@ class _Endorsement:
     def _send_proposal(self, _arg) -> None:
         system = self.system
         size = 256 + self.txn.payload_size
-        ev = system.client_node.nic_out.serve_event(
-            system.costs.net_send_overhead + system.costs.transfer_time(size))
-        ev.callbacks.append(self._proposal_sent)
+        system.client_node.nic_out.serve_then(
+            system.costs.net_send_overhead + system.costs.transfer_time(size),
+            self._proposal_sent)
 
-    def _proposal_sent(self, _ev: Event) -> None:
+    def _proposal_sent(self, _arg) -> None:
         system = self.system
-        timer = system.env.timeout(system.costs.net_latency)
-        timer.callbacks.append(self._proposal_arrived)
+        system.env.after(system.costs.net_latency, self._proposal_arrived)
 
-    def _proposal_arrived(self, _ev: Event) -> None:
+    def _proposal_arrived(self, _arg) -> None:
         system = self.system
-        ev = self.peer.node.compute(system.costs.sig_verify
-                                    + system.costs.fabric_simulate
-                                    + system.costs.fabric_endorse)
-        ev.callbacks.append(self._simulated)
+        self.peer.node.cpu.serve_then(
+            system.costs.sig_verify + system.costs.fabric_simulate
+            + system.costs.fabric_endorse,
+            self._simulated)
 
-    def _simulated(self, _ev: Event) -> None:
+    def _simulated(self, _arg) -> None:
         # Simulate against this peer's local committed state.
         system = self.system
         txn = self.txn
         probe = Transaction(ops=txn.ops, client=txn.client, logic=txn.logic)
         read_set = self.peer.simulator.simulate(probe)
         self.result = (read_set, probe)
-        ev = self.peer.node.nic_out.serve_event(
+        self.peer.node.nic_out.serve_then(
             system.costs.net_send_overhead
-            + system.costs.transfer_time(512 + txn.payload_size))
-        ev.callbacks.append(self._response_sent)
+            + system.costs.transfer_time(512 + txn.payload_size),
+            self._response_sent)
 
-    def _response_sent(self, _ev: Event) -> None:
+    def _response_sent(self, _arg) -> None:
         system = self.system
-        timer = system.env.timeout(system.costs.net_latency)
-        timer.callbacks.append(self._response_arrived)
+        system.env.after(system.costs.net_latency, self._response_arrived)
 
-    def _response_arrived(self, _ev: Event) -> None:
+    def _response_arrived(self, _arg) -> None:
         # Appended here — not at simulation time — because completion
         # order decides which endorsement's rw-set the client adopts.
         self.out.append(self.result)

@@ -63,22 +63,20 @@ class _Submission:
         txn = self.txn
         txn.submitted_at = system.env.now
         self.size = 256 + txn.payload_size
-        ev = system.client_node.nic_out.serve_event(
+        system.client_node.nic_out.serve_then(
             system.costs.net_send_overhead
-            + system.costs.transfer_time(self.size))
-        ev.callbacks.append(self._sent)
+            + system.costs.transfer_time(self.size),
+            self._sent)
 
-    def _sent(self, _ev: Event) -> None:
-        timer = self.system.env.timeout(self.system.costs.net_latency)
-        timer.callbacks.append(self._arrived)
+    def _sent(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._arrived)
 
-    def _arrived(self, _ev: Event) -> None:
+    def _arrived(self, _arg) -> None:
         system = self.system
         entry = system._pick_round_robin(system.servers)
-        ev = entry.compute(system.costs.store_get)
-        ev.callbacks.append(self._entered)
+        entry.cpu.serve_then(system.costs.store_get, self._entered)
 
-    def _entered(self, _ev: Event) -> None:
+    def _entered(self, _arg) -> None:
         system = self.system
         txn = self.txn
         if system.profile.concurrency is \

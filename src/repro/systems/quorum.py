@@ -58,21 +58,20 @@ class _Submission:
         system = self.system
         self.txn.submitted_at = system.env.now
         size = 192 + self.txn.payload_size
-        ev = system.client_node.nic_out.serve_event(
-            system.costs.net_send_overhead + system.costs.transfer_time(size))
-        ev.callbacks.append(self._sent)
+        system.client_node.nic_out.serve_then(
+            system.costs.net_send_overhead + system.costs.transfer_time(size),
+            self._sent)
 
-    def _sent(self, _ev: Event) -> None:
+    def _sent(self, _arg) -> None:
         system = self.system
-        timer = system.env.timeout(system.costs.net_latency)
-        timer.callbacks.append(self._arrived)
+        system.env.after(system.costs.net_latency, self._arrived)
 
-    def _arrived(self, _ev: Event) -> None:
+    def _arrived(self, _arg) -> None:
         system = self.system
-        ev = system.servers[0].compute(system.costs.quorum_txpool_cpu)
-        ev.callbacks.append(self._pooled)
+        system.servers[0].cpu.serve_then(
+            system.costs.quorum_txpool_cpu, self._pooled)
 
-    def _pooled(self, _ev: Event) -> None:
+    def _pooled(self, _arg) -> None:
         self.system.mempool.put((self.txn, self.done))
 
 

@@ -58,25 +58,25 @@ class _PaxosWrite:
     def start(self) -> Event:
         system = self.system
         leader = system.shard_leaders[self.shard]
-        ev = system.log_threads[leader.name].serve_event(
+        system.log_threads[leader.name].serve_then(
             system.costs.raft_propose + system.costs.raft_apply
-            + system.costs.store_put)
-        ev.callbacks.append(self._logged)
+            + system.costs.store_put,
+            self._logged)
         return self.done
 
-    def _logged(self, _ev: Event) -> None:
+    def _logged(self, _arg) -> None:
         system = self.system
         leader = system.shard_leaders[self.shard]
-        ev = leader.nic_out.serve_event(
+        leader.nic_out.serve_then(
             2 * (system.costs.net_send_overhead
-                 + system.costs.transfer_time(self.size)))
-        ev.callbacks.append(self._sent)
+                 + system.costs.transfer_time(self.size)),
+            self._sent)
 
-    def _sent(self, _ev: Event) -> None:
-        timer = self.system.env.timeout(2 * self.system.costs.net_latency)
-        timer.callbacks.append(self._round_tripped)
+    def _sent(self, _arg) -> None:
+        self.system.env.after(
+            2 * self.system.costs.net_latency, self._round_tripped)
 
-    def _round_tripped(self, _ev: Event) -> None:
+    def _round_tripped(self, _arg) -> None:
         self.done.succeed(self.shard)
 
 
@@ -117,25 +117,24 @@ class _Txn:
         system = self.system
         txn = self.txn
         txn.submitted_at = system.env.now
-        ev = system.client_node.nic_out.serve_event(
+        system.client_node.nic_out.serve_then(
             system.costs.net_send_overhead
-            + system.costs.transfer_time(128 + txn.payload_size))
-        ev.callbacks.append(self._sent)
+            + system.costs.transfer_time(128 + txn.payload_size),
+            self._sent)
 
-    def _sent(self, _ev: Event) -> None:
-        timer = self.system.env.timeout(self.system.costs.net_latency)
-        timer.callbacks.append(self._arrived)
+    def _sent(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._arrived)
 
-    def _arrived(self, _ev: Event) -> None:
+    def _arrived(self, _arg) -> None:
         system = self.system
         coordinator_shard = system._shard_of(self.txn.ops[0].key)
         coordinator = system.shard_leaders[coordinator_shard]
-        ev = coordinator.compute(system.costs.spanner_request_cpu)
-        ev.callbacks.append(self._coord_ready)
+        coordinator.cpu.serve_then(
+            system.costs.spanner_request_cpu, self._coord_ready)
 
     # -- strict 2PL lock acquisition ---------------------------------------
 
-    def _coord_ready(self, _ev: Event) -> None:
+    def _coord_ready(self, _arg) -> None:
         self.sorted_ops = sorted(self.txn.ops, key=lambda o: o.key)
         self._idx = 0
         self._next_lock()
@@ -216,11 +215,10 @@ class _Txn:
         # result delivery and cleanup — all with locks still held, which
         # is what queues conflicting transactions behind a hot key.
         system = self.system
-        timer = system.env.timeout(
-            system._commit_wait_time(self.shards[0]))
-        timer.callbacks.append(self._commit_waited)
+        system.env.after(
+            system._commit_wait_time(self.shards[0]), self._commit_waited)
 
-    def _commit_waited(self, _ev: Event) -> None:
+    def _commit_waited(self, _arg) -> None:
         system = self.system
         txn = self.txn
         system._version += 1

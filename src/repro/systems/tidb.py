@@ -49,7 +49,7 @@ class _Txn:
     ``start`` takes one scheduled slot, each stage continues from the
     callback of the event it waited on (latch grants and ``kv_write``
     completions arrive through the scheduler), and ``done`` is succeeded
-    through the scheduler from the response timer's callback.
+    through the scheduler from the response timer's continuation.
 
     Fault contract: a prewrite or primary-commit participant that
     fails — e.g. its region leader crashed mid-2PC — aborts the
@@ -98,22 +98,21 @@ class _Txn:
         txn.submitted_at = system.env.now
         self.server = system._pick_round_robin(system.servers)
         size = 128 + txn.payload_size
-        ev = system.client_node.nic_out.serve_event(
-            system.costs.net_send_overhead + system.costs.transfer_time(size))
-        ev.callbacks.append(self._sent)
+        system.client_node.nic_out.serve_then(
+            system.costs.net_send_overhead + system.costs.transfer_time(size),
+            self._sent)
 
-    def _sent(self, _ev: Event) -> None:
-        timer = self.system.env.timeout(self.system.costs.net_latency)
-        timer.callbacks.append(self._arrived)
+    def _sent(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._arrived)
 
-    def _arrived(self, _ev: Event) -> None:
+    def _arrived(self, _arg) -> None:
         system = self.system
-        ev = self.server.compute(system.costs.tidb_session_cpu
-                                 + system.costs.sql_parse
-                                 + system.costs.sql_compile)
-        ev.callbacks.append(self._sql_ready)
+        self.server.cpu.serve_then(
+            system.costs.tidb_session_cpu + system.costs.sql_parse
+            + system.costs.sql_compile,
+            self._sql_ready)
 
-    def _sql_ready(self, _ev: Event) -> None:
+    def _sql_ready(self, _arg) -> None:
         self._attempt_begin()
 
     # -- one snapshot-isolation attempt ------------------------------------
@@ -140,10 +139,10 @@ class _Txn:
             self._execute_logic()
             return
         self._idx = idx
-        ev = self.server.compute(self.system.costs.store_get)
-        ev.callbacks.append(self._read_cpu_done)
+        self.server.cpu.serve_then(
+            self.system.costs.store_get, self._read_cpu_done)
 
-    def _read_cpu_done(self, _ev: Event) -> None:
+    def _read_cpu_done(self, _arg) -> None:
         subscribe(self.system.cluster.kv_read(self.txn.ops[self._idx].key),
                   self._read_done)
 
@@ -236,16 +235,16 @@ class _Txn:
             # (Section 5.3.1).
             system.prewrite_conflicts += 1
             if not system.instant_abort:
-                timer = system.env.timeout(
-                    system.costs.tidb_conflict_resolution)
-                timer.callbacks.append(self._conflict_resolved)
+                system.env.after(
+                    system.costs.tidb_conflict_resolution,
+                    self._conflict_resolved)
                 return
             self._conflict_abort()
             return
         self._idx = 0
         self._next_prewrite()
 
-    def _conflict_resolved(self, _ev: Event) -> None:
+    def _conflict_resolved(self, _arg) -> None:
         self._conflict_abort()
 
     def _conflict_abort(self) -> None:
@@ -259,11 +258,10 @@ class _Txn:
             subscribe(system.env.all_of(self.prewrites), self._prewritten)
             return
         node = system.cluster.leader_node(self.keys[self._idx])
-        ev = system.cluster.store_threads[node.name].serve_event(
-            system.costs.percolator_prewrite_cpu)
-        ev.callbacks.append(self._prewrite_cpu_done)
+        system.cluster.store_threads[node.name].serve_then(
+            system.costs.percolator_prewrite_cpu, self._prewrite_cpu_done)
 
-    def _prewrite_cpu_done(self, _ev: Event) -> None:
+    def _prewrite_cpu_done(self, _arg) -> None:
         key = self.keys[self._idx]
         self.prewrites.append(self.system.cluster.kv_write(
             key, self.write_set[key],
@@ -292,11 +290,10 @@ class _Txn:
                 if self.write_set.get(key) == seen:
                     reads[key] = stamp
         primary_node = system.cluster.leader_node(self.primary)
-        cpu = system.cluster.store_threads[primary_node.name].serve_event(
-            system.costs.percolator_commit_cpu)
-        cpu.callbacks.append(self._commit_cpu_done)
+        system.cluster.store_threads[primary_node.name].serve_then(
+            system.costs.percolator_commit_cpu, self._commit_cpu_done)
 
-    def _commit_cpu_done(self, _ev: Event) -> None:
+    def _commit_cpu_done(self, _arg) -> None:
         ev = self.system.cluster.kv_write(
             self.primary, self.write_set[self.primary],
             meta={"commit_ts": self.commit_ts, "primary": True})
@@ -346,23 +343,21 @@ class _Txn:
         system.retries += 1
         txn.read_set.clear()
         txn.write_set.clear()
-        timer = system.env.timeout(system.costs.tidb_retry_backoff)
-        timer.callbacks.append(self._retry)
+        system.env.after(system.costs.tidb_retry_backoff, self._retry)
 
-    def _retry(self, _ev: Event) -> None:
+    def _retry(self, _arg) -> None:
         self._attempt_begin()
 
     def _respond(self) -> None:
         system = self.system
-        ev = self.server.nic_out.serve_event(
-            system.costs.net_send_overhead + system.costs.transfer_time(128))
-        ev.callbacks.append(self._responded)
+        self.server.nic_out.serve_then(
+            system.costs.net_send_overhead + system.costs.transfer_time(128),
+            self._responded)
 
-    def _responded(self, _ev: Event) -> None:
-        timer = self.system.env.timeout(self.system.costs.net_latency)
-        timer.callbacks.append(self._finish)
+    def _responded(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._finish)
 
-    def _finish(self, _ev: Event) -> None:
+    def _finish(self, _arg) -> None:
         history = self.system.history
         if history is not None:
             if self._hist_reads is not None:

@@ -60,10 +60,9 @@ class _ApplyLoop:
 
     def _got(self, ev: Event) -> None:
         self.index, self.record = ev._value
-        serve = self.thread.serve_event(self.cluster._apply_cost)
-        serve.callbacks.append(self._applied)
+        self.thread.serve_then(self.cluster._apply_cost, self._applied)
 
-    def _applied(self, _ev: Event) -> None:
+    def _applied(self, _arg) -> None:
         if self.is_leader:
             cluster = self.cluster
             record = self.record
@@ -82,14 +81,13 @@ class _ApplyLoop:
             if index_cost > 0.0:
                 # Authenticated index: measured digest work extends the
                 # serialized apply before the write is acknowledged.
-                serve = self.thread.serve_event(index_cost)
-                serve.callbacks.append(self._index_folded)
+                self.thread.serve_then(index_cost, self._index_folded)
                 return
             self._resolve()
             return
         self._next(None)
 
-    def _index_folded(self, _ev: Event) -> None:
+    def _index_folded(self, _arg) -> None:
         self._resolve()
 
     def _resolve(self) -> None:
@@ -132,10 +130,9 @@ class _KvWrite:
         cluster = self.cluster
         self.group_id = cluster.leader_of(self.key)
         node = cluster.nodes[self.group_id]
-        ev = node.compute(cluster.costs.tikv_request_cpu)
-        ev.callbacks.append(self._scheduled)
+        node.cpu.serve_then(cluster.costs.tikv_request_cpu, self._scheduled)
 
-    def _scheduled(self, _ev: Event) -> None:
+    def _scheduled(self, _arg) -> None:
         cluster = self.cluster
         record = {"key": self.key, "value": self.value,
                   "meta": self.meta or {}}
@@ -172,11 +169,10 @@ class _KvRead:
     def _begin(self, _arg) -> None:
         cluster = self.cluster
         node = cluster.leader_node(self.key)
-        ev = cluster.read_paths[node.name].serve_event(
-            cluster.costs.tikv_read_cpu)
-        ev.callbacks.append(self._served)
+        cluster.read_paths[node.name].serve_then(
+            cluster.costs.tikv_read_cpu, self._served)
 
-    def _served(self, _ev: Event) -> None:
+    def _served(self, _arg) -> None:
         value, version = self.cluster.state.get(self.key)
         self.done.succeed((value, version))
 
@@ -305,15 +301,14 @@ class _Update:
         txn = self.txn
         txn.submitted_at = system.env.now
         size = 64 + txn.payload_size
-        ev = system.client_node.nic_out.serve_event(
-            system.costs.net_send_overhead + system.costs.transfer_time(size))
-        ev.callbacks.append(self._sent)
+        system.client_node.nic_out.serve_then(
+            system.costs.net_send_overhead + system.costs.transfer_time(size),
+            self._sent)
 
-    def _sent(self, _ev: Event) -> None:
-        timer = self.system.env.timeout(self.system.costs.net_latency)
-        timer.callbacks.append(self._arrived)
+    def _sent(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._arrived)
 
-    def _arrived(self, _ev: Event) -> None:
+    def _arrived(self, _arg) -> None:
         if self.system.scheduler is not None:
             self._reads = {}
             self._next_session_read()
@@ -422,15 +417,14 @@ class _Update:
     def _respond(self) -> None:
         system = self.system
         node = system.cluster.leader_node(self.txn.ops[0].key)
-        ev = node.nic_out.serve_event(
-            system.costs.net_send_overhead + system.costs.transfer_time(128))
-        ev.callbacks.append(self._responded)
+        node.nic_out.serve_then(
+            system.costs.net_send_overhead + system.costs.transfer_time(128),
+            self._responded)
 
-    def _responded(self, _ev: Event) -> None:
-        timer = self.system.env.timeout(self.system.costs.net_latency)
-        timer.callbacks.append(self._finish)
+    def _responded(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._finish)
 
-    def _finish(self, _ev: Event) -> None:
+    def _finish(self, _arg) -> None:
         system = self.system
         txn = self.txn
         if system.scheduler is None:

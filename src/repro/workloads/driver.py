@@ -54,12 +54,11 @@ class _ClientSlot:
 
     def _bootstrap(self, _arg) -> None:
         if self.stagger > 0:
-            timer = self.run.env.timeout(self.stagger)
-            timer.callbacks.append(self._staggered)
+            self.run.env.after(self.stagger, self._staggered)
         else:
             self._next()
 
-    def _staggered(self, _ev: Event) -> None:
+    def _staggered(self, _arg) -> None:
         self._next()
 
     def _next(self) -> None:
@@ -71,6 +70,7 @@ class _ClientSlot:
         env = run.env
         txn = run.next_txn(self.name)
         ev = run.submit(txn)
+        # A Timeout, not env.after(): raced by any_of, then cancelled.
         timer = env.timeout(run.cfg.txn_timeout)
         fate = env.any_of([ev, timer])
         self.txn, self.ev, self.timer = txn, ev, timer
@@ -101,7 +101,7 @@ class _ClientSlot:
             # Paced (open-ish) client: think before the next submission.
             # Zero by default — the historical fully-closed loop issues
             # the identical event sequence when no think time is set.
-            run.env.timeout(think_time).callbacks.append(self._staggered)
+            run.env.after(think_time, self._staggered)
         else:
             self._next()
 

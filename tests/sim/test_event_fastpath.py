@@ -415,15 +415,15 @@ def test_timer_continuation_trace_pinned():
 
     def at_zero(_arg):
         log.append((env.now, "timer-zero"))
-        env.timeout(0.5).callbacks.append(mark("zero-late"))
+        env.after(0.5, mark("zero-late"))
 
     def at_one(_arg):
         log.append((env.now, "timer-a"))
         signal.succeed()
         env._schedule_call(mark("call-now"), None)
-        env.timeout(0.0).callbacks.append(at_zero)
-        env.timeout(0.5).callbacks.append(mark("timer-late"))
-        res.serve_event(0.25).callbacks.append(mark("serve-late"))
+        env.after(0.0, at_zero)
+        env.after(0.5, mark("timer-late"))
+        res.serve_then(0.25, mark("serve-late"))
 
     def proc(env):
         yield env.timeout(1.0)
@@ -431,11 +431,11 @@ def test_timer_continuation_trace_pinned():
         yield env.timeout(0.5)
         log.append((env.now, "proc-late"))
 
-    res.serve_event(1.0).callbacks.append(mark("serve-free"))
-    res.serve_event(0.5).callbacks.append(mark("serve-queued"))
-    env.timeout(1.0).callbacks.append(at_one)
+    res.serve_then(1.0, mark("serve-free"))
+    res.serve_then(0.5, mark("serve-queued"))
+    env.after(1.0, at_one)
     env._schedule_call(mark("call"), None, 1.0)
-    env.timeout(1.5).callbacks.append(mark("timer-1.5"))
+    env.after(1.5, mark("timer-1.5"))
     env.process(proc(env))
     env.run()
     assert log == TIMER_TRACE

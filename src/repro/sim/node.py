@@ -72,7 +72,9 @@ class Node:
     def compute(self, service_time: float) -> Event:
         """Occupy one CPU core for ``service_time`` (flat fast path).
 
-        Returns a single event — ``yield node.compute(t)``.
+        Returns a single event — ``yield node.compute(t)``.  A chain
+        stage with one waiter calls ``node.cpu.serve_then(t, then)``
+        and builds no event.
         """
         return self.cpu.serve_event(service_time)
 

@@ -178,7 +178,7 @@ class TimingWheel:
             self._timer = None
             return
         nxt = self._next_work_tick()
-        # A Timeout, not env.after(): re-arming cancels it by token.
+        # A Timeout, not env.after(): re-aiming cancels it by token.
         timer = self.env.timeout_at(self._boundary(nxt), value=nxt)
         timer.callbacks.append(self._on_tick)
         self._timer = timer.token()

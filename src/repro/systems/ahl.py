@@ -97,7 +97,7 @@ class _ShardExecLA(_ShardExec):
     def _begin(self, _arg) -> None:
         self.system.env.after(self.system.costs.net_latency, super()._begin)
 
-    def _served(self, _ev: Event) -> None:
+    def _served(self, _arg) -> None:
         self.system.shard_pipelines[self.shard].release(self._req)
         self.system.env.after(self.system.costs.net_latency, self._completed)
 

@@ -7,9 +7,30 @@ from repro.sim import Environment
 from repro.sim.resources import Resource
 
 
+#: ``(at, service_time, name)``: two tied pairs, then two lone jobs.
+JOBS = [(0.0, 1.0, "a"), (0.0, 0.5, "b"), (0.25, 2.0, "c"),
+        (0.25, 0.25, "d"), (3.0, 1.0, "e"), (6.0, 0.5, "f")]
+
+#: Instants at which both runs sample the resource's accounting.
+PROBES = (0.1, 0.3, 0.75, 1.2, 2.0, 3.6, 5.0, 6.25)
+
+
+def _sample(env, res):
+    """Run to each probe instant and read the resource's accounting."""
+    samples = []
+    for t in PROBES:
+        env.run(until=t)
+        samples.append((res.in_use, res.queue_length, res.total_requests,
+                        res.busy_time, res.utilization()))
+    env.run()
+    samples.append((res.in_use, res.queue_length, res.total_requests,
+                    res.busy_time, res.utilization()))
+    return samples
+
+
 def _serve_then_run(capacity, jobs):
     """Submit ``(at, service_time, name)`` jobs through serve_then; return
-    the resource and the ``(finish, name)`` log."""
+    the ``(finish, name)`` log and the accounting samples."""
     env = Environment()
     res = Resource(env, capacity=capacity)
     log = []
@@ -20,8 +41,7 @@ def _serve_then_run(capacity, jobs):
 
     for job in jobs:
         env.after(job[0], submit, job)
-    env.run()
-    return res, log
+    return log, _sample(env, res)
 
 
 def _serve_event_run(capacity, jobs):
@@ -37,23 +57,18 @@ def _serve_event_run(capacity, jobs):
 
     for job in jobs:
         env.process(worker(env, *job))
-    env.run()
-    return res, log
-
-
-JOBS = [(0.0, 1.0, "a"), (0.0, 0.5, "b"), (0.25, 2.0, "c"),
-        (0.25, 0.25, "d"), (3.0, 1.0, "e"), (6.0, 0.5, "f")]
+    return log, _sample(env, res)
 
 
 def test_serve_then_fifo_grants_capacity_one():
-    _res, log = _serve_then_run(1, JOBS)
+    log, _samples = _serve_then_run(1, JOBS)
     # one slot: each job starts when its predecessor releases
     assert log == [(1.0, "a"), (1.5, "b"), (3.5, "c"), (3.75, "d"),
                    (4.75, "e"), (6.5, "f")]
 
 
 def test_serve_then_fifo_grants_capacity_two():
-    _res, log = _serve_then_run(2, JOBS)
+    log, _samples = _serve_then_run(2, JOBS)
     # a, b start at 0; c takes b's slot at 0.5, d takes a's at 1.0
     assert log == [(0.5, "b"), (1.0, "a"), (1.25, "d"), (2.5, "c"),
                    (4.0, "e"), (6.5, "f")]
@@ -61,31 +76,15 @@ def test_serve_then_fifo_grants_capacity_two():
 
 @pytest.mark.parametrize("capacity", [1, 2])
 def test_serve_then_accounting_matches_serve_event(capacity):
-    """busy_time, utilization(), total_requests and queue_length read the
-    same as a serve_event run of the same schedule, mid-run and after."""
-    flat, flat_log = _serve_then_run(capacity, JOBS)
-    evented, evented_log = _serve_event_run(capacity, JOBS)
+    """in_use, queue_length, total_requests, busy_time and utilization()
+    read the same as a serve_event run of the same schedule, mid-run at
+    every probe and after the run."""
+    flat_log, flat = _serve_then_run(capacity, JOBS)
+    evented_log, evented = _serve_event_run(capacity, JOBS)
     assert flat_log == evented_log
-    assert flat.busy_time == evented.busy_time
-    assert flat.utilization() == evented.utilization()
-    assert flat.total_requests == evented.total_requests == len(JOBS)
-    assert flat.queue_length == evented.queue_length == 0
-    assert flat.in_use == evented.in_use == 0
-
-
-def test_serve_then_queue_length_while_contended(env):
-    res = Resource(env, capacity=1)
-    for _ in range(3):
-        res.serve_then(1.0, lambda _arg: None)
-    assert res.in_use == 1
-    assert res.queue_length == 2
-    assert res.total_requests == 3
-    env.run(until=1.5)
-    assert res.queue_length == 1
-    assert res.utilization() == 1.0
-    env.run()
-    assert res.queue_length == 0
-    assert res.busy_time == 3.0
+    assert flat == evented
+    assert any(queue for _use, queue, *_rest in flat)   # contention seen
+    assert flat[-1][:3] == (0, 0, len(JOBS))
 
 
 def test_release_grants_queued_serve_then_and_request_in_arrival_order(env):

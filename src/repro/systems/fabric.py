@@ -30,7 +30,7 @@ from typing import Optional
 from ..concurrency.occ import OccSimulator, OccValidator, endorsements_consistent
 from ..consensus.sharedlog import OrderingService, SharedLogConfig
 from ..crypto.hashing import NULL_HASH
-from ..sim.kernel import Environment, Event
+from ..sim.kernel import Environment, Event, subscribe
 from ..sim.resources import Resource
 from ..txn.ledger import Ledger, envelope_size
 from ..txn.state import VersionedStore
@@ -127,6 +127,97 @@ class _Endorsement:
         self.done.succeed()
 
 
+class _Update:
+    """One transaction's execute-order-validate update, as a flat chain.
+
+    Endorse at every endorsing peer (one :class:`_Endorsement` each,
+    joined) -> compare the read sets and adopt the endorsed rw-set ->
+    client NIC egress of the envelope -> propagation -> ordering ->
+    the reference peer's commit, one parked callback per stage.  The
+    exits are the commit, ``INCONSISTENT_READ``, ``LOGIC`` and a failed
+    ordering append (``COORDINATOR_ABORT``); each succeeds :attr:`done`
+    with the transaction.
+
+    The endorsement results (probe transactions and read sets) are
+    dropped as soon as the rw-set is adopted.  A saturated peer keeps
+    thousands of transactions waiting for ordering and commit, and
+    whatever those waiting chains reference is the cyclic GC's live set.
+    """
+
+    __slots__ = ("system", "txn", "done", "results", "wire", "commit_ev")
+
+    def __init__(self, system: "FabricSystem", txn: Transaction, done: Event):
+        self.system = system
+        self.txn = txn
+        self.done = done
+        self.results = None
+        self.wire = 0
+        self.commit_ev = None
+
+    def start(self) -> None:
+        self.system.env._schedule_call(self._endorse, None)
+
+    def _endorse(self, _arg) -> None:
+        system = self.system
+        txn = self.txn
+        txn.submitted_at = system.env.now
+        results = self.results = []
+        jobs = []
+        for peer in system.peers[:system.endorsement_policy]:
+            jobs.append(_Endorsement(system, peer, txn, results).start())
+        subscribe(system.env.all_of(jobs), self._endorsed)
+
+    def _endorsed(self, _join) -> None:
+        system = self.system
+        txn = self.txn
+        now = system.env.now
+        txn.phases["execute"] = now - txn.submitted_at
+        # Nothing after this stage reads the endorsements: drop them.
+        results, self.results = self.results, None
+        if not endorsements_consistent([rs for rs, _probe in results]):
+            system.inconsistent_aborts += 1
+            txn.mark_aborted(AbortReason.INCONSISTENT_READ)
+            self.done.succeed(txn)
+            return
+        # Adopt the endorsed rw-set; a logic abort surfaces here too.
+        probe = results[0][1]
+        if probe.abort_reason is AbortReason.LOGIC:
+            txn.mark_aborted(AbortReason.LOGIC)
+            self.done.succeed(txn)
+            return
+        txn.read_set = dict(probe.read_set)
+        txn.write_set = dict(probe.write_set)
+        txn.phases["_order_start"] = now
+        wire = self.wire = envelope_size(txn, system.endorsement_policy,
+                                         system.costs.certificate_size,
+                                         system.costs.signature_size)
+        system.client_node.nic_out.serve_then(
+            system.costs.net_send_overhead + system.costs.transfer_time(wire),
+            self._sent)
+
+    def _sent(self, _arg) -> None:
+        system = self.system
+        system.env.after(system.costs.net_latency, self._arrived)
+
+    def _arrived(self, _arg) -> None:
+        system = self.system
+        self.commit_ev = Event(system.env)
+        system._waiters[self.txn.txn_id] = self.commit_ev
+        subscribe(system.ordering.append(self.txn, size=self.wire),
+                  self._ordered)
+
+    def _ordered(self, ev: Event) -> None:
+        if not ev._ok:
+            self.system._waiters.pop(self.txn.txn_id, None)
+            self.txn.mark_aborted(AbortReason.COORDINATOR_ABORT)
+            self.done.succeed(self.txn)
+            return
+        subscribe(self.commit_ev, self._committed)
+
+    def _committed(self, _ev) -> None:
+        self.done.succeed(self.txn)
+
+
 class FabricSystem(TransactionalSystem):
     name = "fabric"
     storage_engine = "on_request"
@@ -185,51 +276,8 @@ class FabricSystem(TransactionalSystem):
 
     def submit(self, txn: Transaction) -> Event:
         done = self.env.event()
-        self.spawn(self._do_update(txn, done), name="fabric-update")
+        _Update(self, txn, done).start()
         return done
-
-    def _do_update(self, txn: Transaction, done: Event):
-        txn.submitted_at = self.env.now
-        execute_start = self.env.now
-        endorsers = self.peers[:self.endorsement_policy]
-        results: list = []
-        jobs = [_Endorsement(self, peer, txn, results).start()
-                for peer in endorsers]
-        yield self.env.all_of(jobs)
-        txn.phases["execute"] = self.env.now - execute_start
-        read_sets = [rs for rs, _probe in results]
-        if not endorsements_consistent(read_sets):
-            self.inconsistent_aborts += 1
-            txn.mark_aborted(AbortReason.INCONSISTENT_READ)
-            done.succeed(txn)
-            return
-        # Adopt the endorsed rw-set; a logic abort surfaces here too.
-        _rs, probe = results[0]
-        if probe.abort_reason is AbortReason.LOGIC:
-            txn.mark_aborted(AbortReason.LOGIC)
-            done.succeed(txn)
-            return
-        txn.read_set = dict(probe.read_set)
-        txn.write_set = dict(probe.write_set)
-        order_start = self.env.now
-        wire = envelope_size(txn, self.endorsement_policy,
-                             self.costs.certificate_size,
-                             self.costs.signature_size)
-        yield self.client_node.nic_out.serve_event(
-            self.costs.net_send_overhead + self.costs.transfer_time(wire))
-        yield self.env.timeout(self.costs.net_latency)
-        commit_ev = self.env.event()
-        self._waiters[txn.txn_id] = commit_ev
-        txn.phases["_order_start"] = order_start
-        try:
-            yield self.ordering.append(txn, size=wire)
-        except Exception:
-            self._waiters.pop(txn.txn_id, None)
-            txn.mark_aborted(AbortReason.COORDINATOR_ABORT)
-            done.succeed(txn)
-            return
-        yield commit_ev
-        done.succeed(txn)
 
     # -- peer block validation ----------------------------------------------------------
 

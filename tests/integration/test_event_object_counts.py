@@ -5,36 +5,82 @@ A flat chain's one-waiter stage goes through ``Environment.after`` /
 yielded, raced, joined, cancelled or read are ``Timeout`` leases, and
 only a contended ``serve_then`` queues a ``_ServeRequest``.  These
 literals pin that, so a stage that quietly goes back to
-``timeout(d).callbacks.append(cb)`` shows up here as a count.
+``timeout(d).callbacks.append(cb)`` shows up here as a count.  The
+same holds for per-transaction generators: a flow that goes back to a
+spawned ``Process`` shows up in the process count.
 """
+
+import gc
+import weakref
 
 import pytest
 
 from repro.bench.harness import SMOKE, run_point
-from repro.sim import kernel, resources
+from repro.sim import Environment, kernel, resources
+from repro.systems import FabricSystem, SystemConfig, fabric
+from repro.txn import Transaction, TxnStatus
 
 #: (Timeout constructions + pool revivals, _ServeRequest constructions)
 #: over run_point(system, scale=SMOKE, seed=3).
 OBJECT_COUNTS = {
     "tidb": (1_369, 8_167),
-    "fabric": (3_528, 5_553),
+    "fabric": (1_944, 5_553),
 }
+
+
+def _count_calls(monkeypatch, counts, key, cls, name):
+    original = getattr(cls, name)
+
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(cls, name, wrapper)
 
 
 @pytest.mark.parametrize("system", sorted(OBJECT_COUNTS))
 def test_timer_and_serve_object_counts_pinned(system, monkeypatch):
     counts = {"timeouts": 0, "serves": 0}
-
-    def counting(cls, name, key):
-        original = getattr(cls, name)
-
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(cls, name, wrapper)
-
-    counting(kernel.Timeout, "__init__", "timeouts")
-    counting(kernel.Environment, "_revive", "timeouts")
-    counting(resources._ServeRequest, "__init__", "serves")
+    _count_calls(monkeypatch, counts, "timeouts", kernel.Timeout, "__init__")
+    _count_calls(monkeypatch, counts, "timeouts", kernel.Environment, "_revive")
+    _count_calls(monkeypatch, counts, "serves",
+                 resources._ServeRequest, "__init__")
     run_point(system, scale=SMOKE, seed=3)
     assert (counts["timeouts"], counts["serves"]) == OBJECT_COUNTS[system]
+
+
+def test_fabric_process_count_pinned(monkeypatch):
+    """Only the long-lived loops are processes; no transaction spawns one."""
+    counts = {"processes": 0}
+    _count_calls(monkeypatch, counts, "processes", kernel.Process, "__init__")
+    result = run_point("fabric", scale=SMOKE, seed=3)
+    assert (counts["processes"], result.tps) == (11, 1131.4258880742786)
+
+
+def test_fabric_endorsement_probes_dropped_before_ordering(monkeypatch):
+    """A transaction waiting for ordering keeps none of its endorsements."""
+    probes = []
+    simulated = fabric._Endorsement._simulated
+
+    def recording(self, arg):
+        simulated(self, arg)
+        probes.append(weakref.ref(self.result[1]))
+    monkeypatch.setattr(fabric._Endorsement, "_simulated", recording)
+
+    env = Environment()
+    system = FabricSystem(env, SystemConfig(num_nodes=3, seed=1))
+    system.load({"k": b"v"})
+    txn = Transaction.update("k", b"w")
+    done = system.submit(txn)
+    append = system.ordering.append
+    live_at_append = []
+
+    def checking_append(item, size=256):
+        assert item is txn and txn.write_set == {"k": b"w"}
+        gc.collect()
+        live_at_append.append(sum(ref() is not None for ref in probes))
+        return append(item, size=size)
+    system.ordering.append = checking_append
+    env.run(until=5)
+    assert len(probes) == 3
+    assert live_at_append == [0]
+    assert done.triggered and txn.status is TxnStatus.COMMITTED

@@ -48,12 +48,39 @@ def test_timer_and_serve_object_counts_pinned(system, monkeypatch):
     assert (counts["timeouts"], counts["serves"]) == OBJECT_COUNTS[system]
 
 
-def test_fabric_process_count_pinned(monkeypatch):
-    """Only the long-lived loops are processes; no transaction spawns one."""
+#: (Process constructions, tps) per seeded SMOKE run (seed 3): every
+#: query path, fabric's update path and its concurrent-validation
+#: ablation.  ahl and spanner shard over six nodes.
+PROCESS_COUNTS = {
+    "ahl-query": (389, 62500.000000000015),
+    "etcd-query": (383, 57403.74348945868),
+    "fabric-query": (476, 14738.97858485368),
+    "quorum-query": (465, 16172.785729996422),
+    "spanner-query": (377, 58348.503944358825),
+    "tidb-query": (420, 39803.25516327825),
+    "tikv-query": (410, 51244.90967230587),
+    "veritas-query": (383, 59171.59763313607),
+    "fabric-update": (11, 1131.4258880742786),
+    "fabric-concurrent-validation": (2_011, 1862.2157985140454),
+}
+
+
+def _process_run(case):
+    system, _, flavour = case.partition("-")
+    if flavour == "query":
+        return run_point(system, mode="query", scale=SMOKE, seed=3,
+                         num_nodes=6 if system in ("ahl", "spanner") else 5)
+    kwargs = ({"serial_validation": False}
+              if flavour == "concurrent-validation" else {})
+    return run_point(system, scale=SMOKE, seed=3, system_kwargs=kwargs)
+
+
+@pytest.mark.parametrize("case", sorted(PROCESS_COUNTS))
+def test_process_count_pinned(case, monkeypatch):
     counts = {"processes": 0}
     _count_calls(monkeypatch, counts, "processes", kernel.Process, "__init__")
-    result = run_point("fabric", scale=SMOKE, seed=3)
-    assert (counts["processes"], result.tps) == (11, 1131.4258880742786)
+    result = _process_run(case)
+    assert (counts["processes"], result.tps) == PROCESS_COUNTS[case]
 
 
 def test_fabric_endorsement_probes_dropped_before_ordering(monkeypatch):

@@ -78,6 +78,7 @@ def _named_resources(system) -> Iterable[tuple[str, Resource]]:
             ("commit_threads", "commit"),
             ("log_threads", "paxos-log"),
             ("_read_paths", "read-path"),
+            ("query_pools", "query-pool"),
     ):
         mapping = getattr(system, attr, None)
         if isinstance(mapping, dict):

@@ -190,6 +190,37 @@ class _ShardParticipant:
                                             value=True, scheduled=True)
 
 
+class _Query:
+    """One read-only query, as a flat chain: no consensus (Section 2.1).
+
+    The client round trip (two propagation delays), then the reads ->
+    done.
+    """
+
+    __slots__ = ("system", "txn", "done")
+
+    def __init__(self, system: "AhlSystem", txn: Transaction, done: Event):
+        self.system = system
+        self.txn = txn
+        self.done = done
+
+    def start(self) -> None:
+        self.system.env._schedule_call(self._begin, None)
+
+    def _begin(self, _arg) -> None:
+        system = self.system
+        self.txn.submitted_at = system.env.now
+        system.env.after(2 * system.costs.net_latency, self._finish)
+
+    def _finish(self, _arg) -> None:
+        txn = self.txn
+        for op in txn.ops:
+            if op.op_type is OpType.READ:
+                self.system.state.get(op.key)
+        txn.mark_committed()
+        self.done.succeed(txn)
+
+
 class AhlSystem(TransactionalSystem):
     name = "ahl"
 
@@ -331,14 +362,5 @@ class AhlSystem(TransactionalSystem):
 
     def submit_query(self, txn: Transaction) -> Event:
         done = self.env.event()
-        self.spawn(self._do_query(txn, done), name="ahl-query")
+        _Query(self, txn, done).start()
         return done
-
-    def _do_query(self, txn: Transaction, done: Event):
-        txn.submitted_at = self.env.now
-        yield self.env.timeout(2 * self.costs.net_latency)
-        for op in txn.ops:
-            if op.op_type is OpType.READ:
-                self.state.get(op.key)
-        txn.mark_committed()
-        done.succeed(txn)

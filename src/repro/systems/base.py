@@ -195,6 +195,14 @@ class TransactionalSystem:
     # -- convenience -----------------------------------------------------------
 
     def spawn(self, generator, name: str = ""):
+        """Start a long-lived loop (a block producer, a peer's commit
+        loop) as a :class:`~repro.sim.kernel.Process`.
+
+        For long-lived loops only.  A per-transaction flow, update or
+        query, is a slotted chain object whose first stage goes through
+        ``env._schedule_call`` where a process bootstrap would: no
+        transaction spawns a process.
+        """
         return self.env.process(generator, name=name or self.name)
 
     def _finish(self, ev: Event, txn: Transaction) -> None:

@@ -207,6 +207,61 @@ class _Update:
         self.done.succeed(self.txn)
 
 
+class _Query:
+    """One read-only query, as a flat chain: no consensus (Section 2.1).
+
+    Client NIC egress -> propagation -> one read per op on a
+    round-robin server's read path -> response NIC egress ->
+    propagation -> done.
+    """
+
+    __slots__ = ("system", "txn", "done", "server", "_idx")
+
+    def __init__(self, system: "EtcdSystem", txn: Transaction, done: Event):
+        self.system = system
+        self.txn = txn
+        self.done = done
+        self.server = None
+        self._idx = 0
+
+    def start(self) -> None:
+        self.system.env._schedule_call(self._begin, None)
+
+    def _begin(self, _arg) -> None:
+        system = self.system
+        self.txn.submitted_at = system.env.now
+        self.server = system._pick_round_robin(system.servers)
+        system.client_node.nic_out.serve_then(
+            system.costs.net_send_overhead + system.costs.transfer_time(96),
+            self._sent)
+
+    def _sent(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._next_read)
+
+    def _next_read(self, _arg) -> None:
+        system = self.system
+        if self._idx < len(self.txn.ops):
+            system._read_paths[self.server.name].serve_then(
+                system.costs.etcd_read_cpu, self._read)
+            return
+        self.server.nic_out.serve_then(
+            system.costs.net_send_overhead
+            + system.costs.transfer_time(64 + self.txn.payload_size),
+            self._responded)
+
+    def _read(self, _arg) -> None:
+        self.system.state.get(self.txn.ops[self._idx].key)
+        self._idx += 1
+        self._next_read(None)
+
+    def _responded(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._finish)
+
+    def _finish(self, _arg) -> None:
+        self.txn.mark_committed()
+        self.done.succeed(self.txn)
+
+
 class EtcdSystem(TransactionalSystem):
     name = "etcd"
     weak_isolation = True
@@ -262,22 +317,5 @@ class EtcdSystem(TransactionalSystem):
 
     def submit_query(self, txn: Transaction) -> Event:
         done = self.env.event()
-        self.spawn(self._do_query(txn, done), name="etcd-query")
+        _Query(self, txn, done).start()
         return done
-
-    def _do_query(self, txn: Transaction, done: Event):
-        txn.submitted_at = self.env.now
-        server = self._pick_round_robin(self.servers)
-        yield self.client_node.nic_out.serve_event(
-            self.costs.net_send_overhead + self.costs.transfer_time(96))
-        yield self.env.timeout(self.costs.net_latency)
-        read_path = self._read_paths[server.name]
-        for op in txn.ops:
-            yield read_path.serve_event(self.costs.etcd_read_cpu)
-            value, _version = self.state.get(op.key)
-        yield server.nic_out.serve_event(
-            self.costs.net_send_overhead
-            + self.costs.transfer_time(64 + txn.payload_size))
-        yield self.env.timeout(self.costs.net_latency)
-        txn.mark_committed()
-        done.succeed(txn)

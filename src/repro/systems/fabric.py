@@ -218,6 +218,104 @@ class _Update:
         self.done.succeed(self.txn)
 
 
+class _Query:
+    """One read-only query, as a flat chain: no ordering (Section 2.1).
+
+    Client NIC egress -> propagation -> a slot in a round-robin peer's
+    query-handler pool, held through client authentication, chaincode
+    simulation against the peer's state and the endorsement signature
+    (each stamped into ``txn.phases``, the Fig. 8b breakdown) ->
+    response NIC egress -> propagation -> done.
+    """
+
+    __slots__ = ("system", "txn", "done", "peer", "phase_start")
+
+    def __init__(self, system: "FabricSystem", txn: Transaction, done: Event):
+        self.system = system
+        self.txn = txn
+        self.done = done
+        self.peer = None
+        self.phase_start = 0.0
+
+    def start(self) -> None:
+        self.system.env._schedule_call(self._begin, None)
+
+    def _begin(self, _arg) -> None:
+        system = self.system
+        self.txn.submitted_at = system.env.now
+        self.peer = system._pick_round_robin(system.peers)
+        system.client_node.nic_out.serve_then(
+            system.costs.net_send_overhead + system.costs.transfer_time(256),
+            self._sent)
+
+    def _sent(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._arrived)
+
+    def _arrived(self, _arg) -> None:
+        subscribe(self.peer.query_pool.request(), self._granted)
+
+    def _granted(self, req: Event) -> None:
+        env = self.system.env
+        self.phase_start = env.now
+        env.after(self.system.costs.fabric_client_auth, self._authenticated,
+                  req)
+
+    def _authenticated(self, req: Event) -> None:
+        env = self.system.env
+        self.txn.phases["authentication"] = env.now - self.phase_start
+        self.phase_start = env.now
+        env.after(self.system.costs.fabric_simulate, self._simulated, req)
+
+    def _simulated(self, req: Event) -> None:
+        env = self.system.env
+        txn = self.txn
+        for op in txn.ops:
+            self.peer.state.get(op.key)
+        txn.phases["simulation"] = env.now - self.phase_start
+        self.phase_start = env.now
+        env.after(self.system.costs.fabric_endorse, self._endorsed, req)
+
+    def _endorsed(self, req: Event) -> None:
+        system = self.system
+        peer = self.peer
+        self.txn.phases["endorsement"] = system.env.now - self.phase_start
+        peer.query_pool.release(req)
+        peer.node.nic_out.serve_then(
+            system.costs.net_send_overhead
+            + system.costs.transfer_time(256 + self.txn.payload_size),
+            self._responded)
+
+    def _responded(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._finish)
+
+    def _finish(self, _arg) -> None:
+        self.txn.mark_committed()
+        self.done.succeed(self.txn)
+
+
+class _Vscc:
+    """One transaction's endorsement check on one of a peer's cores.
+
+    The ``serial_validation=False`` ablation starts one per transaction
+    of a block and joins them: a grant on the peer's CPU, the check's
+    service time, then :attr:`done` succeeds through the scheduler.
+    """
+
+    __slots__ = ("node", "service_time", "done")
+
+    def __init__(self, node, service_time: float):
+        self.node = node
+        self.service_time = service_time
+        self.done = Event(node.env)
+
+    def start(self) -> Event:
+        self.node.env._schedule_call(self._begin, None)
+        return self.done
+
+    def _begin(self, _arg) -> None:
+        self.node.cpu.serve_then(self.service_time, self.done.succeed)
+
+
 class FabricSystem(TransactionalSystem):
     name = "fabric"
     storage_engine = "on_request"
@@ -302,11 +400,8 @@ class FabricSystem(TransactionalSystem):
                 # Ablation: verify the block's endorsements concurrently
                 # across the peer's cores (the paper notes serial
                 # validation is an implementation choice).
-                def one_vscc(txn_):
-                    yield peer.node.compute(
-                        vscc + self.costs.fabric_mvcc_check)
-                jobs = [self.spawn(one_vscc(t), name="fabric-vscc")
-                        for t in txns]
+                check = vscc + self.costs.fabric_mvcc_check
+                jobs = [_Vscc(peer.node, check).start() for _ in txns]
                 if jobs:
                     yield self.env.all_of(jobs)
             for txn in txns:
@@ -361,39 +456,8 @@ class FabricSystem(TransactionalSystem):
 
     def submit_query(self, txn: Transaction) -> Event:
         done = self.env.event()
-        self.spawn(self._do_query(txn, done), name="fabric-query")
+        _Query(self, txn, done).start()
         return done
-
-    def _do_query(self, txn: Transaction, done: Event):
-        txn.submitted_at = self.env.now
-        peer = self._pick_round_robin(self.peers)
-        yield self.client_node.nic_out.serve_event(
-            self.costs.net_send_overhead + self.costs.transfer_time(256))
-        yield self.env.timeout(self.costs.net_latency)
-        # Client authentication + chaincode simulation + endorsement sign,
-        # inside the peer's bounded query-handler pool (Fig. 8b breakdown).
-        req = peer.query_pool.request()
-        yield req
-        try:
-            start = self.env.now
-            yield self.env.timeout(self.costs.fabric_client_auth)
-            txn.phases["authentication"] = self.env.now - start
-            start = self.env.now
-            yield self.env.timeout(self.costs.fabric_simulate)
-            for op in txn.ops:
-                peer.state.get(op.key)
-            txn.phases["simulation"] = self.env.now - start
-            start = self.env.now
-            yield self.env.timeout(self.costs.fabric_endorse)
-            txn.phases["endorsement"] = self.env.now - start
-        finally:
-            peer.query_pool.release(req)
-        yield peer.node.nic_out.serve_event(
-            self.costs.net_send_overhead
-            + self.costs.transfer_time(256 + txn.payload_size))
-        yield self.env.timeout(self.costs.net_latency)
-        txn.mark_committed()
-        done.succeed(txn)
 
     # -- storage accounting (Fig. 12) ---------------------------------------------------------
 

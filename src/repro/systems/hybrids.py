@@ -154,6 +154,47 @@ KNOWN_SPEC_KEYS = frozenset({
 })
 
 
+class _Query:
+    """One read-only query, as a flat chain: no consensus (Section 2.1).
+
+    A round trip to a round-robin server, then one read per op on its
+    CPU (sequential) -> done.
+    """
+
+    __slots__ = ("system", "txn", "done", "server", "_idx")
+
+    def __init__(self, system: "HybridSystem", txn: Transaction,
+                 done: Event):
+        self.system = system
+        self.txn = txn
+        self.done = done
+        self.server = None
+        self._idx = 0
+
+    def start(self) -> None:
+        self.system.env._schedule_call(self._begin, None)
+
+    def _begin(self, _arg) -> None:
+        system = self.system
+        self.txn.submitted_at = system.env.now
+        self.server = system._pick_round_robin(system.servers)
+        system.env.after(2 * system.costs.net_latency, self._next_read)
+
+    def _next_read(self, _arg) -> None:
+        txn = self.txn
+        if self._idx < len(txn.ops):
+            self.server.cpu.serve_then(self.system.costs.store_get,
+                                       self._read)
+            return
+        txn.mark_committed()
+        self.done.succeed(txn)
+
+    def _read(self, _arg) -> None:
+        self.system.state.get(self.txn.ops[self._idx].key)
+        self._idx += 1
+        self._next_read(None)
+
+
 class HybridSystem(TransactionalSystem):
     """A taxonomy-profile-driven simulated transactional system."""
 
@@ -315,18 +356,8 @@ class HybridSystem(TransactionalSystem):
 
     def submit_query(self, txn: Transaction) -> Event:
         done = self.env.event()
-        self.spawn(self._do_query(txn, done), name=f"{self.name}-query")
+        _Query(self, txn, done).start()
         return done
-
-    def _do_query(self, txn: Transaction, done: Event):
-        txn.submitted_at = self.env.now
-        server = self._pick_round_robin(self.servers)
-        yield self.env.timeout(2 * self.costs.net_latency)
-        for op in txn.ops:
-            yield server.compute(self.costs.store_get)
-            self.state.get(op.key)
-        txn.mark_committed()
-        done.succeed(txn)
 
 
 def build_hybrid(env: Environment, name: str,

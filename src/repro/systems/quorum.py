@@ -26,7 +26,7 @@ from ..concurrency.serial import SerialExecutor
 from ..consensus.ibft import IbftConfig, IbftGroup
 from ..consensus.raft import RaftConfig, RaftGroup
 from ..crypto.hashing import NULL_HASH
-from ..sim.kernel import Environment, Event, WakeableQueue
+from ..sim.kernel import Environment, Event, WakeableQueue, subscribe
 from ..sim.resources import Resource, Store
 from ..txn.ledger import Ledger
 from ..txn.transaction import AbortReason, Transaction, TxnStatus
@@ -75,6 +75,62 @@ class _Submission:
         self.system.mempool.put((self.txn, self.done))
 
 
+class _Query:
+    """One read-only query, as a flat chain: no consensus (Section 2.1).
+
+    Client NIC egress -> propagation -> a slot in a round-robin node's
+    query pool, held for the query's execution -> response NIC egress
+    -> propagation -> done.
+    """
+
+    __slots__ = ("system", "txn", "done", "server")
+
+    def __init__(self, system: "QuorumSystem", txn: Transaction, done: Event):
+        self.system = system
+        self.txn = txn
+        self.done = done
+        self.server = None
+
+    def start(self) -> None:
+        self.system.env._schedule_call(self._begin, None)
+
+    def _begin(self, _arg) -> None:
+        system = self.system
+        self.txn.submitted_at = system.env.now
+        self.server = system._pick_round_robin(system.servers)
+        system.client_node.nic_out.serve_then(
+            system.costs.net_send_overhead + system.costs.transfer_time(192),
+            self._sent)
+
+    def _sent(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._arrived)
+
+    def _arrived(self, _arg) -> None:
+        pool = self.system.query_pools[self.server.name]
+        subscribe(pool.request(), self._granted)
+
+    def _granted(self, req: Event) -> None:
+        system = self.system
+        system.env.after(system.costs.quorum_query_time, self._executed, req)
+
+    def _executed(self, req: Event) -> None:
+        system = self.system
+        for op in self.txn.ops:
+            system.state.get(op.key)
+        system.query_pools[self.server.name].release(req)
+        self.server.nic_out.serve_then(
+            system.costs.net_send_overhead
+            + system.costs.transfer_time(128 + self.txn.payload_size),
+            self._responded)
+
+    def _responded(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._finish)
+
+    def _finish(self, _arg) -> None:
+        self.txn.mark_committed()
+        self.done.succeed(self.txn)
+
+
 class QuorumSystem(TransactionalSystem):
     name = "quorum"
     weak_isolation = True
@@ -120,6 +176,9 @@ class QuorumSystem(TransactionalSystem):
         self.mempool: WakeableQueue = WakeableQueue(env)
         # Single-threaded EVM per node.
         self.evm_threads = {n.name: Resource(env, 1) for n in self.servers}
+        # Bounded read-only query handlers per node, beside the EVM.
+        self.query_pools = {n.name: Resource(env, self.costs.quorum_query_pool)
+                            for n in self.servers}
         self._version = 0
         self.blocks_minted = 0
         # Isolation spectrum (extras["isolation"]): the default
@@ -329,30 +388,5 @@ class QuorumSystem(TransactionalSystem):
 
     def submit_query(self, txn: Transaction) -> Event:
         done = self.env.event()
-        self.spawn(self._do_query(txn, done), name="quorum-query")
+        _Query(self, txn, done).start()
         return done
-
-    def _do_query(self, txn: Transaction, done: Event):
-        txn.submitted_at = self.env.now
-        server = self._pick_round_robin(self.servers)
-        yield self.client_node.nic_out.serve_event(
-            self.costs.net_send_overhead + self.costs.transfer_time(192))
-        yield self.env.timeout(self.costs.net_latency)
-        pool = getattr(server, "_query_pool", None)
-        if pool is None:
-            pool = Resource(self.env, self.costs.quorum_query_pool)
-            server._query_pool = pool
-        req = pool.request()
-        yield req
-        try:
-            yield self.env.timeout(self.costs.quorum_query_time)
-            for op in txn.ops:
-                self.state.get(op.key)
-        finally:
-            pool.release(req)
-        yield server.nic_out.serve_event(
-            self.costs.net_send_overhead
-            + self.costs.transfer_time(128 + txn.payload_size))
-        yield self.env.timeout(self.costs.net_latency)
-        txn.mark_committed()
-        done.succeed(txn)

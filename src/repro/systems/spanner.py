@@ -238,6 +238,54 @@ class _Txn:
         self.done.succeed(txn)
 
 
+class _Query:
+    """One read-only query, as a flat chain: no Paxos round (Section 2.1).
+
+    Client NIC egress -> propagation -> one read per op on its shard
+    leader's CPU (sequential) -> propagation -> done.
+    """
+
+    __slots__ = ("system", "txn", "done", "_idx")
+
+    def __init__(self, system: "SpannerSystem", txn: Transaction,
+                 done: Event):
+        self.system = system
+        self.txn = txn
+        self.done = done
+        self._idx = 0
+
+    def start(self) -> None:
+        self.system.env._schedule_call(self._begin, None)
+
+    def _begin(self, _arg) -> None:
+        system = self.system
+        self.txn.submitted_at = system.env.now
+        system.client_node.nic_out.serve_then(
+            system.costs.net_send_overhead + system.costs.transfer_time(96),
+            self._sent)
+
+    def _sent(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._next_read)
+
+    def _next_read(self, _arg) -> None:
+        system = self.system
+        ops = self.txn.ops
+        if self._idx < len(ops):
+            leader = system.shard_leaders[system._shard_of(ops[self._idx].key)]
+            leader.cpu.serve_then(system.costs.store_get, self._read)
+            return
+        system.env.after(system.costs.net_latency, self._finish)
+
+    def _read(self, _arg) -> None:
+        self.system.state.get(self.txn.ops[self._idx].key)
+        self._idx += 1
+        self._next_read(None)
+
+    def _finish(self, _arg) -> None:
+        self.txn.mark_committed()
+        self.done.succeed(self.txn)
+
+
 class SpannerSystem(TransactionalSystem):
     name = "spanner"
 
@@ -308,18 +356,5 @@ class SpannerSystem(TransactionalSystem):
 
     def submit_query(self, txn: Transaction) -> Event:
         done = self.env.event()
-        self.spawn(self._do_query(txn, done), name="spanner-query")
+        _Query(self, txn, done).start()
         return done
-
-    def _do_query(self, txn: Transaction, done: Event):
-        txn.submitted_at = self.env.now
-        yield self.client_node.nic_out.serve_event(
-            self.costs.net_send_overhead + self.costs.transfer_time(96))
-        yield self.env.timeout(self.costs.net_latency)
-        for op in txn.ops:
-            leader = self.shard_leaders[self._shard_of(op.key)]
-            yield leader.compute(self.costs.store_get)
-            self.state.get(op.key)
-        yield self.env.timeout(self.costs.net_latency)
-        txn.mark_committed()
-        done.succeed(txn)

@@ -368,6 +368,84 @@ class _Txn:
         self.done.succeed(self.txn)
 
 
+class _Query:
+    """One read-only SQL query, as a flat chain: no consensus (Section 2.1).
+
+    Client NIC egress -> propagation -> parse and compile on a
+    round-robin TiDB server -> per op, coprocessor client work on that
+    server and a leaseholder ``kv_read`` -> response NIC egress ->
+    propagation -> done.  The three server stages are stamped into
+    ``txn.phases`` (Fig. 8b's query breakdown).
+    """
+
+    __slots__ = ("system", "txn", "done", "server", "phase_start", "_idx")
+
+    def __init__(self, system: "TiDBSystem", txn: Transaction, done: Event):
+        self.system = system
+        self.txn = txn
+        self.done = done
+        self.server = None
+        self.phase_start = 0.0
+        self._idx = 0
+
+    def start(self) -> None:
+        self.system.env._schedule_call(self._begin, None)
+
+    def _begin(self, _arg) -> None:
+        system = self.system
+        self.txn.submitted_at = system.env.now
+        self.server = system._pick_round_robin(system.servers)
+        system.client_node.nic_out.serve_then(
+            system.costs.net_send_overhead + system.costs.transfer_time(128),
+            self._sent)
+
+    def _sent(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._arrived)
+
+    def _arrived(self, _arg) -> None:
+        self.phase_start = self.system.env.now
+        self.server.cpu.serve_then(self.system.costs.sql_parse, self._parsed)
+
+    def _parsed(self, _arg) -> None:
+        now = self.system.env.now
+        self.txn.phases["sql-parse"] = now - self.phase_start
+        self.phase_start = now
+        self.server.cpu.serve_then(self.system.costs.sql_compile,
+                                   self._compiled)
+
+    def _compiled(self, _arg) -> None:
+        now = self.system.env.now
+        self.txn.phases["sql-compile"] = now - self.phase_start
+        self.phase_start = now
+        self._next_read(None)
+
+    def _next_read(self, _arg) -> None:
+        system = self.system
+        txn = self.txn
+        if self._idx < len(txn.ops):
+            # Coprocessor client work on the TiDB server dominates the
+            # measured "Storage-get" (Fig. 8b: 275 us).
+            self.server.cpu.serve_then(260e-6, self._read)
+            return
+        txn.phases["storage-get"] = system.env.now - self.phase_start
+        self.server.nic_out.serve_then(
+            system.costs.net_send_overhead
+            + system.costs.transfer_time(64 + txn.payload_size),
+            self._responded)
+
+    def _read(self, _arg) -> None:
+        key = self.txn.ops[self._idx].key
+        self._idx += 1
+        subscribe(self.system.cluster.kv_read(key), self._next_read)
+
+    def _responded(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._finish)
+
+    def _finish(self, _arg) -> None:
+        self.txn.mark_committed()
+        self.done.succeed(self.txn)
+
+
 class TiDBSystem(TransactionalSystem):
     name = "tidb"
     weak_isolation = True
@@ -440,31 +518,5 @@ class TiDBSystem(TransactionalSystem):
 
     def submit_query(self, txn: Transaction) -> Event:
         done = self.env.event()
-        self.spawn(self._do_query(txn, done), name="tidb-query")
+        _Query(self, txn, done).start()
         return done
-
-    def _do_query(self, txn: Transaction, done: Event):
-        txn.submitted_at = self.env.now
-        server = self._pick_round_robin(self.servers)
-        yield self.client_node.nic_out.serve_event(
-            self.costs.net_send_overhead + self.costs.transfer_time(128))
-        yield self.env.timeout(self.costs.net_latency)
-        phase_start = self.env.now
-        yield server.compute(self.costs.sql_parse)
-        txn.phases["sql-parse"] = self.env.now - phase_start
-        phase_start = self.env.now
-        yield server.compute(self.costs.sql_compile)
-        txn.phases["sql-compile"] = self.env.now - phase_start
-        phase_start = self.env.now
-        for op in txn.ops:
-            # Coprocessor client work on the TiDB server dominates the
-            # measured "Storage-get" (Fig. 8b: 275 us).
-            yield server.compute(260e-6)
-            yield self.cluster.kv_read(op.key)
-        txn.phases["storage-get"] = self.env.now - phase_start
-        yield server.nic_out.serve_event(
-            self.costs.net_send_overhead
-            + self.costs.transfer_time(64 + txn.payload_size))
-        yield self.env.timeout(self.costs.net_latency)
-        txn.mark_committed()
-        done.succeed(txn)

@@ -436,6 +436,57 @@ class _Update:
         self.done.succeed(txn)
 
 
+class _Query:
+    """One read-only query, as a flat chain: no consensus (Section 2.1).
+
+    Client NIC egress -> propagation -> one leaseholder ``kv_read`` per
+    op (sequential) -> response NIC egress at the first key's region
+    leader -> propagation -> done.
+    """
+
+    __slots__ = ("system", "txn", "done", "_idx")
+
+    def __init__(self, system: "TikvSystem", txn: Transaction, done: Event):
+        self.system = system
+        self.txn = txn
+        self.done = done
+        self._idx = 0
+
+    def start(self) -> None:
+        self.system.env._schedule_call(self._begin, None)
+
+    def _begin(self, _arg) -> None:
+        system = self.system
+        self.txn.submitted_at = system.env.now
+        system.client_node.nic_out.serve_then(
+            system.costs.net_send_overhead + system.costs.transfer_time(96),
+            self._sent)
+
+    def _sent(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._next_read)
+
+    def _next_read(self, _arg) -> None:
+        system = self.system
+        ops = self.txn.ops
+        if self._idx < len(ops):
+            key = ops[self._idx].key
+            self._idx += 1
+            subscribe(system.cluster.kv_read(key), self._next_read)
+            return
+        node = system.cluster.leader_node(ops[0].key)
+        node.nic_out.serve_then(
+            system.costs.net_send_overhead
+            + system.costs.transfer_time(64 + self.txn.payload_size),
+            self._responded)
+
+    def _responded(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._finish)
+
+    def _finish(self, _arg) -> None:
+        self.txn.mark_committed()
+        self.done.succeed(self.txn)
+
+
 class TikvSystem(TransactionalSystem):
     """Standalone TiKV benchmarked as in Fig. 4 ("TiKV" bars)."""
 
@@ -467,20 +518,5 @@ class TikvSystem(TransactionalSystem):
 
     def submit_query(self, txn: Transaction) -> Event:
         done = self.env.event()
-        self.spawn(self._do_query(txn, done), name="tikv-query")
+        _Query(self, txn, done).start()
         return done
-
-    def _do_query(self, txn: Transaction, done: Event):
-        txn.submitted_at = self.env.now
-        yield self.client_node.nic_out.serve_event(
-            self.costs.net_send_overhead + self.costs.transfer_time(96))
-        yield self.env.timeout(self.costs.net_latency)
-        for op in txn.ops:
-            yield self.cluster.kv_read(op.key)
-        node = self.cluster.leader_node(txn.ops[0].key)
-        yield node.nic_out.serve_event(
-            self.costs.net_send_overhead
-            + self.costs.transfer_time(64 + txn.payload_size))
-        yield self.env.timeout(self.costs.net_latency)
-        txn.mark_committed()
-        done.succeed(txn)

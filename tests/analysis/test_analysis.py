@@ -119,6 +119,21 @@ def test_analyze_identifies_quorum_evm_bottleneck():
     assert report.bottleneck.name.startswith("evm:")
 
 
+def test_analyze_reports_quorum_query_pools():
+    env = Environment()
+    system = QuorumSystem(env, SystemConfig(num_nodes=3))
+    wl = YcsbWorkload(YcsbConfig(record_count=500, record_size=256))
+    system.load(wl.initial_records())
+    run_closed_loop(env, system, wl.next_query,
+                    DriverConfig(clients=32, warmup_txns=10,
+                                 measure_txns=200, query_mode=True))
+    usages = {u.name: u for u in analyze_system(system).usages}
+    pools = [usages[f"query-pool:{node.name}"] for node in system.servers]
+    # round-robin: every node's pool served queries
+    assert all(u.total_requests > 0 and u.utilization > 0 for u in pools)
+    assert sum(u.total_requests for u in pools) >= 210
+
+
 def test_analyze_render_and_saturated():
     env = Environment()
     system = EtcdSystem(env, SystemConfig(num_nodes=3))

@@ -31,7 +31,7 @@ NUM_NODES = {"ahl": 6, "spanner": 6}
 #: (env.now at done, env._seq at done, status, phases) of one two-key query.
 ONE_QUERY = {
     "ahl": (0.0003, 14, TxnStatus.COMMITTED, {}),
-    "etcd": (0.0003576389984328652, 52, TxnStatus.COMMITTED, {}),
+    "etcd": (0.0003576389984328652, 51, TxnStatus.COMMITTED, {}),
     "fabric": (0.0050770960000000006, 36, TxnStatus.COMMITTED,
                {"authentication": 0.004294,
                 "simulation": 0.0004060000000000001,
@@ -42,7 +42,7 @@ ONE_QUERY = {
              {"sql-parse": 1.600000000000001e-05,
               "sql-compile": 1.4999999999999985e-05,
               "storage-get": 0.0006239999999999999}),
-    "tikv": (0.00041927999999999996, 234, TxnStatus.COMMITTED, {}),
+    "tikv": (0.00041927999999999996, 233, TxnStatus.COMMITTED, {}),
     "veritas": (0.00032999999999999994, 27, TxnStatus.COMMITTED, {}),
 }
 

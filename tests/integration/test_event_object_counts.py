@@ -3,8 +3,8 @@
 A flat chain's one-waiter stage goes through ``Environment.after`` /
 ``Resource.serve_then`` and builds no event; only timers that are
 yielded, raced, joined, cancelled or read are ``Timeout`` leases, and
-only a contended ``serve_then`` queues a ``_ServeRequest``.  These
-literals pin that, so a stage that quietly goes back to
+only a contended ``serve_then`` queues a ``_ServeRequest``; an
+``AnyOf`` is built only where two events race.  These literals pin that, so a stage that quietly goes back to
 ``timeout(d).callbacks.append(cb)`` shows up here as a count.  The
 same holds for per-transaction generators: a flow that goes back to a
 spawned ``Process`` shows up in the process count.
@@ -20,11 +20,11 @@ from repro.sim import Environment, kernel, resources
 from repro.systems import FabricSystem, SystemConfig, fabric
 from repro.txn import Transaction, TxnStatus
 
-#: (Timeout constructions + pool revivals, _ServeRequest constructions)
-#: over run_point(system, scale=SMOKE, seed=3).
+#: (Timeout constructions + pool revivals, _ServeRequest constructions,
+#: AnyOf constructions) over run_point(system, scale=SMOKE, seed=3).
 OBJECT_COUNTS = {
-    "tidb": (1_369, 8_167),
-    "fabric": (1_944, 5_553),
+    "tidb": (1_369, 8_167, 1_344),
+    "fabric": (1_944, 5_553, 1_904),
 }
 
 
@@ -39,13 +39,15 @@ def _count_calls(monkeypatch, counts, key, cls, name):
 
 @pytest.mark.parametrize("system", sorted(OBJECT_COUNTS))
 def test_timer_and_serve_object_counts_pinned(system, monkeypatch):
-    counts = {"timeouts": 0, "serves": 0}
+    counts = {"timeouts": 0, "serves": 0, "any_of": 0}
     _count_calls(monkeypatch, counts, "timeouts", kernel.Timeout, "__init__")
     _count_calls(monkeypatch, counts, "timeouts", kernel.Environment, "_revive")
     _count_calls(monkeypatch, counts, "serves",
                  resources._ServeRequest, "__init__")
+    _count_calls(monkeypatch, counts, "any_of", kernel.AnyOf, "__init__")
     run_point(system, scale=SMOKE, seed=3)
-    assert (counts["timeouts"], counts["serves"]) == OBJECT_COUNTS[system]
+    assert (counts["timeouts"], counts["serves"],
+            counts["any_of"]) == OBJECT_COUNTS[system]
 
 
 #: (Process constructions, tps) per seeded SMOKE run (seed 3): every

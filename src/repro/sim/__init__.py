@@ -2,7 +2,7 @@
 
 from .costs import DEFAULT_COSTS, CostModel
 from .kernel import AllOf, AnyOf, Environment, Event, Process, Timeout
-from .metrics import LatencyRecorder, ThroughputMeter, TxnStats, percentile
+from .metrics import LatencyRecorder, TxnStats, percentile
 from .network import Message, Network
 from .node import Node
 from .resources import Resource, Store
@@ -24,7 +24,6 @@ __all__ = [
     "Resource",
     "RngRegistry",
     "Store",
-    "ThroughputMeter",
     "Timeout",
     "TimingWheel",
     "TxnStats",

@@ -18,13 +18,13 @@ little generality for speed:
   one ``heappush``/``heappop`` pair per event.  Slabs are consumed in
   insertion order, which is exactly the ``(when, prio, seq)`` order the
   tuple-per-event scheduler produced — event ordering is bit-identical;
-* :class:`Timeout` is *cancellable*: a timer that lost its race (e.g. the
-  driver's per-transaction timeout) is dropped lazily from its slab and
-  the object recycled through a free list, so dead timers neither grow
-  the schedule nor allocate.  Because recycling aliases object identity,
-  long-lived cancel sites should hold a generation-checked
-  :class:`CancelToken` (see :meth:`Timeout.token`) instead of the bare
-  object;
+* :class:`Timeout` is *cancellable*: a timer that lost its race (e.g.
+  the driver watchdog's ``max_sim_time`` wall) is dropped lazily from
+  its slab and the object recycled through a free list, so dead timers
+  neither grow the schedule nor allocate.  Because recycling aliases
+  object identity, long-lived cancel sites should hold a
+  generation-checked :class:`CancelToken` (see :meth:`Timeout.token`)
+  instead of the bare object;
 * :class:`Process` resumes *immediately* (same timestep, no heap round
   trip) when it yields an event that has already been processed; the
   resume loop is an iterative **trampoline**, so a chain of
@@ -631,8 +631,8 @@ class Environment:
     def _schedule_call_at(self, func: Callable, arg: Any, when: float) -> None:
         """Schedule ``func(arg)`` at the absolute simulated time ``when``.
 
-        The timing wheel drains its slots through this: entries carry the
-        exact instant they were filed for, and re-deriving it as
+        Open-loop arrivals (and the timing wheel's slots) fire through
+        this at the exact instant the caller holds: re-deriving it as
         ``now + (when - now)`` can land one ulp away from the stored
         float — enough to flip dispatch order against a heap-scheduled
         event at the same instant.

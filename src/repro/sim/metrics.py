@@ -1,4 +1,4 @@
-"""Measurement utilities: latency recorders, throughput meters, counters.
+"""Measurement utilities: latency recorders and transaction counters.
 
 These are what the benchmark harness reads after a run; they deliberately
 mirror what Caliper / YCSB / OLTPBench report (throughput in tps, average
@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-__all__ = ["LatencyRecorder", "ThroughputMeter", "TxnStats", "percentile"]
+__all__ = ["LatencyRecorder", "TxnStats", "percentile"]
 
 
 def percentile(sorted_values: list[float], p: float) -> float:
@@ -64,34 +64,6 @@ class LatencyRecorder:
     @property
     def max(self) -> float:
         return max(self.samples) if self.samples else 0.0
-
-
-class ThroughputMeter:
-    """Counts completions over a measurement window.
-
-    ``start()`` marks the beginning of the measured interval (so warm-up
-    completions are excluded), ``mark()`` counts one completion, and
-    ``tps(now)`` reports the rate.
-    """
-
-    def __init__(self):
-        self.started_at: Optional[float] = None
-        self.completed = 0
-        self.completed_before_start = 0
-
-    def start(self, now: float) -> None:
-        self.started_at = now
-        self.completed_before_start += self.completed
-        self.completed = 0
-
-    def mark(self) -> None:
-        self.completed += 1
-
-    def tps(self, now: float) -> float:
-        if self.started_at is None:
-            raise RuntimeError("ThroughputMeter.start() was never called")
-        elapsed = now - self.started_at
-        return self.completed / elapsed if elapsed > 0 else 0.0
 
 
 @dataclass

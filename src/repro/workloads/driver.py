@@ -9,16 +9,14 @@ drivers report.
 Clients are *multiplexed*: instead of one generator coroutine per client
 (10k clients = 10k live frames resumed through the process trampoline),
 clients are explicit state-machine slots (:class:`_ClientSlot`) driven
-entirely by event callbacks, sharing one :class:`_ClosedLoopRun`.  A
-slot issues the identical schedule sequence the old client generator
-did — same bootstrap callback, same stagger timer, same
-submit/timeout/AnyOf per transaction — so seeded runs are
-byte-identical, but a 10k-client run costs 10k tiny objects and zero
-generators.
+entirely by event callbacks, sharing one :class:`_ClosedLoopRun` and
+its :class:`DeadlineQueue`, so a 10k-client run costs 10k tiny objects,
+zero generators and, while no client times out, one timer.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -30,19 +28,69 @@ __all__ = ["DriverConfig", "RunResult", "run_closed_loop",
            "run_closed_loop_windowed"]
 
 
+class DeadlineQueue:
+    """Every client timeout of one run, behind one kernel timer.
+
+    The timeout is one constant per run, so a FIFO of ``(deadline, slot,
+    gen)`` is sorted by construction.  One ``timeout_at`` timer, aimed at
+    the oldest entry, hands the due entries whose slot still has the
+    filed ``gen`` to ``expire(slot)`` and re-aims at the next.  A slot
+    withdraws its entry by bumping ``gen``: no cancel, no heap traffic.
+    """
+
+    __slots__ = ("env", "timeout", "expire", "entries", "timer")
+
+    def __init__(self, env: Environment, timeout: float,
+                 expire: Callable[[object], None]):
+        if not timeout > 0:
+            # zero: a closed loop would resubmit at one instant forever
+            raise ValueError(f"txn_timeout must be positive: {timeout!r}")
+        self.env = env
+        self.timeout = timeout
+        self.expire = expire
+        self.entries: deque = deque()
+        self.timer: Optional[Event] = None   # armed while entries remain
+
+    def push(self, slot) -> None:
+        deadline = self.env.now + self.timeout
+        self.entries.append((deadline, slot, slot.gen))
+        if self.timer is None:
+            self._arm(deadline)
+
+    def _arm(self, deadline: float) -> None:
+        # the stored float at priority 0: where timeout(txn_timeout) fired
+        timer = self.timer = self.env.timeout_at(deadline)
+        timer.callbacks.append(self._fire)
+
+    def _fire(self, _timer) -> None:
+        # self.timer stays set while expire() runs, so a push from it
+        # (the open loop admitting a queued arrival) does not re-arm.
+        entries = self.entries
+        now = self.env.now
+        while entries:
+            deadline, slot, gen = entries[0]
+            if slot.gen != gen:
+                entries.popleft()
+            elif deadline <= now:
+                entries.popleft()
+                self.expire(slot)
+            else:
+                self._arm(deadline)
+                return
+        self.timer = None
+
+
 class _ClientSlot:
     """One closed-loop client as an explicit state machine.
 
-    State transitions mirror the retired client generator exactly:
-    bootstrap (same ``_schedule_call`` position a ``Process`` bootstrap
-    used), optional stagger timer, then a submit → wait-fate → record
-    loop where the wait parks one callback on an ``AnyOf(fate, timer)``.
-    An infrastructure failure delivered through the AnyOf (the generator
-    form's ``except Exception: continue``) moves straight to the next
-    transaction.
+    Bootstrap (same ``_schedule_call`` position a ``Process`` bootstrap
+    used), optional stagger timer, then submit -> wait -> record.  The
+    submitted event or the run's deadline, whichever settles first,
+    withdraws the other and reaches :meth:`_woke` one heap trip later,
+    the position a joined fate event would have dispatched at.
     """
 
-    __slots__ = ("run", "name", "stagger", "txn", "ev", "timer")
+    __slots__ = ("run", "name", "stagger", "txn", "ev", "gen")
 
     def __init__(self, run: "_ClosedLoopRun", name: str, stagger: float):
         self.run = run
@@ -50,58 +98,61 @@ class _ClientSlot:
         self.stagger = stagger
         self.txn: Optional[Transaction] = None
         self.ev: Optional[Event] = None
-        self.timer = None
+        self.gen = 0
 
     def _bootstrap(self, _arg) -> None:
         if self.stagger > 0:
-            self.run.env.after(self.stagger, self._staggered)
+            self.run.env.after(self.stagger, self._next)
         else:
             self._next()
 
-    def _staggered(self, _arg) -> None:
-        self._next()
-
-    def _next(self) -> None:
-        """Submit transactions until parked on a fate, or the run is done."""
+    def _next(self, _arg=None) -> None:
+        """Submit the next transaction and wait for its fate."""
         run = self.run
         if run.done:
-            self.txn = self.ev = self.timer = None
+            self.txn = None
             return
-        env = run.env
-        txn = run.next_txn(self.name)
+        txn = self.txn = run.next_txn(self.name)
         ev = run.submit(txn)
-        # A Timeout, not env.after(): raced by any_of, then cancelled.
-        timer = env.timeout(run.cfg.txn_timeout)
-        fate = env.any_of([ev, timer])
-        self.txn, self.ev, self.timer = txn, ev, timer
-        fate.callbacks.append(self._woke)
+        if ev._triggered:
+            # Settled (or even dispatched) before the wait began.
+            run.env.after(0.0, self._woke, ev)
+            return
+        self.ev = ev
+        run.deadlines.push(self)
+        ev.callbacks.append(self._completed)
 
-    def _woke(self, fate: Event) -> None:
-        # Withdraw the losing timer so completed transactions don't each
-        # leave a dead heap entry behind for txn_timeout seconds.
-        self.timer.cancel()
-        run = self.run
+    def _completed(self, ev: Event) -> None:
+        if ev is self.ev:          # else it already expired: ignored
+            self._settle()
+
+    def _settle(self) -> None:         # completion, failure or expiry
         ev = self.ev
-        if fate._ok:
-            if not ev._triggered:
-                # Count timeouts observed before measurement completed;
-                # post-measurement stragglers are not part of the result.
-                # Warm-up-phase timeouts are tallied separately — every
-                # other statistic is measured-window-only, and a slow
-                # warm-up must not masquerade as measured-window loss.
-                if not run.done:
-                    if run.warmup_active:
-                        run.warmup_timeouts += 1
-                    else:
-                        run.timeouts += 1
-            elif ev._ok:
-                run.record(self.txn)
+        self.ev = None
+        self.gen += 1
+        self.run.env.after(0.0, self._woke, ev)
+
+    def _woke(self, ev: Event) -> None:
+        # ev is read here, not when it settled: a completion that lands
+        # at the deadline instant, before this heap trip, still counts.
+        run = self.run
+        if not ev._triggered:
+            # Stragglers after measurement are not part of the result;
+            # warm-up ones are tallied apart, as every other statistic
+            # is measured-window-only.
+            if not run.done:
+                if run.warmup_active:
+                    run.warmup_timeouts += 1
+                else:
+                    run.timeouts += 1
+        elif ev._ok:
+            run.record(self.txn)
+        elif not run.done:
+            run.submit_errors += 1     # e.g. a leader failover
         think_time = run.cfg.think_time
         if think_time > 0.0:
             # Paced (open-ish) client: think before the next submission.
-            # Zero by default — the historical fully-closed loop issues
-            # the identical event sequence when no think time is set.
-            run.env.after(think_time, self._staggered)
+            run.env.after(think_time, self._next)
         else:
             self._next()
 
@@ -158,13 +209,16 @@ class _ClosedLoopRun:
     point the simulation runs cannot change the result.
     """
 
-    __slots__ = ("env", "cfg", "submit", "next_txn", "stats", "finished",
-                 "started_at", "measure_started_at", "finished_at",
-                 "completed", "measure_count", "measure_committed",
-                 "timeouts", "warmup_timeouts", "warmup_active", "done")
+    __slots__ = ("env", "cfg", "submit", "next_txn", "deadlines", "stats",
+                 "finished", "started_at", "measure_started_at",
+                 "finished_at", "completed", "measure_count",
+                 "measure_committed", "timeouts", "warmup_timeouts",
+                 "submit_errors", "warmup_active", "done")
 
     def __init__(self, env: Environment, system, next_txn: Callable,
                  cfg: DriverConfig):
+        self.deadlines = DeadlineQueue(env, cfg.txn_timeout,
+                                       _ClientSlot._settle)
         self.env = env
         self.cfg = cfg
         self.submit = system.submit_query if cfg.query_mode \
@@ -180,6 +234,7 @@ class _ClosedLoopRun:
         self.measure_committed = 0
         self.timeouts = 0
         self.warmup_timeouts = 0
+        self.submit_errors = 0
         # True while completions are still warm-up; runs without a
         # warm-up phase (warmup_txns <= 1) have no warm-up timeouts.
         self.warmup_active = cfg.warmup_txns > 1
@@ -229,6 +284,8 @@ class _ClosedLoopRun:
         extras: dict = {}
         if self.warmup_timeouts:
             extras["warmup_timeouts"] = self.warmup_timeouts
+        if self.submit_errors:
+            extras["submit_errors"] = self.submit_errors
         ended = self.finished_at
         if ended is None:
             # The max_sim_time wall fired before measure_txns completions:

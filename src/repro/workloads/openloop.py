@@ -14,11 +14,10 @@ when the system is ready.
   or diurnal-trace replay) is materialised up front as a seeded schedule
   of intended arrival instants, and each arrival fires at its scheduled
   instant *regardless of completions*;
-* in-flight requests are array-backed slots on a
-  :class:`~repro.sim.wheel.TimingWheel` — no per-request generator or
-  Process, one wheel entry per pending timeout (O(1) cancel when the
-  completion wins), and the arrival chain itself is a single wheel
-  entry at a time;
+* in-flight requests are array-backed slots — no per-request generator
+  or Process — whose timeouts share one kernel timer through the closed
+  loop's :class:`~repro.workloads.driver.DeadlineQueue`, and the arrival
+  chain is one ``_schedule_call_at`` at a time, at the intended instant;
 * every latency sample is ``complete_at - intended_arrival`` — the time
   the *user* waited, including any admission delay — so a stalled
   server cannot hide its stall from the percentiles.  The
@@ -46,9 +45,8 @@ from typing import Callable, Optional
 
 from ..sim.kernel import Environment, subscribe
 from ..sim.metrics import LatencyRecorder
-from ..sim.wheel import TimingWheel
 from ..txn.transaction import TxnStatus
-from .driver import start_watchdog
+from .driver import DeadlineQueue, start_watchdog
 
 __all__ = ["OpenLoopConfig", "OpenLoopResult", "run_open_loop",
            "make_schedule", "poisson_arrivals", "bursty_arrivals",
@@ -166,10 +164,6 @@ def make_schedule(config: "OpenLoopConfig") -> list[float]:
 # Configuration and result
 # ---------------------------------------------------------------------------
 
-#: Timeout-wheel resolution in seconds (the floor for ``txn_timeout``).
-_WHEEL_TICK = 0.001
-
-
 @dataclass
 class OpenLoopConfig:
     rate: float = 1000.0          # mean offered arrivals per second
@@ -180,7 +174,7 @@ class OpenLoopConfig:
     #                               i % num_users; no per-user state)
     max_in_flight: int = 4096     # slot-pool size
     admit_queue: int = 16_384     # arrivals parked when slots are busy
-    txn_timeout: float = 10.0     # per-request timeout (wheel entry)
+    txn_timeout: float = 10.0     # per-request timeout (> 0)
     slo: float = 0.100            # seconds from *intended* arrival
     seed: int = 0
     query_mode: bool = False      # route via submit_query
@@ -255,14 +249,13 @@ class OpenLoopResult:
 class _OpenSlot:
     """One in-flight request as a reusable array slot (no coroutine).
 
-    ``ev`` doubles as the occupancy/generation guard: a completion
-    callback for a previous occupant finds a different (or no) event
-    object and drops itself; ``gen`` guards the timeout side the same
-    way, because a drained-but-not-yet-dispatched wheel entry can fire
-    after the slot was resolved and re-admitted.
+    ``ev`` doubles as the occupancy guard: a completion callback for a
+    previous occupant finds a different (or no) event object and drops
+    itself.  ``gen`` guards the timeout side: resolution bumps it, which
+    withdraws the occupant's deadline.
     """
 
-    __slots__ = ("run", "idx", "gen", "ev", "txn", "intended", "timer")
+    __slots__ = ("run", "idx", "gen", "ev", "txn", "intended")
 
     def __init__(self, run: "_OpenLoopRun", idx: int):
         self.run = run
@@ -271,12 +264,10 @@ class _OpenSlot:
         self.ev = None
         self.txn = None
         self.intended = 0.0
-        self.timer = None
 
     def _completed(self, ev) -> None:
-        if ev is not self.ev:
-            return                 # stale fate for a previous occupant
-        self.run._resolve(self, timed_out=False)
+        if ev is self.ev:          # else a previous occupant's fate
+            self.run._resolve(self, timed_out=False)
 
 
 class _OpenLoopRun:
@@ -285,7 +276,7 @@ class _OpenLoopRun:
     Construction files the first arrival; it does not advance the clock.
     """
 
-    __slots__ = ("env", "cfg", "submit", "next_txn", "wheel", "schedule",
+    __slots__ = ("env", "cfg", "submit", "next_txn", "deadlines", "schedule",
                  "t0", "win_start", "win_end", "slots", "free", "queue",
                  "arrivals_done", "finished", "latency", "service_latency",
                  "abort_reasons", "offered", "submitted", "completed",
@@ -294,12 +285,13 @@ class _OpenLoopRun:
 
     def __init__(self, env: Environment, system, next_txn, cfg,
                  schedule: list[float]):
+        # an expiry is _resolve(slot): timed out
+        self.deadlines = DeadlineQueue(env, cfg.txn_timeout, self._resolve)
         self.env = env
         self.cfg = cfg
         self.submit = system.submit_query if cfg.query_mode \
             else system.submit
         self.next_txn = next_txn
-        self.wheel = TimingWheel(env, tick=_WHEEL_TICK)
         self.schedule = schedule
         self.t0 = env.now
         self.win_start = self.t0 + cfg.warmup
@@ -322,7 +314,7 @@ class _OpenLoopRun:
         self.late_admitted = 0
         self.slo_ok = 0
         if schedule:
-            self.wheel.schedule(self.t0 + schedule[0], self._arrival, 0)
+            env._schedule_call_at(self._arrival, 0, self.t0 + schedule[0])
         else:
             self.finished.succeed()
 
@@ -333,10 +325,10 @@ class _OpenLoopRun:
         intended = self.t0 + self.schedule[i]
         nxt = i + 1
         if nxt < len(self.schedule):
-            # The chain files one arrival at a time: wheel occupancy
-            # stays O(in-flight), not O(whole schedule).
-            self.wheel.schedule(self.t0 + self.schedule[nxt],
-                                self._arrival, nxt)
+            # The chain files one arrival at a time: the heap holds
+            # O(in-flight) entries, not the whole schedule.
+            self.env._schedule_call_at(self._arrival, nxt,
+                                       self.t0 + self.schedule[nxt])
         else:
             self.arrivals_done = True
         if self.win_start <= intended < self.win_end:
@@ -352,7 +344,6 @@ class _OpenLoopRun:
 
     def _admit(self, intended: float, i: int, late: bool) -> None:
         slot = self.slots[self.free.pop()]
-        slot.gen += 1
         slot.intended = intended
         if self.win_start <= intended < self.win_end:
             self.submitted += 1
@@ -362,22 +353,12 @@ class _OpenLoopRun:
         slot.txn = txn
         ev = self.submit(txn)
         slot.ev = ev
-        slot.timer = self.wheel.schedule(
-            self.env.now + self.cfg.txn_timeout, self._timed_out,
-            (slot, slot.gen))
+        self.deadlines.push(slot)
         subscribe(ev, slot._completed)
 
-    def _timed_out(self, arg) -> None:
-        slot, gen = arg
-        if slot.gen != gen or slot.ev is None:
-            return                 # completion won, or slot re-admitted
-        self._resolve(slot, timed_out=True)
-
-    def _resolve(self, slot: _OpenSlot, timed_out: bool) -> None:
+    def _resolve(self, slot: _OpenSlot, timed_out: bool = True) -> None:
         intended = slot.intended
         txn = slot.txn
-        if not timed_out:
-            self.wheel.cancel(slot.timer)
         if self.win_start <= intended < self.win_end:
             if timed_out:
                 self.timeouts += 1
@@ -396,8 +377,8 @@ class _OpenLoopRun:
                     reason = txn.abort_reason.value if txn.abort_reason \
                         else "unknown"
                     self.abort_reasons[reason] += 1
-        slot.gen += 1              # invalidates any straggler timeout
-        slot.ev = slot.txn = slot.timer = None
+        slot.gen += 1
+        slot.ev = slot.txn = None
         self.free.append(slot.idx)
         if self.queue:
             intended, i = self.queue.popleft()
@@ -457,8 +438,6 @@ def run_open_loop(
     ``unresolved`` count instead of masquerading as complete.
     """
     cfg = config or OpenLoopConfig()
-    if cfg.txn_timeout < _WHEEL_TICK:
-        raise ValueError("txn_timeout must be at least one wheel tick")
     if schedule is None:
         schedule = make_schedule(cfg)
     run = _OpenLoopRun(env, system, next_txn, cfg, schedule)

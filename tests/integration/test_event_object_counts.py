@@ -23,8 +23,8 @@ from repro.txn import Transaction, TxnStatus
 #: (Timeout constructions + pool revivals, _ServeRequest constructions,
 #: AnyOf constructions) over run_point(system, scale=SMOKE, seed=3).
 OBJECT_COUNTS = {
-    "tidb": (1_369, 8_167, 1_344),
-    "fabric": (1_944, 5_553, 1_904),
+    "tidb": (766, 8_167, 740),
+    "fabric": (309, 5_553, 268),
 }
 
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.sim.metrics import (LatencyRecorder, ThroughputMeter, TxnStats,
-                               percentile)
+from repro.sim.metrics import LatencyRecorder, TxnStats, percentile
 
 
 def test_percentile_nearest_rank():
@@ -44,22 +43,6 @@ def test_latency_recorder_empty_defaults():
     assert rec.mean == 0.0
     assert rec.max == 0.0
     assert rec.pct(99) == 0.0
-
-
-def test_throughput_meter_window():
-    meter = ThroughputMeter()
-    meter.mark()  # warm-up completion: excluded
-    meter.start(now=10.0)
-    for _ in range(50):
-        meter.mark()
-    assert meter.tps(now=15.0) == pytest.approx(10.0)
-    assert meter.completed_before_start == 1
-
-
-def test_throughput_meter_requires_start():
-    meter = ThroughputMeter()
-    with pytest.raises(RuntimeError):
-        meter.tps(now=1.0)
 
 
 def test_txn_stats_aggregation():

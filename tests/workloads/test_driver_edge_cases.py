@@ -56,7 +56,53 @@ def test_driver_survives_failed_events(env):
         env, system, wl.next_update,
         DriverConfig(clients=8, warmup_txns=5, measure_txns=100,
                      max_sim_time=60))
-    assert result.measured == 100  # errors skipped, not counted
+    # Errors are not transaction outcomes: skipped by measured, but
+    # counted on their own.
+    assert result.measured == 100
+    assert result.extras["submit_errors"] > 0
+
+
+def test_clean_run_reports_no_submit_errors(env):
+    system = FlakySystem(env)
+    wl = YcsbWorkload(YcsbConfig(record_count=50))
+    result = run_closed_loop(
+        env, system, wl.next_update,
+        DriverConfig(clients=4, warmup_txns=2, measure_txns=50))
+    assert "submit_errors" not in result.extras
+
+
+@pytest.mark.parametrize("warmup_txns", [1, 30])
+def test_every_submission_has_exactly_one_fate(env, warmup_txns):
+    # The wall stops the clock with every client waiting on exactly one
+    # submission, so each other submission completed, timed out (in
+    # warm-up or measured) or failed -- and is counted once.
+    clients = 6
+    system = FlakySystem(env, hang_every=7, error_every=5)
+    wl = YcsbWorkload(YcsbConfig(record_count=50))
+    result = run_closed_loop(
+        env, system, wl.next_update,
+        DriverConfig(clients=clients, warmup_txns=warmup_txns,
+                     measure_txns=10**6, txn_timeout=0.02,
+                     max_sim_time=2.0))
+    assert result.extras["wall_hit"] and result.measured > 0
+    completions = (warmup_txns - 1) + result.measured
+    fates = (completions + result.timeouts
+             + result.extras.get("warmup_timeouts", 0)
+             + result.extras["submit_errors"] + clients)
+    assert fates == system.count
+
+
+@pytest.mark.parametrize("txn_timeout", [0.0, -1.0])
+def test_non_positive_timeout_rejected_before_the_clock_starts(
+        env, txn_timeout):
+    # A zero timeout used to expire every transaction at its submission
+    # instant and resubmit at once: simulated time never advanced, so
+    # the max_sim_time wall never fired.
+    wl = YcsbWorkload(YcsbConfig(record_count=50))
+    with pytest.raises(ValueError, match="txn_timeout"):
+        run_closed_loop(env, FlakySystem(env), wl.next_update,
+                        DriverConfig(clients=2, txn_timeout=txn_timeout))
+    assert env.now == 0.0 and env.pending == 0
 
 
 def test_driver_records_phases(env):

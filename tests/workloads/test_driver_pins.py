@@ -4,12 +4,11 @@ The closed-loop runs go against :class:`FateSystem`, whose submissions
 commit, abort, land after ``txn_timeout``, hang, fail at once or fail
 later, or come back already triggered or already processed; it also
 digests the order of submissions, which the aggregate figures cannot
-see when same-instant clients swap places.  The
-open-loop runs drive etcd with Poisson, bursty and diurnal arrivals;
-across them the timeouts cover none, some and all of the measured
-arrivals.  Every value is an exact ``repr``, so a change in when a
-timeout fires, or in the order a fate reaches its client, moves a
-literal.
+see when same-instant clients swap places.  The open-loop runs drive
+etcd with Poisson, bursty and diurnal arrivals; across them the
+timeouts cover none, some and all of the measured arrivals.  Every
+value is an exact ``repr``, so a change in when a timeout fires, or in
+the order a fate reaches its client, moves a literal.
 """
 
 import hashlib
@@ -92,6 +91,20 @@ def tie_prone_fates(n):
     return ("commit", 0.0503 if n % 2 == 0 else 0.0003)
 
 
+def tie_prone_settled_fates(n):
+    """The tie-prone fates, with fates that settle at submission, and
+    completions that land exactly at the deadline, mixed in."""
+    if n % 13 == 0:
+        return ("commit", 0.05)
+    if n % 7 == 0:
+        return ("fail", None)
+    if n % 3 == 0:
+        return ("processed", None)
+    if n % 11 == 0:
+        return ("triggered", None)
+    return tie_prone_fates(n)
+
+
 def mixed_fates(seed):
     rng = random.Random(seed)
 
@@ -118,6 +131,8 @@ def mixed_fates(seed):
 CLOSED_RUNS = {
     "tie_prone": (lambda: tie_prone_fates, DriverConfig(
         clients=32, warmup_txns=100, measure_txns=1000, txn_timeout=0.05)),
+    "tie_prone_settled": (lambda: tie_prone_settled_fates, DriverConfig(
+        clients=32, warmup_txns=100, measure_txns=1000, txn_timeout=0.05)),
     "mixed": (lambda: mixed_fates(5), DriverConfig(
         clients=16, warmup_txns=50, measure_txns=800, txn_timeout=0.02)),
     "think": (lambda: mixed_fates(6), DriverConfig(
@@ -143,6 +158,16 @@ CLOSED_PINS = {
                   '0.00030000000000002757', '2.5652999999999992',
                   "ab23f159b7f3da5dfbfaf4821fe8162d"
                   "c3108c5d7c504e7152936ea41accd96a"),
+    # Per-transaction timers gave the order 39bb118e...: at t=0.1569
+    # client-21's expiry, filed at its submission, ran before client-17's
+    # completion, scheduled at t=0.1566.  The deadline queue's one timer
+    # for that instant is armed at t=0.15689999999999998, so it runs
+    # behind the completion and the two clients' resubmissions
+    # interleave the other way.  Every aggregate figure is unchanged.
+    "tie_prone_settled": (1000, 497, 27, '1042.4267695194412',
+                          '0.006698700000000026', '1.0599',
+                          "32e08eb20550bbe91fcf3f6a1ddba801"
+                          "d1356185e35be2f7de6e40bc4708d541"),
     "wall": (683, 485, 0, '266.0', '0.007901355577364624', '2.0',
              "f4e8ec9f4c7b50fa38e22eabe7264636"
              "ea05195bfd9e378874f21d6ae9726a03"),

@@ -199,6 +199,15 @@ def test_unschedulable_config_raises(bad):
         make_schedule(OpenLoopConfig(**bad))
 
 
+@pytest.mark.parametrize("txn_timeout", [0.0, -1.0])
+def test_non_positive_timeout_rejected_before_the_clock_starts(
+        env, txn_timeout):
+    with pytest.raises(ValueError, match="txn_timeout"):
+        run_open_loop(env, QuickSystem(env), _workload().next_update,
+                      _cfg(txn_timeout=txn_timeout))
+    assert env.now == 0.0 and env.pending == 0
+
+
 # -- arrival-process statistics (no simulation) ---------------------------
 
 def test_poisson_mean_rate():

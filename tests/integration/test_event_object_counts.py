@@ -87,6 +87,21 @@ def test_process_count_pinned(case, monkeypatch):
     assert (counts["processes"], result.tps) == PROCESS_COUNTS[case]
 
 
+#: (Event constructions, tps) over run_point("ahl", scale=SMOKE, seed=3,
+#: num_nodes=6, ops_per_txn=2): two shards, so single- and cross-shard
+#: transactions both take shard pipeline slots.  Subclass constructions
+#: (timers, joins, processes) count too.
+AHL_EVENT_COUNT = (17_519, 96.26389141433086)
+
+
+def test_ahl_event_count_pinned(monkeypatch):
+    counts = {"events": 0}
+    _count_calls(monkeypatch, counts, "events", kernel.Event, "__init__")
+    result = run_point("ahl", scale=SMOKE, seed=3, num_nodes=6,
+                       ops_per_txn=2)
+    assert (counts["events"], result.tps) == AHL_EVENT_COUNT
+
+
 def test_fabric_endorsement_probes_dropped_before_ordering(monkeypatch):
     """A transaction waiting for ordering keeps none of its endorsements."""
     probes = []

@@ -259,17 +259,15 @@ class PointResult:
 
 
 def _reset_run_counters() -> None:
-    """Zero the process-global id counters before a point runs.
+    """Zero the process-global transaction id counter before a point runs.
 
-    Message and transaction ids are identity-only (no simulation
-    semantics), but resetting them per point makes every point's id
-    sequence independent of which points ran earlier in the process —
-    the property that lets a sweep farm points to workers in any order
-    and still merge a trajectory byte-identical to a serial run.
+    Transaction ids are identity-only (no simulation semantics), but
+    resetting them per point makes every point's id sequence
+    independent of which points ran earlier in the process — the
+    property that lets a sweep farm points to workers in any order and
+    still merge a trajectory byte-identical to a serial run.
     """
-    from ..sim import network
     from ..txn import transaction
-    network._msg_counter = itertools.count()
     transaction._txn_counter = itertools.count(1)
 
 

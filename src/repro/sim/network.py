@@ -14,8 +14,6 @@ its partition/gray-node steps onto these primitives.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .costs import CostModel, DEFAULT_COSTS
@@ -24,20 +22,18 @@ from .rng import RngRegistry
 
 __all__ = ["Message", "Network", "PartitionHandle"]
 
-_msg_counter = itertools.count()
-
-
-@dataclass
 class Message:
     """A network message between simulated nodes."""
 
-    src: str
-    dst: str
-    kind: str
-    payload: Any = None
-    size: int = 256
-    msg_id: int = field(default_factory=lambda: next(_msg_counter))
-    sent_at: float = 0.0
+    __slots__ = ("src", "dst", "kind", "payload", "size")
+
+    def __init__(self, src: str, dst: str, kind: str, payload: Any = None,
+                 size: int = 256):
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.payload = payload
+        self.size = size
 
 
 class PartitionHandle:
@@ -97,7 +93,6 @@ class _Delivery:
             raise KeyError(f"unknown endpoint in {msg.src!r}->{msg.dst!r}")
         self.src = src
         self.dst = dst
-        msg.sent_at = net.env.now
         net.messages_sent += 1
         net.bytes_sent += msg.size
         # Egress: sender CPU overhead + wire serialization, serialized

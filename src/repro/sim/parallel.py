@@ -573,9 +573,7 @@ class _ShardLP:
             if signal is not None and not signal.triggered:
                 signal.succeed()
 
-    def _wait_if_paused(self) -> Event:
-        if not self._paused:
-            return self.env.resolved()
+    def _resume_event(self) -> Event:
         if self._resume_signal is None:
             self._resume_signal = self.env.event()
         return self._resume_signal
@@ -628,7 +626,10 @@ class _WorkerExec:
         lp = self.lp
         self.grant_time = lp.env.now
         self.busy_root = lp.busy_root
-        subscribe(lp._wait_if_paused(), self._unpaused)
+        if lp._paused:
+            subscribe(lp._resume_event(), self._unpaused)
+        else:
+            self._unpaused(None)
 
     def _unpaused(self, _ev: Event) -> None:
         env = self.lp.env

@@ -7,6 +7,7 @@ page occupancy statistics feed the storage accounting used in tests.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterator, Optional
 
 __all__ = ["BPlusTree"]
@@ -21,17 +22,6 @@ class _Node:
         self.children: list["_Node"] = []
         self.values: list = []
         self.next: Optional["_Node"] = None
-
-
-def _bisect(keys: list, key) -> int:
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if keys[mid] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 class BPlusTree:
@@ -49,7 +39,7 @@ class BPlusTree:
     def _find_leaf(self, key) -> _Node:
         node = self._root
         while not node.leaf:
-            idx = _bisect(node.keys, key)
+            idx = bisect_left(node.keys, key)
             if idx < len(node.keys) and node.keys[idx] == key:
                 idx += 1
             node = node.children[idx]
@@ -57,7 +47,7 @@ class BPlusTree:
 
     def get(self, key, default=None):
         leaf = self._find_leaf(key)
-        idx = _bisect(leaf.keys, key)
+        idx = bisect_left(leaf.keys, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
             return leaf.values[idx]
         return default
@@ -83,7 +73,7 @@ class BPlusTree:
 
     def _insert(self, node: _Node, key, value):
         if node.leaf:
-            idx = _bisect(node.keys, key)
+            idx = bisect_left(node.keys, key)
             if idx < len(node.keys) and node.keys[idx] == key:
                 node.values[idx] = value
                 return None
@@ -93,7 +83,7 @@ class BPlusTree:
             if len(node.keys) >= self.order:
                 return self._split_leaf(node)
             return None
-        idx = _bisect(node.keys, key)
+        idx = bisect_left(node.keys, key)
         if idx < len(node.keys) and node.keys[idx] == key:
             idx += 1
         result = self._insert(node.children[idx], key, value)
@@ -133,7 +123,7 @@ class BPlusTree:
         """Remove ``key``; lazy deletion (no rebalancing), BoltDB-style pages
         reclaim on the next split.  Returns True when the key existed."""
         leaf = self._find_leaf(key)
-        idx = _bisect(leaf.keys, key)
+        idx = bisect_left(leaf.keys, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
             leaf.keys.pop(idx)
             leaf.values.pop(idx)

@@ -28,7 +28,8 @@ from ..sim.kernel import Environment, Event, subscribe
 from ..sim.resources import Resource
 from ..txn.state import VersionedStore
 from ..txn.transaction import AbortReason, OpType, Transaction
-from .base import SystemConfig, TransactionalSystem
+from .base import (QueryRoundTrip, RoundTrip, SystemConfig,
+                   TransactionalSystem)
 
 __all__ = ["AhlSystem"]
 
@@ -67,7 +68,11 @@ class _ShardExec:
         subscribe(req, self._granted)
 
     def _granted(self, _ev: Event) -> None:
-        subscribe(self.system._wait_if_paused(), self._unpaused)
+        system = self.system
+        if system._paused:
+            subscribe(system._resume_event(), self._unpaused)
+        else:
+            self._unpaused(None)
 
     def _unpaused(self, _ev: Event) -> None:
         self.system.env.after(self.cost, self._served)
@@ -114,36 +119,20 @@ class _ShardExecLA(_ShardExec):
         self.done._resolve(self.value)
 
 
-class _AhlTxn:
-    """One AHL transaction as a flat chain.
+class _AhlTxn(RoundTrip):
+    """One AHL transaction.
 
-    Single-shard transactions take one serial slot of their shard's
-    execute pipeline; cross-shard transactions run BFT-2PC through the
-    reference committee (whose participant legs are :class:`_ShardExec`
-    chains — no Process per participant).
+    Service stages: single-shard transactions take one serial slot of
+    their shard's execute pipeline; cross-shard transactions run
+    BFT-2PC through the reference committee (whose participant legs
+    are :class:`_ShardExec` chains — no Process per participant).
+    There is no reply hop: the last stage settles ``done``.
     """
 
-    __slots__ = ("system", "txn", "done")
+    __slots__ = ()
 
-    def __init__(self, system: "AhlSystem", txn: Transaction, done: Event):
-        self.system = system
-        self.txn = txn
-        self.done = done
-
-    def start(self) -> None:
-        self.system.env._schedule_call(self._begin, None)
-
-    def _begin(self, _arg) -> None:
-        system = self.system
-        txn = self.txn
-        txn.submitted_at = system.env.now
-        system.client_node.nic_out.serve_then(
-            system.costs.net_send_overhead
-            + system.costs.transfer_time(256 + txn.payload_size),
-            self._sent)
-
-    def _sent(self, _arg) -> None:
-        self.system.env.after(self.system.costs.net_latency, self._arrived)
+    def request_size(self) -> int:
+        return 256 + self.txn.payload_size
 
     def _arrived(self, _arg) -> None:
         system = self.system
@@ -162,16 +151,15 @@ class _AhlTxn:
 
     def _executed(self, _ev: Event) -> None:
         self.system._apply(self.txn)
-        self.done.succeed(self.txn)
+        self._finish(None)
 
     def _decided(self, ev: Event) -> None:
-        txn = self.txn
         decision = ev._value
         if decision.value != "commit":
-            txn.mark_aborted(AbortReason.COORDINATOR_ABORT)
+            self.txn.mark_aborted(AbortReason.COORDINATOR_ABORT)
         else:
-            self.system._apply(txn)
-        self.done.succeed(txn)
+            self.system._apply(self.txn)
+        self._finish(None)
 
 
 class _ShardParticipant:
@@ -190,22 +178,11 @@ class _ShardParticipant:
                                             value=True, scheduled=True)
 
 
-class _Query:
-    """One read-only query, as a flat chain: no consensus (Section 2.1).
+class _Query(QueryRoundTrip):
+    """One read-only query: the client round trip as two propagation
+    delays with no NIC egress, then the reads (Section 2.1)."""
 
-    The client round trip (two propagation delays), then the reads ->
-    done.
-    """
-
-    __slots__ = ("system", "txn", "done")
-
-    def __init__(self, system: "AhlSystem", txn: Transaction, done: Event):
-        self.system = system
-        self.txn = txn
-        self.done = done
-
-    def start(self) -> None:
-        self.system.env._schedule_call(self._begin, None)
+    __slots__ = ()
 
     def _begin(self, _arg) -> None:
         system = self.system
@@ -213,12 +190,10 @@ class _Query:
         system.env.after(2 * system.costs.net_latency, self._finish)
 
     def _finish(self, _arg) -> None:
-        txn = self.txn
-        for op in txn.ops:
+        for op in self.txn.ops:
             if op.op_type is OpType.READ:
                 self.system.state.get(op.key)
-        txn.mark_committed()
-        self.done.succeed(txn)
+        super()._finish(_arg)
 
 
 class AhlSystem(TransactionalSystem):
@@ -313,15 +288,8 @@ class AhlSystem(TransactionalSystem):
             if signal is not None and not signal.triggered:
                 signal.succeed()
 
-    def _wait_if_paused(self) -> Event:
-        """Awaitable call: resolved now unless a reconfig pause is active.
-
-        Flat-event protocol — the caller always subscribes to the
-        result; when the shard is not paused that costs nothing (the
-        continuation runs inline on the resolved event).
-        """
-        if not self._paused:
-            return self.env.resolved()
+    def _resume_event(self) -> Event:
+        """The event the active reconfiguration pause resolves at its end."""
         if self._resume_signal is None:
             self._resume_signal = self.env.event()
         return self._resume_signal

@@ -6,6 +6,8 @@ environment, a cluster of nodes, a network, and exposes ``submit`` /
 ``submit_query`` returning kernel events that fire when the transaction
 completes (committed or aborted).  The workload driver in
 :mod:`repro.workloads.driver` is the only component that calls these.
+Every per-request chain behind them but Fabric's update subclasses
+:class:`RoundTrip`, the client round trip all systems share.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from ..storage.engine import engine_from_config, parse_index_kind
 from ..txn.state import VersionedStore
 from ..txn.transaction import Transaction
 
-__all__ = ["EXTRAS_KEYS", "SystemConfig", "TransactionalSystem"]
+__all__ = ["EXTRAS_KEYS", "QueryRoundTrip", "RoundTrip", "SystemConfig",
+           "TransactionalSystem"]
 
 #: Every ``SystemConfig.extras`` key: ``index`` (Table 2 storage engine),
 #: ``wal`` (group-committed journal on that engine), ``isolation``
@@ -208,3 +211,79 @@ class TransactionalSystem:
     def _finish(self, ev: Event, txn: Transaction) -> None:
         if not ev.triggered:
             ev.succeed(txn)
+
+
+class RoundTrip:
+    """One client request's round trip, as a flat chain.
+
+    Every system serves a request the same way: client NIC egress ->
+    propagation -> the system's own service stages -> reply egress at
+    the replying node -> propagation -> ``done`` (Fig. 8's breakdown
+    splits this path).  This base owns the envelope; a subclass owns
+    only its service stages, entered at :meth:`_arrived` and left
+    through :meth:`_reply`, or by settling ``done`` itself when the
+    system has no reply hop.  ``start`` takes one scheduled slot, where
+    a Process bootstrap would, and each envelope stage issues one
+    ``serve_then`` or ``after``.
+
+    What differs between systems is an override, never a flag: the
+    request size (``request_bytes``, or :meth:`request_size` when the
+    payload rides along), extra work in ``_begin`` (picking a server,
+    refusing without a leader) and what :meth:`_finish` settles.
+    """
+
+    __slots__ = ("system", "txn", "done", "_idx")
+
+    #: Bytes of the client's request on the wire.
+    request_bytes = 96
+
+    def __init__(self, system: TransactionalSystem, txn: Transaction,
+                 done: Event):
+        self.system = system
+        self.txn = txn
+        self.done = done
+        self._idx = 0           # cursor of a service stage's loop
+
+    def start(self) -> None:
+        self.system.env._schedule_call(self._begin, None)
+
+    def request_size(self) -> int:
+        return self.request_bytes
+
+    def _begin(self, _arg) -> None:
+        system = self.system
+        self.txn.submitted_at = system.env.now
+        system.client_node.nic_out.serve_then(
+            system.costs.net_send_overhead
+            + system.costs.transfer_time(self.request_size()),
+            self._sent)
+
+    def _sent(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._arrived)
+
+    def _arrived(self, _arg) -> None:
+        """The first service stage, once the request has landed."""
+        raise NotImplementedError
+
+    def _reply(self, node: Node, size: int) -> None:
+        system = self.system
+        node.nic_out.serve_then(
+            system.costs.net_send_overhead + system.costs.transfer_time(size),
+            self._responded)
+
+    def _responded(self, _arg) -> None:
+        self.system.env.after(self.system.costs.net_latency, self._finish)
+
+    def _finish(self, _arg) -> None:
+        self.done.succeed(self.txn)
+
+
+class QueryRoundTrip(RoundTrip):
+    """A read-only query's round trip: no consensus, so the query
+    commits when its reply lands (Section 2.1)."""
+
+    __slots__ = ()
+
+    def _finish(self, _arg) -> None:
+        self.txn.mark_committed()
+        self.done.succeed(self.txn)

@@ -25,7 +25,8 @@ from ..consensus.raft import RaftConfig, RaftGroup
 from ..sim.kernel import Environment, Event, subscribe
 from ..sim.resources import Resource
 from ..txn.transaction import Transaction
-from .base import SystemConfig, TransactionalSystem
+from .base import (QueryRoundTrip, RoundTrip, SystemConfig,
+                   TransactionalSystem)
 
 __all__ = ["EtcdSystem"]
 
@@ -100,55 +101,33 @@ class _ApplyLoop:
         self._next(None)
 
 
-class _Update:
-    """One client update through the Raft pipeline, as a flat chain.
+class _Update(RoundTrip):
+    """One client update through the Raft pipeline.
 
-    Client NIC egress -> propagation -> leader request CPU (gRPC decode
-    + mvcc txn wrap, parallel across cores) -> Raft commit ->
-    state-machine apply -> response NIC egress -> propagation, with one
-    parked continuation per wait.  Cascade contract: ``start`` takes
-    one scheduled slot, each stage continues from the continuation of
-    the timer, serve or event it waited on, and ``done`` is succeeded
-    through the scheduler from the last propagation timer's
-    continuation.  The seeded ``etcd`` /
+    Service stages: leader request CPU (gRPC decode + mvcc txn wrap,
+    parallel across cores) -> Raft commit -> state-machine apply, then
+    the reply from the leader.  With no Raft leader it aborts in
+    ``_begin``, before any egress.  The seeded ``etcd`` /
     ``etcd-seed23`` pins hold every stage to its position.
     """
 
-    __slots__ = ("system", "txn", "done", "leader", "size")
+    __slots__ = ("leader",)
 
-    def __init__(self, system: "EtcdSystem", txn: Transaction, done: Event):
-        self.system = system
-        self.txn = txn
-        self.done = done
-        self.leader = None
-        self.size = 0
+    def request_size(self) -> int:
+        return 64 + self.txn.payload_size
 
-    def start(self) -> None:
-        # Occupies the same scheduled slot a Process bootstrap would.
-        self.system.env._schedule_call(self._begin, None)
+    def _begin(self, arg) -> None:
+        self.leader = self.system.raft.leader
+        if self.leader is None:
+            self.txn.submitted_at = self.system.env.now
+            self._abort()
+            return
+        super()._begin(arg)
 
     def _abort(self) -> None:
         txn = self.txn
         txn.mark_aborted(txn.abort_reason)
         self.done.succeed(txn)
-
-    def _begin(self, _arg) -> None:
-        system = self.system
-        txn = self.txn
-        txn.submitted_at = system.env.now
-        leader = system.raft.leader
-        if leader is None:
-            self._abort()
-            return
-        self.leader = leader
-        self.size = 64 + txn.payload_size
-        system.client_node.nic_out.serve_then(
-            system.costs.net_send_overhead
-            + system.costs.transfer_time(self.size),
-            self._sent)
-
-    def _sent(self, _arg) -> None:
-        self.system.env.after(self.system.costs.net_latency, self._arrived)
 
     def _arrived(self, _arg) -> None:
         self.leader.node.cpu.serve_then(
@@ -169,7 +148,7 @@ class _Update:
                 return
             self._stage_and_propose()
             return
-        commit_ev = self.leader.propose(self.txn, size=self.size)
+        commit_ev = self.leader.propose(self.txn, size=self.request_size())
         subscribe(commit_ev, self._committed)
 
     def _staged(self, _arg) -> None:
@@ -181,7 +160,7 @@ class _Update:
             # the client without burning a consensus slot.
             self._applied(None)
             return
-        commit_ev = self.leader.propose(self.txn, size=self.size)
+        commit_ev = self.leader.propose(self.txn, size=self.request_size())
         subscribe(commit_ev, self._committed)
 
     def _committed(self, ev: Event) -> None:
@@ -194,72 +173,32 @@ class _Update:
         apply_ev.callbacks.append(self._applied)
 
     def _applied(self, _ev: Event) -> None:
-        system = self.system
-        self.leader.node.nic_out.serve_then(
-            system.costs.net_send_overhead + system.costs.transfer_time(128),
-            self._responded)
-
-    def _responded(self, _arg) -> None:
-        self.system.env.after(self.system.costs.net_latency, self._finish)
-
-    def _finish(self, _arg) -> None:
         # status (committed / logic-aborted) was set by the apply loop
-        self.done.succeed(self.txn)
+        self._reply(self.leader.node, 128)
 
 
-class _Query:
-    """One read-only query, as a flat chain: no consensus (Section 2.1).
+class _Query(QueryRoundTrip):
+    """One read-only query: one read per op on a round-robin server's
+    read path, then the reply from that server."""
 
-    Client NIC egress -> propagation -> one read per op on a
-    round-robin server's read path -> response NIC egress ->
-    propagation -> done.
-    """
+    __slots__ = ("server",)
 
-    __slots__ = ("system", "txn", "done", "server", "_idx")
+    def _begin(self, arg) -> None:
+        self.server = self.system._pick_round_robin(self.system.servers)
+        super()._begin(arg)
 
-    def __init__(self, system: "EtcdSystem", txn: Transaction, done: Event):
-        self.system = system
-        self.txn = txn
-        self.done = done
-        self.server = None
-        self._idx = 0
-
-    def start(self) -> None:
-        self.system.env._schedule_call(self._begin, None)
-
-    def _begin(self, _arg) -> None:
-        system = self.system
-        self.txn.submitted_at = system.env.now
-        self.server = system._pick_round_robin(system.servers)
-        system.client_node.nic_out.serve_then(
-            system.costs.net_send_overhead + system.costs.transfer_time(96),
-            self._sent)
-
-    def _sent(self, _arg) -> None:
-        self.system.env.after(self.system.costs.net_latency, self._next_read)
-
-    def _next_read(self, _arg) -> None:
+    def _arrived(self, _arg) -> None:
         system = self.system
         if self._idx < len(self.txn.ops):
             system._read_paths[self.server.name].serve_then(
                 system.costs.etcd_read_cpu, self._read)
             return
-        self.server.nic_out.serve_then(
-            system.costs.net_send_overhead
-            + system.costs.transfer_time(64 + self.txn.payload_size),
-            self._responded)
+        self._reply(self.server, 64 + self.txn.payload_size)
 
     def _read(self, _arg) -> None:
         self.system.state.get(self.txn.ops[self._idx].key)
         self._idx += 1
-        self._next_read(None)
-
-    def _responded(self, _arg) -> None:
-        self.system.env.after(self.system.costs.net_latency, self._finish)
-
-    def _finish(self, _arg) -> None:
-        self.txn.mark_committed()
-        self.done.succeed(self.txn)
+        self._arrived(None)
 
 
 class EtcdSystem(TransactionalSystem):

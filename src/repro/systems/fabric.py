@@ -35,7 +35,7 @@ from ..sim.resources import Resource
 from ..txn.ledger import Ledger, envelope_size
 from ..txn.state import VersionedStore
 from ..txn.transaction import AbortReason, Transaction, TxnStatus
-from .base import SystemConfig, TransactionalSystem
+from .base import QueryRoundTrip, SystemConfig, TransactionalSystem
 
 __all__ = ["FabricSystem"]
 
@@ -218,38 +218,22 @@ class _Update:
         self.done.succeed(self.txn)
 
 
-class _Query:
-    """One read-only query, as a flat chain: no ordering (Section 2.1).
+class _Query(QueryRoundTrip):
+    """One read-only query: no ordering (Section 2.1).
 
-    Client NIC egress -> propagation -> a slot in a round-robin peer's
-    query-handler pool, held through client authentication, chaincode
-    simulation against the peer's state and the endorsement signature
-    (each stamped into ``txn.phases``, the Fig. 8b breakdown) ->
-    response NIC egress -> propagation -> done.
+    Service stages: a slot in a round-robin peer's query-handler pool,
+    held through client authentication, chaincode simulation against
+    the peer's state and the endorsement signature (each stamped into
+    ``txn.phases``, the Fig. 8b breakdown), then the peer's reply.
     """
 
-    __slots__ = ("system", "txn", "done", "peer", "phase_start")
+    __slots__ = ("peer", "phase_start")
 
-    def __init__(self, system: "FabricSystem", txn: Transaction, done: Event):
-        self.system = system
-        self.txn = txn
-        self.done = done
-        self.peer = None
-        self.phase_start = 0.0
+    request_bytes = 256
 
-    def start(self) -> None:
-        self.system.env._schedule_call(self._begin, None)
-
-    def _begin(self, _arg) -> None:
-        system = self.system
-        self.txn.submitted_at = system.env.now
-        self.peer = system._pick_round_robin(system.peers)
-        system.client_node.nic_out.serve_then(
-            system.costs.net_send_overhead + system.costs.transfer_time(256),
-            self._sent)
-
-    def _sent(self, _arg) -> None:
-        self.system.env.after(self.system.costs.net_latency, self._arrived)
+    def _begin(self, arg) -> None:
+        self.peer = self.system._pick_round_robin(self.system.peers)
+        super()._begin(arg)
 
     def _arrived(self, _arg) -> None:
         subscribe(self.peer.query_pool.request(), self._granted)
@@ -276,21 +260,10 @@ class _Query:
         env.after(self.system.costs.fabric_endorse, self._endorsed, req)
 
     def _endorsed(self, req: Event) -> None:
-        system = self.system
         peer = self.peer
-        self.txn.phases["endorsement"] = system.env.now - self.phase_start
+        self.txn.phases["endorsement"] = self.system.env.now - self.phase_start
         peer.query_pool.release(req)
-        peer.node.nic_out.serve_then(
-            system.costs.net_send_overhead
-            + system.costs.transfer_time(256 + self.txn.payload_size),
-            self._responded)
-
-    def _responded(self, _arg) -> None:
-        self.system.env.after(self.system.costs.net_latency, self._finish)
-
-    def _finish(self, _arg) -> None:
-        self.txn.mark_committed()
-        self.done.succeed(self.txn)
+        self._reply(peer.node, 256 + self.txn.payload_size)
 
 
 class _Vscc:

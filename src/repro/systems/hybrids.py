@@ -30,46 +30,27 @@ from ..sim.kernel import Environment, Event, subscribe
 from ..sim.resources import Resource, Store
 from ..txn.ledger import Ledger
 from ..txn.transaction import AbortReason, OpType, Transaction, TxnStatus
-from .base import SystemConfig, TransactionalSystem
+from .base import (QueryRoundTrip, RoundTrip, SystemConfig,
+                   TransactionalSystem)
 
 __all__ = ["HybridSystem", "HYBRID_SPECS", "KNOWN_SPEC_KEYS", "build_hybrid"]
 
 
-class _Submission:
-    """Client submission into the hybrid's ordering backend, flat chain.
+class _Submission(RoundTrip):
+    """Client submission into the hybrid's ordering backend.
 
-    Client NIC egress -> propagation -> entry-node CPU -> (optional
-    speculative OCC simulation) -> backend ordering -> hand-off to the
-    serial commit loop.  Cascade contract: ``start`` takes one scheduled
-    slot; ``done`` is not fired here but travels into the commit stream
-    with the transaction, and the commit loop succeeds it after the
-    serial apply (a LOGIC abort at simulation, or a failed ordering,
-    succeeds it on the spot instead).
+    Service stages: entry-node CPU -> (optional speculative OCC
+    simulation) -> backend ordering -> hand-off to the serial commit
+    loop.  There is no reply hop: ``done`` travels into the commit
+    stream with the transaction, and the commit loop succeeds it after
+    the serial apply (a LOGIC abort at simulation, or a failed
+    ordering, succeeds it on the spot instead).
     """
 
-    __slots__ = ("system", "txn", "done", "size")
+    __slots__ = ()
 
-    def __init__(self, system: "HybridSystem", txn: Transaction, done: Event):
-        self.system = system
-        self.txn = txn
-        self.done = done
-        self.size = 0
-
-    def start(self) -> None:
-        self.system.env._schedule_call(self._begin, None)
-
-    def _begin(self, _arg) -> None:
-        system = self.system
-        txn = self.txn
-        txn.submitted_at = system.env.now
-        self.size = 256 + txn.payload_size
-        system.client_node.nic_out.serve_then(
-            system.costs.net_send_overhead
-            + system.costs.transfer_time(self.size),
-            self._sent)
-
-    def _sent(self, _arg) -> None:
-        self.system.env.after(self.system.costs.net_latency, self._arrived)
+    def request_size(self) -> int:
+        return 256 + self.txn.payload_size
 
     def _arrived(self, _arg) -> None:
         system = self.system
@@ -87,7 +68,7 @@ class _Submission:
                 self.done.succeed(txn)
                 return
         try:
-            ordered = system._proposer(txn, self.size)
+            ordered = system._proposer(txn, self.request_size())
         except Exception:
             self._order_failed()
             return
@@ -154,45 +135,29 @@ KNOWN_SPEC_KEYS = frozenset({
 })
 
 
-class _Query:
-    """One read-only query, as a flat chain: no consensus (Section 2.1).
+class _Query(QueryRoundTrip):
+    """One read-only query: a round trip to a round-robin server with
+    no NIC egress, then one read per op on its CPU (sequential)."""
 
-    A round trip to a round-robin server, then one read per op on its
-    CPU (sequential) -> done.
-    """
-
-    __slots__ = ("system", "txn", "done", "server", "_idx")
-
-    def __init__(self, system: "HybridSystem", txn: Transaction,
-                 done: Event):
-        self.system = system
-        self.txn = txn
-        self.done = done
-        self.server = None
-        self._idx = 0
-
-    def start(self) -> None:
-        self.system.env._schedule_call(self._begin, None)
+    __slots__ = ("server",)
 
     def _begin(self, _arg) -> None:
         system = self.system
         self.txn.submitted_at = system.env.now
         self.server = system._pick_round_robin(system.servers)
-        system.env.after(2 * system.costs.net_latency, self._next_read)
+        system.env.after(2 * system.costs.net_latency, self._arrived)
 
-    def _next_read(self, _arg) -> None:
-        txn = self.txn
-        if self._idx < len(txn.ops):
+    def _arrived(self, _arg) -> None:
+        if self._idx < len(self.txn.ops):
             self.server.cpu.serve_then(self.system.costs.store_get,
                                        self._read)
             return
-        txn.mark_committed()
-        self.done.succeed(txn)
+        self._finish(None)
 
     def _read(self, _arg) -> None:
         self.system.state.get(self.txn.ops[self._idx].key)
         self._idx += 1
-        self._next_read(None)
+        self._arrived(None)
 
 
 class HybridSystem(TransactionalSystem):

@@ -30,41 +30,24 @@ from ..sim.kernel import Environment, Event, WakeableQueue, subscribe
 from ..sim.resources import Resource, Store
 from ..txn.ledger import Ledger
 from ..txn.transaction import AbortReason, Transaction, TxnStatus
-from .base import SystemConfig, TransactionalSystem
+from .base import (QueryRoundTrip, RoundTrip, SystemConfig,
+                   TransactionalSystem)
 
 __all__ = ["QuorumSystem"]
 
 
-class _Submission:
-    """Client submission to the leader txpool, as a flat chain.
+class _Submission(RoundTrip):
+    """Client submission to the leader txpool.
 
-    Client NIC egress -> propagation -> leader txpool CPU -> mempool
-    put, one parked callback per stage — the identical schedule sequence
-    the spawned ``_do_submit`` coroutine issued (whose completion event
-    carried no waiters, so dropping it is unobservable).
+    Service stages: leader txpool CPU -> mempool put.  ``done`` travels
+    into the mempool with the transaction; the block producer settles
+    it, so there is no reply hop here.
     """
 
-    __slots__ = ("system", "txn", "done")
+    __slots__ = ()
 
-    def __init__(self, system: "QuorumSystem", txn: Transaction, done: Event):
-        self.system = system
-        self.txn = txn
-        self.done = done
-
-    def start(self) -> None:
-        self.system.env._schedule_call(self._send, None)
-
-    def _send(self, _arg) -> None:
-        system = self.system
-        self.txn.submitted_at = system.env.now
-        size = 192 + self.txn.payload_size
-        system.client_node.nic_out.serve_then(
-            system.costs.net_send_overhead + system.costs.transfer_time(size),
-            self._sent)
-
-    def _sent(self, _arg) -> None:
-        system = self.system
-        system.env.after(system.costs.net_latency, self._arrived)
+    def request_size(self) -> int:
+        return 192 + self.txn.payload_size
 
     def _arrived(self, _arg) -> None:
         system = self.system
@@ -75,35 +58,17 @@ class _Submission:
         self.system.mempool.put((self.txn, self.done))
 
 
-class _Query:
-    """One read-only query, as a flat chain: no consensus (Section 2.1).
+class _Query(QueryRoundTrip):
+    """One read-only query: a slot in a round-robin node's query pool,
+    held for the query's execution, then the reply from that node."""
 
-    Client NIC egress -> propagation -> a slot in a round-robin node's
-    query pool, held for the query's execution -> response NIC egress
-    -> propagation -> done.
-    """
+    __slots__ = ("server",)
 
-    __slots__ = ("system", "txn", "done", "server")
+    request_bytes = 192
 
-    def __init__(self, system: "QuorumSystem", txn: Transaction, done: Event):
-        self.system = system
-        self.txn = txn
-        self.done = done
-        self.server = None
-
-    def start(self) -> None:
-        self.system.env._schedule_call(self._begin, None)
-
-    def _begin(self, _arg) -> None:
-        system = self.system
-        self.txn.submitted_at = system.env.now
-        self.server = system._pick_round_robin(system.servers)
-        system.client_node.nic_out.serve_then(
-            system.costs.net_send_overhead + system.costs.transfer_time(192),
-            self._sent)
-
-    def _sent(self, _arg) -> None:
-        self.system.env.after(self.system.costs.net_latency, self._arrived)
+    def _begin(self, arg) -> None:
+        self.server = self.system._pick_round_robin(self.system.servers)
+        super()._begin(arg)
 
     def _arrived(self, _arg) -> None:
         pool = self.system.query_pools[self.server.name]
@@ -118,17 +83,7 @@ class _Query:
         for op in self.txn.ops:
             system.state.get(op.key)
         system.query_pools[self.server.name].release(req)
-        self.server.nic_out.serve_then(
-            system.costs.net_send_overhead
-            + system.costs.transfer_time(128 + self.txn.payload_size),
-            self._responded)
-
-    def _responded(self, _arg) -> None:
-        self.system.env.after(self.system.costs.net_latency, self._finish)
-
-    def _finish(self, _arg) -> None:
-        self.txn.mark_committed()
-        self.done.succeed(self.txn)
+        self._reply(self.server, 128 + self.txn.payload_size)
 
 
 class QuorumSystem(TransactionalSystem):

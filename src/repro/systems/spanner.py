@@ -31,7 +31,8 @@ from ..sim.kernel import AllOf, Environment, Event, subscribe
 from ..sim.resources import Resource
 from ..txn.state import VersionedStore
 from ..txn.transaction import AbortReason, OpType, Transaction
-from .base import SystemConfig, TransactionalSystem
+from .base import (QueryRoundTrip, RoundTrip, SystemConfig,
+                   TransactionalSystem)
 
 __all__ = ["SpannerSystem"]
 
@@ -80,50 +81,24 @@ class _PaxosWrite:
         self.done.succeed(self.shard)
 
 
-class _Txn:
-    """One strict-2PL read-write transaction as a flat chain.
+class _Txn(RoundTrip):
+    """One strict-2PL read-write transaction.
 
-    Client NIC egress -> propagation -> coordinator CPU -> lock
-    acquisition in key order (reads S, writes X), reads + logic, then
-    the commit protocol — a single Paxos round for one-shard
-    transactions, or the parallel 2PC chain (prepare fan-out -> vote
-    join -> decision round -> commit fan-out) across
-    shards — followed by the commit wait with locks still held.  Locks
-    are released at every exit exactly once.  Cascade contract:
-    ``start`` takes one scheduled slot, each stage continues from the
-    callback of the event it waited on, and ``done`` is succeeded
-    through the scheduler in the same callback that releases the locks
-    (so queued lock waiters are granted before the client hears back).
+    Service stages: coordinator CPU -> lock acquisition in key order
+    (reads S, writes X), reads + logic, then the commit protocol — a
+    single Paxos round for one-shard transactions, or the parallel 2PC
+    chain (prepare fan-out -> vote join -> decision round -> commit
+    fan-out) across shards — followed by the commit wait with locks
+    still held.  There is no reply hop: ``done`` is succeeded through
+    the scheduler in the same callback that releases the locks, at
+    every exit exactly once (so queued lock waiters are granted before
+    the client hears back).
     """
 
-    __slots__ = ("system", "txn", "done", "held", "sorted_ops", "reads",
-                 "write_set", "shards", "_idx")
+    __slots__ = ("held", "sorted_ops", "write_set", "shards")
 
-    def __init__(self, system: "SpannerSystem", txn: Transaction, done: Event):
-        self.system = system
-        self.txn = txn
-        self.done = done
-        self.held: list[str] = []
-        self.sorted_ops: list = []
-        self.reads: dict[str, bytes] = {}
-        self.write_set: dict[str, bytes] = {}
-        self.shards: list[int] = []
-        self._idx = 0
-
-    def start(self) -> None:
-        self.system.env._schedule_call(self._begin, None)
-
-    def _begin(self, _arg) -> None:
-        system = self.system
-        txn = self.txn
-        txn.submitted_at = system.env.now
-        system.client_node.nic_out.serve_then(
-            system.costs.net_send_overhead
-            + system.costs.transfer_time(128 + txn.payload_size),
-            self._sent)
-
-    def _sent(self, _arg) -> None:
-        self.system.env.after(self.system.costs.net_latency, self._arrived)
+    def request_size(self) -> int:
+        return 128 + self.txn.payload_size
 
     def _arrived(self, _arg) -> None:
         system = self.system
@@ -135,8 +110,8 @@ class _Txn:
     # -- strict 2PL lock acquisition ---------------------------------------
 
     def _coord_ready(self, _arg) -> None:
+        self.held = []
         self.sorted_ops = sorted(self.txn.ops, key=lambda o: o.key)
-        self._idx = 0
         self._next_lock()
 
     def _next_lock(self) -> None:
@@ -164,14 +139,15 @@ class _Txn:
     def _read_and_execute(self) -> None:
         system = self.system
         txn = self.txn
+        reads = {}
         for op in txn.ops:
             if op.op_type in (OpType.READ, OpType.UPDATE):
                 value, version = system.state.get(op.key)
                 txn.read_set[op.key] = version
-                self.reads[op.key] = value if value is not None else b""
-        write_set = self.write_set
+                reads[op.key] = value if value is not None else b""
+        write_set = self.write_set = {}
         if txn.logic is not None:
-            derived = txn.logic(self.reads)
+            derived = txn.logic(reads)
             if derived is None:
                 txn.mark_aborted(AbortReason.LOGIC)
                 self._finish(False)
@@ -238,52 +214,28 @@ class _Txn:
         self.done.succeed(txn)
 
 
-class _Query:
-    """One read-only query, as a flat chain: no Paxos round (Section 2.1).
+class _Query(QueryRoundTrip):
+    """One read-only query: no Paxos round (Section 2.1).
 
-    Client NIC egress -> propagation -> one read per op on its shard
-    leader's CPU (sequential) -> propagation -> done.
+    Service stages: one read per op on its shard leader's CPU
+    (sequential), then the propagation back with no reply egress.
     """
 
-    __slots__ = ("system", "txn", "done", "_idx")
+    __slots__ = ()
 
-    def __init__(self, system: "SpannerSystem", txn: Transaction,
-                 done: Event):
-        self.system = system
-        self.txn = txn
-        self.done = done
-        self._idx = 0
-
-    def start(self) -> None:
-        self.system.env._schedule_call(self._begin, None)
-
-    def _begin(self, _arg) -> None:
-        system = self.system
-        self.txn.submitted_at = system.env.now
-        system.client_node.nic_out.serve_then(
-            system.costs.net_send_overhead + system.costs.transfer_time(96),
-            self._sent)
-
-    def _sent(self, _arg) -> None:
-        self.system.env.after(self.system.costs.net_latency, self._next_read)
-
-    def _next_read(self, _arg) -> None:
+    def _arrived(self, _arg) -> None:
         system = self.system
         ops = self.txn.ops
         if self._idx < len(ops):
             leader = system.shard_leaders[system._shard_of(ops[self._idx].key)]
             leader.cpu.serve_then(system.costs.store_get, self._read)
             return
-        system.env.after(system.costs.net_latency, self._finish)
+        self._responded(None)
 
     def _read(self, _arg) -> None:
         self.system.state.get(self.txn.ops[self._idx].key)
         self._idx += 1
-        self._next_read(None)
-
-    def _finish(self, _arg) -> None:
-        self.txn.mark_committed()
-        self.done.succeed(self.txn)
+        self._arrived(None)
 
 
 class SpannerSystem(TransactionalSystem):

@@ -30,26 +30,24 @@ from ..concurrency.percolator import (PercolatorStore, PrewriteConflict,
 from ..sim.kernel import Environment, Event, subscribe
 from ..sim.resources import Resource
 from ..txn.transaction import AbortReason, OpType, Transaction
-from .base import SystemConfig, TransactionalSystem
+from .base import (QueryRoundTrip, RoundTrip, SystemConfig,
+                   TransactionalSystem)
 from .tikv import TikvCluster
 
 __all__ = ["TiDBSystem"]
 
 
-class _Txn:
-    """One snapshot-isolation transaction as a flat chain.
+class _Txn(RoundTrip):
+    """One snapshot-isolation transaction.
 
-    SQL-layer CPU (protocol + parse + compile, parallel across cores),
-    the per-op read loop, scheduler-latch acquisition in key order,
-    percolator prewrite (conflict check under the held latches), the
-    prewrite consensus fan-out joined by ``env.all_of``, the
-    primary commit write, asynchronous secondaries, and the auto-retry
-    backoff loop — all as parked callbacks, no Process and no generator
-    frame per transaction or per 2PC participant.  Cascade contract:
-    ``start`` takes one scheduled slot, each stage continues from the
-    callback of the event it waited on (latch grants and ``kv_write``
-    completions arrive through the scheduler), and ``done`` is succeeded
-    through the scheduler from the response timer's continuation.
+    Service stages: SQL-layer CPU (protocol + parse + compile, parallel
+    across cores) on a round-robin TiDB server, the per-op read loop,
+    scheduler-latch acquisition in key order, percolator prewrite
+    (conflict check under the held latches), the prewrite consensus
+    fan-out joined by ``env.all_of``, the primary commit write,
+    asynchronous secondaries and the auto-retry backoff loop, then the
+    reply from that server.  Latch grants and ``kv_write`` completions
+    arrive through the scheduler.
 
     Fault contract: a prewrite or primary-commit participant that
     fails — e.g. its region leader crashed mid-2PC — aborts the
@@ -65,48 +63,22 @@ class _Txn:
     because the store version advanced with the phantom write.
     """
 
-    __slots__ = ("system", "txn", "done", "server", "attempts", "start_ts",
-                 "commit_ts", "reads", "write_set", "keys", "primary",
-                 "grants", "prewrites", "_idx", "_cur", "_hist_reads")
+    __slots__ = ("server", "attempts", "start_ts", "commit_ts", "reads",
+                 "write_set", "keys", "primary", "grants", "prewrites",
+                 "_cur", "_hist_reads")
 
-    def __init__(self, system: "TiDBSystem", txn: Transaction, done: Event):
-        self.system = system
-        self.txn = txn
-        self.done = done
-        self.server = None
-        self.attempts = 0
-        self.start_ts = 0
-        self.commit_ts = 0
-        self.reads: dict[str, bytes] = {}
-        self.write_set: dict[str, bytes] = {}
-        self.keys: list[str] = []
-        self.primary = ""
-        self.grants: list = []
-        self.prewrites: list[Event] = []
-        self._idx = 0
-        self._cur = None
-        self._hist_reads = None
-
-    def start(self) -> None:
-        self.system.env._schedule_call(self._begin, None)
+    def request_size(self) -> int:
+        return 128 + self.txn.payload_size
 
     # -- SQL-layer ingress -------------------------------------------------
 
-    def _begin(self, _arg) -> None:
-        system = self.system
-        txn = self.txn
-        txn.submitted_at = system.env.now
-        self.server = system._pick_round_robin(system.servers)
-        size = 128 + txn.payload_size
-        system.client_node.nic_out.serve_then(
-            system.costs.net_send_overhead + system.costs.transfer_time(size),
-            self._sent)
-
-    def _sent(self, _arg) -> None:
-        self.system.env.after(self.system.costs.net_latency, self._arrived)
+    def _begin(self, arg) -> None:
+        self.server = self.system._pick_round_robin(self.system.servers)
+        super()._begin(arg)
 
     def _arrived(self, _arg) -> None:
         system = self.system
+        self.attempts = 0
         self.server.cpu.serve_then(
             system.costs.tidb_session_cpu + system.costs.sql_parse
             + system.costs.sql_compile,
@@ -119,8 +91,7 @@ class _Txn:
 
     def _attempt_begin(self) -> None:
         self.start_ts = self.system.oracle.next()
-        if self.system.history is not None:
-            self._hist_reads = {}
+        self._hist_reads = {} if self.system.history is not None else None
         self.reads = {}
         self.write_set = {}
         self.keys = []
@@ -349,58 +320,35 @@ class _Txn:
         self._attempt_begin()
 
     def _respond(self) -> None:
-        system = self.system
-        self.server.nic_out.serve_then(
-            system.costs.net_send_overhead + system.costs.transfer_time(128),
-            self._responded)
-
-    def _responded(self, _arg) -> None:
-        self.system.env.after(self.system.costs.net_latency, self._finish)
+        self._reply(self.server, 128)
 
     def _finish(self, _arg) -> None:
         history = self.system.history
         if history is not None:
-            if self._hist_reads is not None:
-                # Validation is done; hand the checker the shadow-clock
-                # read versions instead of the raw mixed-clock ones.
-                self.txn.read_set = self._hist_reads
+            # Validation is done; hand the checker the shadow-clock read
+            # versions instead of the raw mixed-clock ones.
+            self.txn.read_set = self._hist_reads
             history.observe(self.txn)
         self.done.succeed(self.txn)
 
 
-class _Query:
-    """One read-only SQL query, as a flat chain: no consensus (Section 2.1).
+class _Query(QueryRoundTrip):
+    """One read-only SQL query.
 
-    Client NIC egress -> propagation -> parse and compile on a
-    round-robin TiDB server -> per op, coprocessor client work on that
-    server and a leaseholder ``kv_read`` -> response NIC egress ->
-    propagation -> done.  The three server stages are stamped into
-    ``txn.phases`` (Fig. 8b's query breakdown).
+    Service stages: parse and compile on a round-robin TiDB server,
+    then per op, coprocessor client work on that server and a
+    leaseholder ``kv_read``, then the reply from that server.  The
+    three server stages are stamped into ``txn.phases`` (Fig. 8b's
+    query breakdown).
     """
 
-    __slots__ = ("system", "txn", "done", "server", "phase_start", "_idx")
+    __slots__ = ("server", "phase_start")
 
-    def __init__(self, system: "TiDBSystem", txn: Transaction, done: Event):
-        self.system = system
-        self.txn = txn
-        self.done = done
-        self.server = None
-        self.phase_start = 0.0
-        self._idx = 0
+    request_bytes = 128
 
-    def start(self) -> None:
-        self.system.env._schedule_call(self._begin, None)
-
-    def _begin(self, _arg) -> None:
-        system = self.system
-        self.txn.submitted_at = system.env.now
-        self.server = system._pick_round_robin(system.servers)
-        system.client_node.nic_out.serve_then(
-            system.costs.net_send_overhead + system.costs.transfer_time(128),
-            self._sent)
-
-    def _sent(self, _arg) -> None:
-        self.system.env.after(self.system.costs.net_latency, self._arrived)
+    def _begin(self, arg) -> None:
+        self.server = self.system._pick_round_robin(self.system.servers)
+        super()._begin(arg)
 
     def _arrived(self, _arg) -> None:
         self.phase_start = self.system.env.now
@@ -420,30 +368,19 @@ class _Query:
         self._next_read(None)
 
     def _next_read(self, _arg) -> None:
-        system = self.system
         txn = self.txn
         if self._idx < len(txn.ops):
             # Coprocessor client work on the TiDB server dominates the
             # measured "Storage-get" (Fig. 8b: 275 us).
             self.server.cpu.serve_then(260e-6, self._read)
             return
-        txn.phases["storage-get"] = system.env.now - self.phase_start
-        self.server.nic_out.serve_then(
-            system.costs.net_send_overhead
-            + system.costs.transfer_time(64 + txn.payload_size),
-            self._responded)
+        txn.phases["storage-get"] = self.system.env.now - self.phase_start
+        self._reply(self.server, 64 + txn.payload_size)
 
     def _read(self, _arg) -> None:
         key = self.txn.ops[self._idx].key
         self._idx += 1
         subscribe(self.system.cluster.kv_read(key), self._next_read)
-
-    def _responded(self, _arg) -> None:
-        self.system.env.after(self.system.costs.net_latency, self._finish)
-
-    def _finish(self, _arg) -> None:
-        self.txn.mark_committed()
-        self.done.succeed(self.txn)
 
 
 class TiDBSystem(TransactionalSystem):

@@ -22,7 +22,8 @@ from ..sharding.partitioner import HashPartitioner
 from ..sim.kernel import Environment, Event, subscribe
 from ..sim.resources import Resource
 from ..txn.transaction import OpType, Transaction
-from .base import SystemConfig, TransactionalSystem
+from .base import (QueryRoundTrip, RoundTrip, SystemConfig,
+                   TransactionalSystem)
 
 __all__ = ["TikvCluster", "TikvSystem"]
 
@@ -262,12 +263,12 @@ class TikvCluster:
         self.state.commit(self._version)
 
 
-class _Update:
-    """One client update transaction against the cluster, as a flat chain.
+class _Update(RoundTrip):
+    """One client update transaction against the cluster.
 
-    Client NIC egress -> propagation -> one replicated ``kv_write`` per
-    write op (sequential: the next is proposed when the last applied) ->
-    response NIC egress -> propagation -> done.
+    Service stages: one replicated ``kv_write`` per write op
+    (sequential: the next is proposed when the last applied), then the
+    reply from the first key's region leader.
 
     Under weakened isolation (``extras["isolation"]``) the chain grows a
     client-driven read-compute-write session: leaseholder reads of every
@@ -281,32 +282,10 @@ class _Update:
     untouched.
     """
 
-    __slots__ = ("system", "txn", "done", "_idx", "_reads", "_wkeys",
-                 "_metas")
+    __slots__ = ("_reads", "_wkeys", "_metas")
 
-    def __init__(self, system: "TikvSystem", txn: Transaction, done: Event):
-        self.system = system
-        self.txn = txn
-        self.done = done
-        self._idx = 0
-        self._reads = None
-        self._wkeys = None
-        self._metas = None
-
-    def start(self) -> None:
-        self.system.env._schedule_call(self._begin, None)
-
-    def _begin(self, _arg) -> None:
-        system = self.system
-        txn = self.txn
-        txn.submitted_at = system.env.now
-        size = 64 + txn.payload_size
-        system.client_node.nic_out.serve_then(
-            system.costs.net_send_overhead + system.costs.transfer_time(size),
-            self._sent)
-
-    def _sent(self, _arg) -> None:
-        self.system.env.after(self.system.costs.net_latency, self._arrived)
+    def request_size(self) -> int:
+        return 64 + self.txn.payload_size
 
     def _arrived(self, _arg) -> None:
         if self.system.scheduler is not None:
@@ -415,14 +394,8 @@ class _Update:
         self._next_write()
 
     def _respond(self) -> None:
-        system = self.system
-        node = system.cluster.leader_node(self.txn.ops[0].key)
-        node.nic_out.serve_then(
-            system.costs.net_send_overhead + system.costs.transfer_time(128),
-            self._responded)
-
-    def _responded(self, _arg) -> None:
-        self.system.env.after(self.system.costs.net_latency, self._finish)
+        self._reply(
+            self.system.cluster.leader_node(self.txn.ops[0].key), 128)
 
     def _finish(self, _arg) -> None:
         system = self.system
@@ -436,55 +409,21 @@ class _Update:
         self.done.succeed(txn)
 
 
-class _Query:
-    """One read-only query, as a flat chain: no consensus (Section 2.1).
+class _Query(QueryRoundTrip):
+    """One read-only query: one leaseholder ``kv_read`` per op
+    (sequential), then the reply from the first key's region leader."""
 
-    Client NIC egress -> propagation -> one leaseholder ``kv_read`` per
-    op (sequential) -> response NIC egress at the first key's region
-    leader -> propagation -> done.
-    """
+    __slots__ = ()
 
-    __slots__ = ("system", "txn", "done", "_idx")
-
-    def __init__(self, system: "TikvSystem", txn: Transaction, done: Event):
-        self.system = system
-        self.txn = txn
-        self.done = done
-        self._idx = 0
-
-    def start(self) -> None:
-        self.system.env._schedule_call(self._begin, None)
-
-    def _begin(self, _arg) -> None:
-        system = self.system
-        self.txn.submitted_at = system.env.now
-        system.client_node.nic_out.serve_then(
-            system.costs.net_send_overhead + system.costs.transfer_time(96),
-            self._sent)
-
-    def _sent(self, _arg) -> None:
-        self.system.env.after(self.system.costs.net_latency, self._next_read)
-
-    def _next_read(self, _arg) -> None:
-        system = self.system
+    def _arrived(self, _arg) -> None:
         ops = self.txn.ops
         if self._idx < len(ops):
             key = ops[self._idx].key
             self._idx += 1
-            subscribe(system.cluster.kv_read(key), self._next_read)
+            subscribe(self.system.cluster.kv_read(key), self._arrived)
             return
-        node = system.cluster.leader_node(ops[0].key)
-        node.nic_out.serve_then(
-            system.costs.net_send_overhead
-            + system.costs.transfer_time(64 + self.txn.payload_size),
-            self._responded)
-
-    def _responded(self, _arg) -> None:
-        self.system.env.after(self.system.costs.net_latency, self._finish)
-
-    def _finish(self, _arg) -> None:
-        self.txn.mark_committed()
-        self.done.succeed(self.txn)
+        self._reply(self.system.cluster.leader_node(ops[0].key),
+                    64 + self.txn.payload_size)
 
 
 class TikvSystem(TransactionalSystem):

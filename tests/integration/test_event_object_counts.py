@@ -90,8 +90,10 @@ def test_process_count_pinned(case, monkeypatch):
 #: (Event constructions, tps) over run_point("ahl", scale=SMOKE, seed=3,
 #: num_nodes=6, ops_per_txn=2): two shards, so single- and cross-shard
 #: transactions both take shard pipeline slots.  Subclass constructions
-#: (timers, joins, processes) count too.
-AHL_EVENT_COUNT = (17_519, 96.26389141433086)
+#: (timers, joins, processes) count too.  A slot outside a
+#: reconfiguration pause builds no event at its pause gate (17,519
+#: before that gate stopped building one).
+AHL_EVENT_COUNT = (16_607, 96.26389141433086)
 
 
 def test_ahl_event_count_pinned(monkeypatch):

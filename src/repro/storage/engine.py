@@ -45,7 +45,7 @@ from ..crypto.hashing import NULL_HASH
 from .btree import BPlusTree
 from .lsm import LSMTree
 from .skiplist import SkipList
-from .wal import WalRecord, WriteAheadLog
+from .wal import WriteAheadLog
 
 __all__ = ["CommitResult", "RecoveryResult", "StorageEngine", "LsmEngine",
            "BTreeEngine", "SkipListEngine", "MptEngine", "MbtEngine",
@@ -108,16 +108,19 @@ class StorageEngine:
     # -- write path ----------------------------------------------------------
 
     def put(self, key: str, value: bytes) -> None:
-        self.puts += 1
-        kb = key.encode()
-        if self.wal is not None:
-            self._wal_seq += 1
-            self.wal.append(WalRecord(self._wal_seq, kb, value))
-        self._put(kb, value)
+        self._write(((key.encode(), value),))
 
     def apply_write_set(self, write_set: dict[str, bytes]) -> None:
-        for key, value in write_set.items():
-            self.put(key, value)
+        self._write([(key.encode(), value)
+                     for key, value in write_set.items()])
+
+    def _write(self, items: list[tuple[bytes, bytes]]) -> None:
+        """Journal the encoded write set in one append, then apply it."""
+        self.puts += len(items)
+        if self.wal is not None:
+            self.wal.append_batch(self._wal_seq + 1, items)
+            self._wal_seq += len(items)
+        self._put_many(items)
 
     # -- read path -----------------------------------------------------------
 
@@ -162,11 +165,12 @@ class StorageEngine:
         """Rebuild the structure by replaying the surviving WAL.
 
         The real recovery loop: a fresh structure (:meth:`_fresh_structure`)
-        is populated record by record through the engine's own ``_put``
-        path — *not* :meth:`put`, which would re-journal every replayed
-        write — then committed once.  Replay stops at the first torn or
-        corrupt record exactly as :meth:`WriteAheadLog.replay` does, so
-        post-recovery state equals the pre-crash *synced* state.
+        is populated with the replayed records, in log order, through the
+        engine's own ``_put_many`` hook — *not* :meth:`apply_write_set`,
+        which would re-journal every replayed write — then committed
+        once.  Replay stops at the first torn or corrupt record exactly
+        as :meth:`WriteAheadLog.replay` does, so post-recovery state
+        equals the pre-crash *synced* state.
         """
         if self.wal is None:
             raise RuntimeError(
@@ -174,25 +178,26 @@ class StorageEngine:
                 "(SystemConfig.extras['wal'] = True)")
         self._fresh_structure()
         self._node_ops = 0
-        records = 0
-        last_seq = 0
-        for record in self.wal.replay():
-            self._put(record.key, record.value)
-            records += 1
-            last_seq = record.seq
+        records = list(self.wal.replay())
+        self._put_many([(record.key, record.value) for record in records])
         root, hashes = self._commit()
         self._node_ops = 0
-        self._wal_seq = max(self._wal_seq, last_seq)
+        if records:
+            self._wal_seq = max(self._wal_seq, records[-1].seq)
         self.recoveries += 1
-        return RecoveryResult(records, self.wal.size_bytes(), root, hashes)
+        return RecoveryResult(len(records), self.wal.size_bytes(), root,
+                              hashes)
 
     # -- engine-specific hooks --------------------------------------------------
     # The defaults drive ``tree``: one node op per write, and a commit that
     # reports the measured hash delta when the engine is authenticated.
 
-    def _put(self, key: bytes, value: bytes) -> None:
-        self.tree.put(key, value)
-        self._node_ops += 1
+    def _put_many(self, items: list[tuple[bytes, bytes]]) -> None:
+        """Apply an encoded write set in order (every write lands here)."""
+        put = self.tree.put
+        for key, value in items:
+            put(key, value)
+        self._node_ops += len(items)
 
     def _get(self, key: bytes) -> Optional[bytes]:
         return self.tree.get(key)
@@ -223,11 +228,10 @@ class LsmEngine(StorageEngine):
 
     kind = IndexKind.LSM
 
-    def _put(self, key: bytes, value: bytes) -> None:
-        flushed = self.tree.bytes_flushed
-        self.tree.put(key, value)
-        # memtable insert, plus the SSTable writes when a flush cascades
-        self._node_ops += 1 + (self.tree.bytes_flushed != flushed)
+    def _put_many(self, items: list[tuple[bytes, bytes]]) -> None:
+        # one memtable insert per write, plus the SSTable writes of each
+        # flush (and the compaction it may cascade into)
+        self._node_ops += len(items) + self.tree.write_batch(items)
 
     def _fresh_structure(self) -> None:
         self.tree = LSMTree(memtable_limit=4096)
@@ -241,9 +245,11 @@ class BTreeEngine(StorageEngine):
 
     kind = IndexKind.BTREE
 
-    def _put(self, key: bytes, value: bytes) -> None:
-        self.tree.put(key, value)
-        self._node_ops += self.tree.depth()   # root-to-leaf page writes
+    def _put_many(self, items: list[tuple[bytes, bytes]]) -> None:
+        tree = self.tree
+        for key, value in items:
+            tree.put(key, value)
+            self._node_ops += tree.depth()   # root-to-leaf page writes
 
     def _fresh_structure(self) -> None:
         self.tree = BPlusTree(order=64)
@@ -283,9 +289,11 @@ class MptEngine(StorageEngine):
     kind = IndexKind.LSM_MPT
     authenticated = True
 
-    def _put(self, key: bytes, value: bytes) -> None:
-        self.tree.stage(key, value)
-        self._node_ops += 1
+    def _put_many(self, items: list[tuple[bytes, bytes]]) -> None:
+        stage = self.tree.stage
+        for key, value in items:
+            stage(key, value)
+        self._node_ops += len(items)
 
     def _fresh_structure(self) -> None:
         self.tree = MerklePatriciaTrie()

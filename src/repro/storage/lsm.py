@@ -4,15 +4,24 @@ Writes land in a WAL and a skip-list memtable; full memtables flush to
 immutable L0 SSTables; levels compact by size-tiered promotion with
 leveled merge (newer data shadows older).  Space and write amplification
 counters feed the storage analyses in the test suite.
+
+Every write is a batch (:meth:`LSMTree.write_batch`; ``put`` and
+``delete`` are batches of one).  A batch inserts its records into the
+memtable in order, flushing each time the memtable fills, and then logs
+them: records up to the batch's last flush are counted in the WAL but
+never encoded, since that flush truncates the log (see
+:mod:`repro.storage.wal`).  The resulting state — WAL bytes, SSTables,
+bloom bits, memtable node levels, counters — is the state the same
+records reach one write at a time.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .skiplist import SkipList
 from .sstable import SSTable, TOMBSTONE
-from .wal import WalRecord, WriteAheadLog
+from .wal import WriteAheadLog
 
 __all__ = ["LSMTree"]
 
@@ -40,21 +49,46 @@ class LSMTree:
     # -- write path -------------------------------------------------------------
 
     def put(self, key: bytes, value: bytes) -> None:
-        if value == TOMBSTONE:
-            raise ValueError("value collides with tombstone marker")
-        self._write(key, value)
+        self.write_batch(((key, value),))
 
     def delete(self, key: bytes) -> None:
-        self._write(key, TOMBSTONE)
+        self.write_batch(((key, None),))
 
-    def _write(self, key: bytes, value: bytes) -> None:
-        self._seq += 1
-        self.wal.append(WalRecord(self._seq, key, value))
+    def write_batch(self, items: Iterable[tuple[bytes, Optional[bytes]]]
+                    ) -> int:
+        """Write ``(key, value)`` pairs in order (``None`` deletes the
+        key); returns the number of memtable flushes the batch ran.
+
+        A value equal to the tombstone marker raises ``ValueError``
+        before anything is written.
+        """
+        batch = []
+        for key, value in items:
+            if value is None:
+                value = TOMBSTONE
+            elif value == TOMBSTONE:
+                raise ValueError("value collides with tombstone marker")
+            batch.append((key, value))
+        limit = self.memtable_limit
+        memtable = self._memtable
+        size = len(memtable)
+        flushes = 0
+        logged_from = 0       # first record after the batch's last flush
+        written = 0
+        for i, (key, value) in enumerate(batch, 1):
+            size += memtable.put(key, value)
+            written += len(key) + len(value)
+            if size >= limit:
+                self.flush()
+                memtable = self._memtable
+                size = 0
+                flushes += 1
+                logged_from = i
+        self.user_bytes_written += written
+        self.wal.append_batch(self._seq + 1, batch, logged_from)
         self.wal.sync()
-        self._memtable.put(key, value)
-        self.user_bytes_written += len(key) + len(value)
-        if len(self._memtable) >= self.memtable_limit:
-            self.flush()
+        self._seq += len(batch)
+        return flushes
 
     def flush(self) -> None:
         """Freeze the memtable into an L0 SSTable and truncate the WAL."""

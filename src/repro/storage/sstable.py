@@ -7,12 +7,17 @@ TiKV, LevelDB and RocksDB share in Table 2.
 
 from __future__ import annotations
 
-import hashlib
+import struct
+from bisect import bisect_left
+from hashlib import sha256
 from typing import Iterator, Optional
 
 __all__ = ["BloomFilter", "SSTable"]
 
 TOMBSTONE = b"\x00__tombstone__"
+
+# the three 8-byte big-endian probe words at the head of a key's sha256
+_PROBE_WORDS = struct.Struct(">3Q")
 
 
 class BloomFilter:
@@ -22,19 +27,23 @@ class BloomFilter:
         self.nbits = max(64, capacity * bits_per_key)
         self._bits = bytearray((self.nbits + 7) // 8)
 
-    def _probes(self, key: bytes) -> Iterator[int]:
-        digest = hashlib.sha256(key).digest()
-        for i in range(3):
-            chunk = digest[i * 8:(i + 1) * 8]
-            yield int.from_bytes(chunk, "big") % self.nbits
+    def _probes(self, key: bytes) -> tuple[int, int, int]:
+        """The key's three bit positions: one sha256, three words."""
+        nbits = self.nbits
+        a, b, c = _PROBE_WORDS.unpack_from(sha256(key).digest())
+        return a % nbits, b % nbits, c % nbits
 
     def add(self, key: bytes) -> None:
+        bits = self._bits
         for bit in self._probes(key):
-            self._bits[bit // 8] |= 1 << (bit % 8)
+            bits[bit >> 3] |= 1 << (bit & 7)
 
     def may_contain(self, key: bytes) -> bool:
-        return all(self._bits[bit // 8] & (1 << (bit % 8))
-                   for bit in self._probes(key))
+        bits = self._bits
+        for bit in self._probes(key):
+            if not bits[bit >> 3] & (1 << (bit & 7)):
+                return False
+        return True
 
 
 class SSTable:
@@ -72,15 +81,10 @@ class SSTable:
             return None
         if not self.bloom.may_contain(key):
             return None
-        lo, hi = 0, len(self._keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._keys[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self._keys) and self._keys[lo] == key:
-            return self._values[lo]
+        keys = self._keys
+        i = bisect_left(keys, key)
+        if keys[i] == key:
+            return self._values[i]
         return None
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:

@@ -4,14 +4,37 @@ The paper (Section 3.3.1) notes databases keep history only in pruned WALs
 used for recovery — unlike the blockchain ledger.  This WAL backs the LSM
 engine: records are length-prefixed and CRC-protected, a torn tail (as left
 by a crash) is detected and discarded at replay.
+
+Records are appended in batches (:meth:`WriteAheadLog.append_batch`).  A
+writer that checkpoints inside a batch (the LSM flushes its memtable and
+truncates the log) passes how many of the batch's leading records that
+checkpoint already covered: they are *counted* in ``appended`` — they
+were logged — but never encoded, because the truncation would discard
+their bytes unread.  The buffer ends up byte-identical to appending and
+truncating record by record.
 """
 
 from __future__ import annotations
 
+import struct
 import zlib
-from typing import Iterator
+from typing import Iterator, Sequence
 
 __all__ = ["WriteAheadLog", "WalRecord"]
+
+# record = body length, crc32(body), body; body = seq, key length, key,
+# value length, value (all integers big-endian)
+_HEADER = struct.Struct(">II")
+_SEQ_KEYLEN = struct.Struct(">QI")
+_VALUELEN = struct.Struct(">I")
+
+
+def _pack_into(buffer: bytearray, seq: int, key: bytes, value: bytes) -> None:
+    """Append one encoded record to ``buffer`` (the one record packer)."""
+    body = b"".join((_SEQ_KEYLEN.pack(seq, len(key)), key,
+                     _VALUELEN.pack(len(value)), value))
+    buffer += _HEADER.pack(len(body), zlib.crc32(body))
+    buffer += body
 
 
 class WalRecord:
@@ -25,15 +48,9 @@ class WalRecord:
         self.value = value
 
     def encode(self) -> bytes:
-        body = (
-            self.seq.to_bytes(8, "big")
-            + len(self.key).to_bytes(4, "big")
-            + self.key
-            + len(self.value).to_bytes(4, "big")
-            + self.value
-        )
-        crc = zlib.crc32(body).to_bytes(4, "big")
-        return len(body).to_bytes(4, "big") + crc + body
+        out = bytearray()
+        _pack_into(out, self.seq, self.key, self.value)
+        return bytes(out)
 
     @classmethod
     def decode(cls, body: bytes) -> "WalRecord":
@@ -55,8 +72,23 @@ class WriteAheadLog:
         self.synced_to = 0
 
     def append(self, record: WalRecord) -> None:
-        self._buffer.extend(record.encode())
+        _pack_into(self._buffer, record.seq, record.key, record.value)
         self.appended += 1
+
+    def append_batch(self, first_seq: int,
+                     items: Sequence[tuple[bytes, bytes]],
+                     checkpointed: int = 0) -> None:
+        """Append ``items`` as records ``first_seq``, ``first_seq + 1``, …
+
+        The first ``checkpointed`` records were covered by a checkpoint
+        the writer took inside the batch: they count in ``appended`` but
+        are not encoded (see the module docstring).
+        """
+        buffer = self._buffer
+        for i in range(checkpointed, len(items)):
+            key, value = items[i]
+            _pack_into(buffer, first_seq + i, key, value)
+        self.appended += len(items)
 
     def sync(self) -> None:
         """Mark everything written so far as durable."""

@@ -263,8 +263,7 @@ class AhlSystem(TransactionalSystem):
                 periodic_reconfig=periodic_reconfig)
 
     def load(self, records: dict[str, bytes]) -> None:
-        for key, value in records.items():
-            self.state.put(key, value, 0)
+        self.state.apply_write_set(records, 0)
 
     # -- reconfiguration epochs ---------------------------------------------------
 

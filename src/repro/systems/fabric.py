@@ -338,9 +338,8 @@ class FabricSystem(TransactionalSystem):
 
     def load(self, records: dict[str, bytes]) -> None:
         for peer in self.peers:
-            for key, value in records.items():
-                peer.state.put(key, value, 0)
-            # writes mirrored into the engine; one batched genesis commit
+            peer.state.apply_write_set(records, 0)
+            # one engine write set for the load, one batched genesis commit
             peer.state.commit(0)
 
     # -- update path -------------------------------------------------------------------

@@ -155,9 +155,8 @@ class QuorumSystem(TransactionalSystem):
     # -- loading -------------------------------------------------------------------
 
     def load(self, records: dict[str, bytes]) -> None:
-        for key, value in records.items():
-            self.state.put(key, value, 0)
-        # writes mirrored into the engine above; one batched genesis commit
+        self.state.apply_write_set(records, 0)
+        # one engine write set for the load, one batched genesis commit
         self.state.commit(0)
 
     # -- cost helpers ------------------------------------------------------------------

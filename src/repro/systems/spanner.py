@@ -266,8 +266,7 @@ class SpannerSystem(TransactionalSystem):
         self.lock_aborts = 0
 
     def load(self, records: dict[str, bytes]) -> None:
-        for key, value in records.items():
-            self.state.put(key, value, 0)
+        self.state.apply_write_set(records, 0)
 
     # -- helpers ----------------------------------------------------------------
 

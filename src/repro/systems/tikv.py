@@ -256,10 +256,8 @@ class TikvCluster:
         return done
 
     def load(self, records: dict[str, bytes]) -> None:
-        for key, value in records.items():
-            self._version += 1
-            self.state.put(key, value, self._version)
-        # writes mirrored into the engine above; one batched genesis commit
+        self._version = self.state.load(records, self._version + 1)
+        # one engine write set for the load, one batched genesis commit
         self.state.commit(self._version)
 
 

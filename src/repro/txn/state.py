@@ -61,6 +61,21 @@ class VersionedStore:
         if self.engine is not None:
             self.engine.apply_write_set(write_set)
 
+    def load(self, records: dict[str, bytes], first_version: int) -> int:
+        """Pre-populate with one version per record: the i-th record (in
+        dict order) gets ``first_version + i``, as if each were its own
+        commit.  The engine gets the whole dict as one write set.
+        Returns the last version written."""
+        data = self._data
+        version = first_version - 1
+        for version, (key, value) in enumerate(records.items(),
+                                               first_version):
+            data[key] = (value, version)
+        self.writes += len(records)
+        if self.engine is not None:
+            self.engine.apply_write_set(records)
+        return version
+
     def commit(self, version: int = 0) -> Optional["CommitResult"]:
         """Fold the engine's pending writes (one batch per block).
 

@@ -220,6 +220,34 @@ def test_lsm_tombstone_value_collision_rejected():
         lsm.put(b"k", TOMBSTONE)
 
 
+def test_lsm_batch_tombstone_collision_rejected_before_any_write():
+    """The colliding value comes after the record that would fill the
+    memtable: validation runs first, so nothing is logged, inserted,
+    flushed or counted."""
+    lsm = LSMTree(memtable_limit=4)
+    lsm.write_batch([(b"a", b"1"), (b"b", b"2")])
+
+    def state():
+        return (bytes(lsm.wal._buffer), lsm.wal.appended, lsm.wal.synced_to,
+                list(lsm._memtable.items()), lsm._seq, lsm.table_count(),
+                lsm.user_bytes_written, lsm.bytes_flushed)
+
+    before = state()
+    with pytest.raises(ValueError):
+        lsm.write_batch([(b"c", b"3"), (b"d", b"4"), (b"e", TOMBSTONE)])
+    assert state() == before
+
+
+def test_lsm_batch_none_deletes():
+    lsm = LSMTree(memtable_limit=3)
+    flushes = lsm.write_batch([(b"a", b"1"), (b"b", b"2"), (b"c", b"3"),
+                               (b"a", None), (b"d", b"4")])
+    assert flushes == 1
+    assert lsm.get(b"a") is None and lsm.get(b"b") == b"2"
+    assert [(k, v) for k, v in lsm.scan(b"a", b"z")] == [
+        (b"b", b"2"), (b"c", b"3"), (b"d", b"4")]
+
+
 def test_lsm_scan_merges_levels():
     lsm = LSMTree(memtable_limit=4)
     model = {}

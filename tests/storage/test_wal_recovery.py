@@ -5,6 +5,7 @@ the first torn or checksum-failing byte replay cleanly; everything after
 is discarded, never garbled.
 """
 
+from repro.storage.lsm import LSMTree
 from repro.storage.wal import WalRecord, WriteAheadLog
 
 
@@ -77,3 +78,34 @@ class TestTruncateAfterReplay:
         records = list(wal.replay())
         assert [r.seq for r in records] == [5]
         assert records[0].value == b"post"
+
+
+class TestBatchCheckpoint:
+    """A batch that flushes mid-way logs only what outlives its last
+    flush; the rest is counted, never encoded."""
+
+    def test_crash_after_mid_batch_flush_replays_the_tail(self):
+        lsm = LSMTree(memtable_limit=16)
+        lsm.write_batch([(b"a%03d" % i, b"x") for i in range(5)])
+        # seqs 6..45; the memtable fills at the 11th and the 27th record
+        items = [(b"k%03d" % i, b"v%d" % i) for i in range(40)]
+        assert lsm.write_batch(items) == 2
+        assert lsm.wal.appended == 45
+        before = list(lsm._memtable.items())
+        lsm.wal.crash()
+        assert lsm.recover() == 13
+        assert [r.seq for r in lsm.wal.replay()] == list(range(33, 46))
+        assert list(lsm._memtable.items()) == before == items[27:]
+
+    def test_batch_log_equals_key_at_a_time_log(self):
+        batched, single = LSMTree(memtable_limit=16), LSMTree(memtable_limit=16)
+        items = [(b"k%03d" % (i * 7 % 50), b"v%d" % i) for i in range(60)]
+        batched.write_batch(items)
+        for key, value in items:
+            single.put(key, value)
+        for lsm in (batched, single):
+            assert lsm.wal.synced_to == lsm.wal.size_bytes()
+        assert batched.wal.appended == single.wal.appended == 60
+        assert bytes(batched.wal._buffer) == bytes(single.wal._buffer)
+        assert [(r.seq, r.key, r.value) for r in batched.wal.replay()] == [
+            (r.seq, r.key, r.value) for r in single.wal.replay()]

@@ -72,8 +72,7 @@ class WriteAheadLog:
         self.synced_to = 0
 
     def append(self, record: WalRecord) -> None:
-        _pack_into(self._buffer, record.seq, record.key, record.value)
-        self.appended += 1
+        self.append_batch(record.seq, ((record.key, record.value),))
 
     def append_batch(self, first_seq: int,
                      items: Sequence[tuple[bytes, bytes]],

@@ -339,7 +339,6 @@ class FabricSystem(TransactionalSystem):
     def load(self, records: dict[str, bytes]) -> None:
         for peer in self.peers:
             peer.state.apply_write_set(records, 0)
-            # one engine write set for the load, one batched genesis commit
             peer.state.commit(0)
 
     # -- update path -------------------------------------------------------------------

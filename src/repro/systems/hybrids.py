@@ -249,7 +249,6 @@ class HybridSystem(TransactionalSystem):
 
     def load(self, records: dict[str, bytes]) -> None:
         self.state.apply_write_set(records, 0)
-        # one engine write set for the load, one batched genesis commit
         self.state.commit(0)
 
     # -- submission -------------------------------------------------------------------

@@ -156,7 +156,6 @@ class QuorumSystem(TransactionalSystem):
 
     def load(self, records: dict[str, bytes]) -> None:
         self.state.apply_write_set(records, 0)
-        # one engine write set for the load, one batched genesis commit
         self.state.commit(0)
 
     # -- cost helpers ------------------------------------------------------------------

@@ -257,7 +257,6 @@ class TikvCluster:
 
     def load(self, records: dict[str, bytes]) -> None:
         self._version = self.state.load(records, self._version + 1)
-        # one engine write set for the load, one batched genesis commit
         self.state.commit(self._version)
 
 

@@ -184,17 +184,13 @@ def test_lsm_state_matches_pin(name):
     assert STREAMS[name]() == PINS[name]
 
 
-def _write_batches(lsm: LSMTree, ops, rng: random.Random) -> None:
-    i = 0
-    while i < len(ops):
-        size = rng.choice((1, 2, 7, 63, 64, 65, 500))
-        lsm.write_batch(ops[i:i + size])
-        i += size
-
-
 def test_churn_in_batches_matches_key_at_a_time_pin():
     """Batches of every size around the memtable limit, deletes as
     ``None``, reach the state the key-at-a-time stream pinned."""
     lsm = LSMTree(memtable_limit=64)
-    _write_batches(lsm, _churn_ops(), random.Random(3))
+    ops, rng, i = _churn_ops(), random.Random(3), 0
+    while i < len(ops):
+        size = rng.choice((1, 2, 7, 63, 64, 65, 500))
+        lsm.write_batch(ops[i:i + size])
+        i += size
     assert _digest(lsm) == PINS["churn_64"]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adt.mpt import EMPTY_ROOT, MerklePatriciaTrie, verify_proof
+from repro.workloads.smallbank import SmallbankConfig, SmallbankWorkload
 
 
 def key_of(i: int) -> bytes:
@@ -23,7 +24,9 @@ def key_of(i: int) -> bytes:
 # the separate per-write insert routine ``put()`` had before it was folded
 # into the staged one (the two agreed on every value).  The tests further
 # down that compare ``put()`` with ``commit()`` check that batching
-# commutes; these pin the trie itself.
+# commutes; these pin the trie itself.  ``_anchor`` also reads
+# ``store.puts``: on a trie with a store of its own every hash is one put,
+# so the put count equals the hash count.
 
 
 def _fig13_items():
@@ -67,7 +70,12 @@ ANCHORS = {
 
 def _anchor(trie):
     return (trie.root.hex(), len(trie.store), trie.store.total_bytes(),
-            trie.hashes_computed)
+            trie.hashes_computed, trie.store.puts)
+
+
+def _with_puts(counts):
+    """An anchor's counts plus ``store.puts``, equal to its hash count."""
+    return (*counts, counts[-1])
 
 
 @pytest.mark.parametrize("name", sorted(ANCHORS))
@@ -77,14 +85,14 @@ def test_literal_anchors(name):
     per_write = MerklePatriciaTrie()
     for k, v in items:
         per_write.put(k, v)
-    assert _anchor(per_write) == (root, *per_write_counts)
+    assert _anchor(per_write) == (root, *_with_puts(per_write_counts))
     batched = MerklePatriciaTrie()
     for i, (k, v) in enumerate(items, 1):
         batched.stage(k, v)
         if i % 100 == 0:
             batched.commit()
     batched.commit()
-    assert _anchor(batched) == (root, *block_counts)
+    assert _anchor(batched) == (root, *_with_puts(block_counts))
 
 
 def _quorum_blocks():
@@ -173,10 +181,28 @@ def test_quorum_commit_stream_anchors():
             trie.stage(k, v)
         trie.commit()
         seen.append(_anchor(trie))
-    assert seen == QUORUM_ANCHORS
+    assert seen == [_with_puts(anchor) for anchor in QUORUM_ANCHORS]
     assert trie.get(b"checking00000001") == b"prefix"
     assert trie.get(b"savings0000000") == b""
     assert trie.get(b"checking000000001x") == b"longer"
+
+
+# A SmallBank genesis staged and committed once, as quorum's load does:
+# 40,000 keys whose values are all equal, so equal leaves and equal
+# branches dedupe and the store keeps 13 nodes of 48,893 puts.
+SMALLBANK_LOAD_ANCHOR = (
+    "4da3bbbcf2a2370966baa6c9a578a0f7a644ae66a524d7aa3fcdadfd37d6556a",
+    13, 2327, 48893, 48893)
+
+
+def test_smallbank_load_anchor():
+    records = SmallbankWorkload(
+        SmallbankConfig(num_accounts=20_000, seed=8)).initial_records()
+    trie = MerklePatriciaTrie()
+    for key, value in records.items():
+        trie.stage(key.encode(), value)
+    trie.commit()
+    assert _anchor(trie) == SMALLBANK_LOAD_ANCHOR
 
 
 def test_fig13_measures_the_anchored_trie():

@@ -32,11 +32,26 @@ Nibble paths are ``bytes`` with one nibble (0–15) per byte.  The store
 keeps each node once, decoded, under the digest of its encoding, so every
 trie over one store (each block's historical root included) reads the same
 map; only :func:`verify_proof`, which checks untrusted bytes, decodes.
+
+Each node kind is stored with one typed call: :meth:`NodeStore.put_path`
+for a leaf or an extension, :meth:`NodeStore.put_branch` for a branch.
+Each builds its encoding from precomputed length-prefix tables and hashes
+it with ``hashlib`` directly; :meth:`NodeStore.put` and the proof encoder
+use the same two blob builders, so there is one encoding.  A stored
+branch holds its children as a tuple of digests (``b""`` for an empty
+slot): a merge copies them into a list before it edits them, and a tuple
+of ``bytes`` drops out of cyclic-GC tracking.
+
+Counting: ``NodeStore.puts`` counts every node stored, equal nodes
+included — one put is one node hash, whether or not the content-addressed
+store already held the node.  A trie's ``hashes_computed`` is the puts
+its own merges made, which systems charge as crypto cost.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from hashlib import sha256 as _sha256
 from typing import Optional
 
 from ..crypto.hashing import sha256
@@ -49,12 +64,52 @@ _LEAF = 2
 
 EMPTY_ROOT = sha256(b"mpt:empty")
 
-_KIND = (b"\x00", b"\x01", b"\x02")
 _NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
-# the 2-byte length prefix of a branch child: a digest or empty
-_CHILD_LEN = tuple(n.to_bytes(2, "big") for n in range(33))
 # one past each nibble: bounds a branch slot's run of sorted keys
 _NEXT = tuple(bytes([n + 1]) for n in range(16))
+
+
+def _prefix(lead: bytes, n: int, width: int) -> bytes:
+    """``lead`` + ``n`` as a ``width``-byte big-endian length prefix."""
+    return lead + n.to_bytes(width, "big")
+
+
+# Length prefixes precomputed for every length under _TABLE: a leaf or
+# extension head (kind byte + 2-byte path length), a 4-byte payload
+# length, and the 2-byte length of a branch child (a digest or empty).
+_TABLE = 1024
+_PATH_HEAD = tuple(tuple(_prefix(bytes([kind]), n, 2) for n in range(_TABLE))
+                   if kind != _BRANCH else None
+                   for kind in (_BRANCH, _EXTENSION, _LEAF))
+_PAYLOAD_LEN = tuple(_prefix(b"", n, 4) for n in range(_TABLE))
+_CHILD_LEN = tuple(_prefix(b"", n, 2) for n in range(33))
+
+
+def _path_blob(kind: int, path: bytes, tail: bytes) -> bytes:
+    """Encoding of a leaf (``tail`` is the value) or an extension
+    (``tail`` is the child digest)."""
+    try:
+        return (_PATH_HEAD[kind][len(path)] + path
+                + _PAYLOAD_LEN[len(tail)] + tail)
+    except IndexError:   # a length past the tables
+        return (_prefix(bytes([kind]), len(path), 2) + path
+                + _prefix(b"", len(tail), 4) + tail)
+
+
+def _branch_blob(children, value: Optional[bytes]) -> bytes:
+    """Encoding of a branch: 16 length-prefixed child digests, then the
+    value behind a presence flag that keeps an *empty* stored value
+    distinct from "no value at this branch"."""
+    parts = [b"\x00"]
+    append = parts.append
+    for child in children:
+        append(_CHILD_LEN[len(child)])
+        append(child)
+    if value is None:
+        append(b"\x00")
+    else:
+        parts += (b"\x01", _prefix(b"", len(value), 4), value)
+    return b"".join(parts)
 
 
 def _to_nibbles(key: bytes) -> bytes:
@@ -74,20 +129,9 @@ def _lcp(a: bytes, b: bytes) -> int:
 def _encode(node: tuple) -> bytes:
     """Unambiguous length-prefixed serialization of a trie node."""
     kind, body, tail = node
-    if kind != _BRANCH:   # body is the nibble path, tail the payload
-        return b"".join((_KIND[kind], len(body).to_bytes(2, "big"), body,
-                         len(tail).to_bytes(4, "big"), tail))
-    parts = [_KIND[_BRANCH]]
-    for child in body:
-        parts.append(_CHILD_LEN[len(child)])
-        parts.append(child)
-    # presence flag keeps an *empty* stored value distinct from
-    # "no value at this branch"
-    if tail is None:
-        parts.append(b"\x00")
-    else:
-        parts += (b"\x01", len(tail).to_bytes(4, "big"), tail)
-    return b"".join(parts)
+    if kind == _BRANCH:
+        return _branch_blob(body, tail)
+    return _path_blob(kind, body, tail)
 
 
 def _decode(blob: bytes) -> tuple:
@@ -125,7 +169,12 @@ class NodeStore:
     Each node is kept once, decoded, under the SHA-256 digest of its
     encoding; ``total_bytes`` counts what the encoded nodes occupy on disk.
     Nodes are never deleted: stale versions of rewritten paths remain, just
-    like an unpruned Ethereum state database.
+    like an unpruned Ethereum state database.  ``puts`` counts every node
+    stored, equal ones included: one put is one node hash.
+
+    A node kind is stored with one call: :meth:`put_path` for a leaf or an
+    extension, :meth:`put_branch` for a branch.  :meth:`put` takes a node
+    tuple and dispatches to them.
     """
 
     def __init__(self):
@@ -134,12 +183,31 @@ class NodeStore:
         self.puts = 0
 
     def put(self, node: tuple) -> bytes:
-        blob = _encode(node)
-        digest = sha256(blob)
+        kind, body, tail = node
+        if kind == _BRANCH:
+            return self.put_branch(body, tail)
+        return self.put_path(kind, body, tail)
+
+    def put_path(self, kind: int, path: bytes, tail: bytes) -> bytes:
+        """Store a leaf (``tail`` = value) or an extension (``tail`` =
+        child digest); return its digest."""
+        blob = _path_blob(kind, path, tail)
+        digest = _sha256(blob).digest()
         self.puts += 1
         # Content-addressing dedups equal nodes automatically.
         if digest not in self._nodes:
-            self._nodes[digest] = node
+            self._nodes[digest] = (kind, path, tail)
+            self._bytes += 32 + len(blob)
+        return digest
+
+    def put_branch(self, children, value: Optional[bytes]) -> bytes:
+        """Store a branch over 16 child digests (``b""`` for an empty
+        slot); return its digest.  The stored node holds them as a tuple."""
+        blob = _branch_blob(children, value)
+        digest = _sha256(blob).digest()
+        self.puts += 1
+        if digest not in self._nodes:
+            self._nodes[digest] = (_BRANCH, tuple(children), value)
             self._bytes += 32 + len(blob)
         return digest
 
@@ -171,14 +239,20 @@ class MerklePatriciaTrie:
     # Stored nodes are shared by every trie over the store: they are
     # immutable by convention (a merge builds new nodes, never edits one).
 
-    def _store(self, node: tuple) -> bytes:
-        self.hashes_computed += 1
-        return self.store.put(node)
-
     def _load(self, digest: bytes) -> Optional[tuple]:
         if digest == EMPTY_ROOT or not digest:
             return None
         return self.store._nodes[digest]   # one lookup on the hot path
+
+    def _apply(self, items: list) -> bytes:
+        """Merge sorted ``items`` at the root.  Every node the merge
+        stores is one hash, so the hashes computed are the store's puts
+        during the merge."""
+        store = self.store
+        before = store.puts
+        self.root = self._merge(self._load(self.root), items, 0)
+        self.hashes_computed += store.puts - before
+        return self.root
 
     # -- public API ----------------------------------------------------------
 
@@ -194,9 +268,7 @@ class MerklePatriciaTrie:
             # This write supersedes any older staged write for the key —
             # otherwise the stale staged value would clobber it at commit.
             self._pending.pop(key, None)
-        self.root = self._merge(self._load(self.root),
-                                [(_to_nibbles(key), value)], 0)
-        return self.root
+        return self._apply([(_to_nibbles(key), value)])
 
     def get(self, key: bytes) -> Optional[bytes]:
         if self._pending:
@@ -234,6 +306,14 @@ class MerklePatriciaTrie:
             raise ValueError("empty key")
         self._pending[key] = value
 
+    def stage_many(self, items) -> None:
+        """Buffer ``(key, value)`` pairs as :meth:`stage` would, in order;
+        an empty key raises before any pair is staged."""
+        staged = dict(items)
+        if b"" in staged:
+            raise ValueError("empty key")
+        self._pending.update(staged)
+
     @property
     def staged(self) -> int:
         """Number of keys currently staged for the next commit."""
@@ -248,13 +328,13 @@ class MerklePatriciaTrie:
         Intermediate versions of rewritten paths are therefore *not*
         written to the store (a block commits one state transition, not N).
         """
-        if not self._pending:
+        pending = self._pending
+        if not pending:
             return self.root
-        items = [(_to_nibbles(key), value)
-                 for key, value in sorted(self._pending.items())]
-        self._pending.clear()
-        self.root = self._merge(self._load(self.root), items, 0)
-        return self.root
+        items = [(key.hex().encode().translate(_NIBBLE), value)
+                 for key, value in sorted(pending.items())]
+        pending.clear()
+        return self._apply(items)
 
     # ``items`` below are sorted (nibbles, value) pairs with distinct keys
     # that share their first ``d`` nibbles; ``d`` is the depth of the node
@@ -272,12 +352,13 @@ class MerklePatriciaTrie:
             if i == len(items) or items[i][0] != own:
                 items = items[:i] + [(own, node[2])] + items[i:]
             return self._build(items, d)
+        store = self.store
         if kind == _EXTENSION:
             path, child = node[1], node[2]
             first, last = items[0][0], items[-1][0]
             if first.startswith(path, d) and last.startswith(path, d):
-                return self._store((_EXTENSION, path, self._merge(
-                    self._load(child), items, d + len(path))))
+                return store.put_path(_EXTENSION, path, self._merge(
+                    self._load(child), items, d + len(path)))
             # sorted keys: the first and last bound every item's overlap
             common = min(_lcp(path, first[d:]), _lcp(path, last[d:]))
             slot, rest = path[common], path[common + 1:]
@@ -285,27 +366,28 @@ class MerklePatriciaTrie:
             children[slot] = (_EXTENSION, rest, child) if rest else child
             value = self._fill(children, None, items, d + common)
             if children[slot].__class__ is tuple:   # no item reached it
-                children[slot] = self._store(children[slot])
-            digest = self._store((_BRANCH, children, value))
+                children[slot] = store.put_path(_EXTENSION, rest, child)
+            digest = store.put_branch(children, value)
             if common:
-                digest = self._store((_EXTENSION, path[:common], digest))
+                digest = store.put_path(_EXTENSION, path[:common], digest)
             return digest
         children = list(node[1])
         value = self._fill(children, node[2], items, d)
-        return self._store((_BRANCH, children, value))
+        return store.put_branch(children, value)
 
     def _build(self, items: list, d: int) -> bytes:
         """New nodes for ``items`` below an empty slot."""
+        store = self.store
         if len(items) == 1:
             key, value = items[0]
-            return self._store((_LEAF, key[d:], value))
+            return store.put_path(_LEAF, key[d:], value)
         first = items[0][0]
         common = d + _lcp(first[d:], items[-1][0][d:])
         children = [b""] * 16
         value = self._fill(children, None, items, common)
-        digest = self._store((_BRANCH, children, value))
+        digest = store.put_branch(children, value)
         if common > d:
-            digest = self._store((_EXTENSION, first[d:common], digest))
+            digest = store.put_path(_EXTENSION, first[d:common], digest)
         return digest
 
     def _fill(self, children: list, value: Optional[bytes], items: list,
@@ -313,22 +395,34 @@ class MerklePatriciaTrie:
         """Merge ``items`` into the branch ``children`` at depth ``d`` in
         place, one run of items per touched slot; return the branch value.
 
-        A slot holds a digest, ``b""``, or a node not yet stored.
+        A slot holds a digest, ``b""``, or a node not yet stored.  A run
+        of one key under an empty slot is stored as a leaf on the spot.
         """
         i, n = 0, len(items)
         if len(items[0][0]) == d:   # a key ending here sorts first
             value = items[0][1]
             i = 1
+        put_path = self.store.put_path
         while i < n:
-            key = items[i][0]
+            item = items[i]
+            key = item[0]
             nib = key[d]
-            j = bisect_left(items, (key[:d] + _NEXT[nib],), i + 1, n)
             ref = children[nib]
+            if i + 1 == n or items[i + 1][0][d] != nib:   # a run of one
+                j = i + 1
+                if not ref:
+                    children[nib] = put_path(_LEAF, key[d + 1:], item[1])
+                    i = j
+                    continue
+                run = [item]
+            else:
+                j = bisect_left(items, (key[:d] + _NEXT[nib],), i + 2, n)
+                run = items[i:j]
             if not ref:
-                children[nib] = self._build(items[i:j], d + 1)
+                children[nib] = self._build(run, d + 1)
             else:
                 node = ref if ref.__class__ is tuple else self._load(ref)
-                children[nib] = self._merge(node, items[i:j], d + 1)
+                children[nib] = self._merge(node, run, d + 1)
             i = j
         return value
 

@@ -111,8 +111,8 @@ class StorageEngine:
         self._write(((key.encode(), value),))
 
     def apply_write_set(self, write_set: dict[str, bytes]) -> None:
-        self._write([(key.encode(), value)
-                     for key, value in write_set.items()])
+        self._write(list(zip(map(str.encode, write_set),
+                             write_set.values())))
 
     def _write(self, items: list[tuple[bytes, bytes]]) -> None:
         """Journal the encoded write set in one append, then apply it."""
@@ -290,9 +290,7 @@ class MptEngine(StorageEngine):
     authenticated = True
 
     def _put_many(self, items: list[tuple[bytes, bytes]]) -> None:
-        stage = self.tree.stage
-        for key, value in items:
-            stage(key, value)
+        self.tree.stage_many(items)
         self._node_ops += len(items)
 
     def _fresh_structure(self) -> None:

@@ -56,8 +56,8 @@ class VersionedStore:
     def apply_write_set(self, write_set: dict[str, bytes], version: int) -> None:
         data = self._data
         for key, value in write_set.items():
-            self.writes += 1
             data[key] = (value, version)
+        self.writes += len(write_set)
         if self.engine is not None:
             self.engine.apply_write_set(write_set)
 

@@ -75,9 +75,9 @@ class SmallbankWorkload:
     def initial_records(self) -> dict[str, bytes]:
         value = encode_balance(INITIAL_BALANCE)
         records = {}
-        for i in range(self.config.num_accounts):
-            records[self.checking(i)] = value
-            records[self.savings(i)] = value
+        for i in range(self.config.num_accounts):   # the two key formats
+            records[f"checking{i:09d}"] = value
+            records[f"savings{i:09d}"] = value
         return records
 
     def _customer(self) -> int:

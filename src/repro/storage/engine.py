@@ -86,7 +86,8 @@ class StorageEngine:
     Subclasses wrap a concrete structure from :mod:`repro.storage` /
     :mod:`repro.adt` and report measured commit deltas.  An optional
     group-committed :class:`WriteAheadLog` (``SystemConfig.extras["wal"]``)
-    journals every write ahead of the structure and checkpoints at commit.
+    journals every write set the structure accepts and checkpoints at
+    commit.
     """
 
     kind: IndexKind
@@ -115,12 +116,16 @@ class StorageEngine:
                              write_set.values())))
 
     def _write(self, items: list[tuple[bytes, bytes]]) -> None:
-        """Journal the encoded write set in one append, then apply it."""
+        """Apply the encoded write set, then count it and journal it in
+        one append.  A set the structure rejects raises before it is
+        counted or journaled, so recovery never replays it; nothing runs
+        between the two steps, so the log still holds every applied write
+        before anything can crash."""
+        self._put_many(items)
         self.puts += len(items)
         if self.wal is not None:
             self.wal.append_batch(self._wal_seq + 1, items)
             self._wal_seq += len(items)
-        self._put_many(items)
 
     # -- read path -----------------------------------------------------------
 

@@ -5,6 +5,10 @@ the first torn or checksum-failing byte replay cleanly; everything after
 is discarded, never garbled.
 """
 
+import pytest
+
+from repro.storage import TOMBSTONE
+from repro.storage.engine import engine_for
 from repro.storage.lsm import LSMTree
 from repro.storage.wal import WalRecord, WriteAheadLog
 
@@ -109,3 +113,31 @@ class TestBatchCheckpoint:
         assert bytes(batched.wal._buffer) == bytes(single.wal._buffer)
         assert [(r.seq, r.key, r.value) for r in batched.wal.replay()] == [
             (r.seq, r.key, r.value) for r in single.wal.replay()]
+
+
+class TestRejectedWriteSet:
+    """A write set the structure rejects raises before the engine counts
+    or journals it, so a later crash and recovery never replay it."""
+
+    @pytest.mark.parametrize("kind, bad", [
+        ("lsm", {"c": b"3", "d": TOMBSTONE}),
+        ("mpt", {"c": b"3", "": b"empty key"}),
+    ])
+    def test_rejected_set_leaves_engine_and_log_untouched(self, kind, bad):
+        engine = engine_for(kind, wal=True)
+        engine.apply_write_set({"a": b"1", "b": b"2"})
+        engine.commit(1)
+        counts = (engine.wal.appended, engine.puts, engine._node_ops)
+        log = bytes(engine.wal._buffer)
+        with pytest.raises(ValueError):
+            engine.apply_write_set(bad)
+        assert (engine.wal.appended, engine.puts, engine._node_ops) == counts
+        assert bytes(engine.wal._buffer) == log
+        engine.put("e", b"5")
+        engine.commit(2)
+        root = engine.commit(3).root
+        engine.crash()
+        assert engine.recover().records == 3
+        assert [engine.get(k) for k in "abcde"] == [
+            b"1", b"2", None, None, b"5"]
+        assert engine.commit(4).root == root

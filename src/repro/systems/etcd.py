@@ -24,7 +24,7 @@ from ..concurrency.serial import SerialExecutor
 from ..consensus.raft import RaftConfig, RaftGroup
 from ..sim.kernel import Environment, Event, subscribe
 from ..sim.resources import Resource
-from ..txn.transaction import Transaction
+from ..txn.transaction import AbortReason, Transaction
 from .base import (QueryRoundTrip, RoundTrip, SystemConfig,
                    TransactionalSystem)
 
@@ -125,8 +125,10 @@ class _Update(RoundTrip):
         super()._begin(arg)
 
     def _abort(self) -> None:
+        """No Raft leader took the write: refused before, or lost during,
+        the proposal."""
         txn = self.txn
-        txn.mark_aborted(txn.abort_reason)
+        txn.mark_aborted(AbortReason.NO_LEADER)
         self.done.succeed(txn)
 
     def _arrived(self, _arg) -> None:

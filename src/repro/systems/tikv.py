@@ -21,7 +21,7 @@ from ..consensus.raft import RaftConfig, RaftGroup
 from ..sharding.partitioner import HashPartitioner
 from ..sim.kernel import Environment, Event, subscribe
 from ..sim.resources import Resource
-from ..txn.transaction import OpType, Transaction
+from ..txn.transaction import AbortReason, OpType, Transaction
 from .base import (QueryRoundTrip, RoundTrip, SystemConfig,
                    TransactionalSystem)
 
@@ -360,7 +360,7 @@ class _Update(RoundTrip):
         txn = self.txn
         if not ev._ok:
             self.system.scheduler.release(txn)
-            txn.mark_aborted(txn.abort_reason)
+            txn.mark_aborted(AbortReason.NO_LEADER)
             self.done.succeed(txn)
             return
         self._idx += 1
@@ -384,7 +384,7 @@ class _Update(RoundTrip):
     def _wrote(self, ev: Event) -> None:
         txn = self.txn
         if not ev._ok:
-            txn.mark_aborted(txn.abort_reason)
+            txn.mark_aborted(AbortReason.NO_LEADER)
             self.done.succeed(txn)
             return
         self._idx += 1

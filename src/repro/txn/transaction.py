@@ -39,6 +39,7 @@ class AbortReason(Enum):
     LOCK_TIMEOUT = "lock timeout"                    # 2PL deadlock avoidance
     LOGIC = "application logic"                      # e.g. Smallbank constraint
     COORDINATOR_ABORT = "coordinator abort"          # 2PC vote-abort
+    NO_LEADER = "no leader"                          # Raft write refused
 
 
 @dataclass

@@ -10,7 +10,8 @@ from repro.core.taxonomy import profile
 from repro.sim import Environment
 from repro.sim.costs import DEFAULT_COSTS
 from repro.systems import (EtcdSystem, FabricSystem, HybridSystem,
-                           QuorumSystem, SystemConfig, TiDBSystem)
+                           QuorumSystem, SystemConfig, TiDBSystem,
+                           TikvSystem)
 from repro.systems.base import EXTRAS_KEYS
 from repro.txn import AbortReason, Op, OpType, Transaction, TxnStatus
 from repro.workloads import SmallbankConfig, SmallbankWorkload
@@ -40,6 +41,26 @@ def test_etcd_logic_abort_surfaces():
     assert done.triggered
     assert txn.status is TxnStatus.ABORTED
     assert txn.abort_reason is AbortReason.LOGIC
+
+
+@pytest.mark.parametrize("cls", [EtcdSystem, TikvSystem])
+def test_leaderless_update_aborts_with_a_reason(cls):
+    """With every node down no Raft leader takes the write: the update
+    aborts as ``NO_LEADER``, not with no reason."""
+    env = Environment()
+    system = cls(env, SystemConfig(num_nodes=3))
+    system.load({"k": b"v"})
+    env.run(until=1.0)
+    for node in (system.servers if cls is EtcdSystem
+                 else system.cluster.nodes):
+        node.crash()
+    env.run(until=2.0)
+    txn = Transaction(ops=[Op(OpType.WRITE, "k", b"w")])
+    done = system.submit(txn)
+    env.run(until=8.0)
+    assert done.triggered
+    assert txn.status is TxnStatus.ABORTED
+    assert txn.abort_reason is AbortReason.NO_LEADER
 
 
 def test_quorum_multi_op_transaction_applies_atomically():

@@ -10,6 +10,9 @@ what makes leader throughput decline with group size (Table 4, etcd row).
 
 Performance note: replicas expose an ``applied`` store; systems consume it
 to apply entries to their state machines, charging their own apply costs.
+The store is made the first time something takes it, and queues only the
+entries committed after that: a replica whose stream nobody reads (etcd's
+followers) holds no copy of the log.
 """
 
 from __future__ import annotations
@@ -128,8 +131,8 @@ class RaftReplica:
         # follower liveness
         self._last_heartbeat = env.now
 
-        # apply stream consumed by the hosting system
-        self.applied: Store = Store(env)
+        # apply stream consumed by the hosting system; see ``applied``
+        self._applied: Optional[Store] = None
 
         self.inbox = node.subscribe(self.config.message_kind)
         self.commits = 0
@@ -408,13 +411,23 @@ class RaftReplica:
             # Piggy-back the new commit index promptly so followers apply.
             self._broadcast_append(heartbeat=True)
 
+    @property
+    def applied(self) -> Store:
+        """The apply stream: ``(index, item)`` per entry committed since
+        the first access."""
+        if self._applied is None:
+            self._applied = Store(self.env)
+        return self._applied
+
     def _advance_commit(self, new_commit: int) -> None:
+        applied = self._applied
         while self.commit_index < new_commit:
             self.commit_index += 1
             idx = self.commit_index
             entry = self.log[idx - 1]
             self.commits += 1
-            self.applied.put((idx, entry.item))
+            if applied is not None:
+                applied.put((idx, entry.item))
             pending = self._pending.pop(idx, None)
             if pending is not None and not pending.event.triggered:
                 if pending.entry is entry:

@@ -55,6 +55,37 @@ def test_all_replicas_converge(env):
     assert all(r.commit_index == 40 for r in group.replicas.values())
 
 
+def test_apply_stream_queues_from_its_first_reader(env):
+    """A replica's apply stream exists once something takes it and queues
+    the entries committed from then on; until then it queues nothing."""
+    group, _net, _nodes = make_group(env, 3)
+    first, second, third = group.replicas.values()
+    stream = first.applied
+    results = []
+    drive(env, group, 10, results)
+    env.run(until=10)
+    assert [idx for idx, _item in stream.get_all()] == list(range(1, 11))
+    assert second._applied is None and third._applied is None
+    late = second.applied
+    drive(env, group, 5, results)
+    env.run(until=20)
+    assert [idx for idx, _item in late.get_all()] == list(range(11, 16))
+
+
+def test_etcd_followers_queue_no_apply_items():
+    """etcd reads one replica's apply stream; after a SMOKE run no other
+    replica holds a queued copy of the log."""
+    from repro.bench.harness import SMOKE, run_point
+    system = run_point("etcd", scale=SMOKE, seed=7).extras["system"]
+    consumed = system.servers[0].name
+    replicas = system.raft.replicas
+    assert len(replicas) == 5 and replicas[consumed].commits > 0
+    for name, replica in replicas.items():
+        if name != consumed:
+            assert replica.commits > 0
+            assert len(replica.applied) == 0
+
+
 def test_propose_to_follower_fails_with_hint(env):
     group, _net, _nodes = make_group(env, 3)
     env.run(until=1.0)

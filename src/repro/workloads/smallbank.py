@@ -75,9 +75,10 @@ class SmallbankWorkload:
     def initial_records(self) -> dict[str, bytes]:
         value = encode_balance(INITIAL_BALANCE)
         records = {}
-        for i in range(self.config.num_accounts):   # the two key formats
-            records[f"checking{i:09d}"] = value
-            records[f"savings{i:09d}"] = value
+        for i in range(self.config.num_accounts):
+            digits = f"{i:09d}"   # as checking() and savings() format it
+            records["checking" + digits] = value
+            records["savings" + digits] = value
         return records
 
     def _customer(self) -> int:

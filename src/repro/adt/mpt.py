@@ -171,10 +171,6 @@ class NodeStore:
     Nodes are never deleted: stale versions of rewritten paths remain, just
     like an unpruned Ethereum state database.  ``puts`` counts every node
     stored, equal ones included: one put is one node hash.
-
-    A node kind is stored with one call: :meth:`put_path` for a leaf or an
-    extension, :meth:`put_branch` for a branch.  :meth:`put` takes a node
-    tuple and dispatches to them.
     """
 
     def __init__(self):

@@ -299,6 +299,22 @@ def test_node_encoding_round_trips(node):
     assert mpt._decode(mpt._encode(node)) == node
 
 
+def test_lengths_past_the_prefix_tables():
+    """A path or value too long for the precomputed length prefixes is
+    encoded the same length-prefixed way, stored and proven."""
+    key, value = bytes(range(256)) * 3, b"v" * 5000
+    leaf = (mpt._LEAF, mpt._to_nibbles(key), value)
+    assert mpt._decode(mpt._encode(leaf)) == leaf
+    store = NodeStore()
+    store.put(leaf)
+    assert store.total_bytes() == 32 + 1 + 2 + 1536 + 4 + 5000
+    trie = MerklePatriciaTrie()
+    trie.put(key, value)
+    trie.put(key[:-1], b"w" * 2000)
+    assert trie.get(key) == value
+    assert verify_proof(trie.root, key, value, trie.prove(key))
+
+
 def test_proofs_for_prefix_keys_and_empty_values():
     """A key that is a strict prefix of another ends at a branch value; an
     empty value is a value.  Both prove, and both reject a wrong value."""

@@ -78,9 +78,9 @@ def _prefix(lead: bytes, n: int, width: int) -> bytes:
 # extension head (kind byte + 2-byte path length), a 4-byte payload
 # length, and the 2-byte length of a branch child (a digest or empty).
 _TABLE = 1024
-_PATH_HEAD = tuple(tuple(_prefix(bytes([kind]), n, 2) for n in range(_TABLE))
-                   if kind != _BRANCH else None
-                   for kind in (_BRANCH, _EXTENSION, _LEAF))
+_PATH_HEAD = (None,) + tuple(   # indexed by kind; a branch has no path
+    tuple(_prefix(bytes([kind]), n, 2) for n in range(_TABLE))
+    for kind in (_EXTENSION, _LEAF))
 _PAYLOAD_LEN = tuple(_prefix(b"", n, 4) for n in range(_TABLE))
 _CHILD_LEN = tuple(_prefix(b"", n, 2) for n in range(33))
 

@@ -1,5 +1,7 @@
 """Tests for the Merkle B+ tree (FalconDB-style authenticated index)."""
 
+import random
+
 import pytest
 
 from repro.adt.btm import MerkleBTree
@@ -120,3 +122,32 @@ def test_total_bytes_and_overhead_accounting():
     raw = sum(len(k) + len(v) for k, v in tree.items())
     assert tree.total_bytes() > raw          # digests + length prefixes
     assert tree.node_count() >= 1
+
+
+#: (root digest, cumulative hashes_computed) after each of five commits of
+#: the seeded stream in ``test_seeded_stream_pinned``, then the final
+#: (node_count(), total_bytes(), len()).
+STREAM_COMMITS = [
+    ("126dffd1d1dee45d8975ba13ded61e80f51889de933c1c2bc05ee785d4f08b78", 163),
+    ("b68bd4e982a31657996e72fc3e8015526c5ceea7ebaed42af8962b3c7039a37b", 422),
+    ("f80c4dcf6b7ced64ae2c8e28ab66787ac1fdd3d19ff827f7d0924660220b03e2", 746),
+    ("ba6b7683200c4a3b8d206b9b6939542fd8a4c97e174df36808b74b1d0aed1680", 1095),
+    ("d21f1103aed14f78af90f0306a46bea69c787ccc11f7c7832754e56d6c70354c", 1452),
+]
+STREAM_SHAPE = (444, 47229, 980)
+
+
+def test_seeded_stream_pinned():
+    """2,000 random puts over 1,200 keys (about half overwrites) in five
+    commits on an odd small order: every split, overwrite and dirty-path
+    fold shows in the roots, the hash count or the node/byte totals."""
+    rng = random.Random(11)
+    tree = MerkleBTree(order=5)
+    commits = []
+    for _batch in range(5):
+        for _ in range(400):
+            key = b"k%05d" % rng.randrange(1200)
+            tree.put(key, b"v" * rng.randrange(1, 40))
+        commits.append((tree.commit().hex(), tree.hashes_computed))
+    assert commits == STREAM_COMMITS
+    assert (tree.node_count(), tree.total_bytes(), len(tree)) == STREAM_SHAPE

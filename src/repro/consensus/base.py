@@ -77,12 +77,11 @@ def wake_batches(
             boundary += window
         wake = queue.wait()
         timer = env.timeout_at(boundary)
-        token = timer.token()
         yield env.any_of([wake, timer])
         if not wake.triggered:
             queue.cancel_wait(wake)
         if not still_leader():
-            token.cancel()
+            timer.cancel()
             return None, last_beat
         if not queue:
             # Heartbeat boundary reached with nothing proposed.
@@ -90,7 +89,7 @@ def wake_batches(
                 send_heartbeat()
                 last_beat = env.now
             return [], last_beat
-        token.cancel()
+        timer.cancel()
         if len(queue) >= max_batch:
             close = env.now        # a same-time burst filled the batch
         else:
@@ -99,11 +98,10 @@ def wake_batches(
     if close > env.now:
         kick = queue.wait(max_batch)
         timer = env.timeout_at(close)
-        token = timer.token()
         yield env.any_of([kick, timer])
         if not kick.triggered:
             queue.cancel_wait(kick)
-        token.cancel()
+        timer.cancel()
     if not still_leader():
         return None, last_beat
     return queue.take(max_batch), last_beat

@@ -90,15 +90,12 @@ class OrderingService:
 
         A single consumer appends to the pending batch; a cancellable
         timer per batch enforces the block timeout.  Cutting by count
-        first withdraws the timer through its generation-checked
-        :class:`repro.sim.kernel.CancelToken`, so the pooled timeout can
-        be recycled without a stale handle ever cancelling the next
-        batch's (unrelated) timer.
+        first cancels that batch's timer.
         """
         leader_name = self.orderer_nodes[0].name
         applied = self.raft.replicas[leader_name].applied
         self._pending: list[Any] = []
-        self._cut_token = None
+        self._cut_timer = None
         while True:
             _index, item = yield applied.get()
             self._pending.append(item)
@@ -107,7 +104,7 @@ class OrderingService:
                 # A Timeout, not env.after(): a count cut cancels it.
                 timer = self.env.timeout(self.config.block_timeout)
                 timer.callbacks.append(self._timeout_cut)
-                self._cut_token = timer.token()
+                self._cut_timer = timer
             if len(self._pending) >= self.config.block_max_items:
                 self._cut_pending()
 
@@ -116,9 +113,9 @@ class OrderingService:
             self._cut_pending()
 
     def _cut_pending(self) -> None:
-        token, self._cut_token = self._cut_token, None
-        if token is not None:
-            token.cancel()
+        timer, self._cut_timer = self._cut_timer, None
+        if timer is not None:
+            timer.cancel()
         batch, self._pending = self._pending, []
         self._cut(batch)
 

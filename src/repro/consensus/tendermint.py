@@ -197,7 +197,6 @@ class TendermintReplica:
                                   config.block_interval)
             changed = self._arm_change()
             timer = env.timeout_at(deadline, "deadline")
-            token = timer.token()
             winner = yield env.any_of([changed, timer])
             if winner == "deadline":
                 self._disarm_change(changed)
@@ -209,7 +208,7 @@ class TendermintReplica:
                     self.rounds_wasted += 1
                     self.round += 1
                 continue
-            token.cancel()
+            timer.cancel()
             # Height/round changed mid-round: resume at the first grid
             # wake strictly after the change, as the polling loop did.
             wake = _grid_wake(start, env.now, config.round_timeout,

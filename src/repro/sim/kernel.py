@@ -18,13 +18,14 @@ little generality for speed:
   one ``heappush``/``heappop`` pair per event.  Slabs are consumed in
   insertion order, which is exactly the ``(when, prio, seq)`` order the
   tuple-per-event scheduler produced — event ordering is bit-identical;
-* :class:`Timeout` is *cancellable*: a timer that lost its race (e.g.
-  the driver watchdog's ``max_sim_time`` wall) is dropped lazily from
-  its slab and the object recycled through a free list, so dead timers
-  neither grow the schedule nor allocate.  Because recycling aliases
-  object identity, long-lived cancel sites should hold a
-  generation-checked :class:`CancelToken` (see :meth:`Timeout.token`)
-  instead of the bare object;
+* :class:`Timeout` is *cancellable*: a timer that lost its race (a
+  batch window beaten by a max-batch kick, a block timeout beaten by a
+  count cut) is marked and dropped lazily when its slab entry comes up,
+  and a sweep removes cancelled entries wholesale once they outnumber
+  the live ones, so dead timers do not grow the schedule.  Every
+  ``Timeout`` is a fresh object used once, so any holder may keep it
+  and call :meth:`Timeout.cancel` later: on a timer that has fired or
+  been cancelled it returns ``False``;
 * :class:`Process` resumes *immediately* (same timestep, no heap round
   trip) when it yields an event that has already been processed; the
   resume loop is an iterative **trampoline**, so a chain of
@@ -82,7 +83,6 @@ __all__ = [
     "Environment",
     "Event",
     "Timeout",
-    "CancelToken",
     "Process",
     "AllOf",
     "AnyOf",
@@ -222,33 +222,26 @@ class Timeout(Event):
     pending timeout joined by ``all_of``/``any_of`` has not completed.
 
     A pending timeout can be :meth:`cancel`-led; a cancelled timeout never
-    triggers, its slab entry is dropped lazily, and the object may be
-    recycled by :meth:`Environment.timeout`.  **Contract:** after a
-    successful cancel() the bare handle is dead — do not inspect it and do
-    not call cancel() on it again.  Once the object has been recycled, a
-    stale handle aliases an unrelated live timer; any site that may
-    outlive the timer's lease must go through :meth:`token`, whose
-    generation check turns a stale cancel into a no-op.
+    triggers and its slab entry is dropped lazily.  A timeout is never
+    reused, so a handle held past the timer's life stays safe to cancel.
     """
 
-    __slots__ = ("delay", "_generation")
+    __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None,
                  _when: Optional[float] = None):
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay!r}")
+        if not delay >= 0:    # also rejects NaN
+            raise ValueError(f"delay must be >= 0: {delay!r}")
         super().__init__(env)
         self.delay = delay
         self._value = value
-        self._generation = 0
         env._schedule(self, delay, _when)
 
     def cancel(self) -> bool:
-        """Withdraw a pending timeout; returns False if it already fired.
+        """Withdraw a pending timeout; False if it fired or was cancelled.
 
-        Cancelling is O(1): the slab entry is skipped when consumed (or
-        removed wholesale when cancelled entries pile up) and the object
-        goes back to the environment's free list for reuse.
+        Cancelling is O(1): the slab entry is skipped when consumed, or
+        removed wholesale when cancelled entries pile up.
         """
         if self._triggered or self._cancelled:
             return False
@@ -259,49 +252,6 @@ class Timeout(Event):
                 and env._cancelled_count > env._compact_watermark:
             env._compact()
         return True
-
-    def token(self) -> "CancelToken":
-        """Return a generation-checked cancel handle for this lease.
-
-        Unlike the bare object, the token stays safe after the timeout
-        fires *and* after the object is recycled to a new lease: a stale
-        ``token.cancel()`` is a no-op instead of withdrawing whatever
-        unrelated timer now inhabits the object.
-        """
-        return CancelToken(self)
-
-
-class CancelToken:
-    """A single-lease cancel handle for a pooled :class:`Timeout`.
-
-    Captures the timeout's pool generation at creation; ``cancel()``
-    compares generations before acting, so a handle that outlived its
-    lease (the timer fired or was cancelled, and the object was recycled
-    to an unrelated caller) can never kill the new lease's timer.
-    """
-
-    __slots__ = ("_timer", "_generation")
-
-    def __init__(self, timer: Timeout):
-        self._timer = timer
-        self._generation = timer._generation
-
-    @property
-    def active(self) -> bool:
-        """True while this lease's timer is still pending."""
-        timer = self._timer
-        return (timer is not None
-                and timer._generation == self._generation
-                and not timer._triggered
-                and not timer._cancelled)
-
-    def cancel(self) -> bool:
-        """Cancel this lease's timer; False if fired, stale, or re-used."""
-        timer = self._timer
-        if timer is None or timer._generation != self._generation:
-            return False
-        self._timer = None
-        return timer.cancel()
 
 
 class Process(Event):
@@ -533,9 +483,6 @@ class WakeableQueue:
         return out
 
 
-#: Cap on recycled Timeout objects kept per environment.
-_TIMEOUT_POOL_MAX = 4096
-
 class Environment:
     """The simulation clock and scheduler.
 
@@ -575,7 +522,6 @@ class Environment:
         # ~live-size cancels keeps compaction amortized O(1) per cancel
         # without maintaining a per-event counter on the hot path.
         self._compact_watermark = 64
-        self._timeout_pool: list[Timeout] = []
         self._inline_depth = 0
 
     # -- scheduling -------------------------------------------------------
@@ -637,9 +583,9 @@ class Environment:
         float — enough to flip dispatch order against a heap-scheduled
         event at the same instant.
         """
-        if when < self.now:
+        if not when >= self.now:
             raise SimulationError(
-                f"_schedule_call_at({when!r}) is in the past "
+                f"_schedule_call_at({when!r}) is in the past or NaN "
                 f"(now={self.now!r})")
         if self._last_when == when and self._last_prio == 1:
             entries = self._last
@@ -684,13 +630,6 @@ class Environment:
             for callback in callbacks:
                 callback(event)
 
-    def _reap(self, event: Event) -> None:
-        """Account a cancelled entry dropped from its slab; recycle it."""
-        self._cancelled_count -= 1
-        pool = self._timeout_pool
-        if type(event) is Timeout and len(pool) < _TIMEOUT_POOL_MAX:
-            pool.append(event)
-
     def _compact(self) -> None:
         """Remove all cancelled entries from the schedule in one pass.
 
@@ -705,7 +644,7 @@ class Environment:
             if type(entries) is not list:
                 event = item[4]
                 if entries is None and event._cancelled:
-                    self._reap(event)
+                    self._cancelled_count -= 1
                 else:
                     live += 1
                     keep.append(item)
@@ -715,7 +654,7 @@ class Environment:
                 func = entries[i]
                 arg = entries[i + 1]
                 if func is None and arg._cancelled:
-                    self._reap(arg)
+                    self._cancelled_count -= 1
                 else:
                     kept.append(func)
                     kept.append(arg)
@@ -749,10 +688,6 @@ class Environment:
         return ev
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        if self._timeout_pool:
-            if delay < 0:
-                raise ValueError(f"negative delay: {delay!r}")
-            return self._revive(delay, self.now + delay, value)
         return Timeout(self, delay, value)
 
     def after(self, delay: float, func: Callable[[Any], None],
@@ -766,8 +701,8 @@ class Environment:
         scheduling frame is built.  Keep :meth:`timeout` for a timer
         that is yielded, raced, joined, cancelled or read.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay!r}")
+        if not delay >= 0:    # also rejects NaN
+            raise ValueError(f"delay must be >= 0: {delay!r}")
         when = self.now + delay
         if self._last_when == when and self._last_prio == 0:
             entries = self._last
@@ -793,25 +728,10 @@ class Environment:
         previously computed boundary; wake-on-proposal loops use this to
         hit batch-window grid points exactly.
         """
-        if when < self.now:
-            raise ValueError(f"timeout_at({when!r}) is in the past "
+        if not when >= self.now:
+            raise ValueError(f"timeout_at({when!r}) is in the past or NaN "
                              f"(now={self.now!r})")
-        if self._timeout_pool:
-            return self._revive(when - self.now, when, value)
         return Timeout(self, when - self.now, value, _when=when)
-
-    def _revive(self, delay: float, when: float, value: Any) -> Timeout:
-        timer = self._timeout_pool.pop()
-        timer.callbacks = []
-        timer._value = value
-        timer._ok = True
-        timer._triggered = False
-        timer._scheduled = False
-        timer._cancelled = False
-        timer._generation += 1
-        timer.delay = delay
-        self._schedule(timer, when=when)
-        return timer
 
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name)
@@ -830,9 +750,9 @@ class Environment:
         triggered (checked after every callback); in that case ``now`` stays
         at the current event time instead of jumping to ``until``.
         """
-        if until is not None and until < self.now:
+        if until is not None and not until >= self.now:
             raise SimulationError(
-                f"run(until={until}) is in the past (now={self.now})"
+                f"run(until={until}) is in the past or NaN (now={self.now})"
             )
         queue = self._queue
         pop = heapq.heappop
@@ -877,7 +797,7 @@ class Environment:
                     entries[idx] = entries[idx + 1] = None
             if func is None:
                 if arg._cancelled:
-                    self._reap(arg)
+                    self._cancelled_count -= 1
                     continue
                 self.now = when
                 arg._triggered = True
@@ -915,7 +835,7 @@ class Environment:
                 arg = entries[idx + 1]
                 entries[idx] = entries[idx + 1] = None
             if func is None and arg._cancelled:
-                self._reap(arg)
+                self._cancelled_count -= 1
                 continue
             self.now = item[0]
             if func is None:

@@ -72,7 +72,7 @@ class TimingWheel:
         self._cur = 0              # all ticks <= _cur have been drained
         self._seq = 0
         self._pending = 0
-        self._timer = None         # armed metronome CancelToken, if any
+        self._timer = None         # armed metronome Timeout, if any
         self._armed_at = 0         # tick the metronome is armed for
         # slot span of each level, in level-0 ticks
         self._spans = [slots ** k for k in range(levels)]
@@ -120,7 +120,9 @@ class TimingWheel:
             raise SimulationError(
                 f"wheel.schedule({when!r}) is in the past "
                 f"(now={env.now!r})")
-        armed = self._timer is not None and self._timer.active
+        timer = self._timer
+        armed = timer is not None and not (timer._triggered
+                                           or timer._cancelled)
         if not armed:
             # Idle wheel: no metronome has been maintaining _cur, so
             # fast-forward past the ticks that elapsed while idle (all
@@ -178,10 +180,10 @@ class TimingWheel:
             self._timer = None
             return
         nxt = self._next_work_tick()
-        # A Timeout, not env.after(): re-aiming cancels it by token.
+        # A Timeout, not env.after(): re-aiming cancels it.
         timer = self.env.timeout_at(self._boundary(nxt), value=nxt)
         timer.callbacks.append(self._on_tick)
-        self._timer = timer.token()
+        self._timer = timer
         self._armed_at = nxt
 
     def _next_work_tick(self) -> int:

@@ -1,9 +1,11 @@
-"""Tests for the kernel hot-path machinery: cancellable/pooled timeouts,
-heap compaction, stop-events, and the immediate-resume path."""
+"""Tests for the kernel hot-path machinery: cancellable timeouts, heap
+compaction, stop-events, and the immediate-resume path."""
 
 import pytest
 
 from repro.sim.kernel import Environment, Event, SimulationError, Timeout
+
+NAN = float("nan")
 
 
 # -- cancellable timeouts ---------------------------------------------------
@@ -58,7 +60,7 @@ def test_pending_excludes_cancelled(env):
     assert env.pending == 2
 
 
-def test_timeout_pool_recycles_objects(env):
+def test_cancel_churn_keeps_heap_compact(env):
     def churn():
         for _ in range(200):
             dead = env.timeout(1000.0)
@@ -67,21 +69,8 @@ def test_timeout_pool_recycles_objects(env):
 
     env.process(churn())
     env.run()
-    # Reaped timers land in the free list and the heap stays compact.
-    assert len(env._timeout_pool) > 0
+    # Compaction sweeps the cancelled far-future timers out of the heap.
     assert len(env._queue) < 50
-
-
-def test_recycled_timeout_behaves_like_fresh(env):
-    t1 = env.timeout(5.0, value="old")
-    t1.cancel()
-    env._compact()  # force the reap so the pool holds t1
-    assert t1 in env._timeout_pool
-    t2 = env.timeout(2.0, value="new")
-    assert t2 is t1  # recycled object
-    env.run()
-    assert t2.triggered and t2.ok and t2.value == "new"
-    assert env.now == 2.0
 
 
 def test_compaction_preserves_live_entries(env):
@@ -97,12 +86,20 @@ def test_compaction_preserves_live_entries(env):
     assert fired == [3.0]
 
 
-def test_negative_delay_rejected_also_from_pool(env):
-    t = env.timeout(1.0)
-    t.cancel()
-    env._compact()
-    with pytest.raises(ValueError):
-        env.timeout(-1.0)
+@pytest.mark.parametrize("call, error", [
+    (lambda env: env.timeout(NAN), ValueError),
+    (lambda env: Timeout(env, NAN), ValueError),
+    (lambda env: env.timeout_at(NAN), ValueError),
+    (lambda env: env.after(NAN, print), ValueError),
+    (lambda env: env._schedule_call_at(print, None, NAN), SimulationError),
+    (lambda env: env.run(until=NAN), SimulationError),
+], ids=["timeout", "Timeout", "timeout_at", "after", "_schedule_call_at",
+        "run_until"])
+def test_nan_time_rejected(env, call, error):
+    with pytest.raises(error):
+        call(env)
+    assert env._queue == []
+    assert env.now == 0.0
 
 
 # -- run(stop=...) ----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the slab scheduler, WakeableQueue, and CancelToken.
+"""Tests for the slab scheduler, WakeableQueue, and timer cancellation.
 
 The slab scheduler coalesces same-(time, priority) bursts behind single
 heap entries; these tests pin down the ordering contract the rest of the
@@ -281,61 +281,27 @@ def test_timeout_at_past_rejected(env):
         env.timeout_at(0.5)
 
 
-def test_timeout_at_uses_pool(env):
-    t1 = env.timeout(5.0)
-    t1.cancel()
-    env._compact()
-    assert t1 in env._timeout_pool
-    t2 = env.timeout_at(2.0, value="abs")
-    assert t2 is t1
-    env.run()
-    assert t2.value == "abs" and env.now == 2.0
+# -- Timeout.cancel ---------------------------------------------------------
 
 
-# -- CancelToken ------------------------------------------------------------
-
-
-def test_token_cancels_live_timer(env):
-    timer = env.timeout(5.0)
-    token = timer.token()
-    assert token.active
-    assert token.cancel() is True
-    assert not token.active
+def test_cancel_withdraws_live_timer(env):
+    timer = env.timeout_at(5.0)
+    assert timer.cancel() is True
     env.run()
     assert not timer.triggered
     assert env.now == 0.0
 
 
-def test_token_noop_after_fire(env):
-    timer = env.timeout(1.0)
-    token = timer.token()
+def test_cancel_after_fire_returns_false(env):
+    timer = env.timeout_at(1.0)
     env.run()
     assert timer.triggered
-    assert token.cancel() is False
+    assert timer.cancel() is False
+    assert env._cancelled_count == 0
 
 
-def test_stale_token_cannot_kill_recycled_timer(env):
-    """The ROADMAP hazard: cancel, recycle, then a stale re-cancel must
-    NOT withdraw the unrelated live timer now inhabiting the object."""
-    timer = env.timeout(5.0)
-    token = timer.token()        # handle minted against the first lease
-    other = timer.token()        # second handle on the same lease
-    assert token.cancel() is True
-    env._compact()               # reap into the pool
-    fresh = env.timeout(2.0)     # recycles the same object: new lease
-    assert fresh is timer
-    # both stale handles are dead: neither may touch the new lease
-    assert token.cancel() is False
-    assert other.cancel() is False
-    assert not other.active
-    env.run()
-    assert fresh.triggered       # the new lease fired untouched
-    assert env.now == 2.0
-
-
-def test_double_cancel_via_token_counts_once(env):
-    timer = env.timeout(5.0)
-    token = timer.token()
-    assert token.cancel() is True
-    assert token.cancel() is False
+def test_double_cancel_of_timeout_at_counts_once(env):
+    timer = env.timeout_at(5.0)
+    assert timer.cancel() is True
+    assert timer.cancel() is False
     assert env._cancelled_count == 1

@@ -106,7 +106,7 @@ def test_idle_disarm_and_rearm_after_gap(env):
     wheel.schedule(0.03, cb, "a")
     env.run(until=5.0)
     assert fired == [(0.03, "a")]
-    assert wheel._timer is None or not wheel._timer.active
+    assert wheel._timer is None       # idle: no metronome armed
     # Re-arm long after going idle: _cur must fast-forward, not replay
     # five hundred stale ticks.
     wheel.schedule(5.04, cb, "b")

@@ -1,10 +1,11 @@
 """Merkle B+ tree (FalconDB / IntegriDB-style authenticated index).
 
-Table 2's ``b-tree + merkle tree`` storage choice: the primary index is a
-B+ tree (values in the leaves, leaves chained), and every node carries a
-digest — a leaf hashes its entries, an internal node hashes its children's
-digests — so the root digest authenticates the full key-value state, and
-an access path plus sibling digests is an integrity proof (Section 3.3.2).
+Table 2's ``b-tree + merkle tree`` storage choice: the plain
+:class:`~repro.storage.btree.BPlusTree` index (values in the leaves,
+leaves chained) plus a digest overlay.  Every node carries a digest — a
+leaf hashes its entries, an internal node hashes its children's digests —
+so the root digest authenticates the full key-value state, and an access
+path plus sibling digests is an integrity proof (Section 3.3.2).
 
 Unlike the MPT's content-addressed node store, nodes are updated in place
 and only the *dirty* paths are re-hashed at :meth:`MerkleBTree.commit`
@@ -21,73 +22,21 @@ node exactly once.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from bisect import bisect_left
 
-from ..crypto.hashing import NULL_HASH, hash_concat
+from ..crypto.hashing import hash_concat
+from ..storage.btree import BPlusTree, _Node
 
 __all__ = ["MerkleBTree"]
 
 
-class _Node:
-    __slots__ = ("leaf", "keys", "children", "values", "next",
-                 "digest", "dirty")
-
-    def __init__(self, leaf: bool):
-        self.leaf = leaf
-        self.keys: list = []
-        self.children: list["_Node"] = []
-        self.values: list = []
-        self.next: Optional["_Node"] = None
-        self.digest: bytes = NULL_HASH
-        self.dirty = True
-
-
-def _bisect(keys: list, key) -> int:
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if keys[mid] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-class MerkleBTree:
+class MerkleBTree(BPlusTree):
     """A B+ tree over bytes keys/values with a Merkle digest overlay."""
 
     def __init__(self, order: int = 64):
-        if order < 3:
-            raise ValueError("order must be >= 3")
-        self.order = order
-        self._root = _Node(leaf=True)
-        self._size = 0
+        super().__init__(order)
         self.hashes_computed = 0
         self._staged = 0
-
-    # -- lookup ---------------------------------------------------------------
-
-    def _find_leaf(self, key) -> _Node:
-        node = self._root
-        while not node.leaf:
-            idx = _bisect(node.keys, key)
-            if idx < len(node.keys) and node.keys[idx] == key:
-                idx += 1
-            node = node.children[idx]
-        return node
-
-    def get(self, key: bytes) -> Optional[bytes]:
-        leaf = self._find_leaf(key)
-        idx = _bisect(leaf.keys, key)
-        if idx < len(leaf.keys) and leaf.keys[idx] == key:
-            return leaf.values[idx]
-        return None
-
-    def __contains__(self, key) -> bool:
-        return self.get(key) is not None
-
-    def __len__(self) -> int:
-        return self._size
 
     # -- mutation -------------------------------------------------------------
 
@@ -95,14 +44,7 @@ class MerkleBTree:
         """Insert/overwrite; digests fold into the root at :meth:`commit`."""
         if not isinstance(key, bytes) or not isinstance(value, bytes):
             raise TypeError("MerkleBTree keys/values are bytes")
-        root = self._root
-        result = self._insert(root, key, value)
-        if result is not None:
-            sep, right = result
-            new_root = _Node(leaf=False)
-            new_root.keys = [sep]
-            new_root.children = [root, right]
-            self._root = new_root
+        super().put(key, value)
         self._staged += 1
 
     # stage()/commit() protocol parity with the MPT and MBT: writes are
@@ -115,52 +57,15 @@ class MerkleBTree:
         """Writes applied since the last commit (dirty-path granularity)."""
         return self._staged
 
+    def delete(self, key) -> bool:
+        """Refused: a removal would leave its path's digests stale."""
+        raise NotImplementedError("MerkleBTree keys cannot be deleted")
+
     def _insert(self, node: _Node, key, value):
+        # The base recursion calls back into this override, so every node
+        # on the root-to-leaf path is marked; split-off nodes start dirty.
         node.dirty = True
-        if node.leaf:
-            idx = _bisect(node.keys, key)
-            if idx < len(node.keys) and node.keys[idx] == key:
-                node.values[idx] = value
-                return None
-            node.keys.insert(idx, key)
-            node.values.insert(idx, value)
-            self._size += 1
-            if len(node.keys) >= self.order:
-                return self._split_leaf(node)
-            return None
-        idx = _bisect(node.keys, key)
-        if idx < len(node.keys) and node.keys[idx] == key:
-            idx += 1
-        result = self._insert(node.children[idx], key, value)
-        if result is None:
-            return None
-        sep, right = result
-        node.keys.insert(idx, sep)
-        node.children.insert(idx + 1, right)
-        if len(node.keys) >= self.order:
-            return self._split_internal(node)
-        return None
-
-    def _split_leaf(self, node: _Node):
-        mid = len(node.keys) // 2
-        right = _Node(leaf=True)
-        right.keys = node.keys[mid:]
-        right.values = node.values[mid:]
-        node.keys = node.keys[:mid]
-        node.values = node.values[:mid]
-        right.next = node.next
-        node.next = right
-        return right.keys[0], right
-
-    def _split_internal(self, node: _Node):
-        mid = len(node.keys) // 2
-        sep = node.keys[mid]
-        right = _Node(leaf=False)
-        right.keys = node.keys[mid + 1:]
-        right.children = node.children[mid + 1:]
-        node.keys = node.keys[:mid]
-        node.children = node.children[:mid + 1]
-        return sep, right
+        return super()._insert(node, key, value)
 
     # -- digest maintenance ----------------------------------------------------
 
@@ -201,7 +106,7 @@ class MerkleBTree:
         path: list[tuple[_Node, int]] = []
         node = self._root
         while not node.leaf:
-            idx = _bisect(node.keys, key)
+            idx = bisect_left(node.keys, key)
             if idx < len(node.keys) and node.keys[idx] == key:
                 idx += 1
             path.append((node, idx))
@@ -229,23 +134,7 @@ class MerkleBTree:
             digest = hash_concat(b"node", *group)
         return digest == root
 
-    # -- scans / accounting ------------------------------------------------------
-
-    def items(self) -> Iterator[tuple]:
-        node = self._root
-        while not node.leaf:
-            node = node.children[0]
-        while node is not None:
-            yield from zip(node.keys, node.values)
-            node = node.next
-
-    def node_count(self) -> int:
-        def count(node: _Node) -> int:
-            if node.leaf:
-                return 1
-            return 1 + sum(count(c) for c in node.children)
-
-        return count(self._root)
+    # -- accounting ------------------------------------------------------------
 
     def total_bytes(self) -> int:
         """On-disk bytes: entries plus one 32-byte digest per node."""

@@ -10,11 +10,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterator, Optional
 
+from ..crypto.hashing import NULL_HASH
+
 __all__ = ["BPlusTree"]
 
 
 class _Node:
-    __slots__ = ("leaf", "keys", "children", "values", "next")
+    # ``digest``/``dirty`` belong to the Merkle overlay
+    # (:class:`repro.adt.btm.MerkleBTree`); the plain tree never reads them.
+    __slots__ = ("leaf", "keys", "children", "values", "next",
+                 "digest", "dirty")
 
     def __init__(self, leaf: bool):
         self.leaf = leaf
@@ -22,6 +27,8 @@ class _Node:
         self.children: list["_Node"] = []
         self.values: list = []
         self.next: Optional["_Node"] = None
+        self.digest: bytes = NULL_HASH
+        self.dirty = True
 
 
 class BPlusTree:

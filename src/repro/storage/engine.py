@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Union
 
-from ..adt.btm import MerkleBTree
 from ..adt.mbt import MerkleBucketTree
 from ..adt.mpt import MerklePatriciaTrie
 from ..core.taxonomy import IndexKind
@@ -325,6 +324,9 @@ class BTreeMerkleEngine(StorageEngine):
     authenticated = True
 
     def _fresh_structure(self) -> None:
+        # Imported here: adt.btm builds on .btree, so a module-level import
+        # would close an import cycle through this package's __init__.
+        from ..adt.btm import MerkleBTree
         self.tree = MerkleBTree(order=64)
 
     def data_bytes(self) -> int:

@@ -1,9 +1,14 @@
 """Tests for the Merkle B+ tree (FalconDB-style authenticated index)."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.adt.btm import MerkleBTree
 from repro.crypto.hashing import NULL_HASH
 
@@ -14,6 +19,16 @@ def _populated(n: int = 500, order: int = 8) -> MerkleBTree:
         tree.put(b"user%06d" % i, b"value-%d" % i)
     tree.commit()
     return tree
+
+
+def test_imports_before_the_storage_package():
+    """adt.btm builds on storage.btree while storage.engine builds on
+    adt.btm: a fresh interpreter must import either side first."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for module in ("repro.adt.btm", "repro.storage"):
+        subprocess.run([sys.executable, "-c", f"import {module}"],
+                       env=env, check=True)
 
 
 def test_requires_min_order():
@@ -37,6 +52,13 @@ def test_non_bytes_rejected():
     tree = MerkleBTree()
     with pytest.raises(TypeError):
         tree.put("str-key", b"v")
+
+
+def test_delete_refused():
+    tree = _populated(50, order=4)
+    with pytest.raises(NotImplementedError):
+        tree.delete(b"user%06d" % 7)
+    assert tree.get(b"user%06d" % 7) == b"value-7"
 
 
 def test_items_sorted_across_splits():

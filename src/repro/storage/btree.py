@@ -40,6 +40,9 @@ class BPlusTree:
         self.order = order
         self._root = _Node(leaf=True)
         self._size = 0
+        # levels root to leaf; only a root split (in ``put``) changes it,
+        # since lazy ``delete`` never merges nodes
+        self._height = 1
 
     # -- lookup ---------------------------------------------------------------
 
@@ -77,6 +80,7 @@ class BPlusTree:
             new_root.keys = [sep]
             new_root.children = [root, right]
             self._root = new_root
+            self._height += 1
 
     def _insert(self, node: _Node, key, value):
         if node.leaf:
@@ -162,12 +166,8 @@ class BPlusTree:
     # -- structural statistics -----------------------------------------------------
 
     def depth(self) -> int:
-        depth = 1
-        node = self._root
-        while not node.leaf:
-            depth += 1
-            node = node.children[0]
-        return depth
+        """Levels from the root to the leaves (every leaf is that deep)."""
+        return self._height
 
     def node_count(self) -> int:
         def count(node: _Node) -> int:

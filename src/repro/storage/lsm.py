@@ -6,17 +6,21 @@ leveled merge (newer data shadows older).  Space and write amplification
 counters feed the storage analyses in the test suite.
 
 Every write is a batch (:meth:`LSMTree.write_batch`; ``put`` and
-``delete`` are batches of one).  A batch inserts its records into the
+``delete`` are batches of one).  A batch flushes a run that fills an
+empty memtable straight to L0, inserts its other records into the
 memtable in order, flushing each time the memtable fills, and then logs
 them: records up to the batch's last flush are counted in the WAL but
 never encoded, since that flush truncates the log (see
 :mod:`repro.storage.wal`).  The resulting state — WAL bytes, SSTables,
 bloom bits, memtable node levels, counters — is the state the same
-records reach one write at a time.
+records reach one write at a time: a flush installs a fresh memtable
+whose RNG starts from its seed, so no later state depends on the node
+levels a flushed record drew, or on whether it drew any.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .skiplist import SkipList
@@ -24,6 +28,9 @@ from .sstable import SSTable, TOMBSTONE
 from .wal import WriteAheadLog
 
 __all__ = ["LSMTree"]
+
+_key = itemgetter(0)
+_value = itemgetter(1)
 
 
 class LSMTree:
@@ -61,40 +68,96 @@ class LSMTree:
 
         A value equal to the tombstone marker raises ``ValueError``
         before anything is written.
+
+        From an empty memtable, a run of the batch that holds
+        ``memtable_limit`` distinct keys is flushed straight to L0: it
+        is gathered in a dict (the last write wins) up to the record
+        whose key brings the distinct count to the limit, the record at
+        which the memtable would have filled.  Every other record goes
+        through the memtable: one that tops up a partly filled memtable,
+        the tail after the batch's last flush, a run with fewer distinct
+        keys than the limit.  This is exact because the flush replaces
+        the memtable with a fresh one whose RNG starts from its seed:
+        the node levels the run would have drawn never reach a later
+        state.  A partly filled memtable is not re-gathered into a dict,
+        since a stream of single writes would then rebuild it per write.
         """
-        batch = []
-        for key, value in items:
-            if value is None:
-                value = TOMBSTONE
-            elif value == TOMBSTONE:
-                raise ValueError("value collides with tombstone marker")
-            batch.append((key, value))
+        batch = list(items)
+        for _, value in batch:
+            if value is None or value == TOMBSTONE:
+                if TOMBSTONE in map(_value, batch):
+                    raise ValueError("value collides with tombstone marker")
+                batch = [(key, TOMBSTONE if value is None else value)
+                         for key, value in batch]
+                break
         limit = self.memtable_limit
-        memtable = self._memtable
-        size = len(memtable)
+        n = len(batch)
+        size = len(self._memtable)
         flushes = 0
         logged_from = 0       # first record after the batch's last flush
         written = 0
-        for i, (key, value) in enumerate(batch, 1):
-            size += memtable.put(key, value)
-            written += len(key) + len(value)
-            if size >= limit:
+        i = 0
+        while i < n:
+            run = None
+            if not size and n - i >= limit:
+                run = self._full_run(batch, i)
+            if run is not None:
+                entries, end = run
+                flushed = batch[i:end]
+                written += (sum(map(len, map(_key, flushed)))
+                            + sum(map(len, map(_value, flushed))))
+                i = end
+                self._flush_entries(sorted(entries.items()))
+            else:
+                put = self._memtable.put
+                while i < n and size < limit:
+                    key, value = batch[i]
+                    size += put(key, value)
+                    written += len(key) + len(value)
+                    i += 1
+                if size < limit:
+                    break
                 self.flush()
-                memtable = self._memtable
-                size = 0
-                flushes += 1
-                logged_from = i
+            size = 0
+            flushes += 1
+            logged_from = i
         self.user_bytes_written += written
         self.wal.append_batch(self._seq + 1, batch, logged_from)
         self.wal.sync()
-        self._seq += len(batch)
+        self._seq += n
         return flushes
+
+    def _full_run(self, batch: list[tuple[bytes, bytes]], start: int
+                  ) -> Optional[tuple[dict[bytes, bytes], int]]:
+        """The last value per key of ``batch[start:end]`` and ``end``,
+        where record ``end - 1`` brings the distinct keys to
+        ``memtable_limit``; ``None`` when the batch runs out first.
+
+        Adding ``k`` records adds at most ``k`` keys, so the dict grows
+        in slices of ``limit - len(run)`` records, and the count can
+        reach the limit only on a slice's last record.
+        """
+        limit = self.memtable_limit
+        run: dict[bytes, bytes] = {}
+        end = start
+        while end < len(batch):
+            step = limit - len(run)
+            run.update(batch[end:end + step])
+            end += step
+            if len(run) == limit:
+                return run, end
+        return None
 
     def flush(self) -> None:
         """Freeze the memtable into an L0 SSTable and truncate the WAL."""
         if len(self._memtable) == 0:
             return
-        entries = list(self._memtable.items())
+        self._flush_entries(list(self._memtable.items()))
+
+    def _flush_entries(self, entries: list[tuple[bytes, bytes]]) -> None:
+        """Freeze sorted ``entries`` (the memtable's contents) as the
+        newest L0 table, install a fresh memtable, truncate the WAL and
+        compact L0 when it overflows (the one flush step)."""
         table = SSTable(entries, level=0)
         self.levels[0].insert(0, table)
         self.bytes_flushed += table.data_bytes()

@@ -66,15 +66,13 @@ class VersionedStore:
         dict order) gets ``first_version + i``, as if each were its own
         commit.  The engine gets the whole dict as one write set.
         Returns the last version written."""
-        data = self._data
-        version = first_version - 1
-        for version, (key, value) in enumerate(records.items(),
-                                               first_version):
-            data[key] = (value, version)
+        last = first_version + len(records) - 1
+        self._data.update(zip(records, zip(records.values(),
+                                           range(first_version, last + 1))))
         self.writes += len(records)
         if self.engine is not None:
             self.engine.apply_write_set(records)
-        return version
+        return last
 
     def commit(self, version: int = 0) -> Optional["CommitResult"]:
         """Fold the engine's pending writes (one batch per block).

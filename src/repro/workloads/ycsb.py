@@ -46,11 +46,21 @@ class YcsbWorkload:
         self.zipf = ZipfGenerator(self.config.record_count,
                                   self.config.theta, rng=self.rng)
         self._value_cache: dict[int, bytes] = {}
+        self._keys: Optional[list[str]] = None
 
     # -- keys & values ---------------------------------------------------------
 
     def key(self, index: int) -> str:
         return f"user{index:012d}"
+
+    @property
+    def key_table(self) -> list[str]:
+        """``key(i)`` for every record index, formatted once on first
+        use: the loaded state and every drawn transaction share these
+        ``str`` objects."""
+        if self._keys is None:
+            self._keys = list(map(self.key, range(self.config.record_count)))
+        return self._keys
 
     def _value(self, size: int) -> bytes:
         value = self._value_cache.get(size)
@@ -68,14 +78,15 @@ class YcsbWorkload:
 
     def initial_records(self) -> dict[str, bytes]:
         """The pre-population the paper loads before measuring."""
-        value = self._value(self.config.record_size)
-        return {self.key(i): value for i in range(self.config.record_count)}
+        return dict.fromkeys(self.key_table,
+                             self._value(self.config.record_size))
 
     def _distinct_keys(self, count: int) -> list[str]:
         seen: set[int] = set()
         while len(seen) < count:
             seen.add(self.zipf.next())
-        return [self.key(i) for i in seen]
+        table = self.key_table
+        return [table[i] for i in seen]
 
     # -- transaction constructors ---------------------------------------------------
 

@@ -90,6 +90,28 @@ def test_btree_depth_grows_logarithmically():
     assert bt.node_count() > 4000 / 8
 
 
+def _walked_depth(bt: BPlusTree) -> int:
+    depth, node = 1, bt._root
+    while not node.leaf:
+        depth, node = depth + 1, node.children[0]
+    return depth
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 300)), max_size=400),
+       st.integers(3, 8))
+def test_btree_depth_counter_matches_walk(ops, order):
+    """The height kept on root splits equals a walk to the leftmost
+    leaf after any mix of puts and (lazy) deletes."""
+    bt = BPlusTree(order=order)
+    for is_delete, key in ops:
+        if is_delete:
+            bt.delete(key)
+        else:
+            bt.put(key, key)
+        assert bt.depth() == _walked_depth(bt)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.dictionaries(st.integers(-1000, 1000), st.integers(),
                        min_size=0, max_size=120))

@@ -14,8 +14,10 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.storage import LSMTree, engine_for
+from repro.storage import TOMBSTONE, LSMTree, engine_for
 
 
 def _feed(h, *parts) -> None:
@@ -194,3 +196,59 @@ def test_churn_in_batches_matches_key_at_a_time_pin():
         lsm.write_batch(ops[i:i + size])
         i += size
     assert _digest(lsm) == PINS["churn_64"]
+
+
+# -- batch boundaries ------------------------------------------------------------
+
+_RECORDS = st.tuples(st.integers(0, 95).map(lambda k: b"k%02d" % k),
+                     st.none() | st.binary(max_size=8))
+
+
+def _one_at_a_time(limit: int, ops) -> LSMTree:
+    lsm = LSMTree(memtable_limit=limit)
+    for record in ops:
+        lsm.write_batch((record,))
+    return lsm
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 63),
+       st.lists(_RECORDS, max_size=400), st.data())
+def test_batches_match_one_record_at_a_time(limit, prefill, ops, data):
+    """Any cut of a stream into batches, after any partial memtable,
+    reaches the state of the same records written one at a time: the
+    runs flushed straight from a batch and the records that go through
+    the memtable land exactly where single writes put them."""
+    prefilled = [(b"p%02d" % i, b"pre") for i in range(prefill % limit)]
+    lsm = _one_at_a_time(limit, prefilled)
+    i = 0
+    while i < len(ops):
+        size = data.draw(st.integers(1, 3 * limit + 1), label="batch")
+        lsm.write_batch(ops[i:i + size])
+        i += size
+    assert _digest(lsm) == _digest(_one_at_a_time(limit, prefilled + ops))
+
+
+def test_batch_with_few_distinct_keys_goes_through_the_memtable():
+    """A batch of >= limit records but < limit distinct keys, from an
+    empty memtable, flushes nothing and draws the node levels that single
+    writes draw."""
+    ops = [(b"k%d" % (i % 5), b"v%d" % i) for i in range(20)]
+    lsm = LSMTree(memtable_limit=8)
+    assert lsm.write_batch(ops) == 0
+    assert len(lsm._memtable) == 5 and lsm.levels == [[]]
+    assert _digest(lsm) == _digest(_one_at_a_time(8, ops))
+
+
+def test_tombstone_collision_late_in_a_flushing_batch_writes_nothing():
+    """A tombstone-valued record at the end of a batch long enough to
+    flush twice raises before the WAL, levels, memtable or counters
+    change."""
+    lsm = LSMTree(memtable_limit=16)
+    lsm.write_batch([(b"a%02d" % i, b"x") for i in range(40)])
+    before = _digest(lsm)
+    batch = [(b"b%02d" % i, None if i % 7 == 0 else b"y")
+             for i in range(40)] + [(b"c", TOMBSTONE)]
+    with pytest.raises(ValueError):
+        lsm.write_batch(batch)
+    assert _digest(lsm) == before

@@ -53,8 +53,7 @@ class YcsbWorkload:
     def key(self, index: int) -> str:
         return f"user{index:012d}"
 
-    @property
-    def key_table(self) -> list[str]:
+    def _key_table(self) -> list[str]:
         """``key(i)`` for every record index, formatted once on first
         use: the loaded state and every drawn transaction share these
         ``str`` objects."""
@@ -78,14 +77,14 @@ class YcsbWorkload:
 
     def initial_records(self) -> dict[str, bytes]:
         """The pre-population the paper loads before measuring."""
-        return dict.fromkeys(self.key_table,
+        return dict.fromkeys(self._key_table(),
                              self._value(self.config.record_size))
 
     def _distinct_keys(self, count: int) -> list[str]:
         seen: set[int] = set()
         while len(seen) < count:
             seen.add(self.zipf.next())
-        table = self.key_table
+        table = self._key_table()
         return [table[i] for i in seen]
 
     # -- transaction constructors ---------------------------------------------------

@@ -73,6 +73,15 @@ def test_ycsb_initial_records_shape():
     records = wl.initial_records()
     assert len(records) == 100
     assert all(len(v) == 64 for v in records.values())
+    assert list(records) == [wl.key(i) for i in range(100)]
+
+
+def test_ycsb_draws_share_the_loaded_key_objects():
+    wl = YcsbWorkload(YcsbConfig(record_count=50, theta=0.9, ops_per_txn=3))
+    loaded = {key: key for key in wl.initial_records()}
+    for _ in range(20):
+        for op in wl.next_rmw().ops:
+            assert loaded[op.key] is op.key
 
 
 def test_ycsb_update_txn_structure():

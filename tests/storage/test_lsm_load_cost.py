@@ -16,7 +16,7 @@ from repro.workloads import YcsbConfig, YcsbWorkload
 #: 10k YCSB records (record_size 1000, seed 8): the two full runs of
 #: 4,096 records flush straight from the batch, so only the 1,808-record
 #: tail builds nodes, plus the fresh memtable head after each flush.
-#: Every record went through the memtable before: 10,002.
+#: Putting every record through the memtable builds 10,002.
 SKIP_NODES_10K_LOAD = 1_810
 
 

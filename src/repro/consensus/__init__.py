@@ -1,23 +1,18 @@
 """Consensus and replication protocols over the simulated network."""
 
-from .base import (FailureModel, LogEntry, NetworkModel,
-                   max_tolerated_failures, quorum_size, replicas_required)
+from .base import LogEntry
 from .ibft import IbftConfig, IbftGroup, IbftReplica
 from .pbft import PbftConfig, PbftGroup, PbftReplica
 from .pow import PowConfig, PowMiner, PowNetwork
-from .primarybackup import ChainReplication
 from .raft import NotLeader, RaftConfig, RaftGroup, RaftReplica
 from .sharedlog import OrderingService, SharedLogConfig
 from .tendermint import TendermintConfig, TendermintGroup, TendermintReplica
 
 __all__ = [
-    "ChainReplication",
-    "FailureModel",
     "IbftConfig",
     "IbftGroup",
     "IbftReplica",
     "LogEntry",
-    "NetworkModel",
     "NotLeader",
     "OrderingService",
     "PbftConfig",

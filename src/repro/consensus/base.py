@@ -1,30 +1,19 @@
-"""Common consensus machinery: quorum math, replica bookkeeping.
+"""Common consensus machinery: the leader batch window and log entries.
 
-The paper's Section 3.1.3 failure-model arithmetic lives here:
-
-* CFT, synchronous network:   f + 1 replicas tolerate f failures
-* CFT, asynchronous network:  2f + 1  (Raft, Paxos)
-* BFT, synchronous network:   2f + 1
-* BFT, asynchronous network:  3f + 1  (PBFT, IBFT, Tendermint)
+The paper's Section 3.1.3 quorum arithmetic lives with the protocols
+that use it: Raft commits on a majority of 2f + 1 replicas
+(:attr:`RaftReplica.quorum`), and PBFT, IBFT and Tendermint on 2f + 1
+votes of 3f + 1 (:attr:`PbftReplica.quorum`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 from ..sim.kernel import Environment, WakeableQueue
 
-__all__ = [
-    "FailureModel",
-    "NetworkModel",
-    "replicas_required",
-    "max_tolerated_failures",
-    "quorum_size",
-    "LogEntry",
-    "wake_batches",
-]
+__all__ = ["LogEntry", "wake_batches"]
 
 
 def wake_batches(
@@ -105,46 +94,6 @@ def wake_batches(
     if not still_leader():
         return None, last_beat
     return queue.take(max_batch), last_beat
-
-
-class FailureModel(Enum):
-    CRASH = "crash"
-    BYZANTINE = "byzantine"
-
-
-class NetworkModel(Enum):
-    SYNCHRONOUS = "synchronous"
-    ASYNCHRONOUS = "asynchronous"
-
-
-def replicas_required(f: int, failure_model: FailureModel,
-                      network: NetworkModel = NetworkModel.ASYNCHRONOUS) -> int:
-    """Minimum replicas to tolerate ``f`` failures (paper Section 3.1.3)."""
-    if f < 0:
-        raise ValueError("f must be non-negative")
-    if failure_model is FailureModel.CRASH:
-        return f + 1 if network is NetworkModel.SYNCHRONOUS else 2 * f + 1
-    return 2 * f + 1 if network is NetworkModel.SYNCHRONOUS else 3 * f + 1
-
-
-def max_tolerated_failures(n: int, failure_model: FailureModel,
-                           network: NetworkModel = NetworkModel.ASYNCHRONOUS) -> int:
-    """Largest f such that n replicas tolerate f failures."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if failure_model is FailureModel.CRASH:
-        return n - 1 if network is NetworkModel.SYNCHRONOUS else (n - 1) // 2
-    return (n - 1) // 2 if network is NetworkModel.SYNCHRONOUS else (n - 1) // 3
-
-
-def quorum_size(n: int, failure_model: FailureModel) -> int:
-    """Votes needed to commit: majority for CFT, 2f+1 for BFT (n = 3f+1)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if failure_model is FailureModel.CRASH:
-        return n // 2 + 1
-    f = (n - 1) // 3
-    return 2 * f + 1
 
 
 @dataclass

@@ -82,18 +82,3 @@ class IbftGroup(PbftGroup):
             n.name: IbftReplica(env, n, names, network, costs, config, rng)
             for n in nodes
         }
-
-    def add_validator(self, node: Node, network: Network,
-                      costs: CostModel = DEFAULT_COSTS,
-                      config: Optional[IbftConfig] = None,
-                      rng: Optional[RngRegistry] = None) -> None:
-        """Dynamic validator addition (IBFT supports membership change)."""
-        names = [r.name for r in self.replicas.values()] + [node.name]
-        for replica in self.replicas.values():
-            replica.all_peers = names
-            replica.others = [p for p in names if p != replica.name]
-            replica.n = len(names)
-            replica.f = (replica.n - 1) // 3
-        self.replicas[node.name] = IbftReplica(
-            self.env, node, names, network, costs, config or IbftConfig(),
-            rng)

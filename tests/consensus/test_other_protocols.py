@@ -1,11 +1,10 @@
-"""Tests for IBFT, PoW, Tendermint, chain replication, shared log."""
+"""Tests for IBFT, PoW, Tendermint, shared log."""
 
 import pytest
 
-from repro.consensus import (ChainReplication, IbftConfig, IbftGroup,
-                             OrderingService, PowConfig, PowNetwork,
-                             SharedLogConfig, TendermintConfig,
-                             TendermintGroup)
+from repro.consensus import (IbftConfig, IbftGroup, OrderingService,
+                             PowConfig, PowNetwork, SharedLogConfig,
+                             TendermintConfig, TendermintGroup)
 from repro.sim import Node, RngRegistry
 
 from ..conftest import make_cluster
@@ -181,52 +180,6 @@ def test_tendermint_idle_skip_empty_blocks_default_off(env):
     env.run(until=10)
     # Protocol-faithful default: empty blocks commit on the interval.
     assert max(r.height for r in group.replicas.values()) > 10
-
-
-# -- chain replication -----------------------------------------------------------------
-
-def test_chain_replication_acks_at_tail(env):
-    network, nodes = make_cluster(env, 3, prefix="c")
-    chain = ChainReplication(env, nodes, network)
-    events = [chain.propose({"op": i}) for i in range(30)]
-    env.run(until=10)
-    assert all(ev.triggered and ev.ok for ev in events)
-    assert chain.commits == 30
-
-
-def test_chain_replication_order_preserved_at_every_replica(env):
-    network, nodes = make_cluster(env, 4, prefix="c")
-    chain = ChainReplication(env, nodes, network)
-    for i in range(20):
-        chain.propose({"op": i})
-    env.run(until=10)
-    for name, stream in chain.applied.items():
-        ops = [item["op"] for _seq, item in stream.get_all()]
-        assert ops == list(range(20)), name
-
-
-def test_chain_head_crash_blocks_writes(env):
-    """No automatic failover: the paper's primary-backup weakness."""
-    network, nodes = make_cluster(env, 3, prefix="c")
-    chain = ChainReplication(env, nodes, network)
-    nodes[0].crash()
-    ev = chain.propose({"op": 1})
-    env.run(until=5)
-    assert ev.triggered and not ev.ok
-
-
-def test_chain_read_at_tail(env):
-    network, nodes = make_cluster(env, 3, prefix="c")
-    chain = ChainReplication(env, nodes, network)
-
-    def scenario(env):
-        yield chain.propose({"op": 1})
-        count = yield chain.read()
-        return count
-
-    proc = env.process(scenario(env))
-    env.run(until=5)
-    assert proc.value == 1
 
 
 # -- shared log / ordering service -------------------------------------------------------

@@ -18,7 +18,6 @@ import hashlib
 
 from repro.consensus.pbft import PbftConfig, PbftGroup
 from repro.consensus.ibft import IbftConfig, IbftGroup
-from repro.consensus.primarybackup import ChainReplication
 from repro.consensus.raft import RaftConfig, RaftGroup
 from repro.consensus.sharedlog import OrderingService, SharedLogConfig
 from repro.consensus.tendermint import TendermintConfig, TendermintGroup
@@ -172,20 +171,6 @@ def sharedlog_trace() -> str:
     return _digest(trace)
 
 
-def chain_trace() -> str:
-    env = Environment()
-    network, nodes = _cluster(env, 3, prefix="ch")
-    chain = ChainReplication(env, nodes, network, rng=RngRegistry(42))
-    trace: list[str] = []
-    for node in nodes:
-        _consume(env, chain.applied[node.name], trace, node.name)
-    _schedule_proposals(env, lambda item: chain.propose(item), trace)
-    env.run(until=0.6)
-    trace.append(f"commits={chain.commits}")
-    trace.append(f"msgs={network.messages_sent} bytes={network.bytes_sent}")
-    return _digest(trace)
-
-
 #: Golden digests captured from the pre-refactor (poll-at-batch_window)
 #: implementation.  Wake-on-proposal must reproduce them byte-for-byte.
 GOLDEN = {
@@ -194,7 +179,6 @@ GOLDEN = {
     "ibft": "9d1bf11313af46c4",
     "tendermint": "a26cce4e036300e1",
     "sharedlog": "b601095dba4c964b",
-    "chain": "579dc49ea6951b9c",
 }
 
 
@@ -218,12 +202,8 @@ def test_sharedlog_fingerprint():
     assert sharedlog_trace() == GOLDEN["sharedlog"]
 
 
-def test_chain_fingerprint():
-    assert chain_trace() == GOLDEN["chain"]
-
-
 if __name__ == "__main__":  # capture utility: print fresh digests
     for name, fn in [("raft", raft_trace), ("pbft", pbft_trace),
                      ("ibft", ibft_trace), ("tendermint", tendermint_trace),
-                     ("sharedlog", sharedlog_trace), ("chain", chain_trace)]:
+                     ("sharedlog", sharedlog_trace)]:
         print(f'    "{name}": "{fn()}",')

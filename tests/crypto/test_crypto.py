@@ -1,9 +1,8 @@
-"""Tests for digests and modelled signatures."""
+"""Tests for the SHA-256 digest helpers."""
 
 import pytest
 
-from repro.crypto import (HASH_SIZE, KeyPair, NULL_HASH, hash_concat,
-                          hash_pair, sha256, sign, verify)
+from repro.crypto import HASH_SIZE, NULL_HASH, hash_concat, hash_pair, sha256
 
 
 def test_sha256_known_vector():
@@ -31,38 +30,3 @@ def test_hash_concat_length_prefix_disambiguates():
 def test_null_hash_shape():
     assert len(NULL_HASH) == HASH_SIZE
     assert NULL_HASH == b"\x00" * 32
-
-
-def test_sign_verify_roundtrip():
-    key = KeyPair.generate("alice")
-    sig = sign(key, b"message")
-    assert verify(key, b"message", sig)
-
-
-def test_verify_rejects_tampered_message():
-    key = KeyPair.generate("alice")
-    sig = sign(key, b"message")
-    assert not verify(key, b"messagX", sig)
-
-
-def test_verify_rejects_wrong_key():
-    alice, bob = KeyPair.generate("alice"), KeyPair.generate("bob")
-    sig = sign(alice, b"m")
-    assert not verify(bob, b"m", sig)
-
-
-def test_verify_rejects_forged_tag():
-    from repro.crypto.signatures import Signature
-    key = KeyPair.generate("alice")
-    forged = Signature(signer="alice", tag=b"\x00" * 32)
-    assert not verify(key, b"m", forged)
-
-
-def test_keypair_generation_deterministic():
-    assert KeyPair.generate("x") == KeyPair.generate("x")
-    assert KeyPair.generate("x") != KeyPair.generate("y")
-
-
-def test_signature_size_matches_ecdsa_der():
-    key = KeyPair.generate("alice")
-    assert sign(key, b"m").size == 71

@@ -1,9 +1,11 @@
-"""Authenticated data structures: Merkle tree, MPT, Merkle Bucket Tree,
-Merkle B+ tree."""
+"""Authenticated data structures: MPT, Merkle Bucket Tree, Merkle B+ tree.
+
+A block's binary Merkle root over its transactions is
+:meth:`repro.txn.ledger.Block.txns_merkle_root`.
+"""
 
 from .btm import MerkleBTree
 from .mbt import MerkleBucketTree
-from .merkle import MerkleProof, MerkleTree
 from .mpt import EMPTY_ROOT, MerklePatriciaTrie, NodeStore, verify_proof
 
 __all__ = [
@@ -11,8 +13,6 @@ __all__ = [
     "MerkleBTree",
     "MerkleBucketTree",
     "MerklePatriciaTrie",
-    "MerkleProof",
-    "MerkleTree",
     "NodeStore",
     "verify_proof",
 ]

@@ -1,62 +1,10 @@
-"""Tests for the binary Merkle tree and the Merkle Bucket Tree."""
+"""Tests for the Merkle Bucket Tree."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.adt import MerkleBucketTree, MerkleTree
+from repro.adt import MerkleBucketTree
 from repro.crypto.hashing import NULL_HASH
 
-
-# -- Merkle tree -------------------------------------------------------------
-
-def test_merkle_empty_root_is_null():
-    assert MerkleTree([]).root == NULL_HASH
-
-
-def test_merkle_single_leaf():
-    tree = MerkleTree([b"only"])
-    assert tree.prove(0).verify(b"only", tree.root)
-
-
-def test_merkle_all_proofs_verify():
-    leaves = [f"leaf{i}".encode() for i in range(17)]  # odd, non-power-of-2
-    tree = MerkleTree(leaves)
-    for i, leaf in enumerate(leaves):
-        assert tree.prove(i).verify(leaf, tree.root), i
-
-
-def test_merkle_proof_rejects_wrong_leaf():
-    tree = MerkleTree([b"a", b"b", b"c"])
-    assert not tree.prove(1).verify(b"tampered", tree.root)
-
-
-def test_merkle_proof_rejects_wrong_root():
-    tree = MerkleTree([b"a", b"b", b"c"])
-    other = MerkleTree([b"a", b"b", b"d"])
-    assert not tree.prove(0).verify(b"a", other.root)
-
-
-def test_merkle_proof_index_bounds():
-    tree = MerkleTree([b"a"])
-    with pytest.raises(IndexError):
-        tree.prove(5)
-
-
-def test_merkle_root_is_content_sensitive():
-    assert MerkleTree([b"a", b"b"]).root != MerkleTree([b"b", b"a"]).root
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.binary(min_size=0, max_size=16), min_size=1, max_size=33),
-       st.data())
-def test_merkle_proofs_verify_property(leaves, data):
-    tree = MerkleTree(leaves)
-    idx = data.draw(st.integers(min_value=0, max_value=len(leaves) - 1))
-    assert tree.prove(idx).verify(leaves[idx], tree.root)
-
-
-# -- Merkle Bucket Tree --------------------------------------------------------
 
 def test_mbt_parameters_validated():
     with pytest.raises(ValueError):

@@ -1,10 +1,8 @@
 """Sharding: partitioning, 2PC, BFT 2PC, shard formation."""
 
 from .formation import (FormationMethod, ReconfigurationSchedule,
-                        ShardFormation, min_shard_size,
-                        shard_failure_probability)
-from .partitioner import (HashPartitioner, HotSplitPartitioner,
-                          RangePartitioner, WorkloadAwarePartitioner)
+                        ShardFormation)
+from .partitioner import HashPartitioner, HotSplitPartitioner
 from .twopc import (BftCoordinator, Decision, Participant,
                     TwoPhaseCoordinator, Vote)
 
@@ -15,12 +13,8 @@ __all__ = [
     "HashPartitioner",
     "HotSplitPartitioner",
     "Participant",
-    "RangePartitioner",
     "ReconfigurationSchedule",
     "ShardFormation",
     "TwoPhaseCoordinator",
     "Vote",
-    "WorkloadAwarePartitioner",
-    "min_shard_size",
-    "shard_failure_probability",
 ]

@@ -4,16 +4,16 @@ Blockchain shard formation must be Sybil-resistant and unbiased: the
 assignment uses verifiable randomness seeded by PoW solutions (Elastico),
 stake (Eth2), or trusted hardware attestation (AHL).  The shard size must
 keep the per-shard Byzantine fraction below the BFT threshold with high
-probability — :func:`shard_failure_probability` computes the exact
-hypergeometric tail the designer must bound.  Periodic reconfiguration
-defends against adaptive adversaries at a throughput cost (Figure 14's
-AHL-with-reconfiguration line is ~30% below fixed membership).
+probability; AHL's simulated shards have a fixed size
+(``AhlSystem.NODES_PER_SHARD``) and nothing here computes that bound.
+Periodic reconfiguration defends against adaptive adversaries at a
+throughput cost (Figure 14's AHL-with-reconfiguration line is ~30% below
+fixed membership).
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -21,8 +21,6 @@ from typing import Optional
 __all__ = [
     "FormationMethod",
     "ShardFormation",
-    "shard_failure_probability",
-    "min_shard_size",
     "ReconfigurationSchedule",
 ]
 
@@ -31,38 +29,6 @@ class FormationMethod(Enum):
     POW_LOTTERY = "pow"          # Elastico: PoW solution selects the shard
     POS_SAMPLING = "pos"         # Eth2: stake-weighted validator sampling
     TEE_ATTESTED = "tee"         # AHL: trusted hardware randomness
-
-
-def _hypergeom_pmf(k: int, total: int, bad: int, draws: int) -> float:
-    return (math.comb(bad, k) * math.comb(total - bad, draws - k)
-            / math.comb(total, draws))
-
-
-def shard_failure_probability(total_nodes: int, byzantine_nodes: int,
-                              shard_size: int,
-                              tolerance_fraction: float = 1 / 3) -> float:
-    """P(a uniformly drawn shard has more Byzantine nodes than it tolerates).
-
-    A shard of size s running BFT tolerates floor((s-1)/3) failures by
-    default; sampling without replacement gives the hypergeometric tail.
-    """
-    if shard_size > total_nodes:
-        raise ValueError("shard larger than population")
-    threshold = math.floor((shard_size - 1) * tolerance_fraction)
-    prob = 0.0
-    for k in range(threshold + 1, min(byzantine_nodes, shard_size) + 1):
-        prob += _hypergeom_pmf(k, total_nodes, byzantine_nodes, shard_size)
-    return prob
-
-
-def min_shard_size(total_nodes: int, byzantine_nodes: int,
-                   target_failure_prob: float = 1e-6) -> int:
-    """Smallest shard size whose failure probability is below target."""
-    for size in range(4, total_nodes + 1):
-        if shard_failure_probability(total_nodes, byzantine_nodes,
-                                     size) <= target_failure_prob:
-            return size
-    return total_nodes
 
 
 @dataclass

@@ -1,9 +1,8 @@
 """Data partitioning schemes (Section 3.4.1, database side).
 
 Databases form shards to optimize workload performance: hash partitioning
-spreads load uniformly, range partitioning preserves locality for scans,
-and a workload-aware scheme (Cassandra-style) lets users bias placement by
-access frequency.
+spreads load uniformly, and splitting a hot hash range moves load off an
+overloaded shard under skew.
 """
 
 from __future__ import annotations
@@ -12,8 +11,7 @@ import bisect
 import hashlib
 from typing import Optional, Sequence
 
-__all__ = ["HashPartitioner", "HotSplitPartitioner", "RangePartitioner",
-           "WorkloadAwarePartitioner"]
+__all__ = ["HashPartitioner", "HotSplitPartitioner"]
 
 
 class HashPartitioner:
@@ -27,24 +25,6 @@ class HashPartitioner:
     def shard_of(self, key: str) -> int:
         digest = hashlib.sha256(key.encode()).digest()
         return int.from_bytes(digest[:8], "big") % self.num_shards
-
-    def shards_of(self, keys: Sequence[str]) -> set[int]:
-        return {self.shard_of(k) for k in keys}
-
-
-class RangePartitioner:
-    """Contiguous key ranges; ``bounds`` are the right-open split points.
-
-    With bounds [b0, b1] keys < b0 go to shard 0, [b0, b1) to shard 1, and
-    >= b1 to shard 2.
-    """
-
-    def __init__(self, bounds: Sequence[str]):
-        self.bounds = sorted(bounds)
-        self.num_shards = len(self.bounds) + 1
-
-    def shard_of(self, key: str) -> int:
-        return bisect.bisect_right(self.bounds, key)
 
     def shards_of(self, keys: Sequence[str]) -> set[int]:
         return {self.shard_of(k) for k in keys}
@@ -184,47 +164,3 @@ class HotSplitPartitioner:
         # one hot burst doesn't dominate every later split decision.
         self._hist = [[0] * self.STRIPES for _ in range(len(self._starts))]
         return entry
-
-
-class WorkloadAwarePartitioner:
-    """Greedy frequency-balancing placement (Cassandra locality hints).
-
-    Given observed key frequencies, assigns the hottest keys first, each
-    to the currently least-loaded shard, so expected load is balanced even
-    under skew.  Unknown keys fall back to hash placement.
-    """
-
-    def __init__(self, num_shards: int,
-                 frequencies: Optional[dict[str, float]] = None):
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        self.num_shards = num_shards
-        self._assignment: dict[str, int] = {}
-        self._fallback = HashPartitioner(num_shards)
-        if frequencies:
-            self.rebalance(frequencies)
-
-    def rebalance(self, frequencies: dict[str, float]) -> None:
-        loads = [0.0] * self.num_shards
-        self._assignment.clear()
-        for key, freq in sorted(frequencies.items(),
-                                key=lambda kv: -kv[1]):
-            target = min(range(self.num_shards), key=lambda s: loads[s])
-            self._assignment[key] = target
-            loads[target] += freq
-
-    def shard_of(self, key: str) -> int:
-        shard = self._assignment.get(key)
-        if shard is None:
-            return self._fallback.shard_of(key)
-        return shard
-
-    def shards_of(self, keys: Sequence[str]) -> set[int]:
-        return {self.shard_of(k) for k in keys}
-
-    def load_balance(self, frequencies: dict[str, float]) -> list[float]:
-        """Per-shard expected load under ``frequencies`` (for tests)."""
-        loads = [0.0] * self.num_shards
-        for key, freq in frequencies.items():
-            loads[self.shard_of(key)] += freq
-        return loads

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 from repro.consensus.pbft import PbftGroup
 from repro.sharding import (BftCoordinator, Decision, HashPartitioner,
-                            RangePartitioner, ReconfigurationSchedule,
-                            ShardFormation, TwoPhaseCoordinator, Vote,
-                            WorkloadAwarePartitioner, min_shard_size,
-                            shard_failure_probability)
+                            ReconfigurationSchedule, ShardFormation,
+                            TwoPhaseCoordinator, Vote)
 from repro.sim import RngRegistry
 
 from ..conftest import make_cluster
@@ -36,38 +34,6 @@ def test_hash_partitioner_balances_uniform_keys():
 def test_hash_partitioner_rejects_zero_shards():
     with pytest.raises(ValueError):
         HashPartitioner(0)
-
-
-def test_range_partitioner_boundaries():
-    rp = RangePartitioner(["g", "p"])
-    assert rp.num_shards == 3
-    assert rp.shard_of("a") == 0
-    assert rp.shard_of("g") == 1   # boundary goes right
-    assert rp.shard_of("k") == 1
-    assert rp.shard_of("z") == 2
-
-
-def test_range_partitioner_preserves_locality():
-    rp = RangePartitioner(["m"])
-    shards = rp.shards_of([f"a{i}" for i in range(10)])
-    assert shards == {0}
-
-
-def test_workload_aware_balances_skew():
-    freqs = {f"k{i}": 1.0 / (i + 1) for i in range(100)}  # zipf-ish
-    wp = WorkloadAwarePartitioner(4, freqs)
-    loads = wp.load_balance(freqs)
-    assert max(loads) / min(loads) < 1.5
-    hp_loads = [0.0] * 4
-    hp = HashPartitioner(4)
-    for k, f in freqs.items():
-        hp_loads[hp.shard_of(k)] += f
-    assert max(loads) <= max(hp_loads)  # no worse than hash placement
-
-
-def test_workload_aware_falls_back_to_hash():
-    wp = WorkloadAwarePartitioner(4, {"hot": 1.0})
-    assert 0 <= wp.shard_of("never-seen") < 4
 
 
 # -- 2PC -------------------------------------------------------------------------
@@ -222,36 +188,6 @@ def test_bft_2pc_blocks_when_decide_round_finds_no_primary(env):
 
 
 # -- shard formation ----------------------------------------------------------------
-
-def test_failure_probability_monotone_in_byzantine_count():
-    probs = [shard_failure_probability(100, byz, 10)
-             for byz in (5, 15, 30)]
-    assert probs[0] < probs[1] < probs[2]
-
-
-def test_failure_probability_decreases_with_shard_size():
-    p_small = shard_failure_probability(300, 60, 7)
-    p_large = shard_failure_probability(300, 60, 60)
-    assert p_large < p_small
-
-
-def test_failure_probability_bounds():
-    assert shard_failure_probability(100, 0, 10) == 0.0
-    # all-byzantine population always violates the threshold
-    assert shard_failure_probability(100, 100, 10) == pytest.approx(1.0)
-
-
-def test_shard_size_larger_than_population_rejected():
-    with pytest.raises(ValueError):
-        shard_failure_probability(10, 2, 20)
-
-
-def test_min_shard_size_meets_target():
-    size = min_shard_size(400, 100, target_failure_prob=1e-6)
-    assert shard_failure_probability(400, 100, size) <= 1e-6
-    if size > 4:
-        assert shard_failure_probability(400, 100, size - 1) > 1e-6
-
 
 def test_formation_assignment_balanced_and_deterministic():
     sf = ShardFormation(num_shards=4)

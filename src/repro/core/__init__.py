@@ -2,8 +2,7 @@
 
 from .builder import DEDICATED_MODELS, build_system
 from .forecast import (BAND_RANGES, Forecast, REPORTED_THROUGHPUT,
-                       ThroughputBand, forecast, in_band,
-                       ordering_consistent, rank)
+                       ThroughputBand, forecast, rank)
 from .taxonomy import (Category, ConcurrencyModel, FailureModelChoice,
                        IndexKind, LedgerAbstraction, ReplicationApproach,
                        ReplicationModel, ShardingSupport, SystemProfile,
@@ -27,8 +26,6 @@ __all__ = [
     "ThroughputBand",
     "build_system",
     "forecast",
-    "in_band",
-    "ordering_consistent",
     "profile",
     "rank",
 ]

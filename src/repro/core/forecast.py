@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .taxonomy import (FailureModelChoice, ReplicationApproach,
-                       ReplicationModel, SystemProfile, TABLE2)
+                       ReplicationModel, SystemProfile)
 
 __all__ = ["ThroughputBand", "Forecast", "forecast", "rank",
-           "REPORTED_THROUGHPUT", "ordering_consistent"]
+           "REPORTED_THROUGHPUT"]
 
 
 class ThroughputBand(Enum):
@@ -115,25 +115,3 @@ def rank(profiles: list[SystemProfile]) -> list[Forecast]:
     """Forecasts sorted from highest to lowest predicted throughput."""
     return sorted((forecast(p) for p in profiles),
                   key=lambda f: f.score, reverse=True)
-
-
-def ordering_consistent(reported: dict[str, float] = REPORTED_THROUGHPUT,
-                        tolerance: float = 0.0) -> bool:
-    """Check the framework's key claim: predicted ordering matches the
-    reported ordering (ties in score may appear in either order)."""
-    names = [n for n in reported if n in TABLE2]
-    ranked = rank([TABLE2[n] for n in names])
-    for i in range(len(ranked) - 1):
-        hi, lo = ranked[i], ranked[i + 1]
-        if hi.score == lo.score:
-            continue  # same band: no ordering claim
-        if reported[hi.system] + tolerance < reported[lo.system]:
-            return False
-    return True
-
-
-def in_band(name: str, measured_tps: float) -> bool:
-    """Is a measured throughput inside the forecast band for ``name``?"""
-    f = forecast(TABLE2[name])
-    lo, hi = f.tps_range
-    return lo <= measured_tps <= hi

@@ -9,9 +9,8 @@ twenty systems it catalogues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 __all__ = [
     "ReplicationModel",
@@ -111,52 +110,6 @@ class SystemProfile:
     sharding: ShardingSupport
     benchmarked: bool = False
     notes: str = ""
-
-    @property
-    def is_blockchain_like(self) -> bool:
-        return self.ledger is LedgerAbstraction.APPEND_ONLY \
-            or self.category in (Category.PERMISSIONLESS_BLOCKCHAIN,
-                                 Category.PERMISSIONED_BLOCKCHAIN,
-                                 Category.OUT_OF_DB_BLOCKCHAIN)
-
-    def security_oriented_choices(self) -> list[str]:
-        """The red-marked (security) choices of Table 2."""
-        out = []
-        if self.replication_model is ReplicationModel.TRANSACTION:
-            out.append("transaction-based replication")
-        if self.failure_model in (FailureModelChoice.BFT,
-                                  FailureModelChoice.BOTH):
-            out.append("byzantine fault tolerance")
-        if self.concurrency in (
-                ConcurrencyModel.SERIAL,
-                ConcurrencyModel.CONCURRENT_EXECUTION_SERIAL_COMMIT):
-            out.append("serial(ized) commit")
-        if self.ledger is LedgerAbstraction.APPEND_ONLY:
-            out.append("append-only ledger")
-        if self.index in (IndexKind.LSM_MPT, IndexKind.LSM_MBT,
-                          IndexKind.BTREE_MERKLE):
-            out.append("authenticated index")
-        if self.sharding is ShardingSupport.TWO_PC_BFT:
-            out.append("bft 2pc")
-        return out
-
-    def performance_oriented_choices(self) -> list[str]:
-        """The blue-marked (performance) choices of Table 2."""
-        out = []
-        if self.replication_model is ReplicationModel.STORAGE:
-            out.append("storage-based replication")
-        if self.failure_model is FailureModelChoice.CFT:
-            out.append("crash fault tolerance")
-        if self.replication_approach is ReplicationApproach.SHARED_LOG:
-            out.append("shared log")
-        if self.concurrency is ConcurrencyModel.CONCURRENT:
-            out.append("concurrent execution")
-        if self.index in (IndexKind.LSM, IndexKind.BTREE,
-                          IndexKind.SKIP_LIST):
-            out.append("plain index")
-        if self.sharding is ShardingSupport.TWO_PC:
-            out.append("trusted 2pc")
-        return out
 
 
 def _p(name, category, rmodel, rapproach, fmodel, consensus, conc, ledger,

@@ -2,7 +2,7 @@
 
 from .experiments import POINT_TABLES, fig12_storage, fig13_ads_overhead
 from .harness import BENCH, PAPER, SMOKE, Scale, run_point, run_smallbank_point
-from .report import format_experiment, format_series, format_table, shape_ratio
+from .report import format_experiment
 from .sweep import run_figure
 
 __all__ = [
@@ -14,10 +14,7 @@ __all__ = [
     "fig12_storage",
     "fig13_ads_overhead",
     "format_experiment",
-    "format_series",
-    "format_table",
     "run_figure",
     "run_point",
     "run_smallbank_point",
-    "shape_ratio",
 ]

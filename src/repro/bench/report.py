@@ -1,58 +1,13 @@
-"""Paper-style text rendering of experiment results.
+"""Text rendering of experiment results.
 
-Turns the dicts returned by :mod:`repro.bench.experiments` into the same
-rows/series the paper prints, side by side with the paper's numbers, for
-terminal output.
+Renders the dicts returned by :mod:`repro.bench.experiments` — measured
+values beside the paper's own block — as indented text for terminal
+output.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
-__all__ = ["format_table", "format_series", "format_experiment",
-           "shape_ratio"]
-
-
-def shape_ratio(measured: dict, paper: dict) -> Optional[float]:
-    """Geometric-mean |log ratio| between measured and paper values for
-    shared keys — 1.0 means identical shape; lower is better matched."""
-    import math
-    logs = []
-    for key in measured:
-        if key in paper and paper[key] and measured[key]:
-            logs.append(abs(math.log(measured[key] / paper[key])))
-    if not logs:
-        return None
-    return math.exp(sum(logs) / len(logs))
-
-
-def format_table(title: str, columns: list, rows: dict[str, dict],
-                 unit: str = "tps", width: int = 10) -> str:
-    """Render rows of {row_name: {column: value}} as an aligned table."""
-    header = f"{'':16s}" + "".join(f"{str(c):>{width}}" for c in columns)
-    lines = [title, header, "-" * len(header)]
-    for name, cells in rows.items():
-        row = f"{name:16s}"
-        for column in columns:
-            value = cells.get(column)
-            if value is None:
-                row += f"{'—':>{width}}"
-            elif isinstance(value, float):
-                row += f"{value:>{width}.0f}" if value >= 10 \
-                    else f"{value:>{width}.2f}"
-            else:
-                row += f"{value:>{width}}"
-        lines.append(row)
-    lines.append(f"({unit})")
-    return "\n".join(lines)
-
-
-def format_series(title: str, series: dict[str, float],
-                  unit: str = "tps") -> str:
-    lines = [title]
-    for key, value in series.items():
-        lines.append(f"  {key:20s} {value:12,.1f} {unit}")
-    return "\n".join(lines)
+__all__ = ["format_experiment"]
 
 
 def format_experiment(result: dict) -> str:

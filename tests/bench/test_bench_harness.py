@@ -8,9 +8,8 @@ simulation (fig12, fig13) plus one tiny end-to-end sweep.
 import pytest
 
 from repro.bench import (SMOKE, fig12_storage, fig13_ads_overhead,
-                         format_experiment, format_series, format_table,
-                         run_figure, run_point, run_smallbank_point,
-                         shape_ratio)
+                         format_experiment, run_figure, run_point,
+                         run_smallbank_point)
 
 
 def test_run_point_returns_result():
@@ -67,17 +66,7 @@ def test_fig15_forecast_only():
     assert set(result["forecast"]) == set(result["reported"])
 
 
-def test_shape_ratio():
-    assert shape_ratio({"a": 100.0}, {"a": 100.0}) == pytest.approx(1.0)
-    assert shape_ratio({"a": 200.0}, {"a": 100.0}) == pytest.approx(2.0)
-    assert shape_ratio({}, {}) is None
-
-
 def test_format_helpers_render():
-    table = format_table("T", [1, 2], {"sys": {1: 10.0, 2: None}})
-    assert "sys" in table and "—" in table
-    series = format_series("S", {"x": 1.0})
-    assert "x" in series
     text = format_experiment({"id": "figX", "measured": {"a": {"b": 1.0}},
                               "note": "hi"})
     assert "figX" in text and "note: hi" in text

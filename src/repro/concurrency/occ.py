@@ -88,17 +88,3 @@ class OccValidator:
         txn.mark_committed()
         self.committed += 1
         return True
-
-    def validate_block(self, txns: list[Transaction],
-                       block_version: int) -> list[Transaction]:
-        """Validate a whole block serially; returns committed transactions.
-
-        All transactions in the block are stamped with the block version,
-        and conflicts are evaluated against earlier transactions in the
-        same block too (Fabric's serial in-block validation).
-        """
-        committed = []
-        for txn in txns:
-            if self.validate_and_commit(txn, block_version):
-                committed.append(txn)
-        return committed

@@ -93,8 +93,10 @@ def test_occ_validate_block_intra_block_conflicts():
     txns = [Transaction.update("hot", f"v{i}".encode()) for i in range(5)]
     for t in txns:
         sim.simulate(t)
-    committed = val.validate_block(txns, block_version=2)
-    assert len(committed) == 1  # first wins, rest abort on stale reads
+    # Fabric validates a block serially: later transactions see the
+    # versions earlier ones in the same block committed.
+    committed = [t for t in txns if val.validate_and_commit(t, 2)]
+    assert committed == txns[:1]  # first wins, rest abort on stale reads
 
 
 def test_occ_simulation_does_not_mutate_state():
@@ -135,7 +137,7 @@ def test_occ_serializability_equivalent_to_serial():
             for i, k in enumerate("abcabc")]
     for t in txns:
         sim.simulate(t)
-    committed = val.validate_block(txns, 2)
+    committed = [t for t in txns if val.validate_and_commit(t, 2)]
     # replay committed serially on a fresh store: states must match
     replay = VersionedStore()
     for key in "abc":

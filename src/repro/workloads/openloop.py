@@ -144,12 +144,16 @@ _ARRIVALS = {
 
 def make_schedule(config: "OpenLoopConfig") -> list[float]:
     """The seeded intended-arrival schedule, relative to run start."""
-    if config.rate <= 0 or config.duration <= 0 or config.warmup < 0:
-        # a non-positive rate walks the Poisson clock backwards forever
+    rate, duration, warmup = config.rate, config.duration, config.warmup
+    if not (math.isfinite(rate) and rate > 0 and math.isfinite(duration)
+            and duration > 0 and math.isfinite(warmup) and warmup >= 0):
+        # A non-positive rate walks the Poisson clock backwards forever,
+        # an infinite rate or bound never reaches the end of the window,
+        # and NaN fails every comparison, so it gave an empty schedule.
         raise ValueError(
-            f"open-loop schedule needs rate > 0, duration > 0 and "
-            f"warmup >= 0; got rate={config.rate}, "
-            f"duration={config.duration}, warmup={config.warmup}")
+            f"open-loop schedule needs finite rate > 0, duration > 0 and "
+            f"warmup >= 0; got rate={rate}, duration={duration}, "
+            f"warmup={warmup}")
     try:
         fn = _ARRIVALS[config.arrival]
     except KeyError:

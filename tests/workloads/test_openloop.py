@@ -1,5 +1,6 @@
 """Open-loop driver: arrival processes, CO-safe latency, determinism."""
 
+import math
 import random
 
 import pytest
@@ -191,10 +192,16 @@ def test_unknown_arrival_process_raises(env):
 
 @pytest.mark.parametrize("bad", [dict(rate=-5.0), dict(rate=0.0),
                                  dict(duration=0.0), dict(duration=-1.0),
-                                 dict(warmup=-0.1)])
+                                 dict(warmup=-0.1),
+                                 dict(rate=math.nan), dict(duration=math.nan),
+                                 dict(warmup=math.nan), dict(rate=math.inf),
+                                 dict(duration=math.inf),
+                                 dict(warmup=math.inf)])
 def test_unschedulable_config_raises(bad):
     """rate=-5 used to walk the Poisson clock backwards forever, rate=0
-    was a bare ZeroDivisionError out of ``random.expovariate``."""
+    was a bare ZeroDivisionError out of ``random.expovariate``, NaN in
+    any of the three gave an empty schedule, and an infinite one drew
+    arrivals until memory ran out."""
     with pytest.raises(ValueError, match="rate > 0, duration > 0"):
         make_schedule(OpenLoopConfig(**bad))
 

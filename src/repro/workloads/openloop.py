@@ -149,7 +149,7 @@ def make_schedule(config: "OpenLoopConfig") -> list[float]:
             and duration > 0 and math.isfinite(warmup) and warmup >= 0):
         # A non-positive rate walks the Poisson clock backwards forever,
         # an infinite rate or bound never reaches the end of the window,
-        # and NaN fails every comparison, so it gave an empty schedule.
+        # and a NaN fails every comparison, so the schedule comes out empty.
         raise ValueError(
             f"open-loop schedule needs finite rate > 0, duration > 0 and "
             f"warmup >= 0; got rate={rate}, duration={duration}, "

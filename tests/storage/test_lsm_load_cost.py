@@ -1,14 +1,16 @@
-"""Exact count of the skip-list nodes a seeded 10k-record load builds.
+"""Exact counts of the work a seeded 10k-record load does in the LSM.
 
-A cost pin in the spirit of the event-object counts: it fixes how many
-``_SkipNode`` objects (memtable heads included) a TiKV cluster builds
-while it loads the ledger's 10,000 YCSB records into its 4,096-record
-LSM memtable.  The count repeats to the digit, so a load path that goes
-back to allocating nodes it then flushes shows up here without a clock.
+Cost pins in the spirit of the event-object counts: they fix how many
+``_SkipNode`` objects (memtable heads included) a TiKV cluster builds,
+how many keys its SSTables hash into bloom filters and how many records
+its WAL encodes while it loads the ledger's 10,000 YCSB records into its
+4,096-record LSM memtable.  The counts repeat to the digit, so a load
+path that goes back to building what nothing reads shows up here
+without a clock.
 """
 
 from repro.sim import Environment
-from repro.storage import skiplist
+from repro.storage import skiplist, sstable, wal
 from repro.systems import SystemConfig, TikvSystem
 from repro.workloads import YcsbConfig, YcsbWorkload
 
@@ -19,19 +21,48 @@ from repro.workloads import YcsbConfig, YcsbWorkload
 #: Putting every record through the memtable builds 10,002.
 SKIP_NODES_10K_LOAD = 1_810
 
+#: Keys hashed into bloom filters during the same load: each of the two
+#: flushed tables fills its filter with its 4,096 keys.
+BLOOM_KEYS_10K_LOAD = 8_192
 
-def test_tikv_10k_load_skip_node_count_pinned(monkeypatch):
+#: Records the LSM's WAL encodes during the same load: the 1,808-record
+#: tail after the last flush (the flushed records are never encoded).
+WAL_RECORDS_10K_LOAD = 1_808
+
+
+def _counted(monkeypatch, owner, name) -> list[int]:
+    """Count the calls to ``owner.name`` from here on; returns the
+    one-element tally."""
+    tally = [0]
+    inner = getattr(owner, name)
+
+    def counting(*args):
+        tally[0] += 1
+        return inner(*args)
+    monkeypatch.setattr(owner, name, counting)
+    return tally
+
+
+def _system_and_records() -> tuple[TikvSystem, dict[str, bytes]]:
     system = TikvSystem(Environment(), SystemConfig(num_nodes=5, seed=7))
     records = YcsbWorkload(YcsbConfig(record_count=10_000, record_size=1000,
                                       seed=8)).initial_records()
-    built = 0
-    init = skiplist._SkipNode.__init__
+    return system, records
 
-    def counting(self, *args):
-        nonlocal built
-        built += 1
-        init(self, *args)
-    monkeypatch.setattr(skiplist._SkipNode, "__init__", counting)
+
+def test_tikv_10k_load_skip_node_count_pinned(monkeypatch):
+    system, records = _system_and_records()
+    built = _counted(monkeypatch, skiplist._SkipNode, "__init__")
     system.load(records)
-    assert built == SKIP_NODES_10K_LOAD
+    assert built[0] == SKIP_NODES_10K_LOAD
     assert len(system.engine.tree._memtable) == 1_808
+
+
+def test_tikv_10k_load_bloom_and_wal_counts_pinned(monkeypatch):
+    system, records = _system_and_records()
+    hashed = _counted(monkeypatch, sstable, "sha256")
+    encoded = _counted(monkeypatch, wal, "_pack_into")
+    system.load(records)
+    assert (hashed[0], encoded[0]) == (BLOOM_KEYS_10K_LOAD,
+                                       WAL_RECORDS_10K_LOAD)
+    assert system.engine.tree.wal.appended == 10_000

@@ -8,6 +8,8 @@ RNG's state, the byte counters, and, for the engine streams, the
 engine's ``puts``/``node_ops`` and its own WAL.  A write-path change
 that keeps these literals writes the same bytes to the same places in
 the same order as the key-at-a-time path the literals were taken from.
+A sixth literal pins a seeded interleaving of every
+:class:`WriteAheadLog` operation on its own.
 """
 
 import hashlib
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import TOMBSTONE, LSMTree, engine_for
+from repro.storage import TOMBSTONE, LSMTree, WriteAheadLog, engine_for
 
 
 def _feed(h, *parts) -> None:
@@ -77,6 +79,8 @@ PINS = {
         "841569e201d623623ad30ea11b42cd1f428e65e23b0e104c5b04324de482c63c",
     "chaos_replay":
         "122eeb5ae1b62b5a8b3c6b6e40d8677719b23f0a985a013760dd3a9b762945dc",
+    "wal_interleaving":
+        "919d820aa1d2580f20fc6152b647958332dcb909616d45da84d2fd02547607d9",
 }
 
 
@@ -172,12 +176,52 @@ def _chaos_replay() -> str:
     return _digest(engine.tree, engine)
 
 
+def _wal_interleaving() -> str:
+    """600 seeded WAL operations: batches (a third of them with leading
+    checkpointed records), syncs, crashes, torn-tail corruptions,
+    truncations and replays.  Each step folds ``size_bytes()``,
+    ``synced_to`` and ``appended``; each replay folds its records, and
+    the log's bytes are read only at the end, so appends pile up between
+    reads."""
+    rng = random.Random(17)
+    wal = WriteAheadLog()
+    h = hashlib.sha256()
+    seq = 1
+    for step in range(600):
+        op = rng.random()
+        if op < 0.45:
+            items = [(rng.randbytes(rng.randrange(1, 12)),
+                      rng.randbytes(rng.randrange(40)))
+                     for _ in range(rng.randrange(1, 9))]
+            checkpointed = (rng.randrange(len(items) + 1)
+                            if rng.random() < 0.3 else 0)
+            wal.append_batch(seq, items, checkpointed)
+            seq += len(items)
+        elif op < 0.65:
+            wal.sync()
+        elif op < 0.75:
+            wal.crash()
+        elif op < 0.82:
+            wal.corrupt_tail(rng.randrange(1, 30))
+        elif op < 0.87:
+            wal.truncate()
+        else:
+            records = list(wal.replay())
+            _feed(h, len(records))
+            for record in records:
+                _feed(h, record.seq, record.key, record.value)
+        _feed(h, step, wal.size_bytes(), wal.synced_to, wal.appended)
+    _feed(h, bytes(wal._buffer))
+    return h.hexdigest()
+
+
 STREAMS = {
     "load_10k": _load_10k,
     "churn_64": _churn_64,
     "exact_limit": _exact_limit,
     "engine_wal": _engine_wal,
     "chaos_replay": _chaos_replay,
+    "wal_interleaving": _wal_interleaving,
 }
 
 

@@ -16,6 +16,12 @@ bloom bits, memtable node levels, counters — is the state the same
 records reach one write at a time: a flush installs a fresh memtable
 whose RNG starts from its seed, so no later state depends on the node
 levels a flushed record drew, or on whether it drew any.
+
+The write path builds nothing only a read needs: a flushed or compacted
+table fills its bloom filter on its first lookup, and the WAL encodes
+its records when its bytes are read (:meth:`LSMTree.recover`, a crash).
+Sizes and write amplification are exact without either, so a load that
+nothing reads back from the tree hashes no key and encodes no record.
 """
 
 from __future__ import annotations

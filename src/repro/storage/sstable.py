@@ -3,8 +3,13 @@
 An SSTable is a sorted, immutable run of key-value entries with a sparse
 index (one anchor per block) and a small Bloom filter — the LevelDB layout
 TiKV, LevelDB and RocksDB share in Table 2.  A table checks its key order
-in one pass and fills its filter with one :meth:`BloomFilter.add_many`
-call, which sets the bits one :meth:`BloomFilter.add` per key would.
+in one pass.  It fills its filter on the first read of :attr:`SSTable.bloom`
+(a point lookup or an inspection of the bits), with one
+:meth:`BloomFilter.add_many` call over its keys, which sets the bits one
+:meth:`BloomFilter.add` per key would; a table nothing reads never hashes
+a key.  Its size (:meth:`SSTable.data_bytes`) counts the filter from
+:meth:`BloomFilter.sizing`, the arithmetic the filter itself is built
+from, so size accounting never forces a fill.
 """
 
 from __future__ import annotations
@@ -28,8 +33,15 @@ class BloomFilter:
     """A fixed-size Bloom filter (k=3 hash probes)."""
 
     def __init__(self, capacity: int, bits_per_key: int = 10):
-        self.nbits = max(64, capacity * bits_per_key)
-        self._bits = bytearray((self.nbits + 7) // 8)
+        self.nbits, nbytes = self.sizing(capacity, bits_per_key)
+        self._bits = bytearray(nbytes)
+
+    @staticmethod
+    def sizing(capacity: int, bits_per_key: int = 10) -> tuple[int, int]:
+        """The bit count and byte length of a filter for ``capacity``
+        keys (the one place that arithmetic lives)."""
+        nbits = max(64, capacity * bits_per_key)
+        return nbits, (nbits + 7) // 8
 
     def _probes(self, key: bytes) -> tuple[int, int, int]:
         """The key's three bit positions: one sha256, three words."""
@@ -74,10 +86,18 @@ class SSTable:
         self._values = list(map(itemgetter(1), entries))
         self.level = level
         self.block_size = block_size
-        self.bloom = BloomFilter(max(1, len(entries)))
-        self.bloom.add_many(keys)
+        self._bloom: Optional[BloomFilter] = None
         # sparse index: first key of each block
         self._anchors = self._keys[::block_size]
+
+    @property
+    def bloom(self) -> BloomFilter:
+        """The table's filter over its keys, filled on first read."""
+        bloom = self._bloom
+        if bloom is None:
+            bloom = self._bloom = BloomFilter(max(1, len(self._keys)))
+            bloom.add_many(self._keys)
+        return bloom
 
     @property
     def min_key(self) -> Optional[bytes]:
@@ -115,4 +135,5 @@ class SSTable:
         entries = (sum(map(len, self._keys)) + sum(map(len, self._values))
                    + 8 * len(self._keys))
         index = sum(map(len, self._anchors)) + 8 * len(self._anchors)
-        return entries + index + len(self.bloom._bits)
+        _, bloom = BloomFilter.sizing(max(1, len(self._keys)))
+        return entries + index + bloom

@@ -12,6 +12,15 @@ checkpoint already covered: they are *counted* in ``appended`` — they
 were logged — but never encoded, because the truncation would discard
 their bytes unread.  The buffer ends up byte-identical to appending and
 truncating record by record.
+
+The other records are kept as ``(seq, key, value)`` and encoded when
+something reads the log's bytes: :meth:`~WriteAheadLog.replay`,
+:meth:`~WriteAheadLog.crash`, :meth:`~WriteAheadLog.corrupt_tail` or the
+buffer itself.  Sizes and sync points need no encoding — a record is
+exactly 24 bytes plus its key and value — and a truncation drops pending
+records unencoded, so a log that is checkpointed before anything reads
+it never encodes a record.  The bytes, once read, are the ones eager
+encoding would have written.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ __all__ = ["WriteAheadLog", "WalRecord"]
 _HEADER = struct.Struct(">II")
 _SEQ_KEYLEN = struct.Struct(">QI")
 _VALUELEN = struct.Struct(">I")
+# a record's encoded length beyond its key and value (24 bytes)
+_RECORD_OVERHEAD = _HEADER.size + _SEQ_KEYLEN.size + _VALUELEN.size
 
 
 def _pack_into(buffer: bytearray, seq: int, key: bytes, value: bytes) -> None:
@@ -67,9 +78,24 @@ class WriteAheadLog:
     """An in-memory byte buffer emulating an append-only log file."""
 
     def __init__(self):
-        self._buffer = bytearray()
+        self._encoded = bytearray()
+        # appended records not yet encoded: (first seq, records) per batch
+        self._pending: list[tuple[int, Sequence[tuple[bytes, bytes]]]] = []
+        self._pending_bytes = 0
         self.appended = 0
         self.synced_to = 0
+
+    @property
+    def _buffer(self) -> bytearray:
+        """The log's bytes, with every pending record encoded first."""
+        buffer = self._encoded
+        if self._pending:
+            for first_seq, records in self._pending:
+                for seq, (key, value) in enumerate(records, first_seq):
+                    _pack_into(buffer, seq, key, value)
+            self._pending.clear()
+            self._pending_bytes = 0
+        return buffer
 
     def append(self, record: WalRecord) -> None:
         self.append_batch(record.seq, ((record.key, record.value),))
@@ -81,17 +107,20 @@ class WriteAheadLog:
 
         The first ``checkpointed`` records were covered by a checkpoint
         the writer took inside the batch: they count in ``appended`` but
-        are not encoded (see the module docstring).
+        are not kept (see the module docstring).  The rest are kept
+        unencoded until the log's bytes are read.
         """
-        buffer = self._buffer
-        for i in range(checkpointed, len(items)):
-            key, value = items[i]
-            _pack_into(buffer, first_seq + i, key, value)
+        records = items[checkpointed:]
+        if records:
+            self._pending.append((first_seq + checkpointed, records))
+            self._pending_bytes += (
+                _RECORD_OVERHEAD * len(records)
+                + sum(len(key) + len(value) for key, value in records))
         self.appended += len(items)
 
     def sync(self) -> None:
         """Mark everything written so far as durable."""
-        self.synced_to = len(self._buffer)
+        self.synced_to = self.size_bytes()
 
     def crash(self) -> None:
         """Simulate a crash: unsynced bytes are lost (possibly mid-record)."""
@@ -99,9 +128,10 @@ class WriteAheadLog:
 
     def corrupt_tail(self, nbytes: int = 1) -> None:
         """Flip bytes at the end (torn write) — replay must stop cleanly."""
-        if self._buffer:
-            for i in range(1, min(nbytes, len(self._buffer)) + 1):
-                self._buffer[-i] ^= 0xFF
+        buffer = self._buffer
+        if buffer:
+            for i in range(1, min(nbytes, len(buffer)) + 1):
+                buffer[-i] ^= 0xFF
 
     def replay(self) -> Iterator[WalRecord]:
         """Yield records until the end or the first corrupt/torn record."""
@@ -121,9 +151,12 @@ class WriteAheadLog:
             pos = end
 
     def truncate(self) -> None:
-        """Discard the log after a successful flush (checkpoint)."""
-        self._buffer.clear()
+        """Discard the log after a successful flush (checkpoint); pending
+        records go unencoded."""
+        self._encoded.clear()
+        self._pending.clear()
+        self._pending_bytes = 0
         self.synced_to = 0
 
     def size_bytes(self) -> int:
-        return len(self._buffer)
+        return len(self._encoded) + self._pending_bytes

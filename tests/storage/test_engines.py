@@ -168,6 +168,43 @@ def test_sstable_overlaps():
     assert t1.overlaps(t3) and t3.overlaps(t2)
 
 
+def _table(n: int) -> tuple[SSTable, list[bytes]]:
+    rng = random.Random(n)
+    keys = sorted({rng.randbytes(rng.randrange(1, 16)) for _ in range(n)})
+    return SSTable([(key, b"v" + key) for key in keys]), keys
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 7, 300])
+def test_sstable_fills_the_filter_an_eager_build_fills(n):
+    """Built without a fill, a table's first read of ``bloom`` gives the
+    bits of a filter filled with its keys up front; its size counts the
+    same filter bytes before and after (6 and 7 keys straddle the
+    64-bit floor)."""
+    table, keys = _table(n)
+    size = table.data_bytes()
+    assert table._bloom is None
+    eager = BloomFilter(max(1, len(keys)))
+    eager.add_many(keys)
+    bloom = table.bloom
+    assert (bloom.nbits, bloom._bits) == (eager.nbits, eager._bits)
+    assert table.bloom is bloom
+    assert table.data_bytes() == size
+    assert size - len(bloom._bits) == (
+        sum(len(k) + len(v) + 8 for k, v in table.items())
+        + sum(len(a) + 8 for a in table._anchors))
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_unfilled_sstable_get_finds_keys_and_rejects_absent_ones(n):
+    table, keys = _table(n)
+    assert table._bloom is None
+    assert [table.get(key) for key in keys] == [b"v" + key for key in keys]
+    present = set(keys)
+    probes = [key + b"\x00" for key in keys] + [b"", b"\xff" * 17]
+    assert all(table.get(key) is None for key in probes
+               if key not in present)
+
+
 # -- WAL ----------------------------------------------------------------------------
 
 def test_wal_replay_roundtrip():

@@ -142,18 +142,27 @@ _ARRIVALS = {
 }
 
 
+def _check_window(config: "OpenLoopConfig", generated: bool) -> None:
+    """Reject a config no run can measure; the rate only matters to a
+    ``generated`` schedule, a replayed one brings its own instants.
+
+    A non-positive rate walks the Poisson clock backwards forever, an
+    infinite rate or bound never reaches the end of the window, and a
+    NaN fails every comparison, so the window measures nothing.
+    """
+    rate, duration, warmup = config.rate, config.duration, config.warmup
+    if not ((not generated or math.isfinite(rate) and rate > 0)
+            and math.isfinite(duration) and duration > 0
+            and math.isfinite(warmup) and warmup >= 0):
+        needs = "rate > 0, duration > 0" if generated else "duration > 0"
+        raise ValueError(
+            f"open-loop schedule needs finite {needs} and warmup >= 0; "
+            f"got rate={rate}, duration={duration}, warmup={warmup}")
+
+
 def make_schedule(config: "OpenLoopConfig") -> list[float]:
     """The seeded intended-arrival schedule, relative to run start."""
-    rate, duration, warmup = config.rate, config.duration, config.warmup
-    if not (math.isfinite(rate) and rate > 0 and math.isfinite(duration)
-            and duration > 0 and math.isfinite(warmup) and warmup >= 0):
-        # A non-positive rate walks the Poisson clock backwards forever,
-        # an infinite rate or bound never reaches the end of the window,
-        # and a NaN fails every comparison, so the schedule comes out empty.
-        raise ValueError(
-            f"open-loop schedule needs finite rate > 0, duration > 0 and "
-            f"warmup >= 0; got rate={rate}, duration={duration}, "
-            f"warmup={warmup}")
+    _check_window(config, generated=True)
     try:
         fn = _ARRIVALS[config.arrival]
     except KeyError:
@@ -439,11 +448,16 @@ def run_open_loop(
     seeded arrival process.  The run ends when every arrival has a fate
     (completion, timeout, or drop), or at the ``max_sim_time`` wall —
     a wall-truncated run carries ``extras["wall_hit"]`` and a nonzero
-    ``unresolved`` count instead of masquerading as complete.
+    ``unresolved`` count instead of masquerading as complete.  A NaN,
+    infinite or out-of-range ``warmup`` or ``duration`` raises
+    ``ValueError`` before the clock starts, for a replayed schedule as
+    for a generated one.
     """
     cfg = config or OpenLoopConfig()
     if schedule is None:
         schedule = make_schedule(cfg)
+    else:
+        _check_window(cfg, generated=False)
     run = _OpenLoopRun(env, system, next_txn, cfg, schedule)
     env.run(stop=start_watchdog(env, run.finished, cfg.max_sim_time))
     return run.result()

@@ -206,6 +206,20 @@ def test_unschedulable_config_raises(bad):
         make_schedule(OpenLoopConfig(**bad))
 
 
+@pytest.mark.parametrize("bad", [dict(warmup=math.nan),
+                                 dict(duration=math.nan),
+                                 dict(warmup=math.inf),
+                                 dict(duration=math.inf),
+                                 dict(duration=0.0), dict(warmup=-0.1)])
+def test_replayed_schedule_rejects_an_unmeasurable_window(env, bad):
+    """A trace replay bypasses ``make_schedule``; a NaN window used to
+    measure nothing and report ``offered=0`` instead of raising."""
+    with pytest.raises(ValueError, match="duration > 0 and warmup >= 0"):
+        run_open_loop(env, QuickSystem(env), _workload().next_update,
+                      _cfg(**bad), schedule=[1.1, 1.2, 1.3, 2.0])
+    assert env.now == 0.0 and env.pending == 0
+
+
 @pytest.mark.parametrize("txn_timeout", [0.0, -1.0])
 def test_non_positive_timeout_rejected_before_the_clock_starts(
         env, txn_timeout):

@@ -9,8 +9,7 @@ simulation — three independent views that should agree on ordering.
 Run:  python examples/hybrid_forecast.py
 """
 
-from repro.core import (REPORTED_THROUGHPUT, TABLE2, build_system,
-                        forecast, rank)
+from repro.core import REPORTED_THROUGHPUT, TABLE2, build_system, rank
 from repro.sim import Environment
 from repro.systems import SystemConfig
 from repro.workloads import DriverConfig, YcsbConfig, YcsbWorkload, run_closed_loop

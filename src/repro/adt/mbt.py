@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from typing import Optional
 
-from ..crypto.hashing import NULL_HASH, hash_concat, sha256
+from ..crypto.hashing import NULL_HASH, hash_concat
 
 __all__ = ["MerkleBucketTree"]
 

@@ -23,7 +23,7 @@ disk hosts the storage engine).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 __all__ = ["Step", "Partition", "AsymPartition", "GrayNode", "CrashRestart",

@@ -7,8 +7,6 @@ is the deterministic state-transition function replayed by every replica.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..txn.state import VersionedStore
 from ..txn.transaction import AbortReason, OpType, Transaction
 

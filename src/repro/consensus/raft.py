@@ -17,7 +17,7 @@ followers) holds no copy of the log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..sim.costs import CostModel, DEFAULT_COSTS

@@ -10,7 +10,7 @@ can be regenerated faithfully.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ..crypto.hashing import NULL_HASH, hash_concat, sha256
 from .transaction import Transaction

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis import HistoryChecker, analyze_system
 from repro.sim import Environment
 from repro.systems import EtcdSystem, FabricSystem, QuorumSystem, SystemConfig, TiDBSystem
-from repro.txn import Op, OpType, Transaction, TxnStatus
+from repro.txn import Op, OpType, Transaction
 from repro.workloads import DriverConfig, YcsbConfig, YcsbWorkload, run_closed_loop
 
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.concurrency import (LockDenied, LockManager, LockMode,
-                               OccSimulator, OccValidator, PercolatorStore,
+from repro.concurrency import (LockManager, LockMode, OccSimulator,
+                               OccValidator, PercolatorStore,
                                PrewriteConflict, SerialExecutor,
                                TimestampOracle, endorsements_consistent)
 from repro.txn import AbortReason, Op, OpType, Transaction, TxnStatus, VersionedStore

@@ -6,7 +6,7 @@ when quorums return.
 """
 
 from repro.consensus.pbft import PbftGroup
-from repro.consensus.raft import RaftConfig, RaftGroup
+from repro.consensus.raft import RaftGroup
 from repro.sim import RngRegistry
 
 from ..conftest import make_cluster

@@ -1,9 +1,7 @@
 """Raft protocol tests: normal case, elections, failover, safety."""
 
-import pytest
-
 from repro.consensus.raft import NotLeader, RaftConfig, RaftGroup
-from repro.sim import Environment, Network, Node, RngRegistry
+from repro.sim import RngRegistry
 
 from ..conftest import make_cluster
 

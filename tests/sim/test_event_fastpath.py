@@ -8,7 +8,7 @@ resource counts restored, done fired exactly once)."""
 import pytest
 
 from repro.sim import Environment, Node
-from repro.sim.kernel import _MAX_INLINE_DEPTH, Event, subscribe
+from repro.sim.kernel import _MAX_INLINE_DEPTH, subscribe
 from repro.sim.resources import Resource
 
 

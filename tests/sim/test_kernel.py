@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.kernel import AllOf, AnyOf, Environment, Event, SimulationError
+from repro.sim.kernel import Environment, SimulationError
 
 
 def test_timeout_advances_clock(env):

@@ -3,7 +3,7 @@ compaction, stop-events, and the immediate-resume path."""
 
 import pytest
 
-from repro.sim.kernel import Environment, Event, SimulationError, Timeout
+from repro.sim.kernel import SimulationError, Timeout
 
 NAN = float("nan")
 

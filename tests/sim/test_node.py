@@ -1,6 +1,6 @@
 """Tests for the simulated node."""
 
-from repro.sim import Environment, Message, Node
+from repro.sim import Message, Node
 
 
 def test_compute_occupies_cores(env):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, TimingWheel
+from repro.sim import TimingWheel
 from repro.sim.kernel import SimulationError
 
 

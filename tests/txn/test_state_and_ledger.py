@@ -1,7 +1,5 @@
 """Tests for versioned state and the hash-chained ledger."""
 
-import pytest
-
 from repro.txn import Ledger, Transaction, VersionedStore, envelope_size
 from repro.txn.ledger import Block, BlockHeader
 from repro.crypto.hashing import NULL_HASH

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.txn import AbortReason, Transaction
 from repro.workloads import DriverConfig, YcsbConfig, YcsbWorkload, run_closed_loop
 
 

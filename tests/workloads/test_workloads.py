@@ -1,6 +1,5 @@
 """Tests for Zipf, YCSB, Smallbank generators and the driver."""
 
-import math
 import random
 
 import pytest

@@ -89,12 +89,11 @@ class WriteAheadLog:
     def _buffer(self) -> bytearray:
         """The log's bytes, with every pending record encoded first."""
         buffer = self._encoded
-        if self._pending:
-            for first_seq, records in self._pending:
-                for seq, (key, value) in enumerate(records, first_seq):
-                    _pack_into(buffer, seq, key, value)
-            self._pending.clear()
-            self._pending_bytes = 0
+        for first_seq, records in self._pending:
+            for seq, (key, value) in enumerate(records, first_seq):
+                _pack_into(buffer, seq, key, value)
+        self._pending.clear()
+        self._pending_bytes = 0
         return buffer
 
     def append(self, record: WalRecord) -> None:

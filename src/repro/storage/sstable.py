@@ -95,7 +95,7 @@ class SSTable:
         """The table's filter over its keys, filled on first read."""
         bloom = self._bloom
         if bloom is None:
-            bloom = self._bloom = BloomFilter(max(1, len(self._keys)))
+            bloom = self._bloom = BloomFilter(len(self._keys))
             bloom.add_many(self._keys)
         return bloom
 
@@ -135,5 +135,5 @@ class SSTable:
         entries = (sum(map(len, self._keys)) + sum(map(len, self._values))
                    + 8 * len(self._keys))
         index = sum(map(len, self._anchors)) + 8 * len(self._anchors)
-        _, bloom = BloomFilter.sizing(max(1, len(self._keys)))
+        _, bloom = BloomFilter.sizing(len(self._keys))
         return entries + index + bloom

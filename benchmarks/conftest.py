@@ -11,9 +11,7 @@ Run with ``pytest benchmarks/ --benchmark-only``.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench.harness import BENCH, SMOKE, Scale
+from repro.bench.harness import Scale
 
 # The default fidelity for the bench suite: large enough for stable
 # rankings, small enough that the whole suite finishes in minutes.

@@ -13,12 +13,12 @@ from .invariants import (ConservedBalances, Invariant, InvariantSuite,
                          PrefixConsistency, default_invariants)
 from .scenario import (AsymPartition, Censor, ClockSkew, CrashRestart,
                        Equivocate, GrayNode, LeaderChurn, Partition,
-                       Scenario, ShardSplit, SilentLeader, Step, STEP_KINDS)
+                       Scenario, SilentLeader, Step, STEP_KINDS)
 
 __all__ = [
     "Scenario", "Step", "STEP_KINDS", "Partition", "AsymPartition",
     "GrayNode", "CrashRestart", "LeaderChurn", "ClockSkew", "Equivocate",
-    "Censor", "SilentLeader", "ShardSplit",
+    "Censor", "SilentLeader",
     "ChaosInjector", "discover_groups",
     "Invariant", "InvariantSuite", "NoLedgerFork", "PrefixConsistency",
     "ConservedBalances", "LivenessAfterHeal", "NoAnomalies",

@@ -27,7 +27,7 @@ from ..sim.network import Network, PartitionHandle
 from ..sim.node import Node
 from .scenario import (AsymPartition, Censor, ClockSkew, CrashRestart,
                        Equivocate, GrayNode, LeaderChurn, Partition,
-                       Scenario, ShardSplit, SilentLeader, Step)
+                       Scenario, SilentLeader, Step)
 
 __all__ = ["ChaosInjector", "discover_groups"]
 
@@ -76,7 +76,6 @@ class ChaosInjector:
         engine: Any = None,
         engine_host: Optional[Node] = None,
         costs: Any = None,
-        partitioner: Any = None,
     ):
         self.env = env
         self.scenario = scenario
@@ -85,7 +84,6 @@ class ChaosInjector:
         self.groups = tuple(groups)
         self.engine = engine
         self.engine_host = engine_host
-        self.partitioner = partitioner
         self.costs = costs or (network.costs if network is not None else None)
         self.log: list[str] = []
         self.armed = False
@@ -106,8 +104,7 @@ class ChaosInjector:
             host = servers[0] if servers else nodes[0]
         return cls(system.env, scenario, network=system.network,
                    nodes=nodes, groups=tuple(discover_groups(system)),
-                   engine=engine, engine_host=host, costs=system.costs,
-                   partitioner=getattr(system, "partitioner", None))
+                   engine=engine, engine_host=host, costs=system.costs)
 
     # -- validation / arming ----------------------------------------------
 
@@ -132,10 +129,6 @@ class ChaosInjector:
                 and not self.groups:
             raise ValueError("LeaderChurn needs a consensus group to "
                              "resolve the current leader")
-        if any(isinstance(s, ShardSplit) for s in steps) \
-                and not hasattr(self.partitioner, "maybe_split"):
-            raise ValueError("ShardSplit needs a load-aware partitioner "
-                             "(e.g. AhlSystem(hot_split=True))")
 
     def arm(self) -> None:
         """Validate and schedule every step onto kernel timers.
@@ -211,8 +204,6 @@ class ChaosInjector:
             self._at(step.at, lambda: self._start_skew(step))
         elif isinstance(step, _BYZANTINE_STEPS):
             self._at(step.at, lambda: self._start_byzantine(step))
-        elif isinstance(step, ShardSplit):
-            self._at(step.at, lambda: self._shard_split(step))
         else:  # pragma: no cover - new step types must be compiled here
             raise TypeError(f"unknown step type {type(step).__name__}")
 
@@ -319,18 +310,6 @@ class ChaosInjector:
     def _end_skew(self, node: Node) -> None:
         node.clock_skew = 0.0
         self._note(f"clock skew {node.name} cleared")
-
-    # elastic resharding
-
-    def _shard_split(self, _step: ShardSplit) -> None:
-        entry = self.partitioner.maybe_split(force=True)
-        if entry is None:
-            self._note("shard-split skipped (no recorded load)")
-            return
-        self._note(f"shard-split range {entry['range']} stripe "
-                   f"{entry['stripe']}: {entry['moved_half']} half "
-                   f"{entry['from_shard']} -> {entry['to_shard']} "
-                   f"(share before {entry['max_share_before']:.4f})")
 
     # byzantine windows (BFT-family primaries)
 

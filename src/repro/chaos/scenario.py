@@ -28,7 +28,7 @@ from typing import Optional
 
 __all__ = ["Step", "Partition", "AsymPartition", "GrayNode", "CrashRestart",
            "LeaderChurn", "ClockSkew", "Equivocate", "Censor", "SilentLeader",
-           "ShardSplit", "Scenario", "STEP_KINDS"]
+           "Scenario", "STEP_KINDS"]
 
 #: Role selectors resolvable at fire time instead of a concrete node name.
 ROLE_SELECTORS = ("leader", "engine-host")
@@ -207,22 +207,9 @@ class SilentLeader(Step):
     until: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class ShardSplit(Step):
-    """Force one hot-range split at ``at`` (elastic resharding mid-run).
-
-    Requires a system with a load-aware partitioner — e.g.
-    ``AhlSystem(hot_split=True)`` — whose ``maybe_split`` re-homes half
-    of the hottest key range onto the coldest shard.  The forced split
-    bypasses the load threshold but not the mechanism, so the scenario
-    can exercise mid-run resharding even on a balanced workload; if no
-    range has recorded any accesses yet the step is a logged no-op.
-    """
-
-
 #: Every declarative step type the injector compiles.
 STEP_KINDS = (Partition, AsymPartition, GrayNode, CrashRestart, LeaderChurn,
-              ClockSkew, Equivocate, Censor, SilentLeader, ShardSplit)
+              ClockSkew, Equivocate, Censor, SilentLeader)
 
 
 @dataclass(frozen=True)

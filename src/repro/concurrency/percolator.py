@@ -36,10 +36,6 @@ class TimestampOracle:
         self._ts += 1
         return self._ts
 
-    @property
-    def current(self) -> int:
-        return self._ts
-
 
 @dataclass
 class PrewriteConflict(Exception):
@@ -63,7 +59,7 @@ class PercolatorStore:
     """Versioned store + percolator lock column.
 
     Versions in the underlying :class:`VersionedStore` are commit
-    timestamps, enabling snapshot reads and conflict checks.
+    timestamps, which prewrite's conflict checks compare against.
     """
 
     def __init__(self, store: Optional[VersionedStore] = None):
@@ -81,18 +77,6 @@ class PercolatorStore:
         self.conflicts = 0
 
     # -- reads ---------------------------------------------------------------
-
-    def snapshot_read(self, key: str, start_ts: int) -> tuple[Optional[bytes], int]:
-        """Read the latest version visible at ``start_ts``.
-
-        Single-version approximation: returns the current committed value
-        when its commit_ts <= start_ts; a concurrent newer commit surfaces
-        later as a prewrite conflict rather than a stale read.
-        """
-        value, version = self.store.get(key)
-        if version <= start_ts:
-            return value, version
-        return value, version  # read-committed fallback; conflict caught at prewrite
 
     def is_locked(self, key: str) -> bool:
         return key in self._locks

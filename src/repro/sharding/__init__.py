@@ -2,7 +2,7 @@
 
 from .formation import (FormationMethod, ReconfigurationSchedule,
                         ShardFormation)
-from .partitioner import HashPartitioner, HotSplitPartitioner
+from .partitioner import HashPartitioner
 from .twopc import (BftCoordinator, Decision, Participant,
                     TwoPhaseCoordinator, Vote)
 
@@ -11,7 +11,6 @@ __all__ = [
     "Decision",
     "FormationMethod",
     "HashPartitioner",
-    "HotSplitPartitioner",
     "Participant",
     "ReconfigurationSchedule",
     "ShardFormation",

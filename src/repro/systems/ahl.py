@@ -22,7 +22,7 @@ from typing import Optional
 
 from ..consensus.pbft import PbftConfig, PbftGroup
 from ..sharding.formation import ReconfigurationSchedule, ShardFormation
-from ..sharding.partitioner import HashPartitioner, HotSplitPartitioner
+from ..sharding.partitioner import HashPartitioner
 from ..sharding.twopc import BftCoordinator, Vote
 from ..sim.kernel import Environment, Event, subscribe
 from ..sim.resources import Resource
@@ -203,31 +203,21 @@ class AhlSystem(TransactionalSystem):
 
     def __init__(self, env: Environment, config: Optional[SystemConfig] = None,
                  periodic_reconfig: bool = True,
-                 shard_lookahead: bool = False, parallel: bool = False,
-                 hot_split: bool = False):
+                 shard_lookahead: bool = False, parallel: bool = False):
         """``shard_lookahead`` charges the hub<->shard network hops
         (one ``net_latency`` each way per shard slot), making each shard
         a network-isolated logical process; ``parallel`` additionally
         runs each shard's pipeline in its own worker process behind a
         :class:`~repro.sim.parallel.ShardCoupler` (implies
         ``shard_lookahead`` — the hop model is what makes the two
-        execution strategies equivalent).  ``hot_split`` swaps the hash
-        partitioner for a load-aware
-        :class:`~repro.sharding.partitioner.HotSplitPartitioner` that
-        splits the hottest key range at each reconfig epoch boundary
-        (elastic resharding under the same pause that drains in-flight
-        work).  All default off: the seeded fingerprints pin the default
-        (hopless, single-heap, static-hash) model.
+        execution strategies equivalent).  Both default off: the seeded
+        fingerprints pin the default (hopless, single-heap) model.
         """
         super().__init__(env, config)
         if self.config.num_nodes % self.NODES_PER_SHARD:
             raise ValueError("num_nodes must be a multiple of 3 (Fig. 14)")
         self.num_shards = self.config.num_nodes // self.NODES_PER_SHARD
-        self.hot_split = hot_split
-        if hot_split:
-            self.partitioner = HotSplitPartitioner(self.num_shards)
-        else:
-            self.partitioner = HashPartitioner(self.num_shards)
+        self.partitioner = HashPartitioner(self.num_shards)
         self.state = VersionedStore()
         self._version = 0
         # Per-shard serial PBFT execute pipeline (calibrated).
@@ -274,13 +264,6 @@ class AhlSystem(TransactionalSystem):
             self._paused = True
             self.formation.reconfigure(
                 [n.name for n in self._shard_nodes])
-            if self.hot_split:
-                # Elastic resharding rides the epoch pause: the pipeline
-                # is drained, so re-homing half a key range cannot strand
-                # an in-flight transaction.  Routing is hub-side (the
-                # partitioner never leaves this process), so the split is
-                # identical under serial, lookahead, and parallel builds.
-                self.partitioner.maybe_split()
             yield self.env.timeout(self.reconfig.pause)
             self._paused = False
             signal, self._resume_signal = self._resume_signal, None

@@ -11,7 +11,7 @@ import pytest
 
 from repro.chaos import (AsymPartition, Censor, ClockSkew, CrashRestart,
                          Equivocate, GrayNode, LeaderChurn, Partition,
-                         Scenario, ShardSplit, SilentLeader,
+                         Scenario, SilentLeader,
                          run_chaos_point)
 
 ETCD_MINORITY = ("etcd1",)
@@ -121,33 +121,6 @@ class TestClockSkew:
         # nearly the full skew
         assert (skewed.run.mean_latency
                 > baseline.run.mean_latency + 0.02)
-
-
-class TestShardSplit:
-    SCEN = Scenario(name="ahl-mid-run-split",
-                    steps=(ShardSplit(at=0.5),), settle=1.0)
-
-    def test_mid_run_split_fires_and_run_stays_clean(self):
-        res = run_chaos_point("ahl", self.SCEN, seed=11, num_nodes=6,
-                              workload="ycsb",
-                              system_kwargs={"hot_split": True})
-        _assert_clean(res)
-        split_lines = [l for l in res.injection_log if "shard-split" in l]
-        assert len(split_lines) == 1
-        partitioner = res.extras["system"].partitioner
-        assert len(partitioner.splits) == 1
-        entry = partitioner.splits[0]
-        assert entry["to_shard"] != entry["from_shard"]
-        # Same-seed rerun replays the split byte-for-byte.
-        again = run_chaos_point("ahl", self.SCEN, seed=11, num_nodes=6,
-                                workload="ycsb",
-                                system_kwargs={"hot_split": True})
-        assert again.digest() == res.digest()
-
-    def test_split_without_load_aware_partitioner_rejected(self):
-        with pytest.raises(ValueError, match="load-aware partitioner"):
-            run_chaos_point("ahl", self.SCEN, seed=11, num_nodes=6,
-                            workload="ycsb")
 
 
 class TestByzantine:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.chaos import (AsymPartition, Censor, ClockSkew, CrashRestart,
                          Equivocate, GrayNode, LeaderChurn, Partition,
-                         Scenario, ShardSplit, SilentLeader, STEP_KINDS)
+                         Scenario, SilentLeader, STEP_KINDS)
 
 
 def _scen(*steps, **kw):
@@ -77,9 +77,8 @@ class TestFingerprint:
             Equivocate(at=8.5, until=9.0),
             Censor(at=9.5, match="checking", until=10.0),
             SilentLeader(at=10.5, until=11.0),
-            ShardSplit(at=11.5),
         )
-        assert len(STEP_KINDS) == 10
+        assert len(STEP_KINDS) == 9
         assert {type(s) for s in steps} == set(STEP_KINDS)
         s = Scenario(name="all-kinds", steps=steps)
         fp = s.fingerprint()

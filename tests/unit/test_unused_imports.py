@@ -1,5 +1,5 @@
-"""No module under ``src/``, ``tests/`` or ``examples/`` imports a name it
-never uses.
+"""No module under ``src/``, ``tests/``, ``examples/`` or ``benchmarks/``
+imports a name it never uses.
 
 The repo runs no linter, so an import left behind when its last caller
 is deleted survives silently.  This scan parses every file with
@@ -14,7 +14,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
-SCANNED = ("src", "tests", "examples")
+SCANNED = ("src", "tests", "examples", "benchmarks")
 
 
 def _annotation_names(annotation: ast.expr) -> set[str]:

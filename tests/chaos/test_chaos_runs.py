@@ -123,6 +123,39 @@ class TestClockSkew:
                 > baseline.run.mean_latency + 0.02)
 
 
+class TestAhlCommittee:
+    """AHL's reference committee (the BFT 2PC coordinator) under faults."""
+
+    REF_MAJORITY = ("ahl-ref0", "ahl-ref1", "ahl-ref2")
+
+    def _run(self, scen):
+        return run_chaos_point("ahl", scen, seed=11, num_nodes=6,
+                               workload="ycsb")
+
+    def test_gray_replica_run_stays_clean_and_replays(self):
+        scen = Scenario(
+            name="ahl-gray-ref",
+            steps=(GrayNode(at=0.5, node="ahl-ref1", extra_delay=0.002,
+                            drop_rate=0.1, until=1.5),),
+            settle=1.0)
+        res = self._run(scen)
+        _assert_clean(res)
+        assert any("gray ahl-ref1" in l for l in res.injection_log)
+        assert any("ungray ahl-ref1" in l for l in res.injection_log)
+        assert self._run(scen).digest() == res.digest()
+
+    def test_minority_partition_keeps_committing(self):
+        scen = Scenario(
+            name="ahl-ref-minority-partition",
+            steps=(Partition(at=0.5, group_a=("ahl-ref3",),
+                             group_b=self.REF_MAJORITY, until=1.5),),
+            settle=1.0)
+        res = self._run(scen)
+        _assert_clean(res)
+        assert any("heal" in l for l in res.injection_log)
+        assert not res.extras["system"].network._partitions
+
+
 class TestByzantine:
     def test_silent_leader_voted_out_and_progress_resumes(self):
         scen = Scenario(

@@ -297,6 +297,48 @@ def test_percolator_rollback_clears_only_own_locks():
     assert ps.lock_owner("b") == 2
 
 
+def test_percolator_superseded_read_version_conflicts():
+    ps = PercolatorStore()
+    ps.store.put("a", b"x", 3)
+    ps.prewrite(1, ["a"], "a", 4)
+    ps.commit(1, {"a": b"y"}, 5)
+    # txn 2 read "a" at version 3; its start_ts passes the newer-version
+    # check, but the read it based its write on is gone.
+    with pytest.raises(PrewriteConflict, match="read version superseded"):
+        ps.prewrite(2, ["a"], "a", 10, read_versions={"a": 3})
+    assert not ps.is_locked("a")
+    assert ps.conflicts == 1
+    ps.prewrite(3, ["a"], "a", 10, read_versions={"a": 5})
+    assert ps.lock_owner("a") == 3
+
+
+def test_percolator_read_committed_only_conflicts_on_live_locks():
+    ps = PercolatorStore()
+    ps.prewrite(1, ["a"], "a", 1)
+    ps.commit(1, {"a": b"x"}, 5)
+    # A newer committed version no longer conflicts...
+    ps.prewrite(2, ["a"], "a", 2, first_committer_wins=False)
+    assert ps.lock_owner("a") == 2
+    # ...but another transaction's live lock still does.
+    with pytest.raises(PrewriteConflict, match="locked by txn 2"):
+        ps.prewrite(3, ["a"], "a", 9, first_committer_wins=False)
+
+
+def test_percolator_commit_clock_ignores_foreign_store_versions():
+    ps = PercolatorStore()
+    # A replication layer sharing the store stamps its own apply counter.
+    ps.store.put("a", b"r", 1000)
+    with pytest.raises(PrewriteConflict, match="newer committed version"):
+        ps.prewrite(1, ["a"], "a", 5)
+    ps.prewrite(1, ["a"], "a", 5, commit_clock=True)
+    ps.commit(1, {"a": b"x"}, 7)
+    # The commit-timestamp table still catches a real write-write conflict.
+    with pytest.raises(PrewriteConflict, match="newer committed version"):
+        ps.prewrite(2, ["a"], "a", 6, commit_clock=True)
+    ps.prewrite(3, ["a"], "a", 8, commit_clock=True)
+    assert ps.lock_owner("a") == 3
+
+
 def test_oracle_monotonic():
     oracle = TimestampOracle()
     stamps = [oracle.next() for _ in range(100)]

@@ -36,6 +36,27 @@ def test_hash_partitioner_rejects_zero_shards():
         HashPartitioner(0)
 
 
+def test_hash_partitioner_single_shard_owns_every_key():
+    hp = HashPartitioner(1)
+    assert {hp.shard_of(f"key{i}") for i in range(500)} == {0}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.text(max_size=40), st.integers(1, 128))
+def test_hash_partitioner_routing_depends_on_key_and_count_only(key, n):
+    """AHL, TiKV and Spanner each build their own partitioner; two
+    instances with one shard count must route every key alike."""
+    assert HashPartitioner(n).shard_of(key) == HashPartitioner(n).shard_of(key)
+
+
+def test_hash_partitioner_routing_pinned():
+    # The seeded run pins of every hash-partitioned system rest on this
+    # exact routing (first 8 bytes of sha256, mod the shard count).
+    keys = ("key0", "key1", "user42", "k7", "")
+    assert [HashPartitioner(64).shard_of(k) for k in keys] == [34, 33, 36, 7, 20]
+    assert [HashPartitioner(7).shard_of(k) for k in keys] == [6, 1, 0, 6, 1]
+
+
 # -- 2PC -------------------------------------------------------------------------
 
 class FakeParticipant:

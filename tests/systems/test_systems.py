@@ -291,6 +291,50 @@ def test_ahl_reconfiguration_costs_throughput():
     assert r_reconfig.tps > 0.4 * r_fixed.tps
 
 
+def test_ahl_routes_every_key_through_one_hash_partitioner():
+    from repro.sharding import HashPartitioner
+    system = AhlSystem(Environment(), SystemConfig(num_nodes=192),
+                       periodic_reconfig=False)
+    assert system.num_shards == 64
+    assert type(system.partitioner) is HashPartitioner
+    reference = HashPartitioner(64)
+    keys = [f"user{i}" for i in range(1_000)]
+    assert ([system.partitioner.shard_of(k) for k in keys]
+            == [reference.shard_of(k) for k in keys])
+
+
+def _ahl_fast_reconfig_run():
+    # Reconfig every 50 ms so several epoch boundaries land inside a
+    # smoke-sized measured window of a Zipf-0.99 run over 64 shards.
+    from repro.bench.harness import SMOKE, run_point
+    from repro.sim.costs import DEFAULT_COSTS
+    costs = DEFAULT_COSTS.derive(ahl_reconfig_period=0.05,
+                                 ahl_reconfig_pause=0.01)
+    return run_point("ahl", scale=SMOKE, num_nodes=192, seed=11, theta=0.99,
+                     mode="update", measure_txns=600, costs=costs)
+
+
+def test_ahl_epochs_reform_committees_but_keep_key_routing():
+    result = _ahl_fast_reconfig_run()
+    system = result.extras["system"]
+    assert system.formation.epoch >= 3
+    assert result.tps > 0
+    from repro.sharding import HashPartitioner
+    reference = HashPartitioner(system.num_shards)
+    keys = [f"user{i}" for i in range(500)]
+    assert ([system.partitioner.shard_of(k) for k in keys]
+            == [reference.shard_of(k) for k in keys])
+
+
+def test_ahl_zipf_fast_reconfig_run_is_seeded():
+    first = _ahl_fast_reconfig_run()
+    again = _ahl_fast_reconfig_run()
+    assert (first.extras["system"].formation.epoch
+            == again.extras["system"].formation.epoch)
+    assert repr(again.tps) == repr(first.tps)
+    assert repr(again.mean_latency) == repr(first.mean_latency)
+
+
 def test_ahl_cross_shard_uses_bft_2pc():
     env = Environment()
     system = AhlSystem(env, SystemConfig(num_nodes=6),

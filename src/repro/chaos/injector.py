@@ -40,10 +40,11 @@ def discover_groups(system: Any) -> list:
 
     Dedicated models and hybrids hang their groups off well-known
     attributes: ``raft`` (etcd), ``group`` (quorum), ``backend``
-    (hybrids), ``cluster.groups`` (TiKV's multi-raft regions).
+    (hybrids), ``committee`` (AHL's PBFT reference committee),
+    ``cluster.groups`` (TiKV's multi-raft regions).
     """
     groups: list = []
-    for attr in ("raft", "group", "backend"):
+    for attr in ("raft", "group", "backend", "committee"):
         g = getattr(system, attr, None)
         if g is not None and hasattr(g, "replicas"):
             groups.append(g)

@@ -72,7 +72,6 @@ class PercolatorStore:
         # comparisons.  ``commit_clock=True`` prewrites compare against
         # this oracle-coherent table instead.
         self._commit_ts: dict[str, int] = {}
-        # key -> latest commit_ts (the store's version doubles as this)
         self.prewrites = 0
         self.conflicts = 0
 

@@ -157,10 +157,11 @@ class _KvWrite:
 class _KvRead:
     """Leaseholder point get at the region leader, as a flat chain."""
 
-    __slots__ = ("cluster", "key", "done")
+    __slots__ = ("cluster", "node", "key", "done")
 
-    def __init__(self, cluster: "TikvCluster", key: str, done: Event):
+    def __init__(self, cluster: "TikvCluster", node, key: str, done: Event):
         self.cluster = cluster
+        self.node = node
         self.key = key
         self.done = done
 
@@ -169,8 +170,7 @@ class _KvRead:
 
     def _begin(self, _arg) -> None:
         cluster = self.cluster
-        node = cluster.leader_node(self.key)
-        cluster.read_paths[node.name].serve_then(
+        cluster.read_paths[self.node.name].serve_then(
             cluster.costs.tikv_read_cpu, self._served)
 
     def _served(self, _arg) -> None:
@@ -233,7 +233,7 @@ class TikvCluster:
         return self.partitioner.shard_of(key)
 
     def leader_node(self, key: str):
-        return self.nodes[self.leader_of(key)]
+        return self.nodes[self.partitioner.shard_of(key)]
 
     # -- writes ---------------------------------------------------------------------
 
@@ -251,8 +251,13 @@ class TikvCluster:
 
     def kv_read(self, key: str) -> Event:
         """Leaseholder point get at the region leader."""
+        return self.read_at(self.leader_node(key), key)
+
+    def read_at(self, node, key: str) -> Event:
+        """:meth:`kv_read` at ``node``, the key's region leader, which
+        the caller has already looked up."""
         done = self.env.event()
-        _KvRead(self, key, done).start()
+        _KvRead(self, node, key, done).start()
         return done
 
     def load(self, records: dict[str, bytes]) -> None:
@@ -407,20 +412,25 @@ class _Update(RoundTrip):
 
 
 class _Query(QueryRoundTrip):
-    """One read-only query: one leaseholder ``kv_read`` per op
-    (sequential), then the reply from the first key's region leader."""
+    """One read-only query: one leaseholder read per op (sequential),
+    then the reply from the first key's region leader, looked up once
+    for its read and its reply."""
 
-    __slots__ = ()
+    __slots__ = ("leader",)
 
     def _arrived(self, _arg) -> None:
         ops = self.txn.ops
-        if self._idx < len(ops):
-            key = ops[self._idx].key
-            self._idx += 1
-            subscribe(self.system.cluster.kv_read(key), self._arrived)
+        idx = self._idx
+        if idx < len(ops):
+            cluster = self.system.cluster
+            key = ops[idx].key
+            node = cluster.leader_node(key)
+            if idx == 0:
+                self.leader = node
+            self._idx = idx + 1
+            subscribe(cluster.read_at(node, key), self._arrived)
             return
-        self._reply(self.system.cluster.leader_node(ops[0].key),
-                    64 + self.txn.payload_size)
+        self._reply(self.leader, 64 + self.txn.payload_size)
 
 
 class TikvSystem(TransactionalSystem):

@@ -81,10 +81,12 @@ class YcsbWorkload:
                              self._value(self.config.record_size))
 
     def _distinct_keys(self, count: int) -> list[str]:
+        table = self._key_table()
+        if count == 1:
+            return [table[self.zipf.next()]]
         seen: set[int] = set()
         while len(seen) < count:
             seen.add(self.zipf.next())
-        table = self._key_table()
         return [table[i] for i in seen]
 
     # -- transaction constructors ---------------------------------------------------

@@ -15,7 +15,10 @@ closed-loop clients sampling the same keyspace pay the O(n) setup once.
 Rank-to-key scrambling is a true **permutation** of [0, n): a fixed-key
 Feistel network over the smallest covering power-of-four domain with
 cycle-walking, so every key appears exactly once (the previous
-multiply-mod fold admitted collisions for non-coprime n).
+multiply-mod fold admitted collisions for non-coprime n).  Each generator
+keeps the ``rank -> item`` answers it has worked out, so a skewed stream
+runs the Feistel rounds once per distinct rank it draws, not once per
+draw; the cache never holds more than ``n`` entries.
 """
 
 from __future__ import annotations
@@ -95,6 +98,7 @@ class ZipfGenerator:
         half_bits = max(1, ((n - 1).bit_length() + 1) // 2) if n > 1 else 1
         self._half_bits = half_bits
         self._half_mask = (1 << half_bits) - 1
+        self._items: dict[int, int] = {}   # rank -> _scramble(rank)
 
     def _scramble(self, rank: int) -> int:
         if not self.scrambled or self.n == 1:
@@ -130,7 +134,11 @@ class ZipfGenerator:
 
     def next(self) -> int:
         """An item index in [0, n)."""
-        return self._scramble(self.next_rank())
+        rank = self.next_rank()
+        item = self._items.get(rank)
+        if item is None:
+            item = self._items[rank] = self._scramble(rank)
+        return item
 
     def probability(self, rank: int) -> float:
         """P(draw = rank) (0-based rank)."""

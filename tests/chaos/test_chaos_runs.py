@@ -13,6 +13,7 @@ from repro.chaos import (AsymPartition, Censor, ClockSkew, CrashRestart,
                          Equivocate, GrayNode, LeaderChurn, Partition,
                          Scenario, SilentLeader,
                          run_chaos_point)
+from repro.chaos.injector import discover_groups
 
 ETCD_MINORITY = ("etcd1",)
 ETCD_MAJORITY = ("etcd0", "etcd2", "etcd3", "etcd4")
@@ -154,6 +155,20 @@ class TestAhlCommittee:
         _assert_clean(res)
         assert any("heal" in l for l in res.injection_log)
         assert not res.extras["system"].network._partitions
+
+    def test_silent_reference_leader_arms_and_stays_clean(self):
+        # A byzantine step needs a BFT group: discovery must find the
+        # committee.  One-op YCSB never crosses shards, so the silenced
+        # primary has nothing to swallow.
+        scen = Scenario(name="ahl-silent-ref-leader",
+                        steps=(SilentLeader(at=0.5, until=2.5),))
+        res = run_chaos_point("ahl", scen, num_nodes=6, workload="ycsb")
+        _assert_clean(res)
+        system = res.extras["system"]
+        assert discover_groups(system) == [system.committee]
+        assert res.injection_log == (
+            "0.500000 primary ahl-ref0 silenced",
+            "2.500000 ahl-ref0 unsilenced (0 swallowed, 0 released)")
 
 
 class TestByzantine:

@@ -4,16 +4,22 @@ Cost pins in the spirit of the event-object counts: they fix how many
 ``_SkipNode`` objects (memtable heads included) a TiKV cluster builds,
 how many keys its SSTables hash into bloom filters and how many records
 its WAL encodes while it loads the ledger's 10,000 YCSB records into its
-4,096-record LSM memtable.  The counts repeat to the digit, so a load
-path that goes back to building what nothing reads shows up here
-without a clock.
+4,096-record LSM memtable, and how often a Zipf query run over that load
+hashes a key to its region and scrambles a rank to a key.  The counts
+repeat to the digit, so a load path that goes back to building what
+nothing reads, or a read path that goes back to recomputing what it
+already knows, shows up here without a clock.
 """
 
+import types
+
+from repro.sharding import partitioner
 from repro.sim import Environment
 from repro.storage import skiplist, sstable, wal
 from repro.systems import SystemConfig, TikvSystem
 from repro.workloads import (DriverConfig, YcsbConfig, YcsbWorkload,
                              run_closed_loop)
+from repro.workloads.zipf import ZipfGenerator
 
 #: _SkipNode constructions during TikvSystem(5 nodes, seed 7).load of the
 #: 10k YCSB records (record_size 1000, seed 8): the two full runs of
@@ -31,6 +37,16 @@ BLOOM_KEYS_10K_LOAD = 0
 #: records when its bytes are read, and the load only sizes and syncs it.
 #: Encoding at append encoded 1,808 (the tail after the last flush).
 WAL_RECORDS_10K_LOAD = 0
+
+#: ``sha256`` calls in the partitioner during a 64-client Zipf 0.99 query
+#: run over that load (100 warm-up and 2,000 measured one-op queries): one
+#: per distinct key routed.  Hashing on every lookup, once for the read
+#: and once for the reply, made 4,262.
+ROUTING_HASHES_QUERY_RUN = 980
+
+#: ``ZipfGenerator._scramble`` calls during the same run: one per distinct
+#: rank drawn.  Scrambling every draw made 2,162.
+SCRAMBLES_QUERY_RUN = 984
 
 
 def _counted(monkeypatch, owner, name) -> list[int]:
@@ -87,3 +103,29 @@ def test_tikv_10k_load_and_query_run_fill_no_filter(monkeypatch):
                                           query_mode=True))
     assert result.measured == 2_000
     assert (hashed[0], encoded[0]) == (0, 0)
+
+
+def test_tikv_query_run_hashes_each_key_and_scrambles_each_rank_once(
+        monkeypatch):
+    # One workload loads and then draws, as the ledger's point does.
+    system = TikvSystem(Environment(), SystemConfig(num_nodes=5, seed=7))
+    workload = _workload()
+    system.load(workload.initial_records())
+    hashed = [0]
+    sha256 = partitioner.hashlib.sha256
+
+    def counting_sha256(data):
+        hashed[0] += 1
+        return sha256(data)
+    monkeypatch.setattr(partitioner, "hashlib",
+                        types.SimpleNamespace(sha256=counting_sha256))
+    scrambled = _counted(monkeypatch, ZipfGenerator, "_scramble")
+    result = run_closed_loop(system.env, system, workload.next_query,
+                             DriverConfig(clients=64, warmup_txns=100,
+                                          measure_txns=2_000,
+                                          query_mode=True))
+    assert result.measured == 2_000
+    assert hashed[0] == ROUTING_HASHES_QUERY_RUN
+    assert hashed[0] == len(system.cluster.partitioner._shards)
+    assert scrambled[0] == SCRAMBLES_QUERY_RUN
+    assert scrambled[0] == len(workload.zipf._items)

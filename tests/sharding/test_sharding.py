@@ -58,17 +58,15 @@ def test_hash_partitioner_routing_pinned():
 
 
 def test_hash_partitioner_routing_of_ycsb_keys_pinned():
-    # YCSB record keys at TiKV's five-node and AHL's 64-shard layouts.
+    # YCSB record keys at TiKV's five-node and AHL's 64-shard layouts,
+    # each routed twice by one partitioner: first lookup and repeat.
     keys = [f"user{i:012d}" for i in (0, 1, 2, 3, 7, 42, 99, 100, 512, 999,
                                       1000, 4095, 5000, 7777, 9998, 9999)]
-    assert [HashPartitioner(5).shard_of(k) for k in keys] == [
-        1, 3, 3, 1, 2, 4, 2, 4, 3, 4, 0, 4, 4, 2, 1, 0]
-    assert [HashPartitioner(64).shard_of(k) for k in keys] == [
-        47, 33, 11, 45, 8, 11, 42, 27, 50, 7, 12, 17, 20, 27, 5, 8]
-    # A repeated lookup routes the same way.
-    partitioner = HashPartitioner(64)
-    assert ([partitioner.shard_of(k) for k in keys + keys]
-            == [HashPartitioner(64).shard_of(k) for k in keys] * 2)
+    five, sixty_four = HashPartitioner(5), HashPartitioner(64)
+    assert [five.shard_of(k) for k in keys + keys] == [
+        1, 3, 3, 1, 2, 4, 2, 4, 3, 4, 0, 4, 4, 2, 1, 0] * 2
+    assert [sixty_four.shard_of(k) for k in keys + keys] == [
+        47, 33, 11, 45, 8, 11, 42, 27, 50, 7, 12, 17, 20, 27, 5, 8] * 2
 
 
 # -- 2PC -------------------------------------------------------------------------

@@ -13,7 +13,7 @@ aborts on mismatching read sets (Fig. 10b's "inconsistent read" category).
 from __future__ import annotations
 
 from ..txn.state import VersionedStore
-from ..txn.transaction import AbortReason, OpType, Transaction
+from ..txn.transaction import AbortReason, Transaction
 
 __all__ = ["OccSimulator", "OccValidator", "endorsements_consistent"]
 
@@ -27,29 +27,11 @@ class OccSimulator:
     def simulate(self, txn: Transaction) -> dict[str, int]:
         """Fill ``txn.read_set``/``write_set`` from the current state.
 
-        Returns the read set (used for endorsement comparison).  The
-        store itself is not modified.
+        Returns the read set (used for endorsement comparison); a logic
+        abort marks ``txn`` aborted.  The store itself is not modified.
         """
-        reads: dict[str, bytes] = {}
-        read_set: dict[str, int] = {}
-        for op in txn.ops:
-            if op.op_type in (OpType.READ, OpType.UPDATE):
-                value, version = self.store.get(op.key)
-                read_set[op.key] = version
-                reads[op.key] = value if value is not None else b""
-        write_set: dict[str, bytes] = {}
-        if txn.logic is not None:
-            derived = txn.logic(reads)
-            if derived is None:
-                txn.mark_aborted(AbortReason.LOGIC)
-                return read_set
-            write_set.update(derived)
-        for op in txn.ops:
-            if op.is_write:
-                write_set.setdefault(op.key, op.value)
-        txn.read_set = dict(read_set)
-        txn.write_set = write_set
-        return read_set
+        txn.derive_writes(self.store.read_inputs(txn))
+        return txn.read_set
 
 
 def endorsements_consistent(read_sets: list[dict[str, int]]) -> bool:
@@ -83,8 +65,6 @@ class OccValidator:
                 txn.mark_aborted(AbortReason.READ_WRITE_CONFLICT)
                 self.aborted += 1
                 return False
-        self.store.apply_write_set(txn.write_set, version)
-        txn.commit_version = version
-        txn.mark_committed()
+        self.store.install(txn, version)
         self.committed += 1
         return True

@@ -13,7 +13,9 @@ systems' weak paths use it:
 * **stage** — read every input key from the *current committed state*
   (one simulated instant: the snapshot), run the transaction's logic,
   and buffer the derived write set.  Pure bookkeeping; the caller
-  charges the read/execute costs through its own cost model.
+  charges the read/execute costs through its own cost model.  tikv
+  reads through its replicated read path instead and runs
+  :meth:`~repro.txn.transaction.Transaction.derive_writes` itself.
 * **reserve/release** — optional write intents for client-driven paths
   (tikv): first-updater-wins over the window between staging and the
   replicated write-back.
@@ -33,7 +35,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..txn.state import VersionedStore
-from ..txn.transaction import AbortReason, OpType, Transaction
+from ..txn.transaction import AbortReason, Transaction
 
 __all__ = ["LEVELS", "SnapshotScheduler", "isolation_level"]
 
@@ -58,9 +60,7 @@ class SnapshotScheduler:
 
     def __init__(self, store: VersionedStore):
         self.store = store
-        self.staged = 0
         self.conflicts = 0
-        self.logic_aborts = 0
         # Live write intents (key -> txn_id) for client-driven paths.
         self._intents: dict[str, int] = {}
 
@@ -72,33 +72,7 @@ class SnapshotScheduler:
         Returns False (and marks the txn LOGIC-aborted) on a constraint
         violation; the caller then skips consensus/apply entirely.
         """
-        reads: dict[str, bytes] = {}
-        for op in txn.ops:
-            if op.op_type in (OpType.READ, OpType.UPDATE):
-                value, version = self.store.get(op.key)
-                txn.read_set[op.key] = version
-                reads[op.key] = value if value is not None else b""
-        return self.derive(txn, reads)
-
-    def derive(self, txn: Transaction, reads: dict[str, bytes]) -> bool:
-        """Turn staged reads into the buffered write set (logic step).
-
-        Split from :meth:`stage` for paths that must charge each read
-        through their own replicated read machinery (tikv) and hand the
-        values in.
-        """
-        if txn.logic is not None:
-            derived = txn.logic(reads)
-            if derived is None:
-                txn.mark_aborted(AbortReason.LOGIC)
-                self.logic_aborts += 1
-                return False
-            txn.write_set.update(derived)
-        for op in txn.ops:
-            if op.is_write:
-                txn.write_set.setdefault(op.key, op.value)
-        self.staged += 1
-        return True
+        return txn.derive_writes(self.store.read_inputs(txn))
 
     # -- write intents (client-driven paths) ---------------------------------
 
@@ -145,7 +119,5 @@ class SnapshotScheduler:
                     txn.mark_aborted(AbortReason.WRITE_WRITE_CONFLICT)
                     self.conflicts += 1
                     return False
-        self.store.apply_write_set(txn.write_set, version)
-        txn.commit_version = version
-        txn.mark_committed()
+        self.store.install(txn, version)
         return True

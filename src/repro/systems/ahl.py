@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..concurrency.serial import SerialExecutor
 from ..consensus.pbft import PbftConfig, PbftGroup
 from ..sharding.formation import ReconfigurationSchedule, ShardFormation
 from ..sharding.partitioner import HashPartitioner
@@ -150,15 +151,16 @@ class _AhlTxn(RoundTrip):
         ev.callbacks.append(self._decided)
 
     def _executed(self, _ev: Event) -> None:
-        self.system._apply(self.txn)
+        system = self.system
+        system._version += 1
+        system.executor.execute(self.txn, system._version)
         self._finish(None)
 
     def _decided(self, ev: Event) -> None:
-        decision = ev._value
-        if decision.value != "commit":
-            self.txn.mark_aborted(AbortReason.COORDINATOR_ABORT)
-        else:
-            self.system._apply(self.txn)
+        if ev._value.value == "commit":
+            self._executed(ev)
+            return
+        self.txn.mark_aborted(AbortReason.COORDINATOR_ABORT)
         self._finish(None)
 
 
@@ -219,6 +221,7 @@ class AhlSystem(TransactionalSystem):
         self.num_shards = self.config.num_nodes // self.NODES_PER_SHARD
         self.partitioner = HashPartitioner(self.num_shards)
         self.state = VersionedStore()
+        self.executor = SerialExecutor(self.state)
         self._version = 0
         # Per-shard serial PBFT execute pipeline (calibrated).
         self._shard_nodes = self._new_nodes(self.config.num_nodes, "ahl")
@@ -300,13 +303,6 @@ class AhlSystem(TransactionalSystem):
         done = self.env.event()
         _AhlTxn(self, txn, done).start()
         return done
-
-    def _apply(self, txn: Transaction) -> None:
-        self._version += 1
-        for op in txn.ops:
-            if op.is_write:
-                self.state.put(op.key, op.value, self._version)
-        txn.mark_committed()
 
     # -- queries -----------------------------------------------------------------------------
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..concurrency.occ import OccSimulator, OccValidator
+from ..concurrency.serial import SerialExecutor
 from ..consensus.pbft import PbftConfig, PbftGroup
 from ..consensus.pow import PowConfig, PowNetwork
 from ..consensus.raft import RaftConfig, RaftGroup
@@ -29,7 +30,7 @@ from ..crypto.hashing import NULL_HASH
 from ..sim.kernel import Environment, Event, subscribe
 from ..sim.resources import Resource, Store
 from ..txn.ledger import Ledger
-from ..txn.transaction import AbortReason, OpType, Transaction, TxnStatus
+from ..txn.transaction import AbortReason, Transaction
 from .base import (QueryRoundTrip, RoundTrip, SystemConfig,
                    TransactionalSystem)
 
@@ -191,6 +192,7 @@ class HybridSystem(TransactionalSystem):
             default_index=self.spec.get("index", profile.index))
         self.simulator = OccSimulator(self.state)
         self.validator = OccValidator(self.state)
+        self.executor = SerialExecutor(self.state)
         self.ledger = Ledger()
         self.commit_threads = {n.name: Resource(env, 1)
                                for n in self.servers}
@@ -280,7 +282,7 @@ class HybridSystem(TransactionalSystem):
                     ConcurrencyModel.CONCURRENT_EXECUTION_SERIAL_COMMIT:
                 self.validator.validate_and_commit(txn, self._version)
             else:
-                self._execute(txn, self._version)
+                self.executor.execute(txn, self._version)
             if self._version % 64 == 0:
                 result = self.state.commit(self._version)
                 index_cost = (self.costs.index_commit_time(
@@ -292,28 +294,7 @@ class HybridSystem(TransactionalSystem):
                     [txn], timestamp=self.env.now,
                     state_root=(result.root if self.engine.authenticated
                                 else NULL_HASH))
-            if txn.status is TxnStatus.PENDING:
-                txn.mark_committed()
             done.succeed(txn)
-
-    def _execute(self, txn: Transaction, version: int) -> None:
-        reads: dict[str, bytes] = {}
-        for op in txn.ops:
-            if op.op_type in (OpType.READ, OpType.UPDATE):
-                value, ver = self.state.get(op.key)
-                txn.read_set[op.key] = ver
-                reads[op.key] = value if value is not None else b""
-        if txn.logic is not None:
-            derived = txn.logic(reads)
-            if derived is None:
-                txn.mark_aborted(AbortReason.LOGIC)
-                return
-            txn.write_set.update(derived)
-        for op in txn.ops:
-            if op.is_write:
-                txn.write_set.setdefault(op.key, op.value)
-        self.state.apply_write_set(txn.write_set, version)
-        txn.mark_committed()
 
     # -- queries -------------------------------------------------------------------------
 

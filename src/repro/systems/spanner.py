@@ -30,7 +30,7 @@ from ..sharding.partitioner import HashPartitioner
 from ..sim.kernel import AllOf, Environment, Event, subscribe
 from ..sim.resources import Resource
 from ..txn.state import VersionedStore
-from ..txn.transaction import AbortReason, OpType, Transaction
+from ..txn.transaction import AbortReason, Transaction
 from .base import (QueryRoundTrip, RoundTrip, SystemConfig,
                    TransactionalSystem)
 
@@ -95,7 +95,7 @@ class _Txn(RoundTrip):
     the client hears back).
     """
 
-    __slots__ = ("held", "sorted_ops", "write_set", "shards")
+    __slots__ = ("held", "sorted_ops", "shards")
 
     def request_size(self) -> int:
         return 128 + self.txn.payload_size
@@ -139,24 +139,10 @@ class _Txn(RoundTrip):
     def _read_and_execute(self) -> None:
         system = self.system
         txn = self.txn
-        reads = {}
-        for op in txn.ops:
-            if op.op_type in (OpType.READ, OpType.UPDATE):
-                value, version = system.state.get(op.key)
-                txn.read_set[op.key] = version
-                reads[op.key] = value if value is not None else b""
-        write_set = self.write_set = {}
-        if txn.logic is not None:
-            derived = txn.logic(reads)
-            if derived is None:
-                txn.mark_aborted(AbortReason.LOGIC)
-                self._finish(False)
-                return
-            write_set.update(derived)
-        for op in txn.ops:
-            if op.is_write:
-                write_set.setdefault(op.key, op.value)
-        txn.write_set = write_set
+        if not txn.derive_writes(system.state.read_inputs(txn)):
+            self._finish(False)
+            return
+        write_set = txn.write_set
         if not write_set:
             txn.mark_committed()
             self._finish(True)
@@ -196,11 +182,8 @@ class _Txn(RoundTrip):
 
     def _commit_waited(self, _arg) -> None:
         system = self.system
-        txn = self.txn
         system._version += 1
-        system.state.apply_write_set(self.write_set, system._version)
-        txn.commit_version = system._version
-        txn.mark_committed()
+        system.state.install(self.txn, system._version)
         self._finish(True)
 
     def _finish(self, committed: bool) -> None:

@@ -64,8 +64,8 @@ class _Txn(RoundTrip):
     """
 
     __slots__ = ("server", "attempts", "start_ts", "commit_ts", "reads",
-                 "write_set", "keys", "primary", "grants", "prewrites",
-                 "_cur", "_hist_reads")
+                 "keys", "primary", "grants", "prewrites", "_cur",
+                 "_hist_reads")
 
     def request_size(self) -> int:
         return 128 + self.txn.payload_size
@@ -93,7 +93,6 @@ class _Txn(RoundTrip):
         self.start_ts = self.system.oracle.next()
         self._hist_reads = {} if self.system.history is not None else None
         self.reads = {}
-        self.write_set = {}
         self.keys = []
         self.grants = []
         self.prewrites = []
@@ -142,18 +141,10 @@ class _Txn(RoundTrip):
 
     def _execute_logic(self) -> None:
         txn = self.txn
-        write_set = self.write_set
-        if txn.logic is not None:
-            derived = txn.logic(self.reads)
-            if derived is None:
-                txn.mark_aborted(AbortReason.LOGIC)
-                self._after_attempt(False)
-                return
-            write_set.update(derived)
-        for op in txn.ops:
-            if op.is_write:
-                write_set.setdefault(op.key, op.value)
-        txn.write_set = write_set
+        if not txn.derive_writes(self.reads):
+            self._after_attempt(False)
+            return
+        write_set = txn.write_set
         if not write_set:
             # Read-only commit: serializable and snapshot levels give
             # read-only transactions a consistent snapshot, which the
@@ -235,7 +226,7 @@ class _Txn(RoundTrip):
     def _prewrite_cpu_done(self, _arg) -> None:
         key = self.keys[self._idx]
         self.prewrites.append(self.system.cluster.kv_write(
-            key, self.write_set[key],
+            key, self.txn.write_set[key],
             meta={"lock": self.txn.txn_id, "primary": self.primary}))
         self._idx += 1
         self._next_prewrite()
@@ -258,7 +249,7 @@ class _Txn(RoundTrip):
                 system._hist_versions[key] = stamp
             for reads, key, seen in system._hist_pending.pop(
                     self.txn.txn_id, ()):
-                if self.write_set.get(key) == seen:
+                if self.txn.write_set.get(key) == seen:
                     reads[key] = stamp
         primary_node = system.cluster.leader_node(self.primary)
         system.cluster.store_threads[primary_node.name].serve_then(
@@ -266,7 +257,7 @@ class _Txn(RoundTrip):
 
     def _commit_cpu_done(self, _arg) -> None:
         ev = self.system.cluster.kv_write(
-            self.primary, self.write_set[self.primary],
+            self.primary, self.txn.write_set[self.primary],
             meta={"commit_ts": self.commit_ts, "primary": True})
         subscribe(ev, self._primary_committed)
 
@@ -276,11 +267,11 @@ class _Txn(RoundTrip):
         if not ev._ok:
             self._participant_abort()
             return
-        system.pstore.commit(txn.txn_id, self.write_set, self.commit_ts)
+        system.pstore.commit(txn.txn_id, txn.write_set, self.commit_ts)
         txn.commit_version = self.commit_ts
         # Secondary commit records are written asynchronously.
         for key in self.keys[1:]:
-            system.cluster.kv_write(key, self.write_set[key],
+            system.cluster.kv_write(key, txn.write_set[key],
                                     meta={"commit_ts": self.commit_ts})
         txn.mark_committed()
         self._cleanup()

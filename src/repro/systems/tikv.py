@@ -280,8 +280,9 @@ class _Update(RoundTrip):
     (conflicts abort with ``WRITE_WRITE_CONFLICT``); "read_committed"
     writes back blindly.  Each applied write's version is collected into
     ``txn.write_versions`` — per-key commit stamps for the MVSG checker.
-    The default (serializable) path is the seed's blind-write pipeline,
-    untouched.
+    The default (serializable) path is the seed's blind-write pipeline:
+    it reads nothing, so :meth:`TikvSystem.submit` refuses a transaction
+    that carries logic there.
     """
 
     __slots__ = ("_reads", "_wkeys", "_metas")
@@ -323,7 +324,7 @@ class _Update(RoundTrip):
         system = self.system
         txn = self.txn
         scheduler = system.scheduler
-        if not scheduler.derive(txn, self._reads):
+        if not txn.derive_writes(self._reads):
             self._respond()     # LOGIC abort at the session snapshot
             return
         if not txn.write_set:
@@ -458,6 +459,13 @@ class TikvSystem(TransactionalSystem):
         self.cluster.load(records)
 
     def submit(self, txn: Transaction) -> Event:
+        if txn.logic is not None and self.scheduler is None:
+            # Blind per-key writes would install the ops' placeholder
+            # values in place of what the logic derives.
+            raise ValueError(
+                "tikv's serializable path writes each op blindly and "
+                "cannot run transaction logic; run it with "
+                'extras={"isolation": "snapshot"}')
         done = self.env.event()
         _Update(self, txn, done).start()
         return done

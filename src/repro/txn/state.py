@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, TYPE_CHECKING
 
+from .transaction import OpType, Transaction
+
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..storage.engine import CommitResult, StorageEngine
 
@@ -60,6 +62,28 @@ class VersionedStore:
         self.writes += len(write_set)
         if self.engine is not None:
             self.engine.apply_write_set(write_set)
+
+    def read_inputs(self, txn: Transaction) -> dict[str, bytes]:
+        """Read every READ/UPDATE key of ``txn`` from the current state.
+
+        Stamps each read version into ``txn.read_set`` and returns
+        key -> value (``b""`` for an absent key): the input
+        :meth:`Transaction.derive_writes` runs the logic against.
+        """
+        reads: dict[str, bytes] = {}
+        read_set = txn.read_set
+        for op in txn.ops:
+            if op.op_type is not OpType.WRITE:
+                value, version = self.get(op.key)
+                read_set[op.key] = version
+                reads[op.key] = value if value is not None else b""
+        return reads
+
+    def install(self, txn: Transaction, version: int) -> None:
+        """Apply ``txn``'s write set at ``version`` and mark it committed."""
+        self.apply_write_set(txn.write_set, version)
+        txn.commit_version = version
+        txn.mark_committed()
 
     def load(self, records: dict[str, bytes], first_version: int) -> int:
         """Pre-populate with one version per record: the i-th record (in

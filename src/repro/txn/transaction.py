@@ -76,8 +76,9 @@ class Transaction:
     # whole write set) costs no allocation; the MVSG checker prefers these
     # over ``commit_version`` when present.
     write_versions: Optional[dict[str, int]] = None
-    # Optional application logic run at execution time against read values;
-    # returning False signals a constraint violation (logic abort).
+    # Optional application logic run at execution time against read values
+    # (see ``derive_writes``); returning None signals a constraint
+    # violation (logic abort).
     logic: Optional[Callable[[dict[str, bytes]], Optional[dict[str, bytes]]]] = None
     phases: dict[str, float] = field(default_factory=dict)
 
@@ -113,6 +114,26 @@ class Transaction:
 
     _payload_size: Optional[int] = field(
         default=None, repr=False, compare=False)
+
+    def derive_writes(self, reads: dict[str, bytes]) -> bool:
+        """Run the logic against ``reads`` and fill ``write_set``.
+
+        The one execution step every system shares: derived values win,
+        every other written op writes its own value.  A ``None`` from the
+        logic is a constraint violation: the transaction is marked
+        LOGIC-aborted and False returned, with ``write_set`` untouched.
+        """
+        write_set = self.write_set
+        if self.logic is not None:
+            derived = self.logic(reads)
+            if derived is None:
+                self.mark_aborted(AbortReason.LOGIC)
+                return False
+            write_set.update(derived)
+        for op in self.ops:
+            if op.is_write:
+                write_set.setdefault(op.key, op.value)
+        return True
 
     def mark_committed(self) -> None:
         self.status = TxnStatus.COMMITTED

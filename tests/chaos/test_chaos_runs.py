@@ -14,6 +14,10 @@ from repro.chaos import (AsymPartition, Censor, ClockSkew, CrashRestart,
                          Scenario, SilentLeader,
                          run_chaos_point)
 from repro.chaos.injector import discover_groups
+from repro.core.builder import DEDICATED_MODELS, build_system
+from repro.core.taxonomy import TABLE2
+from repro.sim.kernel import Environment
+from repro.systems.base import SystemConfig
 
 ETCD_MINORITY = ("etcd1",)
 ETCD_MAJORITY = ("etcd0", "etcd2", "etcd3", "etcd4")
@@ -216,3 +220,33 @@ class TestByzantine:
             items = {id(r._history[seq]) for r in replicas
                      if seq in r._history}
             assert len(items) <= 1
+
+
+#: Every name ``build_system`` accepts: the dedicated models and every
+#: Table 2 profile (the rest compose as hybrids).
+BUILDER_NAMES = sorted(set(TABLE2) | set(DEDICATED_MODELS))
+
+
+@pytest.mark.parametrize("name", BUILDER_NAMES)
+def test_every_system_runs_smallbank_logic_and_conserves_balances(name):
+    """A fault-free SmallBank run (a zero-delay gray window on the last
+    node) must conserve the balance sum on every system: a path that
+    installs the ops' placeholder values instead of running the logic
+    drifts it.  tikv's serializable path cannot run logic and says so.
+    The liveness verdict is not this test's: blockchaindb's PoW commits
+    nothing inside this short horizon."""
+    nodes = 6 if name in ("ahl", "spanner") else 4
+    last = build_system(Environment(), name,
+                        SystemConfig(num_nodes=nodes)).nodes[-1].name
+    scen = Scenario(
+        name="noop",
+        steps=(GrayNode(at=0.5, node=last, extra_delay=0.0, drop_rate=0.0,
+                        until=0.6),),
+        settle=3.0)
+    if name == "tikv":
+        with pytest.raises(ValueError,
+                           match=r'extras=\{"isolation": "snapshot"\}'):
+            run_chaos_point(name, scen, num_nodes=nodes, seed=11)
+        return
+    res = run_chaos_point(name, scen, num_nodes=nodes, seed=11)
+    assert not [v for v in res.violations if "conserved-balances" in v]

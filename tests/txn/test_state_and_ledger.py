@@ -1,6 +1,7 @@
 """Tests for versioned state and the hash-chained ledger."""
 
-from repro.txn import Ledger, Transaction, VersionedStore, envelope_size
+from repro.txn import (Ledger, Op, OpType, Transaction, TxnStatus,
+                       VersionedStore, envelope_size)
 from repro.txn.ledger import Block, BlockHeader
 from repro.crypto.hashing import NULL_HASH
 
@@ -42,6 +43,25 @@ def test_data_bytes_accounting():
     store.put("a", b"12345", 1)
     store.put("b", b"123", 1)
     assert store.data_bytes() == 8
+
+
+def test_read_inputs_stamps_read_set_and_defaults_absent_keys():
+    store = VersionedStore()
+    store.put("a", b"x", 3)
+    txn = Transaction(ops=[Op(OpType.READ, "a"), Op(OpType.UPDATE, "b", b"v"),
+                           Op(OpType.WRITE, "c", b"w")])
+    assert store.read_inputs(txn) == {"a": b"x", "b": b""}
+    assert txn.read_set == {"a": 3, "b": 0}
+
+
+def test_install_applies_at_version_and_commits():
+    store = VersionedStore()
+    txn = Transaction.write("k", b"v")
+    assert txn.derive_writes({})
+    store.install(txn, 7)
+    assert store.get("k") == (b"v", 7)
+    assert txn.commit_version == 7
+    assert txn.status is TxnStatus.COMMITTED
 
 
 # -- envelope sizing (Fig. 12) ------------------------------------------------
@@ -127,3 +147,4 @@ def test_ledger_total_bytes_and_txns():
 def test_empty_ledger_tip():
     assert Ledger().tip_hash == NULL_HASH
     assert Ledger().verify()
+

@@ -50,3 +50,21 @@ def test_convenience_constructors():
     u = Transaction.update("k", b"v")
     assert u.ops[0].op_type is OpType.UPDATE
     assert u.ops[0].is_write
+
+
+def test_derive_writes_prefers_derived_values_over_op_values():
+    txn = Transaction(ops=[Op(OpType.READ, "r"),
+                           Op(OpType.UPDATE, "u", b"placeholder"),
+                           Op(OpType.WRITE, "w", b"blind")],
+                      logic=lambda reads: {"u": reads["r"] + b"!"})
+    assert txn.derive_writes({"r": b"seen", "u": b"old"})
+    assert txn.write_set == {"u": b"seen!", "w": b"blind"}
+    assert txn.status is TxnStatus.PENDING
+
+
+def test_derive_writes_logic_abort_leaves_write_set_empty():
+    txn = Transaction(ops=[Op(OpType.UPDATE, "u", b"placeholder")],
+                      logic=lambda reads: None)
+    assert not txn.derive_writes({"u": b"old"})
+    assert txn.write_set == {}
+    assert txn.abort_reason is AbortReason.LOGIC

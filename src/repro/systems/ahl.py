@@ -28,7 +28,7 @@ from ..sharding.twopc import BftCoordinator, Vote
 from ..sim.kernel import Environment, Event, subscribe
 from ..sim.resources import Resource
 from ..txn.state import VersionedStore
-from ..txn.transaction import AbortReason, OpType, Transaction
+from ..txn.transaction import AbortReason, OpType
 from .base import (QueryRoundTrip, RoundTrip, SystemConfig,
                    TransactionalSystem)
 
@@ -200,6 +200,8 @@ class _Query(QueryRoundTrip):
 
 class AhlSystem(TransactionalSystem):
     name = "ahl"
+    update_chain = _AhlTxn
+    query_chain = _Query
 
     NODES_PER_SHARD = 3  # Fig. 14 setup (TEEs allow small shards)
 
@@ -296,17 +298,3 @@ class AhlSystem(TransactionalSystem):
         if self.shard_lookahead:
             return _ShardExecLA(self, shard, cost, value).start(scheduled)
         return _ShardExec(self, shard, cost, value).start(scheduled)
-
-    # -- transactions --------------------------------------------------------------------
-
-    def submit(self, txn: Transaction) -> Event:
-        done = self.env.event()
-        _AhlTxn(self, txn, done).start()
-        return done
-
-    # -- queries -----------------------------------------------------------------------------
-
-    def submit_query(self, txn: Transaction) -> Event:
-        done = self.env.event()
-        _Query(self, txn, done).start()
-        return done

@@ -183,17 +183,27 @@ class TransactionalSystem:
         """Pre-populate state before measurement (no cost charged)."""
         raise NotImplementedError
 
+    #: The per-request chains behind :meth:`submit` and
+    #: :meth:`submit_query`: each request builds ``chain(self, txn, done)``
+    #: and calls its ``start()``.
+    update_chain: type
+    query_chain: type
+
     def submit(self, txn: Transaction) -> Event:
         """Run a (possibly updating) transaction.
 
         The returned event fires with the transaction object once its fate
         is decided; ``txn.status`` and ``txn.phases`` carry the outcome.
         """
-        raise NotImplementedError
+        done = self.env.event()
+        self.update_chain(self, txn, done).start()
+        return done
 
     def submit_query(self, txn: Transaction) -> Event:
         """Run a read-only transaction (no consensus, per Section 2.1)."""
-        raise NotImplementedError
+        done = self.env.event()
+        self.query_chain(self, txn, done).start()
+        return done
 
     # -- convenience -----------------------------------------------------------
 

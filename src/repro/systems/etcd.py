@@ -24,7 +24,7 @@ from ..concurrency.serial import SerialExecutor
 from ..consensus.raft import RaftConfig, RaftGroup
 from ..sim.kernel import Environment, Event, subscribe
 from ..sim.resources import Resource
-from ..txn.transaction import AbortReason, Transaction
+from ..txn.transaction import AbortReason
 from .base import (QueryRoundTrip, RoundTrip, SystemConfig,
                    TransactionalSystem)
 
@@ -207,6 +207,8 @@ class EtcdSystem(TransactionalSystem):
     name = "etcd"
     weak_isolation = True
     storage_engine = "always"
+    update_chain = _Update
+    query_chain = _Query
 
     def __init__(self, env: Environment, config: Optional[SystemConfig] = None):
         super().__init__(env, config)
@@ -243,17 +245,3 @@ class EtcdSystem(TransactionalSystem):
     def load(self, records: dict[str, bytes]) -> None:
         self._version = self.state.load(records, self._version + 1)
         self.state.commit(self._version)
-
-    # -- writes ------------------------------------------------------------------
-
-    def submit(self, txn: Transaction) -> Event:
-        done = self.env.event()
-        _Update(self, txn, done).start()
-        return done
-
-    # -- reads ---------------------------------------------------------------------
-
-    def submit_query(self, txn: Transaction) -> Event:
-        done = self.env.event()
-        _Query(self, txn, done).start()
-        return done

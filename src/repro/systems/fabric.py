@@ -292,6 +292,8 @@ class _Vscc:
 class FabricSystem(TransactionalSystem):
     name = "fabric"
     storage_engine = "on_request"
+    update_chain = _Update
+    query_chain = _Query
 
     NUM_ORDERERS = 3  # fixed while peers scale (Section 4.2)
 
@@ -340,13 +342,6 @@ class FabricSystem(TransactionalSystem):
         for peer in self.peers:
             peer.state.apply_write_set(records, 0)
             peer.state.commit(0)
-
-    # -- update path -------------------------------------------------------------------
-
-    def submit(self, txn: Transaction) -> Event:
-        done = self.env.event()
-        _Update(self, txn, done).start()
-        return done
 
     # -- peer block validation ----------------------------------------------------------
 
@@ -422,13 +417,6 @@ class FabricSystem(TransactionalSystem):
                     waiter = self._waiters.pop(txn.txn_id, None)
                     if waiter is not None and not waiter.triggered:
                         waiter.succeed(txn)
-
-    # -- query path -------------------------------------------------------------------------
-
-    def submit_query(self, txn: Transaction) -> Event:
-        done = self.env.event()
-        _Query(self, txn, done).start()
-        return done
 
     # -- storage accounting (Fig. 12) ---------------------------------------------------------
 

@@ -30,7 +30,7 @@ from ..crypto.hashing import NULL_HASH
 from ..sim.kernel import Environment, Event, subscribe
 from ..sim.resources import Resource, Store
 from ..txn.ledger import Ledger
-from ..txn.transaction import AbortReason, Transaction
+from ..txn.transaction import AbortReason
 from .base import (QueryRoundTrip, RoundTrip, SystemConfig,
                    TransactionalSystem)
 
@@ -165,6 +165,8 @@ class HybridSystem(TransactionalSystem):
     """A taxonomy-profile-driven simulated transactional system."""
 
     storage_engine = "always"
+    update_chain = _Submission
+    query_chain = _Query
 
     def __init__(self, env: Environment, profile: SystemProfile,
                  config: Optional[SystemConfig] = None,
@@ -253,13 +255,6 @@ class HybridSystem(TransactionalSystem):
         self.state.apply_write_set(records, 0)
         self.state.commit(0)
 
-    # -- submission -------------------------------------------------------------------
-
-    def submit(self, txn: Transaction) -> Event:
-        done = self.env.event()
-        _Submission(self, txn, done).start()
-        return done
-
     # -- commit pipeline -----------------------------------------------------------------
 
     def _commit_loop(self):
@@ -295,13 +290,6 @@ class HybridSystem(TransactionalSystem):
                     state_root=(result.root if self.engine.authenticated
                                 else NULL_HASH))
             done.succeed(txn)
-
-    # -- queries -------------------------------------------------------------------------
-
-    def submit_query(self, txn: Transaction) -> Event:
-        done = self.env.event()
-        _Query(self, txn, done).start()
-        return done
 
 
 def build_hybrid(env: Environment, name: str,

@@ -90,6 +90,8 @@ class QuorumSystem(TransactionalSystem):
     name = "quorum"
     weak_isolation = True
     storage_engine = "on_request"
+    update_chain = _Submission
+    query_chain = _Query
 
     def __init__(self, env: Environment, config: Optional[SystemConfig] = None,
                  consensus: str = "raft"):
@@ -175,13 +177,6 @@ class QuorumSystem(TransactionalSystem):
         for _key in writes:
             cost += self.costs.mpt_update_time(per_key_payload)
         return cost
-
-    # -- submission -----------------------------------------------------------------------
-
-    def submit(self, txn: Transaction) -> Event:
-        done = self.env.event()
-        _Submission(self, txn, done).start()
-        return done
 
     # -- block production (order-execute) ----------------------------------------------------
 
@@ -336,10 +331,3 @@ class QuorumSystem(TransactionalSystem):
                     hashes, node_ops = yield deltas.get()
                     yield evm.serve_event(
                         self.costs.index_commit_time(hashes, node_ops))
-
-    # -- queries ---------------------------------------------------------------------------------
-
-    def submit_query(self, txn: Transaction) -> Event:
-        done = self.env.event()
-        _Query(self, txn, done).start()
-        return done

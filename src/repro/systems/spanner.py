@@ -30,7 +30,7 @@ from ..sharding.partitioner import HashPartitioner
 from ..sim.kernel import AllOf, Environment, Event, subscribe
 from ..sim.resources import Resource
 from ..txn.state import VersionedStore
-from ..txn.transaction import AbortReason, Transaction
+from ..txn.transaction import AbortReason
 from .base import (QueryRoundTrip, RoundTrip, SystemConfig,
                    TransactionalSystem)
 
@@ -223,6 +223,8 @@ class _Query(QueryRoundTrip):
 
 class SpannerSystem(TransactionalSystem):
     name = "spanner"
+    update_chain = _Txn
+    query_chain = _Query
 
     NODES_PER_SHARD = 3  # Fig. 14 setup
 
@@ -278,17 +280,3 @@ class SpannerSystem(TransactionalSystem):
         """Parallel Paxos rounds at ``shards``, joined by ``env.all_of``."""
         return self.env.all_of([_PaxosWrite(self, shard, size).start()
                                 for shard in shards])
-
-    # -- transactions -------------------------------------------------------------
-
-    def submit(self, txn: Transaction) -> Event:
-        done = self.env.event()
-        _Txn(self, txn, done).start()
-        return done
-
-    # -- queries -----------------------------------------------------------------------
-
-    def submit_query(self, txn: Transaction) -> Event:
-        done = self.env.event()
-        _Query(self, txn, done).start()
-        return done

@@ -29,7 +29,7 @@ from ..concurrency.percolator import (PercolatorStore, PrewriteConflict,
                                       TimestampOracle)
 from ..sim.kernel import Environment, Event, subscribe
 from ..sim.resources import Resource
-from ..txn.transaction import AbortReason, OpType, Transaction
+from ..txn.transaction import AbortReason, OpType
 from .base import (QueryRoundTrip, RoundTrip, SystemConfig,
                    TransactionalSystem)
 from .tikv import TikvCluster
@@ -378,6 +378,8 @@ class TiDBSystem(TransactionalSystem):
     name = "tidb"
     weak_isolation = True
     storage_engine = "always"
+    update_chain = _Txn
+    query_chain = _Query
 
     def __init__(self, env: Environment, config: Optional[SystemConfig] = None,
                  tidb_servers: Optional[int] = None,
@@ -434,17 +436,3 @@ class TiDBSystem(TransactionalSystem):
     def load(self, records: dict[str, bytes]) -> None:
         self.cluster.load(records)
         self.oracle._ts = max(self.oracle._ts, self.cluster._version)
-
-    # -- writes ------------------------------------------------------------------------
-
-    def submit(self, txn: Transaction) -> Event:
-        done = self.env.event()
-        _Txn(self, txn, done).start()
-        return done
-
-    # -- reads -------------------------------------------------------------------------
-
-    def submit_query(self, txn: Transaction) -> Event:
-        done = self.env.event()
-        _Query(self, txn, done).start()
-        return done

@@ -440,6 +440,8 @@ class TikvSystem(TransactionalSystem):
     name = "tikv"
     weak_isolation = True
     storage_engine = "always"
+    update_chain = _Update
+    query_chain = _Query
 
     def __init__(self, env: Environment, config: Optional[SystemConfig] = None):
         super().__init__(env, config)
@@ -466,11 +468,4 @@ class TikvSystem(TransactionalSystem):
                 "tikv's serializable path writes each op blindly and "
                 "cannot run transaction logic; run it with "
                 'extras={"isolation": "snapshot"}')
-        done = self.env.event()
-        _Update(self, txn, done).start()
-        return done
-
-    def submit_query(self, txn: Transaction) -> Event:
-        done = self.env.event()
-        _Query(self, txn, done).start()
-        return done
+        return super().submit(txn)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import inspect
 from typing import Optional
 
+from ..core.builder import LazyMapping
 from .harness import SMOKE, PointResult, PointSpec, run_point
 
 __all__ = ["FINGERPRINTS", "CHAOS_SCENARIOS", "CHAOS_DIGESTS",
@@ -244,38 +245,7 @@ def _chaos_scenarios() -> dict:
     }
 
 
-class _LazyScenarios(dict):
-    """Mapping facade that builds the Scenario objects on first access."""
-
-    _filled = False
-
-    def _fill(self):
-        if not self._filled:
-            self._filled = True
-            super().update(_chaos_scenarios())
-
-    def __getitem__(self, key):
-        self._fill()
-        return super().__getitem__(key)
-
-    def __iter__(self):
-        self._fill()
-        return super().__iter__()
-
-    def __len__(self):
-        self._fill()
-        return super().__len__()
-
-    def keys(self):
-        self._fill()
-        return super().keys()
-
-    def items(self):
-        self._fill()
-        return super().items()
-
-
-CHAOS_SCENARIOS = _LazyScenarios()
+CHAOS_SCENARIOS = LazyMapping(_chaos_scenarios)
 
 #: Pinned ChaosResult.digest() per seeded scenario (seed 11).  The chaos
 #: test suite checks same-process repeat determinism; these pins extend

@@ -36,7 +36,8 @@ entry point and a direct ``XSystem(env, config)`` call agree.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING, Union
+from collections.abc import Mapping
+from typing import Callable, Optional, TYPE_CHECKING, Union
 
 from .taxonomy import SystemProfile, profile as lookup_profile
 
@@ -46,7 +47,34 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only; a module-level
     from ..sim.kernel import Environment
     from ..systems.base import SystemConfig, TransactionalSystem
 
-__all__ = ["build_system", "DEDICATED_MODELS"]
+__all__ = ["build_system", "DEDICATED_MODELS", "LazyMapping"]
+
+
+class LazyMapping(Mapping):
+    """A read-only mapping whose items ``load()`` builds on first read.
+
+    ``__getitem__``, ``__iter__`` and ``__len__`` load the items; every
+    other ``Mapping`` method (``get``, ``in``, ``items``, ``values``...)
+    reads through them.
+    """
+
+    def __init__(self, load: Callable[[], dict]):
+        self._load = load
+        self._items: Optional[dict] = None
+
+    def _loaded(self) -> dict:
+        if self._items is None:
+            self._items = self._load()
+        return self._items
+
+    def __getitem__(self, key):
+        return self._loaded()[key]
+
+    def __iter__(self):
+        return iter(self._loaded())
+
+    def __len__(self) -> int:
+        return len(self._loaded())
 
 
 def _dedicated_models() -> dict:
@@ -70,31 +98,9 @@ def _dedicated_models() -> dict:
     }
 
 
-class _LazyModels(dict):
-    """Mapping of dedicated models, resolved on first access."""
+#: Table 2 name -> dedicated model class, resolved on first read.
+DEDICATED_MODELS = LazyMapping(_dedicated_models)
 
-    def _ensure(self):
-        if not self:
-            self.update(_dedicated_models())
-
-    def __getitem__(self, key):
-        self._ensure()
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self._ensure()
-        return super().get(key, default)
-
-    def __contains__(self, key):
-        self._ensure()
-        return super().__contains__(key)
-
-    def __iter__(self):
-        self._ensure()
-        return super().__iter__()
-
-
-DEDICATED_MODELS = _LazyModels()
 
 def build_system(env: Environment,
                  target: Union[str, SystemProfile],

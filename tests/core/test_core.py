@@ -7,6 +7,7 @@ from repro.core import (Category, ConcurrencyModel, FailureModelChoice,
                         ReplicationApproach, ReplicationModel, SystemProfile,
                         TABLE2, ThroughputBand, build_system, forecast,
                         profile, rank)
+from repro.core.builder import LazyMapping, _dedicated_models
 from repro.core.taxonomy import ShardingSupport
 from repro.sim import Environment
 from repro.systems import (EtcdSystem, FabricSystem, HybridSystem,
@@ -138,6 +139,26 @@ def test_builder_dedicated_models():
     assert isinstance(build_system(env, "quorum"), QuorumSystem)
     env = Environment()
     assert isinstance(build_system(env, "tidb"), TiDBSystem)
+
+
+def test_lazy_mapping_loads_on_every_read():
+    """A fresh lazy mapping answers ``len``, ``items`` and ``values``
+    with the loaded items, whichever is read first, and loads once."""
+    loads = []
+
+    def load():
+        loads.append(1)
+        return {"a": 1, "b": 2}
+
+    counted, listed, valued = (LazyMapping(load) for _ in range(3))
+    assert len(counted) == 2
+    assert dict(listed.items()) == {"a": 1, "b": 2}
+    assert list(valued.values()) == [1, 2]
+    assert counted["b"] == 2 and list(counted) == ["a", "b"]
+    assert len(loads) == 3
+    models = LazyMapping(_dedicated_models)
+    assert len(models) == len(list(models.values())) == 7
+    assert models["etcd"] is EtcdSystem and "tikv" in models
 
 
 def test_builder_hybrids_from_table2():

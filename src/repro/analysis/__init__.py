@@ -2,8 +2,7 @@
 checking, and template robustness certification."""
 
 from .bottlenecks import BottleneckReport, ResourceUsage, analyze_system
-from .robustness import RobustnessReport, TxnTemplate, certify, \
-    smallbank_templates, ycsb_templates
+from .robustness import RobustnessReport, TxnTemplate, certify
 from .serializability import ANOMALY_KINDS, HistoryChecker, \
     SerializabilityReport
 
@@ -17,6 +16,4 @@ __all__ = [
     "TxnTemplate",
     "analyze_system",
     "certify",
-    "smallbank_templates",
-    "ycsb_templates",
 ]

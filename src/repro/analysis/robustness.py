@@ -21,6 +21,15 @@ key; keys bound to different params *may* alias).  Edges of the static
 conflict graph come from unifying one template's read atom with
 another's write atom in the same keyspace.
 
+No template is written by hand.  Each workload's ``templates()``
+draws one transaction of every shape it generates and abstracts it
+with :meth:`TxnTemplate.of`, so the certifier judges the programs the
+runs execute: a SmallBank key's keyspace is its row kind and its param
+the customer, a YCSB key is its own param.  ``run_point`` and
+``run_smallbank_point`` certify those templates at the run's level
+whenever the run keeps a history, and ``isolation_ablation`` prints
+the predicted class beside the observed counts.
+
 An rw conflict edge T1 -> T2 is **vulnerable** iff the two instances
 can both commit while running concurrently.  Under snapshot isolation
 that excludes pairs whose conflict unification forces a write-write
@@ -48,12 +57,11 @@ BFS closes the first walk, in sorted order, into the witness cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Hashable, Iterable, Optional
 
 from .graph import components, shortest_path
 
-__all__ = ["TxnTemplate", "RobustnessReport", "certify",
-           "smallbank_templates", "ycsb_templates"]
+__all__ = ["TxnTemplate", "RobustnessReport", "certify"]
 
 Atom = tuple[str, str]  # (keyspace, param)
 
@@ -65,6 +73,34 @@ class TxnTemplate:
     name: str
     reads: tuple[Atom, ...] = ()
     writes: tuple[Atom, ...] = ()
+
+    @classmethod
+    def of(cls, name: str, txn,
+           atom: Callable[[str], tuple[str, Hashable]]) -> "TxnTemplate":
+        """Abstract one drawn transaction into its template.
+
+        Reads are ``txn.read_keys`` and writes ``txn.write_keys``: READ
+        and UPDATE ops read, UPDATE and WRITE ops write, the rule
+        ``read_inputs`` and ``derive_writes`` run by.  ``atom(key)`` is
+        ``(keyspace, owner)``; owners become params ``p0, p1, ...`` in
+        first-seen order, so keys of one owner share a param.
+
+        >>> from repro.workloads.smallbank import (SmallbankConfig,
+        ...                                        SmallbankWorkload)
+        >>> bank = SmallbankWorkload(SmallbankConfig(num_accounts=10))
+        >>> check = TxnTemplate.of("write_check", bank.write_check("c0"),
+        ...                        bank.atom)
+        >>> check.reads, check.writes
+        ((('checking', 'p0'), ('savings', 'p0')), (('checking', 'p0'),))
+        """
+        params: dict = {}
+
+        def bind(key: str) -> Atom:
+            keyspace, owner = atom(key)
+            return keyspace, params.setdefault(owner, f"p{len(params)}")
+
+        return cls(name, tuple(map(bind, txn.read_keys)),
+                   tuple(map(bind, txn.write_keys)))
 
 
 @dataclass
@@ -170,58 +206,3 @@ def certify(templates: Iterable[TxnTemplate], level: str) -> RobustnessReport:
         counterexample=counterexample,
         predicted_anomaly=None if robust
         else _predict_anomaly(level, counterexample))
-
-
-# ---------------------------------------------------------------------------
-# Template builders for the workloads this library ships
-# ---------------------------------------------------------------------------
-
-def smallbank_templates(query_proportion: float = 0.0,
-                        procedures: Optional[Iterable[str]] = None) \
-        -> list[TxnTemplate]:
-    """SmallBank procedure templates (see ``workloads/smallbank.py``).
-
-    Keyspaces: ``c`` (checking rows) and ``s`` (savings rows); params
-    name the customer arguments.  ``query_proportion > 0`` adds the
-    read-only Balance template — the ingredient of the classic
-    read-only-transaction anomaly under SI.
-    """
-    catalog = {
-        "transact_savings": TxnTemplate(
-            "transact_savings", reads=(("s", "u"),), writes=(("s", "u"),)),
-        "deposit_checking": TxnTemplate(
-            "deposit_checking", reads=(("c", "u"),), writes=(("c", "u"),)),
-        "send_payment": TxnTemplate(
-            "send_payment",
-            reads=(("c", "a"), ("c", "b")), writes=(("c", "a"), ("c", "b"))),
-        "write_check": TxnTemplate(
-            "write_check",
-            reads=(("c", "u"), ("s", "u")), writes=(("c", "u"),)),
-        "amalgamate": TxnTemplate(
-            "amalgamate",
-            reads=(("s", "a"), ("c", "a"), ("c", "b")),
-            writes=(("s", "a"), ("c", "a"), ("c", "b"))),
-    }
-    names = list(procedures) if procedures is not None else list(catalog)
-    unknown = [name for name in names if name not in catalog]
-    if unknown:
-        raise ValueError(f"unknown smallbank procedure(s) {unknown}; "
-                         f"known: {sorted(catalog)}")
-    templates = [catalog[name] for name in names]
-    if query_proportion > 0:
-        templates.append(TxnTemplate(
-            "balance", reads=(("c", "u"), ("s", "u"))))
-    return templates
-
-
-def ycsb_templates(mode: str = "update") -> list[TxnTemplate]:
-    """YCSB templates: blind writes (``update``), read-modify-writes
-    (``rmw``), or pure reads (``query``)."""
-    if mode == "update":
-        return [TxnTemplate("ycsb_update", writes=(("k", "k"),))]
-    if mode == "rmw":
-        return [TxnTemplate("ycsb_rmw",
-                            reads=(("k", "k"),), writes=(("k", "k"),))]
-    if mode == "query":
-        return [TxnTemplate("ycsb_query", reads=(("k", "k"),))]
-    raise ValueError(f"unknown ycsb mode {mode!r}")

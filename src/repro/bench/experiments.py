@@ -699,6 +699,7 @@ def isolation_assemble(results: dict) -> dict:
             "tps": res.tps,
             "aborted": res.aborted,
             "serializable": payload.get("serializable_history"),
+            "predicted": payload.get("predicted_anomaly"),
             "anomalies": {k: v for k, v in anomalies.items() if v},
         }
     for row in rows.values():

@@ -61,22 +61,22 @@ PAPER = Scale("paper", record_count=100_000, warmup_txns=1_000,
               measure_txns=10_000, max_sim_time=600.0)
 
 
-def _attach_history(result: RunResult, sys_obj) -> None:
+def _attach_history(result: RunResult, sys_obj, templates) -> None:
     """Fold the run's anomaly report into picklable extras.
 
     Systems with a weakened-isolation path create a history checker
     iff the config carries an ``isolation`` key, so default runs skip
     this entirely and runs on the spectrum report what the chosen level
-    admitted.
+    admitted, beside the anomaly class the certifier predicts for the
+    workload's ``templates()`` at that level (``None``: robust).
     """
     if sys_obj.history is not None:
+        from ..analysis.robustness import certify
         report = sys_obj.history.check()
         result.extras["anomalies"] = dict(report.anomalies)
         result.extras["serializable_history"] = report.serializable
-
-
-#: run_point mode -> the YcsbWorkload method that makes its transactions.
-_MODES = {"update": "next_update", "query": "next_query", "rmw": "next_rmw"}
+        result.extras["predicted_anomaly"] = certify(
+            templates(), sys_obj.isolation).predicted_anomaly
 
 
 def run_point(
@@ -101,9 +101,9 @@ def run_point(
     ``extras={"index": "lsm+mpt"}`` swaps the system's storage engine,
     ``extras={"wal": True}`` enables the group-committed WAL.
     """
-    if mode not in _MODES:
+    if mode not in YcsbWorkload.MODES:
         raise ValueError(f"unknown mode {mode!r}; choose from "
-                         f"{', '.join(_MODES)}")
+                         f"{', '.join(YcsbWorkload.MODES)}")
     env = Environment()
     if costs is not None:
         config = SystemConfig(num_nodes=num_nodes, seed=seed, costs=costs,
@@ -121,7 +121,7 @@ def run_point(
         seed=seed + 1,
     ))
     sys_obj.load(workload.initial_records())
-    maker = getattr(workload, _MODES[mode])
+    maker = getattr(workload, YcsbWorkload.MODES[mode])
     n_clients = clients if clients is not None \
         else DEFAULT_CLIENTS.get(system, 256)
     driver = DriverConfig(
@@ -142,7 +142,7 @@ def run_point(
     else:
         result = run_closed_loop(env, sys_obj, maker, driver)
     result.extras["system"] = sys_obj
-    _attach_history(result, sys_obj)
+    _attach_history(result, sys_obj, lambda: workload.templates(mode))
     return result
 
 
@@ -183,7 +183,7 @@ def run_smallbank_point(
     )
     result = run_closed_loop(env, sys_obj, workload.next_transaction, driver)
     result.extras["system"] = sys_obj
-    _attach_history(result, sys_obj)
+    _attach_history(result, sys_obj, workload.templates)
     return result
 
 
@@ -278,6 +278,7 @@ def _portable_result(spec: PointSpec, result: RunResult,
         payload["anomalies"] = result.extras["anomalies"]
         payload["serializable_history"] = \
             result.extras["serializable_history"]
+        payload["predicted_anomaly"] = result.extras["predicted_anomaly"]
     if result.extras.get("wall_hit"):
         # Truncated by the max_sim_time wall: surfaced so an undersized
         # point can't masquerade as a full measurement downstream.

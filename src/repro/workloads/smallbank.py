@@ -16,15 +16,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, TYPE_CHECKING
 
 from ..txn.transaction import Op, OpType, Transaction
 from .zipf import ZipfGenerator
+
+if TYPE_CHECKING:  # annotations only: templates() imports it, so a run
+    # that certifies nothing never loads repro.analysis
+    from ..analysis.robustness import TxnTemplate
 
 __all__ = ["SmallbankConfig", "SmallbankWorkload", "encode_balance",
            "decode_balance"]
 
 INITIAL_BALANCE = 10_000
+#: Width of the zero-padded customer number that ends every account key.
+CUSTOMER_DIGITS = 9
 
 
 def encode_balance(amount: int) -> bytes:
@@ -60,6 +66,24 @@ class SmallbankWorkload:
 
     def __init__(self, config: Optional[SmallbankConfig] = None):
         self.config = config or SmallbankConfig()
+        procedures = self.config.procedures
+        if procedures is not None:
+            unknown = [name for name in procedures
+                       if name not in self.PROCEDURES]
+            if unknown:
+                raise ValueError(
+                    f"unknown smallbank procedure(s) {unknown}; "
+                    f"known: {sorted(self.PROCEDURES)}")
+            if not procedures:
+                raise ValueError("procedures=() draws nothing; "
+                                 "None draws all five")
+        # The two procedures that draw two distinct customers.
+        paired = {"send_payment", "amalgamate"}.intersection(
+            procedures or self.PROCEDURES)
+        if paired and self.config.num_accounts < 2:
+            raise ValueError(
+                f"{sorted(paired)} draw two distinct customers; "
+                f"num_accounts={self.config.num_accounts} has fewer")
         self.rng = random.Random(self.config.seed)
         self.zipf = ZipfGenerator(self.config.num_accounts,
                                   self.config.theta, rng=self.rng)
@@ -67,16 +91,21 @@ class SmallbankWorkload:
     # -- account keys -----------------------------------------------------------
 
     def checking(self, customer: int) -> str:
-        return f"checking{customer:09d}"
+        return "checking" + str(customer).zfill(CUSTOMER_DIGITS)
 
     def savings(self, customer: int) -> str:
-        return f"savings{customer:09d}"
+        return "savings" + str(customer).zfill(CUSTOMER_DIGITS)
+
+    @staticmethod
+    def atom(key: str) -> tuple[str, str]:
+        """``(row kind, customer)`` of an account key."""
+        return key[:-CUSTOMER_DIGITS], key[-CUSTOMER_DIGITS:]
 
     def initial_records(self) -> dict[str, bytes]:
         value = encode_balance(INITIAL_BALANCE)
         records = {}
         for i in range(self.config.num_accounts):
-            digits = f"{i:09d}"   # as checking() and savings() format it
+            digits = str(i).zfill(CUSTOMER_DIGITS)
             records["checking" + digits] = value
             records["savings" + digits] = value
         return records
@@ -179,6 +208,20 @@ class SmallbankWorkload:
                            client=client)
 
     # -- driver interface -------------------------------------------------------------
+
+    def templates(self) -> list[TxnTemplate]:
+        """The certifier's templates: one per configured procedure, plus
+        ``balance`` when queries are mixed in, each abstracted from one
+        transaction a fresh workload of this config draws (this one's
+        random stream is left as it is)."""
+        from ..analysis.robustness import TxnTemplate
+        fresh = SmallbankWorkload(self.config)
+        names = list(self.config.procedures or self.PROCEDURES)
+        if self.config.query_proportion > 0:
+            names.append("balance")
+        return [TxnTemplate.of(name, getattr(fresh, name)("client-0"),
+                               self.atom)
+                for name in names]
 
     def next_transaction(self, client: str = "client-0") -> Transaction:
         if (self.config.query_proportion > 0

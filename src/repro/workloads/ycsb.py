@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, TYPE_CHECKING
 
 from ..txn.transaction import Op, OpType, Transaction
 from .zipf import ZipfGenerator
+
+if TYPE_CHECKING:  # annotations only: templates() imports it, so a run
+    # that certifies nothing never loads repro.analysis
+    from ..analysis.robustness import TxnTemplate
 
 __all__ = ["YcsbConfig", "YcsbWorkload"]
 
@@ -40,8 +44,17 @@ class YcsbConfig:
 class YcsbWorkload:
     """Generates YCSB transactions over the key space usertable[0..N)."""
 
+    #: Each pure mode -> the method that draws its transactions.
+    MODES = {"update": "next_update", "query": "next_query",
+             "rmw": "next_rmw"}
+
     def __init__(self, config: Optional[YcsbConfig] = None):
         self.config = config or YcsbConfig()
+        if not 1 <= self.config.ops_per_txn <= self.config.record_count:
+            raise ValueError(
+                f"ops_per_txn={self.config.ops_per_txn} draws no "
+                f"transaction of distinct keys: it must lie in "
+                f"[1, record_count={self.config.record_count}]")
         self.rng = random.Random(self.config.seed)
         self.zipf = ZipfGenerator(self.config.record_count,
                                   self.config.theta, rng=self.rng)
@@ -110,6 +123,19 @@ class YcsbWorkload:
         value = self._value(self.op_record_size)
         ops = [Op(OpType.UPDATE, key, value) for key in keys]
         return Transaction(ops=ops, client=client)
+
+    def templates(self, mode: str) -> list[TxnTemplate]:
+        """The certifier's template for ``mode``, abstracted from one
+        transaction a fresh workload of this config draws (this one's
+        random stream is left as it is)."""
+        from ..analysis.robustness import TxnTemplate
+        txn = getattr(YcsbWorkload(self.config), self.MODES[mode])()
+        return [TxnTemplate.of(f"ycsb_{mode}", txn, self.atom)]
+
+    @staticmethod
+    def atom(key: str) -> tuple[str, str]:
+        """``(keyspace, owner)`` of a key: every key owns itself."""
+        return "usertable", key
 
     def next_transaction(self, client: str = "client-0") -> Transaction:
         """Mixed workload using ``read_proportion``."""

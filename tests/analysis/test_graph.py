@@ -36,11 +36,14 @@ def test_run_path_imports_no_networkx():
     script = """
 import sys
 import repro.bench.harness  # the whole run path, systems included
-from repro.analysis import HistoryChecker, certify, smallbank_templates
+from repro.analysis import HistoryChecker, certify
 from repro.txn.transaction import Op, OpType, Transaction
+from repro.workloads import SmallbankConfig, SmallbankWorkload
 
+bank = SmallbankWorkload(SmallbankConfig(num_accounts=10,
+                                         query_proportion=0.3))
 for level in ("read_committed", "snapshot"):
-    assert not certify(smallbank_templates(0.3), level).robust
+    assert not certify(bank.templates(), level).robust
 checker = HistoryChecker()
 for txn_id in (1, 2):
     txn = Transaction(ops=[Op(OpType.UPDATE, "x", b"")])

@@ -12,50 +12,77 @@ from itertools import combinations
 
 import pytest
 
-from repro.analysis.robustness import (certify, smallbank_templates,
-                                       ycsb_templates)
+from repro.analysis.robustness import TxnTemplate, certify
 from repro.bench.harness import SMOKE, run_point, run_smallbank_point
+from repro.workloads import (SmallbankConfig, SmallbankWorkload, YcsbConfig,
+                             YcsbWorkload)
+
+
+def _smallbank(query_proportion=0.0, procedures=None):
+    """The templates a SmallBank workload of this mix derives."""
+    return SmallbankWorkload(SmallbankConfig(
+        num_accounts=10, query_proportion=query_proportion,
+        procedures=procedures)).templates()
+
+
+def _ycsb(mode, ops_per_txn=1):
+    """The template a YCSB workload derives for ``mode``."""
+    return YcsbWorkload(YcsbConfig(
+        record_count=10, ops_per_txn=ops_per_txn)).templates(mode)
 
 
 # -- static verdicts ----------------------------------------------------------
 
 def test_serializable_trivially_robust():
-    report = certify(ycsb_templates("rmw"), "serializable")
+    report = certify(_ycsb("rmw"), "serializable")
     assert report.robust
 
 
 def test_unknown_level_rejected():
     with pytest.raises(ValueError, match="unknown isolation level"):
-        certify(ycsb_templates("rmw"), "repeatable_read")
+        certify(_ycsb("rmw"), "repeatable_read")
 
 
 def test_unknown_template_names_rejected():
     with pytest.raises(ValueError, match=r"\['typo'\].*amalgamate"):
-        smallbank_templates(procedures=["deposit_checking", "typo"])
-    with pytest.raises(ValueError, match="unknown ycsb mode"):
-        ycsb_templates("scan")
+        SmallbankWorkload(SmallbankConfig(
+            procedures=("deposit_checking", "typo")))
+    with pytest.raises(KeyError, match="scan"):
+        _ycsb("scan")
 
 
 def test_ycsb_rmw_verdicts():
     """Read-modify-writes: SI's first-committer-wins closes the race;
     RC admits the textbook lost-update loop."""
-    assert certify(ycsb_templates("rmw"), "snapshot").robust
-    rc = certify(ycsb_templates("rmw"), "read_committed")
+    assert certify(_ycsb("rmw"), "snapshot").robust
+    rc = certify(_ycsb("rmw"), "read_committed")
     assert not rc.robust
     assert rc.predicted_anomaly == "lost_update"
     assert rc.counterexample == ["ycsb_rmw", "ycsb_rmw"]
 
 
+def test_two_key_rmw_verdicts_match_one_key():
+    """tidb's ablation row draws two keys per rmw: its template has two
+    params, and the verdicts are the one-key template's."""
+    (two,) = _ycsb("rmw", ops_per_txn=2)
+    assert two.reads == two.writes == (("usertable", "p0"),
+                                       ("usertable", "p1"))
+    assert certify([two], "snapshot").robust
+    rc = certify([two], "read_committed")
+    assert (rc.counterexample, rc.predicted_anomaly) == \
+        (["ycsb_rmw", "ycsb_rmw"], "lost_update")
+
+
 def test_ycsb_blind_writes_and_queries_robust_everywhere():
     for mode in ("update", "query"):
         for level in ("read_committed", "snapshot"):
-            assert certify(ycsb_templates(mode), level).robust, (mode, level)
+            assert certify(_ycsb(mode), level).robust, (mode, level)
 
 
 def test_smallbank_update_mix_verdicts():
     """The five update procedures: robust against SI (every conflict
     pair overlaps on a write, so FCW aborts one), not against RC."""
-    templates = smallbank_templates()
+    templates = _smallbank()
     assert certify(templates, "snapshot").robust
     rc = certify(templates, "read_committed")
     assert not rc.robust
@@ -65,11 +92,55 @@ def test_smallbank_update_mix_verdicts():
 def test_smallbank_with_balance_breaks_si():
     """Adding the read-only Balance template creates Fekete's dangerous
     structure: balance -> write_check -> transact_savings."""
-    report = certify(smallbank_templates(query_proportion=0.3), "snapshot")
+    report = certify(_smallbank(query_proportion=0.3), "snapshot")
     assert not report.robust
     assert report.predicted_anomaly == "write_skew"
     assert set(report.counterexample) == {"balance", "write_check",
                                           "transact_savings"}
+
+
+# -- the derived templates are faithful to the generators ---------------------
+
+def _draws():
+    """``(workload, templates() args, the run's draw, a draw by template
+    name)`` per covered configuration."""
+    for query in (0.0, 0.4):
+        bank = SmallbankWorkload(SmallbankConfig(
+            num_accounts=50, theta=0.9, query_proportion=query, seed=3))
+        yield pytest.param(
+            bank, (), bank.next_transaction,
+            lambda name, bank=bank: getattr(bank, name)("client-0"),
+            id=f"smallbank-query{query}")
+    for mode, method in YcsbWorkload.MODES.items():
+        for ops in (1, 2, 4):
+            ycsb = YcsbWorkload(YcsbConfig(record_count=50, theta=0.9,
+                                           ops_per_txn=ops, seed=3))
+            draw = getattr(ycsb, method)
+            yield pytest.param(ycsb, (mode,), draw,
+                               lambda _name, draw=draw: draw(),
+                               id=f"ycsb-{mode}-{ops}ops")
+
+
+@pytest.mark.parametrize("workload,args,draw,draw_named", _draws())
+def test_every_drawn_transaction_abstracts_onto_a_template(
+        workload, args, draw, draw_named):
+    """200 seeded draws from the run's stream: each one's read keys,
+    written keys and key owners are exactly one of the workload's
+    templates, and every template is drawn.  Then 20 draws per template
+    name: each is that template (two procedures of one shape cannot
+    stand in for each other)."""
+    templates = workload.templates(*args)
+    shapes = {(t.reads, t.writes) for t in templates}
+    drawn = set()
+    for _ in range(200):
+        txn = TxnTemplate.of("drawn", draw(), workload.atom)
+        assert (txn.reads, txn.writes) in shapes, txn
+        drawn.add((txn.reads, txn.writes))
+    assert drawn == shapes
+    for template in templates:
+        for _ in range(20):
+            assert TxnTemplate.of(template.name, draw_named(template.name),
+                                  workload.atom) == template
 
 
 # -- every shipped template set, pinned -----------------------------------
@@ -161,11 +232,10 @@ _CERTIFIED = {
 
 def _template_set(label):
     if label.startswith("ycsb_"):
-        return ycsb_templates(label.removeprefix("ycsb_"))
+        return _ycsb(label.removeprefix("ycsb_"))
     names = label.split()
     query = 0.3 if names[-1] == "bal" else 0.0
-    return smallbank_templates(query, [_PROCEDURES[n] for n in names
-                                       if n != "bal"])
+    return _smallbank(query, [_PROCEDURES[n] for n in names if n != "bal"])
 
 
 def test_pinned_table_covers_every_shipped_set():
@@ -194,14 +264,14 @@ def _anomalies(result):
 @pytest.mark.parametrize("seed", [11, 23])
 def test_certified_robust_configs_run_clean(seed):
     """Robust certificates must hold on real histories, across seeds."""
-    assert certify(smallbank_templates(), "snapshot").robust
+    assert certify(_smallbank(), "snapshot").robust
     sb = run_smallbank_point("quorum", scale=SMOKE, num_accounts=200,
                              theta=0.9, seed=seed,
                              extras={"isolation": "snapshot"})
     assert sb.extras["serializable_history"] is True
     assert _anomalies(sb) == {}
 
-    assert certify(ycsb_templates("rmw"), "snapshot").robust
+    assert certify(_ycsb("rmw"), "snapshot").robust
     yc = run_point("etcd", scale=SMOKE, mode="rmw", theta=0.9, seed=seed,
                    extras={"isolation": "snapshot"})
     assert yc.extras["serializable_history"] is True
@@ -212,7 +282,7 @@ def test_non_robust_rc_gains_throughput_and_admits_lost_updates():
     """The flip side of the certificate: SmallBank is NOT robust
     against RC, and the run shows both the predicted anomaly class and
     the throughput it buys."""
-    verdict = certify(smallbank_templates(), "read_committed")
+    verdict = certify(_smallbank(), "read_committed")
     assert not verdict.robust and verdict.predicted_anomaly == "lost_update"
     ser = run_smallbank_point("quorum", scale=SMOKE, num_accounts=200,
                               theta=0.9, seed=11,
@@ -231,7 +301,7 @@ def test_non_robust_si_mix_admits_predicted_write_skew(seed):
     """The SI counterexample is live: with Balance queries mixed in,
     etcd under block-free SI admits pure write skew — the exact class
     the static witness cycle predicts, and no other."""
-    verdict = certify(smallbank_templates(query_proportion=0.4), "snapshot")
+    verdict = certify(_smallbank(query_proportion=0.4), "snapshot")
     assert not verdict.robust and verdict.predicted_anomaly == "write_skew"
     # The 3-txn coincidence needs a longer run than SMOKE's 300 txns.
     scale = SMOKE.derive(measure_txns=3000)

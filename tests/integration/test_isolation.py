@@ -10,7 +10,6 @@ chaos test closes the certification loop under faults.
 
 import pytest
 
-from repro.analysis import certify, smallbank_templates, ycsb_templates
 from repro.analysis.serializability import zero_anomalies
 from repro.bench.experiments import isolation_points
 from repro.bench.fingerprints import fingerprint_specs
@@ -98,13 +97,6 @@ def test_isolation_pin_anomaly_counts(point):
         assert payload["anomalies"]["write_skew"] == 0
 
 
-#: The templates the certifier judges each isolation_ablation workload by.
-_TEMPLATES = {
-    "ycsb-rmw": ycsb_templates("rmw"),
-    "smallbank": smallbank_templates(),
-    "smallbank-mix": smallbank_templates(query_proportion=0.4),
-}
-
 #: Rows whose observed classes are more than the certifier's one predicted
 #: class (README "Isolation levels", caveats: the read-committed certifier
 #: names one class per witness, ``lost_update``, while transactions that
@@ -123,10 +115,10 @@ _CLASS_DISAGREEMENTS = {
                          ids=lambda spec: "/".join(spec.key))
 def test_certifier_predicts_the_observed_anomaly_class(spec):
     """Robust cells run clean; every other cell shows exactly the class
-    the certifier predicts, except the listed rows, which show it too."""
-    workload, _system, level = spec.key
-    predicted = certify(_TEMPLATES[workload], level).predicted_anomaly
-    anomalies = run_spec(spec).payload["anomalies"]
+    the certifier predicts from the run's own workload templates, except
+    the listed rows, which show it too."""
+    payload = run_spec(spec).payload
+    predicted, anomalies = payload["predicted_anomaly"], payload["anomalies"]
     observed = {kind for kind, count in anomalies.items() if count}
     assert observed == _CLASS_DISAGREEMENTS.get(spec.key, {predicted} - {None})
     assert predicted is None or predicted in observed

@@ -203,6 +203,36 @@ def test_smallbank_mix_produces_all_procedures():
     assert {1, 2, 3} <= op_counts  # single, double and triple record txns
 
 
+# -- configs the generators cannot draw ------------------------------------------------
+
+@pytest.mark.parametrize("ops_per_txn", [0, 3])
+def test_ycsb_rejects_ops_outside_record_count(ops_per_txn):
+    """Three distinct keys out of two records would loop forever; zero
+    keys would draw an empty transaction."""
+    with pytest.raises(ValueError, match=f"ops_per_txn={ops_per_txn}"):
+        YcsbWorkload(YcsbConfig(record_count=2, ops_per_txn=ops_per_txn))
+    YcsbWorkload(YcsbConfig(record_count=2, ops_per_txn=2))
+
+
+@pytest.mark.parametrize("procedures,match", [
+    (("checking",), r"\['checking'\].*amalgamate"),
+    ((), r"procedures=\(\)"),
+])
+def test_smallbank_rejects_procedures_it_cannot_draw(procedures, match):
+    with pytest.raises(ValueError, match=match):
+        SmallbankWorkload(SmallbankConfig(num_accounts=10,
+                                          procedures=procedures))
+
+
+@pytest.mark.parametrize("procedure", ["send_payment", "amalgamate"])
+def test_smallbank_two_customer_procedures_need_two_accounts(procedure):
+    with pytest.raises(ValueError, match=procedure):
+        SmallbankWorkload(SmallbankConfig(num_accounts=1,
+                                          procedures=(procedure,)))
+    SmallbankWorkload(SmallbankConfig(num_accounts=1,
+                                      procedures=("write_check",)))
+
+
 # -- driver ------------------------------------------------------------------------------------
 
 class InstantSystem:

@@ -115,14 +115,6 @@ class RobustnessReport:
     #: Anomaly class the witness cycle predicts a run would admit.
     predicted_anomaly: Optional[str] = None
 
-    def __str__(self) -> str:
-        verdict = "robust" if self.robust else "NOT robust"
-        detail = "" if self.robust else \
-            f" (witness {' -> '.join(self.counterexample or [])}: " \
-            f"{self.predicted_anomaly})"
-        return f"{{{', '.join(self.templates)}}} is {verdict} " \
-               f"against {self.level}{detail}"
-
 
 def _conflict_edges(templates: list[TxnTemplate]):
     """Enumerate template-level conflict edges.

@@ -7,11 +7,10 @@ from .percolator import PercolatorStore, PrewriteConflict, TimestampOracle
 from .rc import ReadCommittedScheduler
 from .serial import SerialExecutor
 from .si import LEVELS, SnapshotScheduler, isolation_level
-from .twopl import LockDenied, LockManager, LockMode
+from .twopl import LockManager, LockMode
 
 __all__ = [
     "LEVELS",
-    "LockDenied",
     "LockManager",
     "LockMode",
     "OccSimulator",

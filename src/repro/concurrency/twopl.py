@@ -1,4 +1,4 @@
-"""Strict two-phase locking with wait-die deadlock avoidance.
+"""Strict two-phase locking with FIFO shared/exclusive lock queues.
 
 The pessimistic concurrency control used by Spanner in the paper's
 Figure 14: conflicting transactions *contend for locks* (queueing) rather
@@ -7,11 +7,12 @@ abort-fast approach under a skewed workload.
 
 Lock waits are simulated: ``acquire`` returns a kernel event that fires
 when the lock is granted, so hold times translate into real queueing in
-the DES.  Deadlock avoidance is wait-die (an older transaction may wait
-for a younger holder; a younger requester dies immediately and restarts
-with its original timestamp) — Spanner proper uses wound-wait, but both
-are timestamp-priority schemes with the same contention behaviour, and
-wait-die needs no holder-kill channel.
+the DES.  Each key keeps one FIFO queue: a request waits whenever the
+key already has waiters or a conflicting holder, and ``release`` grants
+from the head in arrival order.  No request is ever refused, so the
+manager itself has no deadlock handling; callers stay deadlock-free by
+taking their locks in one global key order (the Spanner model sorts
+each transaction's keys), which rules out wait-for cycles.
 """
 
 from __future__ import annotations
@@ -19,20 +20,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Deque, Optional
+from typing import Deque
 
 from ..sim.kernel import Environment, Event
 
-__all__ = ["LockMode", "LockManager", "LockDenied"]
+__all__ = ["LockMode", "LockManager"]
 
 
 class LockMode(Enum):
     SHARED = "S"
     EXCLUSIVE = "X"
-
-
-class LockDenied(Exception):
-    """Raised (via event failure) when wait-die kills a younger requester."""
 
 
 @dataclass
@@ -49,34 +46,25 @@ class _LockState:
 
 
 class LockManager:
-    """Per-key S/X locks with wait-die priority (smaller txn id = older)."""
+    """Per-key S/X locks granted in FIFO arrival order."""
 
-    def __init__(self, env: Environment, policy: str = "wait-die"):
-        if policy not in ("wait-die", "queue"):
-            raise ValueError(f"unknown policy {policy!r}")
+    def __init__(self, env: Environment):
         self.env = env
-        # "wait-die": timestamp-priority deadlock avoidance (younger
-        # requesters die).  "queue": always wait in FIFO order — safe only
-        # when every transaction acquires its locks in a global key order
-        # (as the Spanner model does), which rules out deadlock cycles.
-        self.policy = policy
         self._locks: dict[str, _LockState] = {}
         self.grants = 0
-        self.dies = 0
         self.wait_events = 0
 
-    def _conflicters(self, state: _LockState, txn_id: int,
-                     mode: LockMode) -> list[int]:
-        out = []
+    def _conflicts(self, state: _LockState, txn_id: int,
+                   mode: LockMode) -> bool:
         for holder, held_mode in state.holders.items():
             if holder == txn_id:
                 continue
             if mode is LockMode.EXCLUSIVE or held_mode is LockMode.EXCLUSIVE:
-                out.append(holder)
-        return out
+                return True
+        return False
 
     def acquire(self, txn_id: int, key: str, mode: LockMode) -> Event:
-        """Request a lock; fires on grant, fails (LockDenied) on wait-die."""
+        """Request a lock; the returned event fires on grant."""
         state = self._locks.setdefault(key, _LockState())
         ev = self.env.event()
         held = state.holders.get(txn_id)
@@ -90,20 +78,11 @@ class LockManager:
                 self.grants += 1
                 ev.succeed((key, mode))
                 return ev
-        conflicters = self._conflicters(state, txn_id, mode)
-        if not conflicters and not state.waiters:
+        if not state.waiters and not self._conflicts(state, txn_id, mode):
             state.holders[txn_id] = mode
             self.grants += 1
             ev.succeed((key, mode))
             return ev
-        if self.policy == "wait-die":
-            # only wait if older than every conflicting holder/waiter
-            blockers = conflicters + [w.txn_id for w in state.waiters
-                                      if not w.event.triggered]
-            if any(other < txn_id for other in blockers):
-                self.dies += 1
-                ev.fail(LockDenied(f"txn {txn_id} dies waiting on {key}"))
-                return ev
         self.wait_events += 1
         state.waiters.append(_LockRequest(txn_id, mode, ev))
         return ev
@@ -113,47 +92,17 @@ class LockManager:
         if state is None:
             return
         state.holders.pop(txn_id, None)
-        state.waiters = deque(r for r in state.waiters
-                              if not (r.txn_id == txn_id and r.event.triggered))
         self._grant_waiters(state)
         if not state.holders and not state.waiters:
             del self._locks[key]
 
-    def release_all(self, txn_id: int, keys: Optional[list[str]] = None) -> None:
-        """Release every lock held (and waiting request) of ``txn_id``."""
-        targets = keys if keys is not None else list(self._locks)
-        for key in targets:
-            state = self._locks.get(key)
-            if state is None:
-                continue
-            state.holders.pop(txn_id, None)
-            for req in list(state.waiters):
-                if req.txn_id == txn_id and not req.event.triggered:
-                    req.event.fail(LockDenied("released while waiting"))
-            state.waiters = deque(r for r in state.waiters
-                                  if r.txn_id != txn_id)
-            self._grant_waiters(state)
-            if not state.holders and not state.waiters:
-                del self._locks[key]
-
     def _grant_waiters(self, state: _LockState) -> None:
-        while state.waiters:
-            req = state.waiters[0]
-            if req.event.triggered:
-                state.waiters.popleft()
-                continue
-            if not self._conflicters(state, req.txn_id, req.mode):
-                state.waiters.popleft()
-                state.holders[req.txn_id] = req.mode
-                self.grants += 1
-                req.event.succeed((None, req.mode))
-            else:
+        waiters = state.waiters
+        while waiters:
+            req = waiters[0]
+            if self._conflicts(state, req.txn_id, req.mode):
                 break
-
-    def held_by(self, txn_id: int) -> list[str]:
-        return [key for key, state in self._locks.items()
-                if txn_id in state.holders]
-
-    def queue_length(self, key: str) -> int:
-        state = self._locks.get(key)
-        return len(state.waiters) if state else 0
+            waiters.popleft()
+            state.holders[req.txn_id] = req.mode
+            self.grants += 1
+            req.event.succeed((None, req.mode))

@@ -486,8 +486,3 @@ class RaftGroup:
             ev.fail(NotLeader(None))
             return ev
         return leader.propose(item, size)
-
-    def committed_items(self) -> list[Any]:
-        """Committed log prefix of the most advanced replica (for tests)."""
-        best = max(self.replicas.values(), key=lambda r: r.commit_index)
-        return [e.item for e in best.log[:best.commit_index]]

@@ -31,7 +31,6 @@ class SharedLogConfig:
 
     block_max_items: int = 100
     block_timeout: float = 0.7       # Fig. 8a: order phase ~700 ms unsaturated
-    raft: Optional[RaftConfig] = None
 
 
 class OrderingService:
@@ -51,10 +50,9 @@ class OrderingService:
         self.costs = costs
         self.config = config or SharedLogConfig()
         self.orderer_nodes = orderer_nodes
-        raft_config = self.config.raft or RaftConfig(
-            batch_window=0.002, max_batch=256)
         self.raft = RaftGroup(env, orderer_nodes, network, costs,
-                              raft_config, rng)
+                              RaftConfig(batch_window=0.002, max_batch=256),
+                              rng)
         self.subscribers: list[str] = []
         # Local block streams for co-located consumers/tests.
         self.block_streams: list[Store] = []

@@ -219,10 +219,6 @@ class StorageEngine:
         and crash recovery share this)."""
         raise NotImplementedError
 
-    def data_bytes(self) -> int:
-        """Approximate on-disk bytes of the structure (Fig. 12/13)."""
-        raise NotImplementedError
-
 
 # -- plain (performance-oriented) engines ------------------------------------------
 
@@ -240,9 +236,6 @@ class LsmEngine(StorageEngine):
     def _fresh_structure(self) -> None:
         self.tree = LSMTree(memtable_limit=4096)
 
-    def data_bytes(self) -> int:
-        return self.tree.total_bytes()
-
 
 class BTreeEngine(StorageEngine):
     """Plain B+ tree (BoltDB/MySQL; Table 2 "B-tree")."""
@@ -258,12 +251,6 @@ class BTreeEngine(StorageEngine):
     def _fresh_structure(self) -> None:
         self.tree = BPlusTree(order=64)
 
-    def data_bytes(self) -> int:
-        total = 0
-        for key, value in self.tree.items():
-            total += len(key) + len(value) + 8
-        return total + 64 * self.tree.node_count()   # page headers
-
 
 class SkipListEngine(StorageEngine):
     """Plain skip list (Redis sorted values backing Veritas)."""
@@ -272,9 +259,6 @@ class SkipListEngine(StorageEngine):
 
     def _fresh_structure(self) -> None:
         self.tree = SkipList()
-
-    def data_bytes(self) -> int:
-        return sum(len(k) + len(v) + 8 for k, v in self.tree.items())
 
 
 # -- authenticated (security-oriented) engines ---------------------------------------
@@ -300,9 +284,6 @@ class MptEngine(StorageEngine):
     def _fresh_structure(self) -> None:
         self.tree = MerklePatriciaTrie()
 
-    def data_bytes(self) -> int:
-        return self.tree.store.total_bytes()
-
 
 class MbtEngine(StorageEngine):
     """LSM + Merkle Bucket Tree (Fabric v0.6; Table 2 "LSM+MBT")."""
@@ -312,9 +293,6 @@ class MbtEngine(StorageEngine):
 
     def _fresh_structure(self) -> None:
         self.tree = MerkleBucketTree()
-
-    def data_bytes(self) -> int:
-        return self.tree.total_bytes()
 
 
 class BTreeMerkleEngine(StorageEngine):
@@ -328,9 +306,6 @@ class BTreeMerkleEngine(StorageEngine):
         # would close an import cycle through this package's __init__.
         from ..adt.btm import MerkleBTree
         self.tree = MerkleBTree(order=64)
-
-    def data_bytes(self) -> int:
-        return self.tree.total_bytes()
 
 
 #: IndexKind -> engine class, one per Table 2 storage choice.

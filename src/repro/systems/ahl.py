@@ -257,9 +257,6 @@ class AhlSystem(TransactionalSystem):
                 period=self.reconfig.period, pause=self.reconfig.pause,
                 periodic_reconfig=periodic_reconfig)
 
-    def load(self, records: dict[str, bytes]) -> None:
-        self.state.apply_write_set(records, 0)
-
     # -- reconfiguration epochs ---------------------------------------------------
 
     def _reconfig_loop(self):

@@ -180,8 +180,13 @@ class TransactionalSystem:
     # -- the interface driven by the workload driver -----------------------------
 
     def load(self, records: dict[str, bytes]) -> None:
-        """Pre-populate state before measurement (no cost charged)."""
-        raise NotImplementedError
+        """Pre-populate state before measurement (no cost charged).
+
+        Every record lands at version 0 in ``state``, then one engine
+        commit folds them (a no-op when the state has no engine).
+        """
+        self.state.apply_write_set(records, 0)
+        self.state.commit(0)
 
     #: The per-request chains behind :meth:`submit` and
     #: :meth:`submit_query`: each request builds ``chain(self, txn, done)``

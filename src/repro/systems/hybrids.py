@@ -249,12 +249,6 @@ class HybridSystem(TransactionalSystem):
         else:
             raise ValueError(f"unknown backend {kind!r}")
 
-    # -- loading -------------------------------------------------------------------
-
-    def load(self, records: dict[str, bytes]) -> None:
-        self.state.apply_write_set(records, 0)
-        self.state.commit(0)
-
     # -- commit pipeline -----------------------------------------------------------------
 
     def _commit_loop(self):

@@ -154,12 +154,6 @@ class QuorumSystem(TransactionalSystem):
             self.spawn(self._follower_exec_loop(node),
                        name=f"quorum-exec:{node.name}")
 
-    # -- loading -------------------------------------------------------------------
-
-    def load(self, records: dict[str, bytes]) -> None:
-        self.state.apply_write_set(records, 0)
-        self.state.commit(0)
-
     # -- cost helpers ------------------------------------------------------------------
 
     def _exec_cost(self, txn: Transaction) -> float:

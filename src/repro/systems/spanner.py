@@ -30,7 +30,6 @@ from ..sharding.partitioner import HashPartitioner
 from ..sim.kernel import AllOf, Environment, Event, subscribe
 from ..sim.resources import Resource
 from ..txn.state import VersionedStore
-from ..txn.transaction import AbortReason
 from .base import (QueryRoundTrip, RoundTrip, SystemConfig,
                    TransactionalSystem)
 
@@ -124,12 +123,7 @@ class _Txn(RoundTrip):
         req = system.locks.acquire(self.txn.txn_id, op.key, mode)
         subscribe(req, self._locked)
 
-    def _locked(self, ev: Event) -> None:
-        if not ev._ok:               # LockDenied (wait-die style policies)
-            self.system.lock_aborts += 1
-            self.txn.mark_aborted(AbortReason.LOCK_TIMEOUT)
-            self._finish(False)
-            return
+    def _locked(self, _ev: Event) -> None:
         self.held.append(self.sorted_ops[self._idx].key)
         self._idx += 1
         self._next_lock()
@@ -140,12 +134,12 @@ class _Txn(RoundTrip):
         system = self.system
         txn = self.txn
         if not txn.derive_writes(system.state.read_inputs(txn)):
-            self._finish(False)
+            self._finish()
             return
         write_set = txn.write_set
         if not write_set:
             txn.mark_committed()
-            self._finish(True)
+            self._finish()
             return
         self.shards = sorted({system._shard_of(k) for k in write_set})
         if len(self.shards) == 1:
@@ -184,16 +178,14 @@ class _Txn(RoundTrip):
         system = self.system
         system._version += 1
         system.state.install(self.txn, system._version)
-        self._finish(True)
+        self._finish()
 
-    def _finish(self, committed: bool) -> None:
+    def _finish(self) -> None:
         system = self.system
         txn = self.txn
         held, self.held = self.held, []
         for key in held:
             system.locks.release(txn.txn_id, key)
-        if not committed and txn.abort_reason is None:
-            txn.mark_aborted(AbortReason.LOCK_TIMEOUT)
         self.done.succeed(txn)
 
 
@@ -243,15 +235,11 @@ class SpannerSystem(TransactionalSystem):
         # Sorted key acquisition makes plain FIFO queueing deadlock-free;
         # conflicting transactions *wait* (Section 5.5's contrast with
         # TiDB's abort-fast behaviour).
-        self.locks = LockManager(env, policy="queue")
+        self.locks = LockManager(env)
         # serialized Paxos-log pipeline per shard leader
         self.log_threads = {n.name: Resource(env, 1)
                             for n in self.shard_leaders}
         self._version = 0
-        self.lock_aborts = 0
-
-    def load(self, records: dict[str, bytes]) -> None:
-        self.state.apply_write_set(records, 0)
 
     # -- helpers ----------------------------------------------------------------
 

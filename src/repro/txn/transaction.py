@@ -36,7 +36,6 @@ class AbortReason(Enum):
     READ_WRITE_CONFLICT = "read-write conflict"     # Fabric MVCC check
     INCONSISTENT_READ = "inconsistent read"          # Fabric endorsement mismatch
     WRITE_WRITE_CONFLICT = "write-write conflict"    # TiDB percolator prewrite
-    LOCK_TIMEOUT = "lock timeout"                    # 2PL deadlock avoidance
     LOGIC = "application logic"                      # e.g. Smallbank constraint
     COORDINATOR_ABORT = "coordinator abort"          # 2PC vote-abort
     NO_LEADER = "no leader"                          # Raft write refused

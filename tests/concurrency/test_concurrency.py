@@ -1,4 +1,4 @@
-"""Tests for serial execution, OCC, 2PL (wait-die), and percolator."""
+"""Tests for serial execution, OCC, 2PL (FIFO lock queues), and percolator."""
 
 import pytest
 from hypothesis import given, settings
@@ -148,19 +148,24 @@ def test_occ_serializability_equivalent_to_serial():
         assert store.get(key)[0] == replay.get(key)[0]
 
 
-# -- 2PL wait-die -------------------------------------------------------------------
+# -- 2PL (FIFO S/X queues) ---------------------------------------------------------
 
-def test_waitdie_older_waits_younger_dies(env):
+def test_conflicting_requests_granted_in_arrival_order(env):
+    """Waiters are granted in arrival order, whatever their txn ids."""
     lm = LockManager(env)
-    held = lm.acquire(5, "k", LockMode.EXCLUSIVE)
-    assert held.triggered and held.ok
-    younger = lm.acquire(9, "k", LockMode.EXCLUSIVE)
-    assert younger.triggered and not younger.ok  # dies
-    older = lm.acquire(1, "k", LockMode.EXCLUSIVE)
-    assert not older.triggered  # waits
-    lm.release(5, "k")
-    env.run()
-    assert older.triggered and older.ok
+    assert lm.acquire(5, "k", LockMode.EXCLUSIVE).triggered
+    order = (9, 1, 7)
+    waits = {tid: lm.acquire(tid, "k", LockMode.EXCLUSIVE) for tid in order}
+    assert not any(ev.triggered for ev in waits.values())
+    holder = 5
+    for i, tid in enumerate(order):
+        lm.release(holder, "k")
+        env.run()
+        assert [t for t in order if waits[t].triggered] == list(order[:i + 1])
+        assert waits[tid].ok
+        holder = tid
+    lm.release(holder, "k")
+    assert lm._locks == {}
 
 
 def test_shared_locks_are_compatible(env):
@@ -176,73 +181,80 @@ def test_shared_locks_are_compatible(env):
     assert x.triggered and x.ok
 
 
+def test_shared_request_does_not_barge_past_queued_exclusive(env):
+    """An S request behind a queued X waits, though the holder is S;
+    the S requests queued together are then granted together."""
+    lm = LockManager(env)
+    assert lm.acquire(1, "k", LockMode.SHARED).triggered
+    x = lm.acquire(2, "k", LockMode.EXCLUSIVE)
+    s3 = lm.acquire(3, "k", LockMode.SHARED)
+    s4 = lm.acquire(4, "k", LockMode.SHARED)
+    assert not (x.triggered or s3.triggered or s4.triggered)
+    lm.release(1, "k")
+    env.run()
+    assert x.triggered and not (s3.triggered or s4.triggered)
+    lm.release(2, "k")
+    env.run()
+    assert s3.triggered and s4.triggered
+    lm.release(3, "k")
+    lm.release(4, "k")
+    assert lm._locks == {}
+
+
 def test_reentrant_and_upgrade(env):
     lm = LockManager(env)
     assert lm.acquire(1, "k", LockMode.SHARED).triggered
     assert lm.acquire(1, "k", LockMode.SHARED).triggered   # re-entrant
     up = lm.acquire(1, "k", LockMode.EXCLUSIVE)            # sole sharer
     assert up.triggered and up.ok
-    assert lm.held_by(1) == ["k"]
-
-
-def test_release_all_wakes_waiters_and_fails_own_waits(env):
-    lm = LockManager(env)
-    lm.acquire(1, "a", LockMode.EXCLUSIVE)
-    lm.acquire(1, "b", LockMode.EXCLUSIVE)
-    w = lm.acquire(0, "a", LockMode.EXCLUSIVE)  # older waits
-    lm.release_all(1)
+    assert lm.acquire(1, "k", LockMode.SHARED).triggered   # X covers S
+    other = lm.acquire(2, "k", LockMode.SHARED)
+    assert not other.triggered                             # upgrade excludes
+    lm.release(1, "k")
     env.run()
-    assert w.triggered and w.ok
-    assert lm.held_by(1) == []
+    assert other.triggered and other.ok
 
 
-def test_no_deadlock_under_wait_die(env):
-    """Classic deadlock pattern cannot block forever under wait-die."""
+def test_upgrade_waits_for_other_sharers(env):
     lm = LockManager(env)
-    a_first = lm.acquire(1, "A", LockMode.EXCLUSIVE)
-    b_first = lm.acquire(2, "B", LockMode.EXCLUSIVE)
-    assert a_first.triggered and b_first.triggered
-    # txn 2 (younger) requests A: dies immediately
-    cross1 = lm.acquire(2, "A", LockMode.EXCLUSIVE)
-    assert cross1.triggered and not cross1.ok
-    # txn 1 (older) requests B: waits
-    cross2 = lm.acquire(1, "B", LockMode.EXCLUSIVE)
-    assert not cross2.triggered
-    # txn 2 aborts and releases: txn 1 proceeds — no deadlock
-    lm.release_all(2)
+    lm.acquire(1, "k", LockMode.SHARED)
+    lm.acquire(2, "k", LockMode.SHARED)
+    up = lm.acquire(1, "k", LockMode.EXCLUSIVE)
+    assert not up.triggered
+    lm.release(2, "k")
     env.run()
-    assert cross2.triggered and cross2.ok
-
-
-def test_fifo_grant_order_for_waiting_elders(env):
-    """Waiters queue FIFO; each later waiter must be older (wait-die)."""
-    lm = LockManager(env)
-    lm.acquire(10, "k", LockMode.EXCLUSIVE)
-    w1 = lm.acquire(2, "k", LockMode.EXCLUSIVE)   # older than holder
-    w2 = lm.acquire(1, "k", LockMode.EXCLUSIVE)   # oldest of all
-    assert not w1.triggered and not w2.triggered
-    lm.release(10, "k")
+    assert up.triggered and up.ok
+    late = lm.acquire(3, "k", LockMode.SHARED)
+    assert not late.triggered                              # 1 now holds X
+    lm.release(1, "k")
     env.run()
-    assert w1.triggered and w1.ok                 # FIFO: first waiter wins
-    assert not w2.triggered                       # still queued behind
+    assert late.triggered
+    lm.release(3, "k")
+    assert lm._locks == {}
 
-def test_younger_than_waiter_dies(env):
-    """A requester younger than an existing waiter dies (wait-die)."""
+
+def test_key_ordered_crossing_transactions_finish(env):
+    """Two transactions writing {A, B} in opposite program order both
+    commit when each takes its locks in key order, and leave no lock
+    state behind."""
     lm = LockManager(env)
-    lm.acquire(10, "k", LockMode.EXCLUSIVE)
-    older = lm.acquire(1, "k", LockMode.EXCLUSIVE)
-    assert not older.triggered
-    younger = lm.acquire(5, "k", LockMode.EXCLUSIVE)
-    assert younger.triggered and not younger.ok
+    finished = []
 
+    def txn(tid, keys, start):
+        yield env.timeout(start)
+        for key in sorted(keys):
+            yield lm.acquire(tid, key, LockMode.EXCLUSIVE)
+            yield env.timeout(1.0)            # work between acquisitions
+        for key in keys:
+            lm.release(tid, key)
+        finished.append((tid, env.now))
 
-def test_queue_length(env):
-    lm = LockManager(env)
-    lm.acquire(9, "k", LockMode.EXCLUSIVE)
-    lm.acquire(2, "k", LockMode.EXCLUSIVE)
-    lm.acquire(1, "k", LockMode.EXCLUSIVE)  # ever-older requesters wait
-    assert lm.queue_length("k") == 2
-    assert lm.queue_length("unknown") == 0
+    env.process(txn(1, ["A", "B"], 0.0))
+    env.process(txn(2, ["B", "A"], 0.5))
+    env.run()
+    assert finished == [(1, 2.0), (2, 4.0)]
+    assert lm._locks == {}
+    assert lm.wait_events == 1 and lm.grants == 4
 
 
 # -- percolator ------------------------------------------------------------------------

@@ -233,6 +233,38 @@ def test_upgrade_waits_for_other_sharers(env):
     assert lm._locks == {}
 
 
+def test_fifo_grant_order_for_waiting_elders(env):
+    """An older waiter gains no priority: the first waiter wins."""
+    lm = LockManager(env)
+    lm.acquire(10, "k", LockMode.EXCLUSIVE)
+    w1 = lm.acquire(2, "k", LockMode.EXCLUSIVE)   # older than holder
+    w2 = lm.acquire(1, "k", LockMode.EXCLUSIVE)   # oldest of all
+    assert not w1.triggered and not w2.triggered
+    lm.release(10, "k")
+    env.run()
+    assert w1.triggered and w1.ok                 # FIFO: first waiter wins
+    assert not w2.triggered                       # still queued behind
+
+
+def test_release_by_non_holder_grants_nothing(env):
+    """Releasing an unknown key, or a key one only waits for, changes
+    no lock state."""
+    lm = LockManager(env)
+    lm.release(1, "nowhere")
+    assert lm._locks == {}
+    lm.acquire(1, "k", LockMode.EXCLUSIVE)
+    w = lm.acquire(2, "k", LockMode.EXCLUSIVE)
+    lm.release(2, "k")                            # 2 holds nothing yet
+    env.run()
+    assert not w.triggered
+    lm.release(1, "k")
+    env.run()
+    assert w.triggered and w.ok
+    lm.release(2, "k")
+    assert lm._locks == {}
+    assert lm.grants == 2 and lm.wait_events == 1
+
+
 def test_key_ordered_crossing_transactions_finish(env):
     """Two transactions writing {A, B} in opposite program order both
     commit when each takes its locks in key order, and leave no lock

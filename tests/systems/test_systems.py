@@ -268,6 +268,26 @@ def test_spanner_cross_shard_txn_commits():
     assert system.state.get(a)[0] == b"1"
 
 
+def test_spanner_conflicting_txns_queue_and_both_commit():
+    """Two writers of one key: the second waits for the first's lock
+    instead of aborting, both commit in arrival order, and no lock
+    state is left."""
+    env = Environment()
+    system = SpannerSystem(env, SystemConfig(num_nodes=3))
+    system.load({"k": b"0"})
+    from repro.txn import Op, OpType
+    first = Transaction(ops=[Op(OpType.UPDATE, "k", b"1")])
+    second = Transaction(ops=[Op(OpType.UPDATE, "k", b"2")])
+    system.submit(first)
+    system.submit(second)
+    env.run(until=10)
+    assert first.status is TxnStatus.COMMITTED
+    assert second.status is TxnStatus.COMMITTED
+    assert system.state.get("k")[0] == b"2"
+    assert system.locks.wait_events == 1
+    assert system.locks._locks == {}
+
+
 def test_ahl_reconfiguration_costs_throughput():
     # Short epochs so several reconfiguration pauses land inside the
     # measurement window.
